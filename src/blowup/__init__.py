@@ -37,7 +37,6 @@ from .inequalities import (
     c2_constant,
     chain_audit,
     hardy_quotient,
-    m_norm,
     phi_n,
     resolve_hardy_constant,
     sigma_q,
@@ -86,7 +85,6 @@ __all__ = [
     "c2_constant",
     "chain_audit",
     "hardy_quotient",
-    "m_norm",
     "phi_n",
     "resolve_hardy_constant",
     "sigma_q",

@@ -10,8 +10,9 @@ replays the localization argument step by step on grid data.
 Every run writes a JSON report into the output directory (``--report``,
 overridden by the BLOWUP_REPORT_DIR environment variable).  Reports are
 deterministic for a fixed configuration except for the ``generated_at``
-timestamp.  Exit status: 0 when every enabled check passes, 2 when a check
-fails, 1 on configuration or runtime errors (with a usage message when the
+timestamp and, in solve reports, the measured ``runtime_seconds``.  Exit
+status: 0 when every enabled check passes, 2 when a check fails, 1 on
+configuration or runtime errors (with a usage message when the
 configuration does not parse).
 """
 
@@ -43,6 +44,7 @@ from .solver import (
     SolverConfig,
     corollary4_check,
     field_to_svg,
+    liouville_defect,
     liouville_residual,
     solve,
 )
@@ -145,10 +147,10 @@ def _check_line(name: str, passed: bool, detail: str = "") -> None:
 def _cmd_solve(args) -> bool:
     domain = parse_domain(args.domain)
     h = parse_mesh_size(args.h)
+    if args.hardy is not None and args.hardy <= 0:
+        raise UsageError("--hardy must be positive")
     config = SolverConfig(
-        gradient_tol=args.gradient_tol,
-        max_iterations=args.max_iterations,
-        preconditioner=args.preconditioner,
+        gradient_tol=args.gradient_tol, max_iterations=args.max_iterations
     )
     grid = Grid(domain, h)
     profile = default_profile(domain)
@@ -156,8 +158,6 @@ def _cmd_solve(args) -> bool:
     report = solve(domain, profile=profile, grid=grid, config=config, singular_part=sp)
 
     if args.hardy is not None:
-        if args.hardy <= 0:
-            raise UsageError("--hardy must be positive")
         hardy = {"value": args.hardy, "method": "configured"}
         h_const = args.hardy
     else:
@@ -187,13 +187,8 @@ def _cmd_solve(args) -> bool:
         field_to_svg(
             report.u, os.path.join(outdir, "solution.svg"), title="u = v + w"
         )
-        full = grid.full_stencil
-        defect = -grid.laplacian(report.u.values) + sp.weight.values * np.exp(
-            2.0 * report.w.values
-        )
-        weighted = np.where(full, defect * sp.d.values**2, 0.0)
         field_to_svg(
-            ScalarField(grid, weighted),
+            liouville_defect(report, sp),
             os.path.join(outdir, "residual.svg"),
             title="pointwise defect, distance-squared weighted",
         )
@@ -226,6 +221,10 @@ def _cmd_whitney(args) -> bool:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.samples < 1 or (
+        args.coverage_samples is not None and args.coverage_samples < 1
+    ):
+        raise UsageError("--samples and --coverage-samples must be positive")
     decomp = decompose(domain, params)
     report = verify_properties(
         decomp,
@@ -447,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default="1/128", help='mesh size, e.g. "1/256"')
     p.add_argument("--gradient-tol", type=float, default=1e-8)
     p.add_argument("--max-iterations", type=int, default=40)
-    p.add_argument("--preconditioner", choices=("none", "jacobi"), default="none")
     p.add_argument(
         "--residual-mode", choices=("continuum", "lattice"), default="continuum"
     )

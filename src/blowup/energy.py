@@ -40,6 +40,7 @@ __all__ = [
     "energy",
     "energy_gradient",
     "hessian_apply",
+    "hessian_operator",
     "energy_gap",
 ]
 
@@ -135,19 +136,6 @@ def _boundary_curvature(domain: Domain, pts: np.ndarray) -> np.ndarray:
     return np.zeros(len(pts))
 
 
-def _ghost_signed_sum(grid: Grid) -> np.ndarray:
-    """Per interior node, the sum of signed boundary distances over its
-    stencil neighbors that are not interior (the Dirichlet ghosts)."""
-    sd = grid.signed_dist
-    m = grid.interior_mask
-    out = np.zeros_like(sd)
-    out[1:, :] += np.where(m[:-1, :], 0.0, sd[:-1, :])
-    out[:-1, :] += np.where(m[1:, :], 0.0, sd[1:, :])
-    out[:, 1:] += np.where(m[:, :-1], 0.0, sd[:, :-1])
-    out[:, :-1] += np.where(m[:, 1:], 0.0, sd[:, 1:])
-    return out[m]
-
-
 def build_singular_part(
     domain: Domain,
     profile: SmoothingProfile,
@@ -198,13 +186,11 @@ def build_singular_part(
     fp = profile.slope(delta)
     r = dd / d + (1.0 - fp**2) * weight
     if residual_mode == "lattice":
-        vfull = grid.scatter(v)
-        lap_v = grid._stencil(vfull)[grid.interior_mask]
-        r = np.where(full_stencil, -lap_v + weight, r)
+        r = np.where(full_stencil, -grid.laplacian(v) + weight, r)
     if boundary_layer == "curvature":
         # only rim nodes have ghosts, so the term vanishes elsewhere
         kappa = _boundary_curvature(domain, grid.points)
-        r = r - 0.5 * kappa * _ghost_signed_sum(grid) / grid.h**2
+        r = r - 0.5 * kappa * grid.ghost_signed_sum() / grid.h**2
 
     mk = lambda a: ScalarField(grid, a)
     return SingularPart(
@@ -253,17 +239,24 @@ def energy_gradient(phi: ScalarField, sp: SingularPart) -> ScalarField:
     return ScalarField(g, vals)
 
 
-def hessian_apply(phi: ScalarField, sp: SingularPart, psi: ScalarField) -> ScalarField:
-    """Second-variation operator at phi applied to psi:
-    -Lap psi + 2 weight e^{2 phi} psi.  Symmetric positive definite."""
+def hessian_operator(phi: ScalarField, sp: SingularPart):
+    """Second-variation operator at phi as a map on interior-node vectors,
+    psi -> -Lap psi + 2 weight e^{2 phi} psi.  Symmetric positive definite.
+
+    The mass term is computed once here, so repeated applications (one per
+    conjugate-gradient iteration) cost one Laplacian each.
+    """
     g = _same_grid(phi, sp)
-    if psi.grid is not g:
+    _guard_exponent(phi.values, g, "hessian_operator")
+    mass = 2.0 * sp.weight.values * np.exp(2.0 * phi.values)
+    return lambda psi: -g.laplacian(psi) + mass * psi
+
+
+def hessian_apply(phi: ScalarField, sp: SingularPart, psi: ScalarField) -> ScalarField:
+    """The second-variation operator at phi applied to the field psi."""
+    if psi.grid is not phi.grid:
         raise ValueError("direction lives on a different grid")
-    _guard_exponent(phi.values, g, "hessian_apply")
-    vals = -g.laplacian(psi.values) + 2.0 * sp.weight.values * np.exp(
-        2.0 * phi.values
-    ) * psi.values
-    return ScalarField(g, vals)
+    return ScalarField(psi.grid, hessian_operator(phi, sp)(psi.values))
 
 
 def energy_gap(

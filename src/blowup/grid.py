@@ -26,6 +26,17 @@ __all__ = ["Grid", "ScalarField", "laplacian_of_distance"]
 EXTERIOR, BOUNDARY_ADJACENT, INTERIOR = 0, 1, 2
 
 
+def _neighbors(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """West, east, south and north neighbor of every node of a padded
+    (nx, ny) array, zero (False) past the array's edge."""
+    w, e, s, n = (np.zeros_like(a) for _ in range(4))
+    w[1:, :] = a[:-1, :]
+    e[:-1, :] = a[1:, :]
+    s[:, 1:] = a[:, :-1]
+    n[:, :-1] = a[:, 1:]
+    return w, e, s, n
+
+
 class Grid:
     """Lattice nodes m*h covering the domain's bounding box with a margin.
 
@@ -66,33 +77,23 @@ class Grid:
         self.index[self.interior_mask] = np.arange(self.n_interior)
         self.delta = self.signed_dist[self.interior_mask]
         self.points = pts[self.interior_mask]
-        # neighbor availability at interior nodes (True where neighbor interior)
+        # per node and neighbor (west, east, south, north): is it interior
         m = self.interior_mask
-        self._has_w = np.zeros_like(m)
-        self._has_e = np.zeros_like(m)
-        self._has_s = np.zeros_like(m)
-        self._has_n = np.zeros_like(m)
-        self._has_w[1:, :] = m[:-1, :]
-        self._has_e[:-1, :] = m[1:, :]
-        self._has_s[:, 1:] = m[:, :-1]
-        self._has_n[:, :-1] = m[:, 1:]
-        self.full_stencil = (
-            m & self._has_w & self._has_e & self._has_s & self._has_n
-        )[m]
+        self._has = _neighbors(m)
+        has_w, has_e, has_s, has_n = self._has
+        self.full_stencil = (m & has_w & has_e & has_s & has_n)[m]
 
     # -- value layout ------------------------------------------------------
 
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """Interior vector -> full (nx, ny) array with Dirichlet zeros."""
+    def scatter(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """Interior vector -> full (nx, ny) array holding fill (by default
+        the Dirichlet zero) at every other node."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.n_interior,):
             raise ValueError("values must have one entry per interior node")
-        full = np.zeros((self.nx, self.ny))
+        full = np.full((self.nx, self.ny), fill)
         full[self.interior_mask] = values
         return full
-
-    def gather(self, full: np.ndarray) -> np.ndarray:
-        return full[self.interior_mask]
 
     def eval_function(self, f) -> np.ndarray:
         """Sample f(x, y) at interior nodes."""
@@ -131,14 +132,8 @@ class Grid:
         full = self.scatter(values)
         h = self.h
         m = self.interior_mask
-        w = np.zeros_like(full)
-        e = np.zeros_like(full)
-        s = np.zeros_like(full)
-        n = np.zeros_like(full)
-        w[1:, :] = full[:-1, :]
-        e[:-1, :] = full[1:, :]
-        s[:, 1:] = full[:, :-1]
-        n[:, :-1] = full[:, 1:]
+        w, e, s, n = _neighbors(full)
+        has_w, has_e, has_s, has_n = self._has
 
         def axis(lowv, highv, has_low, has_high):
             central = (highv - lowv) / (2.0 * h)
@@ -151,9 +146,17 @@ class Grid:
             )
             return g
 
-        gx = axis(w, e, self._has_w, self._has_e)[m]
-        gy = axis(s, n, self._has_s, self._has_n)[m]
+        gx = axis(w, e, has_w, has_e)[m]
+        gy = axis(s, n, has_s, has_n)[m]
         return gx, gy
+
+    def ghost_signed_sum(self) -> np.ndarray:
+        """Per interior node, the sum of signed boundary distances over its
+        stencil neighbors that are not interior (the Dirichlet ghosts)."""
+        out = np.zeros_like(self.signed_dist)
+        for has, sd in zip(self._has, _neighbors(self.signed_dist)):
+            out += np.where(has, 0.0, sd)
+        return out[self.interior_mask]
 
     def integrate(self, node_values: np.ndarray) -> float:
         """Midpoint quadrature over interior nodes."""

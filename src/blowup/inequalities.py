@@ -31,7 +31,6 @@ __all__ = [
     "DegenerateInputError",
     "unit_ball_volume",
     "phi_n",
-    "m_norm",
     "weighted_lhs",
     "weighted_rhs",
     "sobolev_bound",
@@ -134,23 +133,6 @@ def phi_n(t, n: int = 2, terms: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def m_norm(u: ScalarField, p: float, domain: Domain | None = None) -> float:
-    """Combined norm (integral of |grad u|^p + |u|^p / delta^p)^(1/p).
-
-    Quadrature over interior nodes only; nodes inside the Dirichlet rim
-    carry value zero by construction and are excluded.
-    """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    g = u.grid
-    if domain is not None and domain is not g.domain:
-        raise ValueError("field was built on a different domain")
-    gx, gy = g.gradient(u.values)
-    gmag = np.hypot(gx, gy)
-    total = np.sum(gmag**p + (np.abs(u.values) / g.delta) ** p) * g.h**2
-    return float(total ** (1.0 / p))
-
-
 def weighted_lhs(u: ScalarField, q: float, n: int = 2) -> float:
     """(integral of |u|^q / delta^n)^(1/q) by midpoint quadrature."""
     if q < 1:
@@ -163,7 +145,10 @@ def weighted_lhs(u: ScalarField, q: float, n: int = 2) -> float:
 def weighted_rhs(u: ScalarField, p: float, n: int = 2) -> float:
     """(integral of |grad u|^p delta^(p-n) + |u|^p / delta^n)^(1/p).
 
-    For p = n = 2 the gradient weight is 1 and this coincides with m_norm.
+    For p = n = 2 the gradient weight is 1 and this is the combined norm
+    (integral of |grad u|^2 + u^2 / delta^2)^(1/2).  Quadrature over
+    interior nodes only; nodes inside the Dirichlet rim carry value zero by
+    construction and are excluded.
     """
     if p < 1:
         raise ValueError("p must be at least 1")

@@ -4,8 +4,8 @@ Solves for the bounded remainder w from the zero initial guess, then
 reconstructs the blow-up field u = v + w.  The energy is smooth and convex
 with a positive definite Hessian, so Newton steps with an Armijo
 backtracking line search converge globally; each step's linear system is
-solved matrix-free by conjugate gradients (optionally Jacobi
-preconditioned), which keeps the whole pipeline deterministic.
+solved matrix-free by conjugate gradients, which keeps the whole pipeline
+deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .energy import (
     energy,
     energy_gap,
     energy_gradient,
-    hessian_apply,
+    hessian_operator,
 )
 from .geometry import Disk, Domain, SmoothingProfile, default_profile
 from .grid import Grid, ScalarField
@@ -38,6 +38,7 @@ __all__ = [
     "oracle_errors",
     "verify_minimizer",
     "corollary4_check",
+    "liouville_defect",
     "liouville_residual",
     "field_to_svg",
 ]
@@ -51,34 +52,29 @@ class LineSearchError(RuntimeError):
         self.diagnostics = diagnostics
 
 
+# Armijo sufficient-decrease constant and line-search step shrink factor
+ARMIJO_C = 1e-4
+BACKTRACK_RATIO = 0.5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Newton iteration knobs.
 
     gradient_tol is on the mesh-independent residual norm |G| * h (discrete
-    L2).  The line search enforces sufficient decrease with constant
-    armijo_c and step shrink factor backtrack_ratio.
+    L2); linear_rtol is the relative residual at which each step's
+    conjugate-gradient solve stops.
     """
 
     gradient_tol: float = 1e-8
     max_iterations: int = 40
-    armijo_c: float = 1e-4
-    backtrack_ratio: float = 0.5
     linear_rtol: float = 1e-8
-    linear_maxiter: int | None = None
-    preconditioner: str = "none"
 
     def __post_init__(self):
         if self.gradient_tol <= 0 or self.linear_rtol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.backtrack_ratio < 1.0:
-            raise ValueError("backtrack ratio must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("sufficient-decrease constant must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.preconditioner not in ("none", "jacobi"):
-            raise ValueError("preconditioner must be 'none' or 'jacobi'")
 
 
 @dataclass
@@ -112,7 +108,7 @@ class SolveReport:
         }
 
 
-def _pcg(apply_op, b, rtol, maxiter, inv_diag=None):
+def _pcg(apply_op, b, rtol, maxiter):
     """Conjugate gradients for SPD operators, zero initial guess.
 
     Returns (x, iterations, relative_residual).  Deterministic: plain
@@ -120,25 +116,23 @@ def _pcg(apply_op, b, rtol, maxiter, inv_diag=None):
     """
     x = np.zeros_like(b)
     r = b.copy()
-    bnorm = math.sqrt(float(np.dot(b, b)))
+    rr = float(np.dot(r, r))
+    bnorm = math.sqrt(rr)
     if bnorm == 0.0:
         return x, 0, 0.0
-    z = r * inv_diag if inv_diag is not None else r
-    p = z.copy()
-    rz = float(np.dot(r, z))
+    p = r.copy()
     relres = 1.0
     for it in range(1, maxiter + 1):
         Ap = apply_op(p)
-        alpha = rz / float(np.dot(p, Ap))
+        alpha = rr / float(np.dot(p, Ap))
         x += alpha * p
         r -= alpha * Ap
-        relres = math.sqrt(float(np.dot(r, r))) / bnorm
+        rr_new = float(np.dot(r, r))
+        relres = math.sqrt(rr_new) / bnorm
         if relres <= rtol:
             return x, it, relres
-        z = r * inv_diag if inv_diag is not None else r
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     return x, maxiter, relres
 
 
@@ -174,9 +168,7 @@ def solve(
     )
     h = grid.h
     n = grid.n_interior
-    maxiter_lin = (
-        config.linear_maxiter if config.linear_maxiter is not None else max(200, 20 * int(math.sqrt(n)))
-    )
+    maxiter_lin = max(200, 20 * int(math.sqrt(n)))
 
     if initial_guess is None:
         w = np.zeros(n)
@@ -199,17 +191,8 @@ def solve(
             converged = True
             break
 
-        exp2w = np.exp(2.0 * w)
-        weight_exp = 2.0 * sp.weight.values * exp2w
-
-        def apply_h(x):
-            return -grid.laplacian(x) + weight_exp * x
-
-        inv_diag = None
-        if config.preconditioner == "jacobi":
-            inv_diag = 1.0 / (4.0 / h**2 + weight_exp)
         s, cg_iters, relres = _pcg(
-            apply_h, -g, config.linear_rtol, maxiter_lin, inv_diag
+            hessian_operator(wf, sp), -g, config.linear_rtol, maxiter_lin
         )
 
         # directional derivative of the energy along s at w
@@ -228,12 +211,12 @@ def solve(
                 cand = ScalarField(grid, w + t * s)
                 e_cand = energy(cand, sp)
             except ExponentOverflowError:
-                t *= config.backtrack_ratio
+                t *= BACKTRACK_RATIO
                 continue
-            if e_cand.total <= e0 + config.armijo_c * t * slope:
+            if e_cand.total <= e0 + ARMIJO_C * t * slope:
                 accepted = (cand, e_cand, t)
                 break
-            t *= config.backtrack_ratio
+            t *= BACKTRACK_RATIO
         if accepted is None:
             raise LineSearchError(
                 "no energy decrease found along the Newton direction",
@@ -399,22 +382,33 @@ def corollary4_check(report: SolveReport, sp: SingularPart, H: float) -> dict:
     return out
 
 
-def liouville_residual(report: SolveReport, sp: SingularPart) -> dict:
-    """Pointwise defect -Lap_h(u) + 4 e^{2u} of the blow-up equation at
-    full-stencil interior nodes, d^2-weighted.
+def liouville_defect(report: SolveReport, sp: SingularPart) -> ScalarField:
+    """Pointwise defect (-Lap_h(u) + 4 e^{2u}) d^2 of the blow-up equation
+    at full-stencil interior nodes; zero at rim nodes, whose stencil reads
+    Dirichlet ghosts.
 
     4 e^{2u} is evaluated as (1/d^2) e^{2w}, which stays finite where a
-    direct exponential of u would overflow.  With the lattice residual mode
-    the defect equals the energy gradient at w exactly, so it tracks the
-    solver tolerance all the way down; with the continuum mode it floors at
-    the stencil's truncation of the singular part near the rim, reported
-    separately so the two effects are not conflated.
+    direct exponential of u would overflow.
+    """
+    g = report.w.grid
+    defect = -g.laplacian(report.u.values) + sp.weight.values * np.exp(
+        2.0 * report.w.values
+    )
+    return ScalarField(g, np.where(g.full_stencil, defect * sp.d.values**2, 0.0))
+
+
+def liouville_residual(report: SolveReport, sp: SingularPart) -> dict:
+    """Largest d^2-weighted Liouville defect (see liouville_defect).
+
+    With the lattice residual mode the defect equals the energy gradient at
+    w exactly, so it tracks the solver tolerance all the way down; with the
+    continuum mode it floors at the stencil's truncation of the singular
+    part near the rim, reported separately so the two effects are not
+    conflated.
     """
     g = report.w.grid
     full = g.full_stencil
-    lap_u = g.laplacian(report.u.values)
-    defect = -lap_u + sp.weight.values * np.exp(2.0 * report.w.values)
-    weighted = np.abs(defect[full]) * sp.d.values[full] ** 2
+    weighted = np.abs(liouville_defect(report, sp).values[full])
     gvals = energy_gradient(report.w, sp).values
     gw = np.abs(gvals[full]) * sp.d.values[full] ** 2
     deep = g.delta[full] > 0.2
@@ -436,10 +430,8 @@ def liouville_residual(report: SolveReport, sp: SingularPart) -> dict:
 
 def field_to_svg(field: ScalarField, path, title: str = "", max_px: int = 640) -> None:
     """Simple rect-per-cell heatmap of an interior-node field."""
-    g = field.grid
-    full = np.full((g.nx, g.ny), np.nan)
-    full[g.interior_mask] = field.values
-    stride = max(1, int(math.ceil(max(g.nx, g.ny) / max_px)))
+    full = field.grid.scatter(field.values, fill=np.nan)
+    stride = max(1, int(math.ceil(max(full.shape) / max_px)))
     sub = full[::stride, ::stride]
     finite = np.isfinite(sub)
     lo = float(np.nanmin(sub)) if finite.any() else 0.0

@@ -21,9 +21,10 @@ def _load(path):
 
 
 def _stripped_bytes(path):
-    # determinism is promised modulo the timestamp field only
+    # determinism is promised modulo the timestamp and the solve runtime
     payload = _load(path)
     payload.pop("generated_at")
+    payload.pop("runtime_seconds", None)
     return json.dumps(payload, sort_keys=True).encode()
 
 
@@ -110,6 +111,31 @@ def test_understated_hardy_constant_exits_2(tmp_path):
     payload = _load(tmp_path / "solve_report.json")
     assert payload["converged"] is True
     assert payload["corollary4"]["pass"] is False
+
+
+def test_nonpositive_hardy_rejected_before_solving(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the flag was validated")
+
+    monkeypatch.setattr("blowup.cli.solve", no_solve)
+    rc = main(["solve", "--domain", "disk", "--hardy", "-1", "--report", str(tmp_path)])
+    assert rc == 1
+    assert "--hardy must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--samples", "0"], ["--coverage-samples", "0"], ["--samples", "-5"]]
+)
+def test_whitney_nonpositive_sample_counts_exit_1(tmp_path, monkeypatch, capsys, flags):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decompose ran before the flags were validated")
+
+    monkeypatch.setattr("blowup.cli.decompose", no_decompose)
+    rc = main(["whitney", "--domain", "square", *flags, "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "must be positive" in err
 
 
 # -- solve ------------------------------------------------------------------
@@ -326,6 +352,15 @@ def test_same_config_byte_identical_reports(tmp_path):
     assert main(argv + ["--report", str(b)]) == 0
     for name in ("whitney_cubes.json", "whitney_properties.json"):
         assert _stripped_bytes(a / name) == _stripped_bytes(b / name)
+
+
+def test_solve_reports_identical_apart_from_timestamp_and_runtime(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    argv = ["solve", "--domain", "disk", "--h", "1/32"]
+    assert main(argv + ["--report", str(a)]) == 0
+    assert main(argv + ["--report", str(b)]) == 0
+    name = "solve_report.json"
+    assert _stripped_bytes(a / name) == _stripped_bytes(b / name)
 
 
 def test_env_var_overrides_report_directory(tmp_path, monkeypatch):

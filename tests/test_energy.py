@@ -109,7 +109,7 @@ def test_rim_ghost_correction_is_curvature_scaled(disk_grid):
     rim = ~disk_grid.full_stencil
     assert np.count_nonzero(diff[~rim]) == 0
     assert np.count_nonzero(diff[rim]) > 100
-    expected = -0.5 * 1.0 * en._ghost_signed_sum(disk_grid) / disk_grid.h**2
+    expected = -0.5 * 1.0 * disk_grid.ghost_signed_sum() / disk_grid.h**2
     assert np.max(np.abs(diff - expected)) < 1e-9
 
 

@@ -90,6 +90,20 @@ def test_gradient_central_on_linear_field(square_grid):
     np.testing.assert_allclose(gy[full], -3.0, atol=1e-10)
 
 
+def test_ghost_signed_sum_matches_neighbor_loop():
+    g = Grid(DISK, 1 / 16)
+    m = g.interior_mask
+    expected = []
+    for i, j in zip(*np.nonzero(m)):
+        total = 0.0
+        for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if not m[a, b]:
+                total += g.signed_dist[a, b]
+        expected.append(total)
+    assert np.count_nonzero(expected) > 0
+    np.testing.assert_array_equal(g.ghost_signed_sum(), expected)
+
+
 def test_integrate_constant(square_grid):
     g = square_grid
     ones = np.ones(g.n_interior)

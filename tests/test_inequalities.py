@@ -86,27 +86,20 @@ def sine_field(square_grid):
     return ScalarField(square_grid, fn(square_grid.points))
 
 
+# the combined (M) norm is weighted_rhs at p = n = 2
+
+
 def test_m_norm_homogeneous(sine_field):
-    base = ineq.m_norm(sine_field, 2)
-    doubled = ineq.m_norm(ScalarField(sine_field.grid, 2.0 * sine_field.values), 2)
+    base = ineq.weighted_rhs(sine_field, 2)
+    doubled = ineq.weighted_rhs(
+        ScalarField(sine_field.grid, 2.0 * sine_field.values), 2
+    )
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_m_norm_rejects_bad_exponent(sine_field):
     with pytest.raises(ValueError):
-        ineq.m_norm(sine_field, 0.5)
-
-
-def test_m_norm_rejects_other_domain(sine_field):
-    with pytest.raises(ValueError):
-        ineq.m_norm(sine_field, 2, domain=UNIT_DISK)
-
-
-def test_weighted_rhs_reduces_to_m_norm(sine_field):
-    # p = n makes the gradient weight delta^0
-    assert ineq.weighted_rhs(sine_field, 2) == pytest.approx(
-        ineq.m_norm(sine_field, 2), rel=1e-14
-    )
+        ineq.weighted_rhs(sine_field, 0.5)
 
 
 def test_gradient_energy_of_sine_mode(sine_field):
