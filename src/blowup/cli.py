@@ -149,9 +149,12 @@ def _cmd_solve(args) -> bool:
     h = parse_mesh_size(args.h)
     if args.hardy is not None and args.hardy <= 0:
         raise UsageError("--hardy must be positive")
-    config = SolverConfig(
-        gradient_tol=args.gradient_tol, max_iterations=args.max_iterations
-    )
+    try:
+        config = SolverConfig(
+            gradient_tol=args.gradient_tol, max_iterations=args.max_iterations
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     grid = Grid(domain, h)
     profile = default_profile(domain)
     sp = build_singular_part(domain, profile, grid, residual_mode=args.residual_mode)

@@ -49,6 +49,15 @@ def _corners(lo, hi, dim: int):
     return lo, hi
 
 
+def _radial_range(center, lo, hi):
+    """(nearest, farthest) distance from center over each closed box [lo, hi]."""
+    below = lo - center
+    above = center - hi
+    near = np.linalg.norm(np.maximum(np.maximum(below, above), 0.0), axis=-1)
+    far = np.linalg.norm(np.maximum(np.abs(below), np.abs(above)), axis=-1)
+    return near, far
+
+
 class Domain(ABC):
     """Open bounded domain with exact distance and cube predicates."""
 
@@ -146,22 +155,12 @@ class Disk(Domain):
     def is_convex(self):
         return True
 
-    def _near_far(self, lo, hi):
-        # distance range from the center over a closed box
-        below = lo - self.center
-        above = self.center - hi
-        near = np.linalg.norm(np.maximum(np.maximum(below, above), 0.0), axis=-1)
-        far = np.linalg.norm(np.maximum(np.abs(below), np.abs(above)), axis=-1)
-        return near, far
-
     def cube_contained(self, lo, hi):
-        lo, hi = _corners(lo, hi, self.dim)
-        _, far = self._near_far(lo, hi)
+        _, far = _radial_range(self.center, *_corners(lo, hi, self.dim))
         return far < self.radius
 
     def cube_intersects(self, lo, hi):
-        lo, hi = _corners(lo, hi, self.dim)
-        near, _ = self._near_far(lo, hi)
+        near, _ = _radial_range(self.center, *_corners(lo, hi, self.dim))
         return near < self.radius
 
     def to_json_dict(self):
@@ -204,19 +203,11 @@ class Annulus(Domain):
         return False
 
     def cube_contained(self, lo, hi):
-        lo, hi = _corners(lo, hi, self.dim)
-        below = lo - self.center
-        above = self.center - hi
-        near = np.linalg.norm(np.maximum(np.maximum(below, above), 0.0), axis=-1)
-        far = np.linalg.norm(np.maximum(np.abs(below), np.abs(above)), axis=-1)
+        near, far = _radial_range(self.center, *_corners(lo, hi, self.dim))
         return (far < self.outer_radius) & (near > self.inner_radius)
 
     def cube_intersects(self, lo, hi):
-        lo, hi = _corners(lo, hi, self.dim)
-        below = lo - self.center
-        above = self.center - hi
-        near = np.linalg.norm(np.maximum(np.maximum(below, above), 0.0), axis=-1)
-        far = np.linalg.norm(np.maximum(np.abs(below), np.abs(above)), axis=-1)
+        near, far = _radial_range(self.center, *_corners(lo, hi, self.dim))
         return (near < self.outer_radius) & (far > self.inner_radius)
 
     def to_json_dict(self):

@@ -297,38 +297,13 @@ class TruncationError(RuntimeError):
         self.report = report
 
 
-class _LevelIndex:
-    """Sorted-key membership structure for the cubes of one level."""
-
-    def __init__(self, m: np.ndarray):
-        self.m = m
-        self.off = m.min(axis=0)
-        rel = m - self.off
-        self.extent = rel.max(axis=0) + 1
-        mult = np.ones(m.shape[1], dtype=np.int64)
-        mult[1:] = np.cumprod(self.extent[:-1])
-        self.mult = mult
-        keys = rel @ mult
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.order = order
-        # store m sorted the same way so key rank maps back to an index row
-        self.m_sorted = m[order]
-
-    def contains(self, mq: np.ndarray) -> np.ndarray:
-        ok = np.all((mq >= self.off) & (mq < self.off + self.extent), axis=-1)
-        rel = np.where(ok[..., None], mq - self.off, 0)
-        keys = rel @ self.mult
-        pos = np.searchsorted(self.keys, keys)
-        pos = np.minimum(pos, len(self.keys) - 1)
-        return ok & (self.keys[pos] == keys)
-
-
 class WhitneyDecomposition:
-    """Selected dyadic cubes with constants, per-level indexes, and queries.
+    """Selected dyadic cubes with constants, one global key table, and queries.
 
     Immutable after construction.  ``levels`` maps level -> (count, dim)
-    integer index array, sorted for determinism.
+    integer index array, sorted for determinism; the same cubes are stacked
+    level-major once, and every membership question goes through
+    ``cube_ids``.
     """
 
     def __init__(
@@ -346,28 +321,55 @@ class WhitneyDecomposition:
         self.constants = constants
         self.levels = levels
         self.truncated = truncated
-        self._index = {k: _LevelIndex(m) for k, m in levels.items()}
-        self.cube_count = sum(len(m) for m in levels.values())
+        order = sorted(levels)
+        self._ks = np.concatenate(
+            [np.full(len(levels[k]), k, dtype=np.int64) for k in order]
+        )
+        self._ms = np.concatenate([levels[k] for k in order], axis=0)
+        self._ks.flags.writeable = self._ms.flags.writeable = False
+        self.cube_count = len(self._ks)
+        # one int64 key per cube: level most significant, then the index in
+        # mixed radix over the global index range with axis 0 varying fastest
+        self._k0 = order[0]
+        self._lo = self._ms.min(axis=0)
+        self._hi = self._ms.max(axis=0) + 1
+        extent = [int(e) for e in self._hi - self._lo] + [order[-1] - order[0] + 1]
+        if math.prod(extent) >= 2**63:
+            raise ValueError("cube keys do not fit in 63 bits")
+        self._radix = np.cumprod([1] + extent[:-1]).astype(np.int64)
+        self._keys = np.sort(self._key(self._ks, self._ms - self._lo))
 
     # -- iteration ---------------------------------------------------------
 
     def iter_cubes(self):
-        for k in sorted(self.levels):
-            for row in self.levels[k]:
-                yield DyadicCube(k, tuple(int(v) for v in row))
+        for k, row in zip(self._ks.tolist(), self._ms.tolist()):
+            yield DyadicCube(k, tuple(row))
 
     def arrays(self):
         """(levels, indices, sides, centers) stacked over all cubes."""
-        ks, ms = [], []
-        for k in sorted(self.levels):
-            m = self.levels[k]
-            ks.append(np.full(len(m), k, dtype=np.int64))
-            ms.append(m)
-        ks = np.concatenate(ks)
-        ms = np.concatenate(ms, axis=0)
-        sides = 2.0 ** (-ks.astype(float))
-        centers = (ms + 0.5) * sides[:, None]
-        return ks, ms, sides, centers
+        sides = 2.0 ** (-self._ks.astype(float))
+        centers = (self._ms + 0.5) * sides[:, None]
+        return self._ks, self._ms, sides, centers
+
+    # -- membership --------------------------------------------------------
+
+    def _key(self, lev, rel: np.ndarray) -> np.ndarray:
+        return rel @ self._radix[:-1] + (np.asarray(lev) - self._k0) * self._radix[-1]
+
+    def cube_ids(self, lev, m: np.ndarray) -> np.ndarray:
+        """Global id of each queried cube (level lev, index m), or -1 where
+        that cube is not selected.  ``lev`` is one level or one per row of m.
+
+        Ids run level-major, then over the index with axis 0 varying fastest.
+        Only the index is range-checked: a level outside the selected range
+        already keys outside the table.
+        """
+        m = np.asarray(m, dtype=np.int64)
+        ok = np.all((m >= self._lo) & (m < self._hi), axis=-1)
+        keys = self._key(lev, np.where(ok[:, None], m - self._lo, 0))
+        pos = np.searchsorted(self._keys, keys)
+        found = self._keys[np.minimum(pos, len(self._keys) - 1)] == keys
+        return np.where(ok & found, pos, -1)
 
     # -- point queries -----------------------------------------------------
 
@@ -376,31 +378,25 @@ class WhitneyDecomposition:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = points.shape[1]
         out = np.zeros(len(points), dtype=bool)
+        # a point exactly on a shared face or corner also belongs to the lower
+        # neighbors along the axes where it sits on the lattice
         shifts = np.stack(
             np.meshgrid(*[np.array([0, -1])] * n, indexing="ij"), axis=-1
         ).reshape(-1, n)
-        for k, idx in self._index.items():
-            s = 2.0 ** (-k)
-            base = np.floor(points / s).astype(np.int64)
-            out |= idx.contains(base)
-            # a point exactly on a shared face or corner also belongs to the
-            # lower neighbors along the integral axes
-            on_face = points / s == base
-            special = np.flatnonzero(np.any(on_face, axis=1) & ~out)
-            for j in special:
-                for sh in shifts[1:]:
-                    if np.all(on_face[j] | (sh == 0)) and idx.contains(
-                        (base[j] + sh)[None, :]
-                    )[0]:
-                        out[j] = True
-                        break
+        for k in self.levels:
+            todo = np.flatnonzero(~out)
+            scaled = points[todo] / 2.0 ** (-k)
+            base = np.floor(scaled).astype(np.int64)
+            on_lattice = scaled == base
+            for sh in shifts:
+                ask = ~out[todo] & np.all(on_lattice | (sh == 0), axis=1)
+                out[todo[ask]] = self.cube_ids(k, base[ask] + sh) >= 0
         return out
 
     def _support_hits(self, points: np.ndarray):
         """All (point, cube) incidences of the eta_prime supports.
 
-        Returns (point_idx, level, m, offsets) arrays concatenated over
-        levels, where offsets = (p - center)/side feed the bump.
+        Returns (point_idx, level, m) arrays concatenated over levels.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         etp = self.params.eta_prime
@@ -410,29 +406,20 @@ class WhitneyDecomposition:
             np.meshgrid(*[np.arange(reach)] * n, indexing="ij"), axis=-1
         ).reshape(-1, n)
         pid_all, lev_all, m_all = [], [], []
-        for k, idx in self._index.items():
+        for k in self.levels:
             s = 2.0 ** (-k)
             base = np.ceil(points / s - 0.5 - etp / 2.0 - 1e-12).astype(np.int64)
             for combo in combos:
                 mq = base + combo
                 centers = (mq + 0.5) * s
-                near = np.max(np.abs(points - centers), axis=-1) <= etp * s / 2.0 * (
-                    1.0 + 1e-12
+                near = np.flatnonzero(
+                    np.max(np.abs(points - centers), axis=-1)
+                    <= etp * s / 2.0 * (1.0 + 1e-12)
                 )
-                if not np.any(near):
-                    continue
-                hit = near & idx.contains(mq)
-                if np.any(hit):
-                    pid_all.append(np.flatnonzero(hit))
-                    lev_all.append(np.full(int(hit.sum()), k, dtype=np.int64))
-                    m_all.append(mq[hit])
-        if not pid_all:
-            ncols = points.shape[1]
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty((0, ncols), dtype=np.int64),
-            )
+                hit = near[self.cube_ids(k, mq[near]) >= 0]
+                pid_all.append(hit)
+                lev_all.append(np.full(len(hit), k, dtype=np.int64))
+                m_all.append(mq[hit])
         return (
             np.concatenate(pid_all),
             np.concatenate(lev_all),
@@ -443,21 +430,6 @@ class WhitneyDecomposition:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         pid, _, _ = self._support_hits(points)
         return np.bincount(pid, minlength=len(points)).astype(np.int64)
-
-    def cube_ids(self, lev: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Global sequential id (level-major, index-sorted) of member cubes."""
-        base = {}
-        off = 0
-        for k in sorted(self.levels):
-            base[k] = off
-            off += len(self.levels[k])
-        out = np.empty(len(lev), dtype=np.int64)
-        for k in np.unique(lev):
-            idx = self._index[int(k)]
-            sel = lev == k
-            keys = (m[sel] - idx.off) @ idx.mult
-            out[sel] = base[int(k)] + np.searchsorted(idx.keys, keys)
-        return out
 
     def partition_values(self, points: np.ndarray):
         """(pid, level, m, phi_ref, psi) for all support incidences.
@@ -483,7 +455,7 @@ class WhitneyDecomposition:
                 "eta": self.params.eta,
                 "eta_prime": self.params.eta_prime,
                 "dim": self.params.dim,
-                "k_min": min(self.levels) if self.levels else None,
+                "k_min": self._k0,
                 "k_max": self.params.k_max,
             },
             "constants": self.constants.to_json_dict(),
@@ -496,9 +468,8 @@ class WhitneyDecomposition:
         }
         if include_cubes:
             payload["cubes"] = [
-                {"k": int(k), "m": [int(v) for v in row]}
-                for k in sorted(self.levels)
-                for row in self.levels[k]
+                {"k": k, "m": row}
+                for k, row in zip(self._ks.tolist(), self._ms.tolist())
             ]
         return payload
 
@@ -644,16 +615,19 @@ class PropertyReport:
         }
 
 
-def _sample_in_domain(domain: Domain, count: int, rng) -> np.ndarray:
+def _sample_in_domain(domain: Domain, count: int, rng):
+    """(points, boundary distances) of ``count`` uniform points in the domain."""
     lo, hi = domain.bounding_box()
-    out = []
+    pts, dist = [], []
     have = 0
     while have < count:
         batch = lo + rng.random((max(count, 4096), domain.dim)) * (hi - lo)
-        batch = batch[domain.contains(batch)]
-        out.append(batch)
-        have += len(batch)
-    return np.concatenate(out, axis=0)[:count]
+        sd = domain.signed_distance(batch)
+        inside = sd > 0.0
+        pts.append(batch[inside])
+        dist.append(sd[inside])
+        have += len(dist[-1])
+    return np.concatenate(pts, axis=0)[:count], np.concatenate(dist)[:count]
 
 
 def verify_properties(
@@ -664,6 +638,10 @@ def verify_properties(
     seed: int = 0,
 ) -> PropertyReport:
     """Exhaustive exact checks on cubes plus sampled checks on points."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
+    if coverage_samples is not None and coverage_samples < 1:
+        raise ValueError("coverage_samples must be at least 1")
     rng = np.random.default_rng(seed)
     dom = decomp.domain
     cst = decomp.constants
@@ -697,15 +675,10 @@ def verify_properties(
     )
 
     # no selected cube is an ancestor of another
-    nested = 0
-    for k in sorted(decomp.levels):
-        anc = decomp.levels[k]
-        for k2 in sorted(decomp.levels):
-            if k2 <= k:
-                continue
-            drop = k2 - k
-            up = np.floor_divide(decomp.levels[k2], 2**drop)
-            nested += int(np.count_nonzero(decomp._index[k].contains(up)))
+    nested = sum(
+        int(np.count_nonzero(decomp.cube_ids(ks - j, ms // 2**j) >= 0))
+        for j in range(1, int(ks[-1] - ks[0]) + 1)
+    )
     report.checks.append(
         PropertyCheck("no_nesting", nested == 0, worst=float(nested))
     )
@@ -759,8 +732,8 @@ def verify_properties(
 
     # coverage of the comfortably-interior region
     n_cov = coverage_samples if coverage_samples is not None else sample_count
-    pts = _sample_in_domain(dom, n_cov, rng)
-    deep = dom.distance(pts) > cst.epsilon_cut
+    pts, dist = _sample_in_domain(dom, n_cov, rng)
+    deep = dist > cst.epsilon_cut
     covered = decomp.covers(pts[deep])
     misses = int(np.count_nonzero(~covered))
     report.checks.append(
@@ -773,8 +746,8 @@ def verify_properties(
     )
 
     # overlap bound and partition sums on a fresh sample
-    pts = _sample_in_domain(dom, sample_count, rng)
-    deep = dom.distance(pts) > cst.epsilon_cut
+    pts, dist = _sample_in_domain(dom, sample_count, rng)
+    deep = dist > cst.epsilon_cut
     pts = pts[deep]
     pid, lev, m, phi, psi = decomp.partition_values(pts)
     counts = np.bincount(pid, minlength=len(pts))
@@ -851,7 +824,6 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
     worst_gap = 0
     centers_ok = True
     for kc in ks:  # coarse level
-        idx_c = decomp._index[kc]
         sc = 2.0 ** (-kc)
         for kf in ks:  # fine or equal level
             gap = kf - kc
@@ -872,8 +844,7 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
                     ok &= np.any(mq != mf, axis=-1)  # skip self pairs
                 if not np.any(ok):
                     continue
-                hit = np.zeros(len(mq), dtype=bool)
-                hit[ok] = idx_c.contains(mq[ok])
+                hit = ok & (decomp.cube_ids(kc, mq) >= 0)
                 if not np.any(hit):
                     continue
                 cc = (mq[hit] + 0.5) * sc

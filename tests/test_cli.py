@@ -113,14 +113,26 @@ def test_understated_hardy_constant_exits_2(tmp_path):
     assert payload["corollary4"]["pass"] is False
 
 
-def test_nonpositive_hardy_rejected_before_solving(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--hardy", "-1", "--hardy must be positive", id="hardy"),
+        pytest.param("--gradient-tol", "0", "tolerances must be positive", id="gradient-tol"),
+        pytest.param("--max-iterations", "0", "need at least one iteration", id="max-iterations"),
+    ],
+)
+def test_nonpositive_solve_flags_rejected_before_solving(
+    tmp_path, monkeypatch, capsys, flag, value, message
+):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve ran before the flag was validated")
 
     monkeypatch.setattr("blowup.cli.solve", no_solve)
-    rc = main(["solve", "--domain", "disk", "--hardy", "-1", "--report", str(tmp_path)])
+    rc = main(["solve", "--domain", "disk", flag, value, "--report", str(tmp_path)])
     assert rc == 1
-    assert "--hardy must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(

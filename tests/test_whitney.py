@@ -16,6 +16,7 @@ from blowup.whitney import (
     BumpFunction,
     DyadicCube,
     TruncationError,
+    WhitneyDecomposition,
     WhitneyParams,
     decompose,
     decomposition_to_svg,
@@ -213,6 +214,46 @@ def test_disk_coverage_includes_face_points(disk_decomp):
     assert disk_decomp.covers(np.array([corner]))[0]
 
 
+def test_disk_coverage_includes_upper_corners(disk_decomp):
+    # the upper corner of a finest cube floors into the next cube up, so only
+    # the shifted face lookup can find the cube that holds it
+    k = max(disk_decomp.levels)
+    corners = (disk_decomp.levels[k] + 1) * 2.0 ** (-k)
+    assert np.all(disk_decomp.covers(corners))
+
+
+def test_cube_ids_permute_in_level_then_axis0_fastest_order(disk_decomp):
+    ks, ms, _, _ = disk_decomp.arrays()
+    ids = disk_decomp.cube_ids(ks, ms)
+    assert np.array_equal(np.sort(ids), np.arange(disk_decomp.cube_count))
+    # level is the most significant key, then the last axis, ..., then axis 0
+    assert np.array_equal(np.argsort(ids), np.lexsort((*ms.T, ks)))
+
+
+def test_cube_ids_minus_one_for_non_members(disk_decomp):
+    ks, ms, _, _ = disk_decomp.arrays()
+    k, m = int(ks[-1]), ms[-1:]
+    assert disk_decomp.cube_ids(k, m)[0] >= 0
+    assert disk_decomp.cube_ids(k - 1, m // 2)[0] == -1  # parent
+    far = np.array([[ms[:, 0].max() + 1, m[0, 1]], [m[0, 0], ms[:, 1].min() - 1]])
+    assert np.all(disk_decomp.cube_ids(k, far) == -1)  # index out of range
+    for lev in (int(ks[0]) - 1, int(ks[-1]) + 1):  # level out of range
+        assert disk_decomp.cube_ids(lev, m)[0] == -1
+
+
+def test_cube_keys_must_fit_in_63_bits(disk_decomp):
+    far_apart = {0: np.array([[0, 0], [2**32, 2**32]], dtype=np.int64)}
+    with pytest.raises(ValueError, match="63 bits"):
+        WhitneyDecomposition(
+            disk_decomp.domain,
+            disk_decomp.params,
+            disk_decomp.bump,
+            disk_decomp.constants,
+            far_apart,
+            {},
+        )
+
+
 def test_overlap_counts_and_bound(disk_decomp):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=(30_000, 2))
@@ -277,6 +318,12 @@ def test_verify_properties_disk(disk_decomp):
 
 def report_grad_limit(decomp):
     return decomp.constants.grad_bound
+
+
+@pytest.mark.parametrize("name", ["sample_count", "coverage_samples"])
+def test_verify_properties_rejects_nonpositive_counts(disk_decomp, name):
+    with pytest.raises(ValueError, match=name):
+        verify_properties(disk_decomp, **{name: 0})
 
 
 # ---------------------------------------------------------------------------
