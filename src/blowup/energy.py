@@ -241,22 +241,25 @@ def energy_gradient(phi: ScalarField, sp: SingularPart) -> ScalarField:
 
 def hessian_operator(phi: ScalarField, sp: SingularPart):
     """Second-variation operator at phi as a map on interior-node vectors,
-    psi -> -Lap psi + 2 weight e^{2 phi} psi.  Symmetric positive definite.
+    psi -> -Lap psi + mass psi with mass = 2 weight e^{2 phi}.  Symmetric
+    positive definite.  Returns (map, mass).
 
     The mass term is computed once here, so repeated applications (one per
-    conjugate-gradient iteration) cost one Laplacian each.
+    conjugate-gradient iteration) cost one Laplacian each, and the
+    multigrid preconditioner reuses the same mass.
     """
     g = _same_grid(phi, sp)
     _guard_exponent(phi.values, g, "hessian_operator")
     mass = 2.0 * sp.weight.values * np.exp(2.0 * phi.values)
-    return lambda psi: -g.laplacian(psi) + mass * psi
+    return (lambda psi: -g.laplacian(psi) + mass * psi), mass
 
 
 def hessian_apply(phi: ScalarField, sp: SingularPart, psi: ScalarField) -> ScalarField:
     """The second-variation operator at phi applied to the field psi."""
     if psi.grid is not phi.grid:
         raise ValueError("direction lives on a different grid")
-    return ScalarField(psi.grid, hessian_operator(phi, sp)(psi.values))
+    apply_h, _ = hessian_operator(phi, sp)
+    return ScalarField(psi.grid, apply_h(psi.values))
 
 
 def energy_gap(

@@ -4,8 +4,9 @@ Solves for the bounded remainder w from the zero initial guess, then
 reconstructs the blow-up field u = v + w.  The energy is smooth and convex
 with a positive definite Hessian, so Newton steps with an Armijo
 backtracking line search converge globally; each step's linear system is
-solved matrix-free by conjugate gradients, which keeps the whole pipeline
-deterministic.
+solved matrix-free by CG preconditioned by one geometric-multigrid V-cycle
+(``Grid.vcycle_preconditioner``), which keeps the iteration count per step
+bounded as h shrinks and the whole pipeline deterministic.
 """
 
 from __future__ import annotations
@@ -108,31 +109,36 @@ class SolveReport:
         }
 
 
-def _pcg(apply_op, b, rtol, maxiter):
-    """Conjugate gradients for SPD operators, zero initial guess.
+def _pcg(apply_op, apply_prec, b, rtol, maxiter):
+    """Preconditioned conjugate gradients for an SPD operator and an SPD
+    preconditioner, zero initial guess.  Stops once the unpreconditioned
+    relative residual |r| / |b| is at most rtol.
 
     Returns (x, iterations, relative_residual).  Deterministic: plain
     numpy reductions, no randomness.
     """
     x = np.zeros_like(b)
     r = b.copy()
-    rr = float(np.dot(r, r))
-    bnorm = math.sqrt(rr)
+    bnorm = math.sqrt(float(np.dot(r, r)))
     if bnorm == 0.0:
         return x, 0, 0.0
-    p = r.copy()
+    z = apply_prec(r)
+    p = z.copy()
+    rz = float(np.dot(r, z))
     relres = 1.0
     for it in range(1, maxiter + 1):
         Ap = apply_op(p)
-        alpha = rr / float(np.dot(p, Ap))
+        alpha = rz / float(np.dot(p, Ap))
         x += alpha * p
         r -= alpha * Ap
-        rr_new = float(np.dot(r, r))
-        relres = math.sqrt(rr_new) / bnorm
+        relres = math.sqrt(float(np.dot(r, r))) / bnorm
         if relres <= rtol:
             return x, it, relres
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        z = apply_prec(r)
+        rz_new = float(np.dot(r, z))
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
     return x, maxiter, relres
 
 
@@ -191,9 +197,15 @@ def solve(
             converged = True
             break
 
+        apply_h, mass = hessian_operator(wf, sp)
         s, cg_iters, relres = _pcg(
-            hessian_operator(wf, sp), -g, config.linear_rtol, maxiter_lin
+            apply_h,
+            grid.vcycle_preconditioner(mass),
+            -g,
+            config.linear_rtol,
+            maxiter_lin,
         )
+        linear_converged = relres <= config.linear_rtol
 
         # directional derivative of the energy along s at w
         slope = 2.0 * float(np.dot(g, s)) * h * h
@@ -226,6 +238,7 @@ def solve(
                     "slope": slope,
                     "cg_iterations": cg_iters,
                     "cg_relres": relres,
+                    "linear_converged": linear_converged,
                     "energy": e0,
                 },
             )
@@ -244,6 +257,7 @@ def solve(
                 "step_scale": t,
                 "cg_iterations": cg_iters,
                 "cg_relres": relres,
+                "linear_converged": linear_converged,
                 "energy": e_cand.total,
             }
         )

@@ -642,6 +642,8 @@ def verify_properties(
         raise ValueError("sample_count must be at least 1")
     if coverage_samples is not None and coverage_samples < 1:
         raise ValueError("coverage_samples must be at least 1")
+    if gradient_points < 1:
+        raise ValueError("gradient_points must be at least 1")
     rng = np.random.default_rng(seed)
     dom = decomp.domain
     cst = decomp.constants

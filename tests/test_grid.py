@@ -3,11 +3,29 @@
 import numpy as np
 import pytest
 
-from blowup.geometry import Box, Disk, Polygon, SmoothingProfile, default_profile
-from blowup.grid import Grid, ScalarField, laplacian_of_distance
+from blowup.geometry import (
+    Annulus,
+    Box,
+    Disk,
+    Polygon,
+    SmoothingProfile,
+    default_profile,
+)
+from blowup.grid import (
+    Grid,
+    ScalarField,
+    _neighbors,
+    _transfer_pairs,
+    laplacian_of_distance,
+)
 
 DISK = Disk(radius=1.0)
 SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+L_SHAPE = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+ANNULUS = Annulus((0.0, 0.0), 0.5, 1.0)
+# lower corner 3.9 h past a multiple of 8h at h = 1/64: interior nodes of
+# the 8h and 16h lattices then sit on the edge of their padded arrays
+OFFSET_BOX = Box((3.9 / 64, 3.9 / 64), (3.0 + 3.9 / 64, 3.0 + 3.9 / 64))
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +108,62 @@ def test_gradient_central_on_linear_field(square_grid):
     np.testing.assert_allclose(gy[full], -3.0, atol=1e-10)
 
 
+# reference versions of the padded-array operators, as they were before the
+# scratch buffers: a fresh scatter and full-size temporaries per call
+
+
+def _reference_laplacian(g, values):
+    full = g.scatter(values)
+    out = np.zeros_like(full)
+    out[1:-1, 1:-1] = (
+        full[2:, 1:-1]
+        + full[:-2, 1:-1]
+        + full[1:-1, 2:]
+        + full[1:-1, :-2]
+        - 4.0 * full[1:-1, 1:-1]
+    )
+    out /= g.h * g.h
+    return out[g.interior_mask]
+
+
+def _reference_gradient(g, values):
+    full = g.scatter(values)
+    h = g.h
+    m = g.interior_mask
+    w, e, s, n = _neighbors(full)
+    has_w, has_e, has_s, has_n = _neighbors(m)
+
+    def axis(lowv, highv, has_low, has_high):
+        central = (highv - lowv) / (2.0 * h)
+        up = (highv - full) / h
+        down = (full - lowv) / h
+        return np.where(
+            has_low & has_high,
+            central,
+            np.where(has_high, up, np.where(has_low, down, 0.0)),
+        )
+
+    return axis(w, e, has_w, has_e)[m], axis(s, n, has_s, has_n)[m]
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [DISK, SQUARE, L_SHAPE, Disk((0.3, 0.1), 0.05)],
+    ids=["disk", "square", "lshape", "tiny-disk"],
+)
+def test_operators_bit_identical_to_reference(domain):
+    # the tiny disk has nodes with no interior neighbor along an axis
+    g = Grid(domain, 1 / 64)
+    rng = np.random.default_rng(3)
+    for _ in range(2):  # the second call reuses the scratch buffers
+        v = rng.standard_normal(g.n_interior)
+        assert np.array_equal(g.laplacian(v), _reference_laplacian(g, v))
+        gx, gy = g.gradient(v)
+        rx, ry = _reference_gradient(g, v)
+        assert np.array_equal(gx, rx)
+        assert np.array_equal(gy, ry)
+
+
 def test_ghost_signed_sum_matches_neighbor_loop():
     g = Grid(DISK, 1 / 16)
     m = g.interior_mask
@@ -102,6 +176,71 @@ def test_ghost_signed_sum_matches_neighbor_loop():
         expected.append(total)
     assert np.count_nonzero(expected) > 0
     np.testing.assert_array_equal(g.ghost_signed_sum(), expected)
+
+
+# ---------------------------------------------------------------------------
+# multigrid hierarchy and V-cycle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [DISK, SQUARE, L_SHAPE, ANNULUS, OFFSET_BOX],
+    ids=["disk", "square", "lshape", "annulus", "offset-box"],
+)
+def test_coarse_levels_are_the_coarser_grids(domain):
+    g = Grid(domain, 1 / 64)
+    levels = g._hierarchy()
+    assert len(levels) >= 3
+    assert levels[-1].n <= 400 < levels[-2].n
+    for k, level in enumerate(levels[1:], start=1):
+        coarse = Grid(domain, 2**k * g.h)
+        assert level.h == coarse.h
+        assert level.n == coarse.n_interior
+        # same interior nodes in the same (row-major) order
+        assert np.array_equal(g.points[level.nodes], coarse.points)
+
+
+@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("n_fine", [7, 8])
+def test_transfer_pairs_are_bilinear_interpolation(a, n_fine):
+    n_coarse = len(range(a, n_fine, 2))
+    expected = np.zeros((n_fine, n_coarse))
+    for p in range(n_coarse):
+        for d in (-1, 0, 1):
+            if 0 <= a + 2 * p + d < n_fine:
+                expected[a + 2 * p + d, p] = 1.0 - 0.5 * abs(d)
+    got = np.zeros((n_fine, n_coarse))
+    eye = np.eye(n_coarse)
+    for weight, fine, coarse in _transfer_pairs(a, n_fine, n_coarse):
+        got[fine] += weight * eye[coarse]
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "domain", [DISK, L_SHAPE, OFFSET_BOX], ids=["disk", "lshape", "offset-box"]
+)
+def test_vcycle_symmetric_positive_definite(domain):
+    g = Grid(domain, 1 / 64)
+    precondition = g.vcycle_preconditioner(2.0 / g.delta**2)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x = rng.standard_normal(g.n_interior)
+        y = rng.standard_normal(g.n_interior)
+        mx, my = precondition(x), precondition(y)
+        gap = abs(np.dot(mx, y) - np.dot(x, my))
+        assert gap <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
+        assert np.dot(mx, x) > 0.0
+
+
+def test_vcycle_exact_on_a_single_level():
+    # at most 400 interior nodes: no coarsening, the dense solve is exact
+    g = Grid(DISK, 1 / 8)
+    assert g.n_interior <= 400
+    mass = np.linspace(1.0, 3.0, g.n_interior)
+    b = np.random.default_rng(2).standard_normal(g.n_interior)
+    x = g.vcycle_preconditioner(mass)(b)
+    np.testing.assert_allclose(-g.laplacian(x) + mass * x, b, atol=1e-10)
 
 
 def test_integrate_constant(square_grid):

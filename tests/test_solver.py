@@ -14,7 +14,9 @@ from blowup.energy import (
     energy,
     energy_gap,
 )
-from blowup.geometry import Box, Disk, default_profile
+import blowup.solver as solver_module
+from blowup.energy import EnergyBreakdown
+from blowup.geometry import Box, Disk, Polygon, default_profile
 from blowup.grid import Grid, ScalarField
 from blowup.solver import (
     LineSearchError,
@@ -337,16 +339,61 @@ def test_pcg_deterministic_and_accurate():
     a = m @ m.T + n * np.eye(n)
     b = rng.standard_normal(n)
     apply_op = lambda x: a @ x
-    x1, it1, res1 = _pcg(apply_op, b, 1e-10, 500)
-    x2, it2, res2 = _pcg(apply_op, b, 1e-10, 500)
+    identity = lambda r: r
+    x1, it1, res1 = _pcg(apply_op, identity, b, 1e-10, 500)
+    x2, it2, res2 = _pcg(apply_op, identity, b, 1e-10, 500)
     assert it1 == it2
     assert np.array_equal(x1, x2)
     assert np.linalg.norm(a @ x1 - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_pcg_zero_rhs():
-    x, it, res = _pcg(lambda x: 2.0 * x, np.zeros(5), 1e-8, 50)
+    x, it, res = _pcg(lambda x: 2.0 * x, lambda r: r, np.zeros(5), 1e-8, 50)
     assert np.all(x == 0.0) and it == 0 and res == 0.0
+
+
+def test_cg_iterations_per_newton_step_bounded(disk64, disk128):
+    # the V-cycle keeps the count flat as h halves (plain CG doubled it)
+    lshape = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    reports = [
+        solve(DISK, default_profile(DISK), Grid(DISK, 1 / 32)),
+        disk64[2],
+        disk128[2],
+        solve(lshape, default_profile(lshape), Grid(lshape, 1 / 64)),
+    ]
+    for rep in reports:
+        assert rep.converged
+        assert max(s["cg_iterations"] for s in rep.steps) <= 12
+
+
+def test_linear_converged_on_every_default_step(disk64):
+    _, _, rep = disk64
+    assert all(s["linear_converged"] is True for s in rep.steps)
+
+
+def test_linear_converged_false_when_cg_stops_at_its_cap(monkeypatch):
+    capped = lambda op, prec, b, rtol, maxiter: _pcg(op, prec, b, rtol, 2)
+    monkeypatch.setattr(solver_module, "_pcg", capped)
+    config = SolverConfig(max_iterations=3)
+    rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 16), config)
+    assert rep.steps
+    for s in rep.steps:
+        assert s["cg_iterations"] == 2
+        assert s["cg_relres"] > SolverConfig().linear_rtol
+        assert s["linear_converged"] is False
+
+
+def test_line_search_error_reports_linear_convergence(monkeypatch):
+    # an energy that never decreases makes the first line search fail
+    monkeypatch.setattr(
+        solver_module, "energy", lambda phi, sp: EnergyBreakdown(1.0, 0.0, 0.0)
+    )
+    with pytest.raises(LineSearchError) as info:
+        solve(DISK, default_profile(DISK), Grid(DISK, 1 / 16))
+    diagnostics = info.value.diagnostics
+    assert diagnostics["iteration"] == 1
+    assert diagnostics["linear_converged"] is True
+    assert diagnostics["cg_relres"] <= SolverConfig().linear_rtol
 
 
 # ---------------------------------------------------------------------------

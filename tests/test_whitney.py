@@ -320,10 +320,13 @@ def report_grad_limit(decomp):
     return decomp.constants.grad_bound
 
 
-@pytest.mark.parametrize("name", ["sample_count", "coverage_samples"])
+@pytest.mark.parametrize(
+    "name", ["sample_count", "coverage_samples", "gradient_points"]
+)
 def test_verify_properties_rejects_nonpositive_counts(disk_decomp, name):
-    with pytest.raises(ValueError, match=name):
-        verify_properties(disk_decomp, **{name: 0})
+    for value in (0, -5):
+        with pytest.raises(ValueError, match=name):
+            verify_properties(disk_decomp, **{name: value})
 
 
 # ---------------------------------------------------------------------------
