@@ -307,45 +307,50 @@ class Polygon(Domain):
                     raise ValueError("polygon is self-intersecting")
 
     # nearest-feature machinery shared by distance and distance_laplacian
-    def _edge_distances(self, p):
-        """Per-edge distance and clamped projection parameter.
+    def _nearest_edge(self, p):
+        """Distance to the nearest edge and the clamped projection parameter
+        on that edge, each of shape (...).
 
-        Returns (dist, t) with shapes (..., n_edges).
+        One pass per edge; a tie keeps the first edge, as argmin would.
         """
         p = _points(p, 2)
-        a = self._a  # (E, 2)
-        ab = self._b - a
-        ab2 = np.sum(ab * ab, axis=-1)  # (E,)
-        ap = p[..., None, :] - a  # (..., E, 2)
-        t = np.clip(np.sum(ap * ab, axis=-1) / ab2, 0.0, 1.0)
-        closest = a + t[..., None] * ab
-        dist = np.linalg.norm(p[..., None, :] - closest, axis=-1)
-        return dist, t
+        flat = p.reshape(-1, 2)
+        x, y = flat[:, 0], flat[:, 1]
+        best = t_best = None
+        for (ax, ay), (bx, by) in zip(self._a.tolist(), self._b.tolist()):
+            abx, aby = bx - ax, by - ay
+            ab2 = abx * abx + aby * aby
+            t = np.clip(((x - ax) * abx + (y - ay) * aby) / ab2, 0.0, 1.0)
+            dx = x - (ax + t * abx)
+            dy = y - (ay + t * aby)
+            d = np.sqrt(dx * dx + dy * dy)
+            if best is None:
+                best, t_best = d, t
+            else:
+                closer = d < best
+                np.copyto(best, d, where=closer)
+                np.copyto(t_best, t, where=closer)
+        return best.reshape(p.shape[:-1]), t_best.reshape(p.shape[:-1])
 
     def signed_distance(self, p):
         p = _points(p, 2)
-        dist, _ = self._edge_distances(p)
-        d = np.min(dist, axis=-1)
+        d, _ = self._nearest_edge(p)
         return np.where(self._even_odd_inside(p), d, -d)
 
     def _even_odd_inside(self, p):
         p = _points(p, 2)
         x, y = p[..., 0], p[..., 1]
-        ax, ay = self._a[:, 0], self._a[:, 1]
-        bx, by = self._b[:, 0], self._b[:, 1]
-        ys, ye = ay, by
-        crosses = (ys > y[..., None]) != (ye > y[..., None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_int = ax + (y[..., None] - ay) * (bx - ax) / (by - ay)
-        hit = crosses & (x[..., None] < x_int)
-        return np.sum(hit, axis=-1) % 2 == 1
+        inside = np.zeros(x.shape, dtype=bool)
+        for (ax, ay), (bx, by) in zip(self._a.tolist(), self._b.tolist()):
+            if ay == by:
+                continue  # a horizontal edge never crosses the ray
+            crosses = (ay > y) != (by > y)
+            x_int = ax + (y - ay) * (bx - ax) / (by - ay)
+            inside ^= crosses & (x < x_int)
+        return inside
 
     def distance_laplacian(self, p):
-        p = _points(p, 2)
-        dist, t = self._edge_distances(p)
-        k = np.argmin(dist, axis=-1)
-        t_near = np.take_along_axis(t, k[..., None], axis=-1)[..., 0]
-        d_near = np.take_along_axis(dist, k[..., None], axis=-1)[..., 0]
+        d_near, t_near = self._nearest_edge(p)
         at_vertex = (t_near <= 0.0) | (t_near >= 1.0)
         # nearest feature an edge interior: distance is locally affine;
         # nearest feature a vertex (reflex corner seen from inside): radial

@@ -16,6 +16,7 @@ differences with one-sided stencils at the Dirichlet rim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -498,6 +499,72 @@ class ChainReport:
 _EPS = 1e-12
 
 
+@dataclass(frozen=True)
+class _Partition:
+    """The u-independent part of ``chain_audit`` on one grid.
+
+    One row per (interior node, cube support) incidence; cubes are numbered
+    0..cube_count-1 in key order.  Arrays are read-only because one record
+    serves every audit on the same grid.
+    """
+
+    pid: np.ndarray  # node of each incidence
+    gci: np.ndarray  # cube number of each incidence
+    cube_count: int
+    sides: np.ndarray  # cube side of each incidence
+    s_cube: np.ndarray  # side of each cube
+    w_part: np.ndarray  # normalized partition weight
+    grad_w: np.ndarray  # (incidences, n) exact gradient of the weight
+    gw2: np.ndarray  # |grad_w|^2
+    recon_worst: float  # max |sum of the weights - 1| over the nodes
+    grad_worst: float  # max of side * |grad_w|
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_partition(
+    grid: Grid, decomp: WhitneyDecomposition, bump: BumpFunction
+) -> _Partition:
+    """Partition weights of ``decomp`` at the interior nodes of ``grid``,
+    with exact gradients of ``bump`` through the quotient rule.
+
+    Kept for the last (grid, decomposition, bump): all three are immutable
+    and hash by identity, and an audit of several functions on one grid
+    asks for the same partition each time.
+    """
+    pts = grid.points
+    n = decomp.params.dim
+    pid, lev, m, phi_ref, psi = decomp.partition_values(pts)
+    gid = decomp.cube_ids(lev, m)
+    _, gci = np.unique(gid, return_inverse=True)
+    C = int(gci.max()) + 1 if len(gci) else 0
+    sides = 2.0 ** (-lev.astype(float))
+    centers = (m + 0.5) * sides[:, None]
+    offs = (pts[pid] - centers) / sides[:, None]
+    w_part = phi_ref / psi[pid]
+    s_cube = np.zeros(C)
+    s_cube[gci] = sides
+
+    recon = np.zeros(len(pts))
+    np.add.at(recon, pid, w_part)
+    recon_worst = float(np.abs(recon - 1.0).max()) if len(pts) else 0.0
+
+    gref = bump.gradient(offs) / sides[:, None]
+    grad_psi = np.zeros((len(pts), n))
+    np.add.at(grad_psi, pid, gref)
+    grad_w = (gref * psi[pid][:, None] - phi_ref[:, None] * grad_psi[pid]) / (
+        psi[pid] ** 2
+    )[:, None]
+    gw2 = np.sum(grad_w**2, axis=-1)
+    s_grad = sides * np.sqrt(gw2)
+    grad_worst = float(s_grad.max()) if len(s_grad) else 0.0
+
+    for a in (pid, gci, sides, s_cube, w_part, grad_w, gw2):
+        a.flags.writeable = False
+    return _Partition(
+        pid, gci, C, sides, s_cube, w_part, grad_w, gw2, recon_worst, grad_worst
+    )
+
+
 def chain_audit(
     u: ScalarField,
     decomp: WhitneyDecomposition,
@@ -516,6 +583,10 @@ def chain_audit(
     both sides; per-cube steps count violating cubes.  Gradients of the
     partition functions are exact (analytic); gradients of u are the grid's
     central differences throughout, so every comparison is self-consistent.
+
+    The partition data does not depend on u: it is cached for the last
+    (grid, decomposition, bump), so auditing several functions on one grid
+    builds it once.
 
     Grids whose step divides a power of two sample every node exactly on a
     cube plateau (the matching collars between plateaus are thin), which
@@ -542,8 +613,10 @@ def chain_audit(
             "interior nodes reach below the coverage cut; deepen the "
             "decomposition or coarsen the grid"
         )
+    part = _grid_partition(g, decomp, bump)
+    pid, gci, C, sides = part.pid, part.gci, part.cube_count, part.sides
+    w_part, grad_w, gw2, s_cube = part.w_part, part.grad_w, part.gw2, part.s_cube
     h = g.h
-    pts = g.points
     uv = u.values
     gx, gy = g.gradient(uv)
     Du = np.stack([gx, gy], axis=-1)
@@ -552,16 +625,9 @@ def chain_audit(
     W_tot = float(np.sum(uv**2 / delta**2)) * h**2
     lhs_total = float(np.sum(np.abs(uv) ** q / delta**n)) * h**2
 
-    pid, lev, m, phi_ref, psi = decomp.partition_values(pts)
-    gid = decomp.cube_ids(lev, m)
-    _, gci = np.unique(gid, return_inverse=True)
-    C = int(gci.max()) + 1 if len(gci) else 0
-    sides = 2.0 ** (-lev.astype(float))
-    centers = (m + 0.5) * sides[:, None]
-    offs = (pts[pid] - centers) / sides[:, None]
-    w_part = phi_ref / psi[pid]
-
-    report = ChainReport(q=q, p=p, cube_count=C, node_count=len(pts), incidence_count=len(pid))
+    report = ChainReport(
+        q=q, p=p, cube_count=C, node_count=len(g.points), incidence_count=len(pid)
+    )
 
     def gsum(x):
         out = np.zeros(C)
@@ -569,34 +635,22 @@ def chain_audit(
         return out
 
     # step: the partition reconstructs u exactly on covered nodes
-    recon = np.zeros(len(pts))
-    np.add.at(recon, pid, w_part)
-    worst = float(np.abs(recon - 1.0).max()) if len(pts) else 0.0
     report.steps.append(
         ChainStep(
             "partition_reconstruction",
-            worst <= 1e-12,
-            worst,
+            part.recon_worst <= 1e-12,
+            part.recon_worst,
             1e-12,
             detail="max deviation of the weight sum from 1 at interior nodes",
         )
     )
 
     # exact partition gradients via the quotient rule
-    gref = bump.gradient(offs) / sides[:, None]
-    grad_psi = np.zeros((len(pts), n))
-    np.add.at(grad_psi, pid, gref)
-    grad_w = (gref * psi[pid][:, None] - phi_ref[:, None] * grad_psi[pid]) / (
-        psi[pid] ** 2
-    )[:, None]
-    gw2 = np.sum(grad_w**2, axis=-1)
-    s_grad = sides * np.sqrt(gw2)
-    worst = float(s_grad.max()) if len(s_grad) else 0.0
     report.steps.append(
         ChainStep(
             "partition_gradient_pointwise",
-            worst <= cst.grad_bound,
-            worst,
+            part.grad_worst <= cst.grad_bound,
+            part.grad_worst,
             cst.grad_bound,
             detail="side-scaled exact partition gradient against the derived bound",
         )
@@ -610,8 +664,6 @@ def chain_audit(
 
     L = gsum(np.abs(v) ** q / dn**n) * h**2
     Iq = gsum(np.abs(v) ** q) * h**2
-    s_cube = np.zeros(C)
-    s_cube[gci] = sides
     vhat_q = Iq / s_cube**n
     dv_mass = gsum(dv2) * h**2
     vmass_scaled = gsum(v**2 / sides**2) * h**2

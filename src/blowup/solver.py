@@ -56,6 +56,10 @@ class LineSearchError(RuntimeError):
 # Armijo sufficient-decrease constant and line-search step shrink factor
 ARMIJO_C = 1e-4
 BACKTRACK_RATIO = 0.5
+# smallest accepted linear_rtol: below it the CG recurrence residual keeps
+# shrinking after the true residual has stalled at rounding level (so a step
+# reads as converged when it is not), and it can underflow to zero
+MIN_LINEAR_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ class SolverConfig:
 
     gradient_tol is on the mesh-independent residual norm |G| * h (discrete
     L2); linear_rtol is the relative residual at which each step's
-    conjugate-gradient solve stops.
+    conjugate-gradient solve stops, at least ``MIN_LINEAR_RTOL``.
     """
 
     gradient_tol: float = 1e-8
@@ -72,8 +76,13 @@ class SolverConfig:
     linear_rtol: float = 1e-8
 
     def __post_init__(self):
-        if self.gradient_tol <= 0 or self.linear_rtol <= 0:
+        if self.gradient_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if not self.linear_rtol >= MIN_LINEAR_RTOL:
+            raise ValueError(
+                f"linear_rtol must be at least {MIN_LINEAR_RTOL:g}, "
+                f"got {self.linear_rtol!r}"
+            )
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
 

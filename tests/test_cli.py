@@ -7,7 +7,12 @@ import pytest
 from blowup.cli import UsageError, main, parse_domain, parse_mesh_size
 from blowup.geometry import Disk
 from blowup.inequalities import c2_constant, sigma_q
-from blowup.whitney import BumpFunction, WhitneyParams, derive_constants
+from blowup.whitney import (
+    BumpFunction,
+    WhitneyDecomposition,
+    WhitneyParams,
+    derive_constants,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -286,6 +291,21 @@ def test_audit_chain_single_function_clean(tmp_path):
     assert payload["total_violations"] == 0
     assert len(payload["runs"]) == 1
     assert payload["runs"][0]["function"] == "tent"
+
+
+def test_audit_chain_builds_the_partition_once(tmp_path, monkeypatch):
+    calls = []
+    partition_values = WhitneyDecomposition.partition_values
+
+    def counted(self, points):
+        calls.append(len(points))
+        return partition_values(self, points)
+
+    monkeypatch.setattr(WhitneyDecomposition, "partition_values", counted)
+    argv = ["audit-chain", "--domain", "square", "--h", "1/64", "--report", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(_load(tmp_path / "chain_report.json")["runs"]) == 13
+    assert len(calls) == 1
 
 
 def test_audit_chain_unknown_function_exits_1(tmp_path):

@@ -13,6 +13,7 @@ from blowup.geometry import (
     Disk,
     Polygon,
     SmoothingProfile,
+    _box_corners,
     default_profile,
     domain_from_json,
     smoothed_distance,
@@ -198,6 +199,114 @@ def test_notched_polygon_rejects_corners_only_test():
     )
     assert np.all(notched.contains(corners))
     assert not notched.cube_contained(lo, hi)[0]
+
+
+# ---------------------------------------------------------------------------
+# polygon distance: per-edge passes against the all-edges-at-once reference
+# ---------------------------------------------------------------------------
+
+# two reflex corners, and slanted edges whose projection parameters round
+HEXAGON = Polygon([(0, 0), (2, 0.5), (4, 0), (3, 2), (2, 1.2), (1, 2)])
+
+
+def _reference_edge_distances(poly, p):
+    a = poly._a
+    ab = poly._b - a
+    ab2 = np.sum(ab * ab, axis=-1)
+    ap = p[..., None, :] - a
+    t = np.clip(np.sum(ap * ab, axis=-1) / ab2, 0.0, 1.0)
+    closest = a + t[..., None] * ab
+    dist = np.linalg.norm(p[..., None, :] - closest, axis=-1)
+    return dist, t
+
+
+def _reference_inside(poly, p):
+    x, y = p[..., 0], p[..., 1]
+    ax, ay = poly._a[:, 0], poly._a[:, 1]
+    bx, by = poly._b[:, 0], poly._b[:, 1]
+    crosses = (ay > y[..., None]) != (by > y[..., None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_int = ax + (y[..., None] - ay) * (bx - ax) / (by - ay)
+    hit = crosses & (x[..., None] < x_int)
+    return np.sum(hit, axis=-1) % 2 == 1
+
+
+def _reference_signed_distance(poly, p):
+    dist, _ = _reference_edge_distances(poly, p)
+    d = np.min(dist, axis=-1)
+    return np.where(_reference_inside(poly, p), d, -d)
+
+
+def _reference_distance_laplacian(poly, p):
+    dist, t = _reference_edge_distances(poly, p)
+    k = np.argmin(dist, axis=-1)
+    t_near = np.take_along_axis(t, k[..., None], axis=-1)[..., 0]
+    d_near = np.take_along_axis(dist, k[..., None], axis=-1)[..., 0]
+    at_vertex = (t_near <= 0.0) | (t_near >= 1.0)
+    return np.where(at_vertex, 1.0 / np.maximum(d_near, 1e-300), 0.0)
+
+
+def _reference_cube_contained(poly, lo, hi):
+    corners_in = _reference_signed_distance(poly, _box_corners(lo, hi)) > 0.0
+    return np.all(corners_in, axis=-1) & ~poly._edges_overlap_box(lo, hi)
+
+
+def _reference_cube_intersects(poly, lo, hi):
+    corners_in = _reference_signed_distance(poly, _box_corners(lo, hi)) > 0.0
+    any_in = np.any(corners_in, axis=-1)
+    v = poly.vertices
+    vert_in = np.any(
+        np.all((v[None, :, :] > lo[:, None, :]) & (v[None, :, :] < hi[:, None, :]), axis=-1),
+        axis=-1,
+    )
+    return any_in | vert_in | poly._edges_overlap_box(lo, hi)
+
+
+def _special_points(poly):
+    """The vertices (reflex corners among them), points exactly on every
+    edge, and the 1/16 lattice over the bounding box, which holds equidistant
+    points and points level with the vertices."""
+    a, b = poly._a, poly._b
+    t = np.linspace(0.0, 1.0, 17)
+    on_edges = (a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
+    lo, hi = poly.bounding_box()
+    xs = lo[0] - 0.5 + np.arange(16 * (hi[0] - lo[0] + 1) + 1) / 16
+    ys = lo[1] - 0.5 + np.arange(16 * (hi[1] - lo[1] + 1) + 1) / 16
+    lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    return np.concatenate([poly.vertices, on_edges, lattice])
+
+
+@pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])
+def test_polygon_distance_bit_identical_to_reference(poly):
+    rng = np.random.default_rng(11)
+    lo, hi = poly.bounding_box()
+    random_pts = lo - 0.5 + rng.random((20000, 2)) * (hi - lo + 1.0)
+    special = _special_points(poly)
+    for pts in (random_pts, special, special.reshape(-1, 1, 2), special[7]):
+        assert np.array_equal(
+            poly.signed_distance(pts), _reference_signed_distance(poly, pts)
+        )
+        assert np.array_equal(
+            poly.distance_laplacian(pts), _reference_distance_laplacian(poly, pts)
+        )
+
+
+@pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])
+def test_polygon_cube_predicates_bit_identical_to_reference(poly):
+    lo_r, hi_r = _random_cubes(poly, n=4000, seed=5)
+    # dyadic boxes put corners exactly on edges, vertices and reflex corners
+    boxes = [(lo_r, hi_r)]
+    for s in (1.0, 0.5, 0.25, 0.125):
+        i, j = np.meshgrid(np.arange(-1, 4 / s + 1), np.arange(-1, 2 / s + 1), indexing="ij")
+        m = np.stack([i.ravel(), j.ravel()], axis=-1)
+        boxes.append((m * s, (m + 1) * s))
+    for lo, hi in boxes:
+        assert np.array_equal(
+            poly.cube_contained(lo, hi), _reference_cube_contained(poly, lo, hi)
+        )
+        assert np.array_equal(
+            poly.cube_intersects(lo, hi), _reference_cube_intersects(poly, lo, hi)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,32 @@ def test_chain_audit_rejects_shallow_decomposition():
         ineq.chain_audit(u, shallow, q=4)
 
 
+def test_chain_audit_partition_cache_follows_grid_and_decomposition(square_decomp):
+    # consecutive audits change the grid, then the decomposition, then only
+    # the function (a cache hit); a cache keyed on less than the grid and
+    # the decomposition would hand back another grid's partition
+    other = decompose(UNIT_SQUARE, WhitneyParams(eta=2.5, eta_prime=1.2, k_max=12))
+    g250, g200 = Grid(UNIT_SQUARE, 1 / 250), Grid(UNIT_SQUARE, 1 / 200)
+    radial = ineq.radial_bump((0.5, 0.5), 0.45, 2.0)
+    tent = ineq.smoothed_tent(UNIT_SQUARE)
+    cases = [
+        (g250, square_decomp, radial),
+        (g200, square_decomp, radial),
+        (g200, other, radial),
+        (g250, other, radial),
+        (g250, other, tent),
+    ]
+    fields = [ScalarField(g, fn(g.points)) for g, _, fn in cases]
+    cached = [
+        ineq.chain_audit(u, dec, q=4).to_json_dict()
+        for u, (_, dec, _) in zip(fields, cases)
+    ]
+    for u, (_, dec, _), report in zip(fields, cases, cached):
+        ineq._grid_partition.cache_clear()
+        assert ineq.chain_audit(u, dec, q=4).to_json_dict() == report
+    assert cached[0] != cached[1] and cached[1] != cached[2]
+
+
 def test_chain_report_serializes(audit_setup):
     u, dec = audit_setup
     rep = ineq.chain_audit(u, dec, q=3)

@@ -383,6 +383,22 @@ def test_linear_converged_false_when_cg_stops_at_its_cap(monkeypatch):
         assert s["linear_converged"] is False
 
 
+@pytest.mark.parametrize("rtol", [1e-320, 1e-30, 0.0, float("nan")])
+def test_linear_rtol_below_rounding_level_rejected(rtol):
+    # 1e-320 made the CG recurrence residual underflow (division by zero);
+    # 1e-30 read as converged while |b - Ax| / |b| had stalled near 1e-15
+    with pytest.raises(ValueError, match="linear_rtol"):
+        SolverConfig(linear_rtol=rtol)
+
+
+def test_smallest_linear_rtol_still_converges():
+    config = SolverConfig(linear_rtol=1e-14)
+    rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 16), config)
+    assert rep.converged
+    assert rep.steps
+    assert all(s["linear_converged"] is True for s in rep.steps)
+
+
 def test_line_search_error_reports_linear_convergence(monkeypatch):
     # an energy that never decreases makes the first line search fail
     monkeypatch.setattr(
