@@ -8,14 +8,8 @@ import collections
 import numpy as np
 
 from blowup.geometry import Polygon
-from blowup.whitney import (
-    WhitneyParams,
-    decompose,
-    decomposition_to_svg,
-    overlap_count,
-    partition_weights,
-    verify_properties,
-)
+from blowup.svg import decomposition_to_svg
+from blowup.whitney import WhitneyParams, decompose, verify_properties
 
 lshape = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
 params = WhitneyParams(eta=2.0, eta_prime=1.05, k_max=9)
@@ -45,10 +39,11 @@ print(f"\noverlap over {inside.sum()} interior samples: max {counts.max()}, "
       f"mean {counts.mean():.2f}  (bound {c.overlap_bound})")
 
 point = np.array([0.3, 0.7])
-weights = partition_weights(decomp, point)
+_, _, _, phi, psi = decomp.partition_values(point)
+weights = phi[phi > 0.0] / psi[0]
 print(f"partition weights at {point}: {len(weights)} active cubes, "
-      f"sum = {sum(w for _, w in weights):.15f}")
-print(f"overlap count there: {overlap_count(decomp, point)}")
+      f"sum = {weights.sum():.15f}")
+print(f"overlap count there: {decomp.overlap_counts(point)[0]}")
 
 report = verify_properties(decomp, sample_count=100_000, seed=1)
 print("\nproperty checks:")

@@ -8,6 +8,7 @@ Subpackages:
   inequalities  weighted integral inequalities and their certified constants
   energy        the renormalized energy functional and its derivatives
   solver        Newton minimization and verification utilities
+  svg           heatmaps of grid fields and drawings of cube layouts
 """
 
 from .energy import (
@@ -28,7 +29,6 @@ from .geometry import (
     SmoothingProfile,
     default_profile,
     domain_from_json,
-    smoothed_distance,
 )
 from .grid import Grid, ScalarField, laplacian_of_distance
 from .inequalities import (
@@ -53,15 +53,13 @@ from .solver import (
     solve,
     verify_minimizer,
 )
+from .svg import decomposition_to_svg, field_to_svg
 from .whitney import (
     BumpFunction,
     DerivedConstants,
-    DyadicCube,
     WhitneyDecomposition,
     WhitneyParams,
     decompose,
-    overlap_count,
-    partition_weights,
     verify_properties,
 )
 
@@ -76,7 +74,6 @@ __all__ = [
     "SmoothingProfile",
     "default_profile",
     "domain_from_json",
-    "smoothed_distance",
     "Grid",
     "ScalarField",
     "laplacian_of_distance",
@@ -92,12 +89,9 @@ __all__ = [
     "weighted_rhs",
     "BumpFunction",
     "DerivedConstants",
-    "DyadicCube",
     "WhitneyDecomposition",
     "WhitneyParams",
     "decompose",
-    "overlap_count",
-    "partition_weights",
     "verify_properties",
     "EnergyBreakdown",
     "ExponentOverflowError",
@@ -114,5 +108,7 @@ __all__ = [
     "liouville_residual",
     "solve",
     "verify_minimizer",
+    "decomposition_to_svg",
+    "field_to_svg",
     "__version__",
 ]

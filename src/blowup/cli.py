@@ -43,16 +43,15 @@ from .inequalities import (
 from .solver import (
     SolverConfig,
     corollary4_check,
-    field_to_svg,
     liouville_defect,
     liouville_residual,
     solve,
 )
+from .svg import decomposition_to_svg, field_to_svg
 from .whitney import (
     BumpFunction,
     WhitneyParams,
     decompose,
-    decomposition_to_svg,
     derive_constants,
     verify_properties,
 )
@@ -237,26 +236,7 @@ def _cmd_whitney(args) -> bool:
     )
 
     outdir = _output_dir(args)
-    ks, ms, sides, centers = decomp.arrays()
-    cubes_payload = {
-        "domain": domain.to_json_dict(),
-        "eta": params.eta,
-        "eta_prime": params.eta_prime,
-        "k_max": params.k_max,
-        "cube_count": decomp.cube_count,
-        "truncated_per_level": {str(k): int(v) for k, v in decomp.truncated.items()},
-        "constants": decomp.constants.to_json_dict(),
-        "cubes": [
-            {
-                "level": int(k),
-                "index": [int(v) for v in m],
-                "side": float(s),
-                "center": [float(c) for c in cen],
-            }
-            for k, m, s, cen in zip(ks, ms, sides, centers)
-        ],
-    }
-    cube_path = _write_json(cubes_payload, outdir, "whitney_cubes.json")
+    cube_path = _write_json(decomp.to_json_dict(), outdir, "whitney_cubes.json")
     prop_payload = {
         "domain": domain.to_json_dict(),
         "seed": args.seed,
@@ -293,7 +273,7 @@ def _cmd_verify_inequality(args) -> bool:
         u = ScalarField(grid, fn(grid.points))
         if not np.any(u.values):
             continue
-        for row in embedding_report(u, constants, qs, p=args.p):
+        for row in embedding_report(u, constants, qs):
             rows.append({"function": name, **row})
 
     outdir = _output_dir(args)
@@ -302,7 +282,7 @@ def _cmd_verify_inequality(args) -> bool:
         "h": h,
         "eta": params.eta,
         "eta_prime": params.eta_prime,
-        "p": args.p,
+        "p": float(domain.dim),
         "rows": rows,
     }
     path = _write_json(payload, outdir, "inequality_report.json")
@@ -319,6 +299,8 @@ def _cmd_verify_inequality(args) -> bool:
 
 
 def _cmd_constants(args) -> bool:
+    if args.N < 2:
+        raise UsageError("--N must be at least 2")
     try:
         params = WhitneyParams(
             eta=args.eta, eta_prime=args.eta_prime, dim=args.N
@@ -326,7 +308,7 @@ def _cmd_constants(args) -> bool:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     constants = derive_constants(params, BumpFunction(params.eta_prime))
-    sig = sigma_q(constants, args.q, p=args.p, n=args.N)
+    sig = sigma_q(constants, args.q, n=args.N)
     if args.c1 is not None:
         if args.c1 <= 0:
             raise UsageError("--c1 must be positive")
@@ -342,7 +324,7 @@ def _cmd_constants(args) -> bool:
     payload = {
         "dim": args.N,
         "q": args.q,
-        "p": args.p,
+        "p": float(args.N),
         "eta": params.eta,
         "eta_prime": params.eta_prime,
         "constants": constants.to_json_dict(),
@@ -357,7 +339,7 @@ def _cmd_constants(args) -> bool:
         for row in sigma_growth_scan(constants, range(3, 61), n=args.N):
             fh.write(f"{row['q']:g},{row['sigma_q']!r},{row['normalized']!r}\n")
 
-    print(f"sigma_q(q={args.q:g}, p={args.p:g}, dim={args.N}) = {sig:.12e}")
+    print(f"sigma_q(q={args.q:g}, p={args.N:g}, dim={args.N}) = {sig:.12e}")
     if series.diverges:
         print(
             f"series constant diverges at c1 = {c1:.6g} "
@@ -401,7 +383,7 @@ def _cmd_audit_chain(args) -> bool:
         u = ScalarField(grid, fn(grid.points))
         if not np.any(u.values):
             continue
-        rep = chain_audit(u, decomp, q=args.q, p=args.p)
+        rep = chain_audit(u, decomp, q=args.q)
         runs.append({"function": name, **rep.to_json_dict()})
         total_violations += rep.total_violations
         all_passed = all_passed and rep.all_passed
@@ -416,7 +398,7 @@ def _cmd_audit_chain(args) -> bool:
         "domain": domain.to_json_dict(),
         "h": h,
         "q": args.q,
-        "p": args.p,
+        "p": float(domain.dim),
         "total_violations": total_violations,
         "runs": runs,
     }
@@ -481,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--h", default="1/128")
     p.add_argument("--q", default="3,4,6,10,20", help="comma-separated exponents")
-    p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--eta-prime", type=float, default=1.05)
     common(p)
@@ -490,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "constants", help="evaluate the embedding and series constants"
     )
-    p.add_argument("--N", type=int, default=2, help="space dimension")
+    p.add_argument("--N", type=int, default=2, help="space dimension, at least 2")
     p.add_argument("--q", type=float, default=4.0)
-    p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--eta-prime", type=float, default=1.05)
     p.add_argument(
@@ -512,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         "nonvanishing at grid nodes",
     )
     p.add_argument("--q", type=float, default=4.0)
-    p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--eta-prime", type=float, default=1.05)
     p.add_argument("--function", default=None, help="restrict to one test function")

@@ -81,7 +81,6 @@ class SingularPart:
     delta_d: ScalarField
     full_stencil_nodes: int
     residual_mode: str = "continuum"
-    boundary_layer: str = "curvature"
 
     @property
     def grid(self) -> Grid:
@@ -93,7 +92,7 @@ class SingularPart:
             "h": self.grid.h,
             "full_stencil_nodes": self.full_stencil_nodes,
             "residual_mode": self.residual_mode,
-            "boundary_layer": self.boundary_layer,
+            "boundary_layer": "curvature",
             "max_abs_r": float(np.max(np.abs(self.r.values))),
             "max_r_times_d": float(np.max(np.abs(self.r.values * self.d.values))),
             "l2_delta_d": float(
@@ -111,14 +110,6 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         return self.dirichlet_term + self.nonlinear_term + self.linear_term
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dirichlet_term": self.dirichlet_term,
-            "nonlinear_term": self.nonlinear_term,
-            "linear_term": self.linear_term,
-            "total": self.total,
-        }
 
 
 def _boundary_curvature(domain: Domain, pts: np.ndarray) -> np.ndarray:
@@ -141,7 +132,6 @@ def build_singular_part(
     profile: SmoothingProfile,
     grid: Grid,
     residual_mode: str = "continuum",
-    boundary_layer: str = "curvature",
 ) -> SingularPart:
     """Assemble d, v = -ln(2d), weight = 1/d^2, and the residual r.
 
@@ -159,14 +149,11 @@ def build_singular_part(
       stencil's O(h^2/delta^4) truncation of v near the rim, which shows
       up as a first-order error mode in u.
 
-    boundary_layer selects how rim nodes treat their Dirichlet ghosts:
-
-    * ``curvature`` (default): the remainder behaves like (kappa/2) * delta
-      at a smooth boundary (kappa the local curvature), so forcing ghost
-      values to zero misstates it by (kappa/2) * sd(ghost).  The rim
-      residual absorbs that known offset; on polygons kappa = 0 and
-      nothing changes.
-    * ``plain``: ghosts count as exact zeros.
+    Either way rim nodes correct for their Dirichlet ghosts: the remainder
+    behaves like (kappa/2) * delta at a smooth boundary (kappa the local
+    curvature), so forcing ghost values to zero misstates it by
+    (kappa/2) * sd(ghost).  The rim residual absorbs that known offset; on
+    polygons kappa = 0 and nothing changes.
     """
     if grid.n_interior == 0:
         raise ValueError("grid has no interior nodes; refine the spacing")
@@ -174,8 +161,6 @@ def build_singular_part(
         raise ValueError("grid was built on a different domain")
     if residual_mode not in ("continuum", "lattice"):
         raise ValueError("residual_mode must be 'continuum' or 'lattice'")
-    if boundary_layer not in ("curvature", "plain"):
-        raise ValueError("boundary_layer must be 'curvature' or 'plain'")
     delta = grid.delta
     d = profile.value(delta)
     v = -np.log(2.0 * d)
@@ -187,10 +172,9 @@ def build_singular_part(
     r = dd / d + (1.0 - fp**2) * weight
     if residual_mode == "lattice":
         r = np.where(full_stencil, -grid.laplacian(v) + weight, r)
-    if boundary_layer == "curvature":
-        # only rim nodes have ghosts, so the term vanishes elsewhere
-        kappa = _boundary_curvature(domain, grid.points)
-        r = r - 0.5 * kappa * grid.ghost_signed_sum() / grid.h**2
+    # only rim nodes have ghosts, so the correction vanishes elsewhere
+    kappa = _boundary_curvature(domain, grid.points)
+    r = r - 0.5 * kappa * grid.ghost_signed_sum() / grid.h**2
 
     mk = lambda a: ScalarField(grid, a)
     return SingularPart(
@@ -201,7 +185,6 @@ def build_singular_part(
         delta_d=mk(dd),
         full_stencil_nodes=int(np.count_nonzero(full_stencil)),
         residual_mode=residual_mode,
-        boundary_layer=boundary_layer,
     )
 
 

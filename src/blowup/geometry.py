@@ -27,7 +27,6 @@ __all__ = [
     "Polygon",
     "SmoothingProfile",
     "default_profile",
-    "smoothed_distance",
     "domain_from_json",
 ]
 
@@ -509,16 +508,6 @@ def default_profile(domain: Domain) -> SmoothingProfile:
     """Profile with transition at min(0.2, inradius/4) and cap twice that."""
     t0 = min(0.2, domain.inradius() / 4.0)
     return SmoothingProfile(transition_start=t0)
-
-
-def smoothed_distance(domain: Domain, profile: SmoothingProfile, p) -> np.ndarray:
-    """F(signed boundary distance).
-
-    Inside the domain this is the capped distance d; it continues smoothly
-    through the boundary (F is the identity near zero), which lets finite
-    difference stencils straddle the boundary without a kink.
-    """
-    return profile.value(domain.signed_distance(p))
 
 
 # ---------------------------------------------------------------------------

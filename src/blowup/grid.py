@@ -59,7 +59,7 @@ class Grid:
     the multigrid levels) whose contents are valid only inside one call.
     """
 
-    def __init__(self, domain: Domain, h: float, margin: int = 2):
+    def __init__(self, domain: Domain, h: float):
         if domain.dim != 2:
             raise ValueError("grids are two-dimensional")
         if h <= 0:
@@ -67,6 +67,7 @@ class Grid:
         self.domain = domain
         self.h = float(h)
         lo, hi = domain.bounding_box()
+        margin = 2
         self.i0 = int(np.floor(lo[0] / h)) - margin
         self.j0 = int(np.floor(lo[1] / h)) - margin
         i1 = int(np.ceil(hi[0] / h)) + margin
@@ -116,10 +117,6 @@ class Grid:
         if values.shape != (self.n_interior,):
             raise ValueError("values must have one entry per interior node")
         return values
-
-    def eval_function(self, f) -> np.ndarray:
-        """Sample f(x, y) at interior nodes."""
-        return np.asarray(f(self.points[:, 0], self.points[:, 1]), dtype=float)
 
     # -- operators ---------------------------------------------------------
 
@@ -250,13 +247,6 @@ class Grid:
             self._levels = levels
         return self._levels
 
-    def integrate(self, node_values: np.ndarray) -> float:
-        """Midpoint quadrature over interior nodes."""
-        node_values = np.asarray(node_values, dtype=float)
-        if node_values.shape != (self.n_interior,):
-            raise ValueError("integrand must be an interior-node vector")
-        return float(np.sum(node_values) * self.h * self.h)
-
 
 def _transfer_pairs(a: int, n_fine: int, n_coarse: int) -> list[tuple]:
     """Bilinear interpolation along one axis whose coarse index p sits on
@@ -370,10 +360,6 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_function(cls, grid: Grid, f) -> "ScalarField":
-        return cls(grid, grid.eval_function(f))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
         return cls(grid, np.zeros(grid.n_interior))
 
@@ -381,26 +367,6 @@ class ScalarField:
         pts = self.grid.points
         data = np.column_stack([pts[:, 0], pts[:, 1], self.values])
         np.savetxt(path, data, delimiter=",", header="x,y,value", comments="")
-
-    def to_json_dict(self) -> dict:
-        g = self.grid
-        return {
-            "h": g.h,
-            "origin": [g.i0 * g.h, g.j0 * g.h],
-            "shape": [g.nx, g.ny],
-            "mask": g.classification.flatten().tolist(),
-            "values": self.values.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict, domain: Domain) -> "ScalarField":
-        grid = Grid(domain, payload["h"])
-        stored = np.asarray(payload["mask"], dtype=np.int8).reshape(payload["shape"])
-        if stored.shape != grid.classification.shape or np.any(
-            stored != grid.classification
-        ):
-            raise ValueError("stored mask does not match the grid built from the domain")
-        return cls(grid, np.asarray(payload["values"], dtype=float))
 
 
 def laplacian_of_distance(

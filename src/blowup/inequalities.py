@@ -27,7 +27,6 @@ from .grid import Grid, ScalarField
 from .whitney import BumpFunction, DerivedConstants, WhitneyDecomposition
 
 __all__ = [
-    "UnsupportedExponentError",
     "SeriesOverflowError",
     "DegenerateInputError",
     "unit_ball_volume",
@@ -57,10 +56,6 @@ __all__ = [
 ]
 
 
-class UnsupportedExponentError(ValueError):
-    """Requested an exponent regime with no certified constant."""
-
-
 class SeriesOverflowError(OverflowError):
     """Series argument too large for the floating range; result saturates."""
 
@@ -78,13 +73,12 @@ def unit_ball_volume(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def phi_n(t, n: int = 2, terms: int | None = None):
+def phi_n(t, n: int = 2):
     """Series sum_{k >= n-1} |t|^(k n') / k! with n' = n/(n-1).
 
     For n = 2 this equals exp(t^2) - 1.  Truncation is certified: iteration
     continues past the largest term until the geometric tail is below 1e-16
-    of the partial sum.  A fixed ``terms`` count is validated against the
-    same criterion and rejected when insufficient.
+    of the partial sum.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -104,27 +98,14 @@ def phi_n(t, n: int = 2, terms: int | None = None):
     with np.errstate(divide="ignore"):
         log_at = np.where(pos, np.log(np.maximum(at, 1e-300)), 0.0)
     peak = at_max**nprime if at_max > 0 else 0.0
-    k = n - 1
-    used = 0
-    while True:
+    for k in range(n - 1, n + 100_000):
         log_term = k * nprime * log_at - math.lgamma(k + 1)
         term = np.where(pos, np.exp(log_term), 0.0)
         acc += term
-        used += 1
-        certified = (k + 1) >= 2.0 * max(peak, 1.0) and np.all(
-            term <= 5e-17 * acc + 1e-300
-        )
-        if terms is not None and used == terms:
-            if not certified:
-                raise ValueError(
-                    f"terms={terms} too few for certified truncation at |t|<={at_max:.3g}"
-                )
+        if (k + 1) >= 2.0 * max(peak, 1.0) and np.all(term <= 5e-17 * acc + 1e-300):
             break
-        if terms is None and certified:
-            break
-        if used > 100_000:
-            raise RuntimeError("series failed to certify within 100000 terms")
-        k += 1
+    else:
+        raise RuntimeError("series failed to certify within 100000 terms")
     out = acc.reshape(t.shape)
     return float(out) if scalar else out
 
@@ -176,17 +157,13 @@ def sobolev_bound(q: float, n: int = 2) -> float:
     return (unit_ball_volume(n) * q) ** (1.0 - 1.0 / n + 1.0 / q)
 
 
-def sigma_q(constants: DerivedConstants, q: float, p: float = 2, n: int = 2) -> float:
-    """Embedding constant 2 P S_q lambda^(-n/q) [mu^(n-p) + P c3^p mu^n]^(1/p).
+def sigma_q(constants: DerivedConstants, q: float, n: int = 2) -> float:
+    """Embedding constant 2 P S_q lambda^(-n/q) [1 + P c3^n mu^n]^(1/n).
 
-    Only p = n is supported: the cited growth bound for S_q exists only in
-    that regime, and guessing one for p < n would not be a certified value.
+    This is the general form 2 P S_q lambda^(-n/q) [mu^(n-p) + P c3^p
+    mu^n]^(1/p) at p = n, the only exponent with a certified growth bound
+    for S_q.
     """
-    if p != n:
-        raise UnsupportedExponentError(
-            "no certified Sobolev growth bound for p below the dimension; "
-            "only p = n is supported"
-        )
     if q < n:
         raise ValueError("q must be at least n")
     lam = constants.delta_side_min
@@ -194,12 +171,14 @@ def sigma_q(constants: DerivedConstants, q: float, p: float = 2, n: int = 2) -> 
     c3 = constants.grad_bound
     P = constants.overlap_bound
     s = sobolev_bound(q, n)
-    bracket = mu ** (n - p) + P * c3**p * mu**n
-    return 2.0 * P * s * lam ** (-n / q) * bracket ** (1.0 / p)
+    bracket = 1.0 + P * c3**n * mu**n
+    return 2.0 * P * s * lam ** (-n / q) * bracket ** (1.0 / n)
 
 
 def a_constant(constants: DerivedConstants, n: int = 2) -> float:
     """Aggregate constant {2P [1 + P (c3 mu)^n]^(1/n)}^(n/(n-1))."""
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
     P = constants.overlap_bound
     c3 = constants.grad_bound
     mu = constants.delta_side_max
@@ -246,6 +225,8 @@ def c2_constant(
     convergence the partial sum is returned once the remaining geometric
     tail is certified below ``tail_rtol`` of the partial sum.
     """
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
     if c1 <= 0:
         raise ValueError("c1 must be positive")
     nprime = n / (n - 1.0)
@@ -570,7 +551,6 @@ def chain_audit(
     decomp: WhitneyDecomposition,
     bump: BumpFunction | None = None,
     q: float = 4.0,
-    p: float = 2.0,
 ) -> ChainReport:
     """Audit the localization proof of the weighted embedding numerically.
 
@@ -595,10 +575,6 @@ def chain_audit(
     the full chain.
     """
     n = decomp.params.dim
-    if p != n:
-        raise UnsupportedExponentError(
-            "audit requires p = n: no certified Sobolev bound otherwise"
-        )
     if q < n:
         raise ValueError("q must be at least n")
     if bump is None:
@@ -626,7 +602,7 @@ def chain_audit(
     lhs_total = float(np.sum(np.abs(uv) ** q / delta**n)) * h**2
 
     report = ChainReport(
-        q=q, p=p, cube_count=C, node_count=len(g.points), incidence_count=len(pid)
+        q=q, p=float(n), cube_count=C, node_count=len(g.points), incidence_count=len(pid)
     )
 
     def gsum(x):
@@ -802,8 +778,8 @@ def chain_audit(
 
     # closure against the single-constant form
     final = math.exp(log_assembled / q)
-    rhs_m = weighted_rhs(u, p, n)
-    sig = sigma_q(cst, q, p, n)
+    rhs_m = weighted_rhs(u, n, n)
+    sig = sigma_q(cst, q, n)
     report.steps.append(
         ChainStep(
             "dominated_by_sigma_bound",
@@ -822,15 +798,13 @@ def chain_audit(
 # ---------------------------------------------------------------------------
 
 
-def embedding_report(
-    u: ScalarField, constants: DerivedConstants, qs, p: float = 2, n: int = 2
-):
+def embedding_report(u: ScalarField, constants: DerivedConstants, qs, n: int = 2):
     """Per-q comparison rows for the weighted embedding inequality."""
     rows = []
-    rhs = weighted_rhs(u, p, n)
+    rhs = weighted_rhs(u, n, n)
     for q in qs:
         lhs = weighted_lhs(u, q, n)
-        sig = sigma_q(constants, q, p, n)
+        sig = sigma_q(constants, q, n)
         bound = sig * rhs
         rows.append(
             {
@@ -849,7 +823,7 @@ def sigma_growth_scan(constants: DerivedConstants, qs, n: int = 2):
     """Rows (q, sigma_q, sigma_q / q^(1/2 + 1/q)) for the growth check."""
     rows = []
     for q in qs:
-        sig = sigma_q(constants, q, n, n)
+        sig = sigma_q(constants, q, n)
         rows.append(
             {
                 "q": float(q),

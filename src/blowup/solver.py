@@ -41,7 +41,6 @@ __all__ = [
     "corollary4_check",
     "liouville_defect",
     "liouville_residual",
-    "field_to_svg",
 ]
 
 
@@ -444,48 +443,3 @@ def liouville_residual(report: SolveReport, sp: SingularPart) -> dict:
         "full_stencil_nodes": int(np.count_nonzero(full)),
         "residual_mode": sp.residual_mode,
     }
-
-
-# ---------------------------------------------------------------------------
-# SVG heatmap
-# ---------------------------------------------------------------------------
-
-
-def field_to_svg(field: ScalarField, path, title: str = "", max_px: int = 640) -> None:
-    """Simple rect-per-cell heatmap of an interior-node field."""
-    full = field.grid.scatter(field.values, fill=np.nan)
-    stride = max(1, int(math.ceil(max(full.shape) / max_px)))
-    sub = full[::stride, ::stride]
-    finite = np.isfinite(sub)
-    lo = float(np.nanmin(sub)) if finite.any() else 0.0
-    hi = float(np.nanmax(sub)) if finite.any() else 1.0
-    span = hi - lo if hi > lo else 1.0
-    cell = 4
-    H, W = sub.shape[1] * cell, sub.shape[0] * cell
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H + 20}" '
-        f'viewBox="0 0 {W} {H + 20}">',
-        f'<title>{title}</title>',
-        f'<rect width="{W}" height="{H + 20}" fill="white"/>',
-    ]
-    for i in range(sub.shape[0]):
-        for j in range(sub.shape[1]):
-            val = sub[i, j]
-            if not np.isfinite(val):
-                continue
-            t = (val - lo) / span
-            rr = int(255 * t)
-            bb = int(255 * (1.0 - t))
-            gg = int(90 + 80 * (1 - abs(2 * t - 1)))
-            y = H - (j + 1) * cell
-            parts.append(
-                f'<rect x="{i * cell}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="rgb({rr},{gg},{bb})"/>'
-            )
-    parts.append(
-        f'<text x="4" y="{H + 14}" font-size="11" font-family="monospace">'
-        f"{title} range [{lo:.4g}, {hi:.4g}]</text>"
-    )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))

@@ -27,18 +27,14 @@ from .geometry import Domain
 
 __all__ = [
     "WhitneyParams",
-    "DyadicCube",
     "DerivedConstants",
     "BumpFunction",
     "WhitneyDecomposition",
     "TruncationError",
     "decompose",
-    "overlap_count",
-    "partition_weights",
     "verify_properties",
     "PropertyCheck",
     "PropertyReport",
-    "decomposition_to_svg",
 ]
 
 
@@ -73,38 +69,6 @@ class WhitneyParams:
             )
         if self.k_min is not None and self.k_min > self.k_max:
             raise ValueError("k_min must not exceed k_max")
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Closed dyadic cube [m * 2**-k, (m+1) * 2**-k] per axis."""
-
-    level: int
-    index: tuple[int, ...]
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.asarray(self.index, dtype=float) * self.side
-
-    @property
-    def upper(self) -> np.ndarray:
-        return (np.asarray(self.index, dtype=float) + 1.0) * self.side
-
-    @property
-    def center(self) -> np.ndarray:
-        return (np.asarray(self.index, dtype=float) + 0.5) * self.side
-
-    def parent(self) -> "DyadicCube":
-        return DyadicCube(self.level - 1, tuple(m // 2 for m in self.index))
-
-    def dilated(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
-        c = self.center
-        half = 0.5 * factor * self.side
-        return c - half, c + half
 
 
 @dataclass(frozen=True)
@@ -341,10 +305,6 @@ class WhitneyDecomposition:
 
     # -- iteration ---------------------------------------------------------
 
-    def iter_cubes(self):
-        for k, row in zip(self._ks.tolist(), self._ms.tolist()):
-            yield DyadicCube(k, tuple(row))
-
     def arrays(self):
         """(levels, indices, sides, centers) stacked over all cubes."""
         sides = 2.0 ** (-self._ks.astype(float))
@@ -449,29 +409,27 @@ class WhitneyDecomposition:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self, include_cubes: bool = True) -> dict:
-        payload = {
-            "params": {
-                "eta": self.params.eta,
-                "eta_prime": self.params.eta_prime,
-                "dim": self.params.dim,
-                "k_min": self._k0,
-                "k_max": self.params.k_max,
-            },
-            "constants": self.constants.to_json_dict(),
+    def to_json_dict(self) -> dict:
+        """The decomposition with every cube's level, index, side and center."""
+        ks, ms, sides, centers = self.arrays()
+        return {
+            "domain": self.domain.to_json_dict(),
+            "eta": self.params.eta,
+            "eta_prime": self.params.eta_prime,
+            "k_max": self.params.k_max,
             "cube_count": self.cube_count,
-            "truncated": {
-                "count": int(sum(self.truncated.values())),
-                "per_level": {str(k): int(v) for k, v in self.truncated.items()},
-                "epsilon_cut": self.constants.epsilon_cut,
-            },
+            "truncated_per_level": {str(k): int(v) for k, v in self.truncated.items()},
+            "constants": self.constants.to_json_dict(),
+            "cubes": [
+                {
+                    "level": int(k),
+                    "index": [int(v) for v in m],
+                    "side": float(s),
+                    "center": [float(c) for c in cen],
+                }
+                for k, m, s, cen in zip(ks, ms, sides, centers)
+            ],
         }
-        if include_cubes:
-            payload["cubes"] = [
-                {"k": k, "m": row}
-                for k, row in zip(self._ks.tolist(), self._ms.tolist())
-            ]
-        return payload
 
 
 def decompose(
@@ -551,31 +509,6 @@ def decompose(
 
 
 # ---------------------------------------------------------------------------
-# module-level query operations
-# ---------------------------------------------------------------------------
-
-
-def overlap_count(decomp: WhitneyDecomposition, point) -> int:
-    """Number of selected cubes whose support (eta_prime-dilate) holds point."""
-    return int(decomp.overlap_counts(np.atleast_2d(point))[0])
-
-
-def partition_weights(decomp: WhitneyDecomposition, point):
-    """Normalized partition weights at a point: [(DyadicCube, weight), ...].
-
-    Weights sum to 1 where the undilated cubes cover; an uncovered point near
-    the truncation shell may return an empty list.
-    """
-    pid, lev, m, phi, psi = decomp.partition_values(np.atleast_2d(point))
-    out = []
-    for j in range(len(pid)):
-        if phi[j] > 0.0:
-            cube = DyadicCube(int(lev[j]), tuple(int(v) for v in m[j]))
-            out.append((cube, float(phi[j] / psi[0])))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # property verification
 # ---------------------------------------------------------------------------
 
@@ -615,8 +548,11 @@ class PropertyReport:
         }
 
 
-def _sample_in_domain(domain: Domain, count: int, rng):
-    """(points, boundary distances) of ``count`` uniform points in the domain."""
+def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng) -> np.ndarray:
+    """The points farther than epsilon_cut from the boundary among ``count``
+    uniform points in the domain; ValueError when there are none, since the
+    decomposition then guarantees nothing to check."""
+    domain, cut = decomp.domain, decomp.constants.epsilon_cut
     lo, hi = domain.bounding_box()
     pts, dist = [], []
     have = 0
@@ -627,7 +563,13 @@ def _sample_in_domain(domain: Domain, count: int, rng):
         pts.append(batch[inside])
         dist.append(sd[inside])
         have += len(dist[-1])
-    return np.concatenate(pts, axis=0)[:count], np.concatenate(dist)[:count]
+    deep = np.concatenate(dist)[:count] > cut
+    if not deep.any():
+        raise ValueError(
+            f"no sample lies beyond epsilon_cut={cut:.3e}: the decomposition is "
+            f"too shallow for the domain at k_max={decomp.params.k_max}; raise k_max"
+        )
+    return np.concatenate(pts, axis=0)[:count][deep]
 
 
 def verify_properties(
@@ -637,7 +579,12 @@ def verify_properties(
     gradient_points: int = 1500,
     seed: int = 0,
 ) -> PropertyReport:
-    """Exhaustive exact checks on cubes plus sampled checks on points."""
+    """Exhaustive exact checks on cubes plus sampled checks on points.
+
+    The sampled checks use points beyond ``epsilon_cut``; a ValueError naming
+    it and ``k_max`` is raised when a sample holds none (a decomposition too
+    shallow for the domain).
+    """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     if coverage_samples is not None and coverage_samples < 1:
@@ -734,26 +681,22 @@ def verify_properties(
 
     # coverage of the comfortably-interior region
     n_cov = coverage_samples if coverage_samples is not None else sample_count
-    pts, dist = _sample_in_domain(dom, n_cov, rng)
-    deep = dist > cst.epsilon_cut
-    covered = decomp.covers(pts[deep])
-    misses = int(np.count_nonzero(~covered))
+    pts = _sample_beyond_cut(decomp, n_cov, rng)
+    misses = int(np.count_nonzero(~decomp.covers(pts)))
     report.checks.append(
         PropertyCheck(
             "coverage_beyond_cut",
             misses == 0,
             worst=float(misses),
-            detail=f"{int(deep.sum())} samples beyond epsilon_cut={cst.epsilon_cut:.3e}",
+            detail=f"{len(pts)} samples beyond epsilon_cut={cst.epsilon_cut:.3e}",
         )
     )
 
     # overlap bound and partition sums on a fresh sample
-    pts, dist = _sample_in_domain(dom, sample_count, rng)
-    deep = dist > cst.epsilon_cut
-    pts = pts[deep]
+    pts = _sample_beyond_cut(decomp, sample_count, rng)
     pid, lev, m, phi, psi = decomp.partition_values(pts)
     counts = np.bincount(pid, minlength=len(pts))
-    report.empirical_overlap_max = int(counts.max()) if len(counts) else 0
+    report.empirical_overlap_max = int(counts.max())
     report.checks.append(
         PropertyCheck(
             "overlap_bound",
@@ -767,7 +710,7 @@ def verify_properties(
         PropertyCheck(
             "psi_window",
             psi_ok,
-            worst=float(psi.min()) if len(psi) else None,
+            worst=float(psi.min()),
             detail="1 <= sum of reference bumps <= overlap bound on covered points",
         )
     )
@@ -777,7 +720,7 @@ def verify_properties(
         PropertyCheck(
             "partition_sum",
             bool(np.all(np.abs(weight_sum - 1.0) <= 1e-12)),
-            worst=float(np.abs(weight_sum - 1.0).max()) if len(pts) else None,
+            worst=float(np.abs(weight_sum - 1.0).max()),
             detail="normalized weights sum to 1 within 1e-12",
         )
     )
@@ -789,7 +732,7 @@ def verify_properties(
         np.all(wq <= 1.0 + 1e-12)
         and np.all(weight_sum**q <= cst.overlap_bound**q * wq * (1 + 1e-9))
     )
-    report.checks.append(PropertyCheck("partition_power_sums", pow_ok, worst=float(wq.max()) if len(wq) else None))
+    report.checks.append(PropertyCheck("partition_power_sums", pow_ok, worst=float(wq.max())))
 
     # gradient bound for normalized partition functions, finite differences
     grad_max, grad_ok = _partition_gradient_check(decomp, pts[:gradient_points])
@@ -871,8 +814,6 @@ def _partition_gradient_check(decomp: WhitneyDecomposition, points: np.ndarray):
     boundary on covered points, so all stencil points stay inside the domain.
     """
     cst = decomp.constants
-    if len(points) == 0:
-        return 0.0, True
     pid, lev, m, _, _ = decomp.partition_values(points)
     if len(pid) == 0:
         return 0.0, True
@@ -896,78 +837,3 @@ def _partition_gradient_check(decomp: WhitneyDecomposition, points: np.ndarray):
     vals = sides * np.sqrt(np.sum(grad**2, axis=1))
     worst = float(vals.max())
     return worst, bool(worst <= cst.grad_bound)
-
-
-# ---------------------------------------------------------------------------
-# SVG rendering
-# ---------------------------------------------------------------------------
-
-
-def decomposition_to_svg(decomp: WhitneyDecomposition, path, max_cubes: int = 60000):
-    """Write the cube layout as a standalone SVG (coarsest cubes first)."""
-    if decomp.params.dim != 2:
-        raise ValueError("SVG rendering is two-dimensional")
-    lo, hi = decomp.domain.bounding_box()
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    scale = 900.0 / span
-    pad = 30.0
-
-    def sx(x):
-        return pad + (x - lo[0]) * scale
-
-    def sy(y):
-        return pad + (hi[1] - y) * scale
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{2*pad + (hi[0]-lo[0])*scale:.0f}"'
-        f' height="{2*pad + (hi[1]-lo[1])*scale:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    ks = sorted(decomp.levels)
-    drawn = 0
-    for k in ks:
-        hue = (37 * (k - ks[0])) % 360
-        s = 2.0 ** (-k)
-        for row in decomp.levels[k]:
-            if drawn >= max_cubes:
-                break
-            x, y = row[0] * s, row[1] * s
-            parts.append(
-                f'<rect x="{sx(x):.2f}" y="{sy(y + s):.2f}" width="{s*scale:.2f}"'
-                f' height="{s*scale:.2f}" fill="hsl({hue},70%,60%)" fill-opacity="0.35"'
-                f' stroke="hsl({hue},70%,35%)" stroke-width="0.4"/>'
-            )
-            drawn += 1
-    parts.append(_domain_outline_svg(decomp.domain, sx, sy, scale))
-    if drawn >= max_cubes:
-        parts.append(
-            f'<text x="{pad}" y="{pad-10:.0f}" font-size="14">truncated to {max_cubes} cubes</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
-
-
-def _domain_outline_svg(domain, sx, sy, scale) -> str:
-    from .geometry import Annulus, Box, Disk, Polygon
-
-    style = 'fill="none" stroke="black" stroke-width="1.5"'
-    if isinstance(domain, Disk):
-        c = domain.center
-        return f'<circle cx="{sx(c[0]):.2f}" cy="{sy(c[1]):.2f}" r="{domain.radius*scale:.2f}" {style}/>'
-    if isinstance(domain, Annulus):
-        c = domain.center
-        return (
-            f'<circle cx="{sx(c[0]):.2f}" cy="{sy(c[1]):.2f}" r="{domain.outer_radius*scale:.2f}" {style}/>'
-            f'<circle cx="{sx(c[0]):.2f}" cy="{sy(c[1]):.2f}" r="{domain.inner_radius*scale:.2f}" {style}/>'
-        )
-    if isinstance(domain, Box):
-        a, b = domain.corner_min, domain.corner_max
-        return (
-            f'<rect x="{sx(a[0]):.2f}" y="{sy(b[1]):.2f}" width="{(b[0]-a[0])*scale:.2f}"'
-            f' height="{(b[1]-a[1])*scale:.2f}" {style}/>'
-        )
-    if isinstance(domain, Polygon):
-        pts = " ".join(f"{sx(v[0]):.2f},{sy(v[1]):.2f}" for v in domain.vertices)
-        return f'<polygon points="{pts}" {style}/>'
-    return ""

@@ -247,6 +247,14 @@ def test_whitney_invalid_dilation_pair_exits_1(tmp_path, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_whitney_too_shallow_exits_1(tmp_path, capsys):
+    rc = main(["whitney", "--domain", "square", "--k-max", "2", "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "epsilon_cut=" in err and "k_max=2" in err
+    assert "zero-size array" not in err
+
+
 # -- verify-inequality and audit-chain -------------------------------------
 
 
@@ -334,11 +342,35 @@ def test_constants_match_direct_evaluation(tmp_path):
     payload = _load(tmp_path / "constants_report.json")
     params = WhitneyParams(eta=2.0, eta_prime=1.05)
     constants = derive_constants(params, BumpFunction(params.eta_prime))
-    assert payload["sigma_q"] == sigma_q(constants, 4.0, p=2.0, n=2)
+    assert payload["sigma_q"] == sigma_q(constants, 4.0, n=2)
     direct = c2_constant(3.0, constants, n=2)
     assert payload["series"]["diverges"] == direct.diverges
     if not direct.diverges:
         assert payload["series"]["value"] == direct.value
+
+
+@pytest.mark.parametrize("dim", ["1", "0"])
+def test_constants_dimension_below_2_exits_1(tmp_path, capsys, dim):
+    rc = main(["constants", "--N", dim, "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--N must be at least 2" in err
+
+
+def test_p_flag_removed(tmp_path, capsys):
+    # the embedding constants exist only at p = n, so no command takes --p;
+    # reports still record p as the dimension
+    for cmd in (
+        ["constants"],
+        ["verify-inequality", "--domain", "disk"],
+        ["audit-chain", "--domain", "disk"],
+    ):
+        assert main([*cmd, "--p", "2", "--report", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --p" in capsys.readouterr().err
+    assert main(["constants", "--report", str(tmp_path)]) == 0
+    payload = _load(tmp_path / "constants_report.json")
+    assert payload["p"] == float(payload["dim"]) == 2.0
 
 
 def test_constants_default_coupling_converges(tmp_path):
@@ -359,7 +391,7 @@ def test_constants_growth_table(tmp_path):
     params = WhitneyParams(eta=2.0, eta_prime=1.05)
     constants = derive_constants(params, BumpFunction(params.eta_prime))
     assert float(q) == 3.0
-    assert float(sig) == sigma_q(constants, 3.0, p=2.0, n=2)
+    assert float(sig) == sigma_q(constants, 3.0, n=2)
     normalized = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b < a for a, b in zip(normalized, normalized[1:]))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blowup.geometry import Box, Disk, default_profile
-from blowup.grid import Grid, ScalarField
+from blowup.grid import Grid, ScalarField, laplacian_of_distance
 import blowup.energy as en
 
 DISK = Disk((0.0, 0.0), 1.0)
@@ -99,13 +99,18 @@ def test_lattice_residual_times_distance_converges_to_distance_laplacian():
     assert errs[1] < 0.02
 
 
-def test_rim_ghost_correction_is_curvature_scaled(disk_grid):
-    # the rim residual differs between ghost treatments by exactly
+def test_rim_ghost_correction_is_curvature_scaled(disk_grid, disk_sp):
+    # the rim residual differs from the uncorrected closed form
+    # Lap(d)/d + (1 - F'^2)/d^2 by exactly
     # (kappa/2) * (sum of ghost signed distances) / h^2
     prof = default_profile(DISK)
-    sp_cur = en.build_singular_part(DISK, prof, disk_grid, boundary_layer="curvature")
-    sp_pl = en.build_singular_part(DISK, prof, disk_grid, boundary_layer="plain")
-    diff = sp_cur.r.values - sp_pl.r.values
+    delta = disk_grid.delta
+    d = prof.value(delta)
+    weight = 1.0 / d**2
+    plain = laplacian_of_distance(DISK, prof, disk_grid) / d + (
+        1.0 - prof.slope(delta) ** 2
+    ) * weight
+    diff = disk_sp.r.values - plain
     rim = ~disk_grid.full_stencil
     assert np.count_nonzero(diff[~rim]) == 0
     assert np.count_nonzero(diff[rim]) > 100
@@ -113,26 +118,10 @@ def test_rim_ghost_correction_is_curvature_scaled(disk_grid):
     assert np.max(np.abs(diff - expected)) < 1e-9
 
 
-def test_plain_rim_residual_is_continuum_formula(disk_grid):
-    # without the ghost correction, rim nodes carry the plain closed form,
-    # which in the identity zone is exactly Lap(d)/d
-    prof = default_profile(DISK)
-    sp = en.build_singular_part(DISK, prof, disk_grid, boundary_layer="plain")
-    rim = ~disk_grid.full_stencil
-    idz = rim & (disk_grid.delta < 0.19)
-    assert np.count_nonzero(idz) > 100
-    got = sp.r.values[idz] * sp.d.values[idz]
-    assert np.max(np.abs(got - sp.delta_d.values[idz])) < 1e-12
-
-
 def test_residual_mode_rejected(disk_grid):
     with pytest.raises(ValueError):
         en.build_singular_part(
             DISK, default_profile(DISK), disk_grid, residual_mode="spectral"
-        )
-    with pytest.raises(ValueError):
-        en.build_singular_part(
-            DISK, default_profile(DISK), disk_grid, boundary_layer="extrapolate"
         )
 
 
@@ -146,6 +135,7 @@ def test_singular_part_json(disk_sp):
     payload = disk_sp.to_json_dict()
     assert payload["full_stencil_nodes"] > 0
     assert payload["residual_mode"] == "continuum"
+    assert payload["boundary_layer"] == "curvature"
     assert payload["l2_delta_d"] > 0
 
 
@@ -306,8 +296,7 @@ def test_energy_convex_along_segments(disk_grid, disk_sp):
         assert ea + eb >= 2.0 * em - 1e-10 * (1 + abs(ea) + abs(eb))
 
 
-def test_breakdown_serializes(disk_grid, disk_sp):
+def test_breakdown_total_is_sum_of_terms(disk_grid, disk_sp):
     e = en.energy(_smooth_field(disk_grid, 9), disk_sp)
-    payload = e.to_json_dict()
-    assert payload["total"] == pytest.approx(e.total)
-    assert set(payload) == {"dirichlet_term", "nonlinear_term", "linear_term", "total"}
+    assert e.total == e.dirichlet_term + e.nonlinear_term + e.linear_term
+    assert e.dirichlet_term > 0.0

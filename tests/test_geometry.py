@@ -16,7 +16,6 @@ from blowup.geometry import (
     _box_corners,
     default_profile,
     domain_from_json,
-    smoothed_distance,
 )
 
 RNG = np.random.default_rng(20260822)
@@ -370,15 +369,15 @@ def test_default_profile_uses_inradius():
 def test_smoothed_distance_identity_and_interior():
     prof = SmoothingProfile(transition_start=0.2)
     edge_pt = np.array([0.9, 0.0])  # delta = 0.1 on the unit disk
-    assert smoothed_distance(UNIT_DISK, prof, edge_pt) == pytest.approx(0.1)
+    assert prof.value(UNIT_DISK.signed_distance(edge_pt)) == pytest.approx(0.1)
     center = np.array([0.0, 0.0])
-    val = smoothed_distance(UNIT_DISK, prof, center)
+    val = prof.value(UNIT_DISK.signed_distance(center))
     assert 0.2 < val <= 0.4
 
 
 def test_smoothed_distance_square_example():
     prof = SmoothingProfile(transition_start=0.2)
-    val = smoothed_distance(UNIT_SQUARE, prof, np.array([0.5, 0.5]))
+    val = prof.value(UNIT_SQUARE.signed_distance(np.array([0.5, 0.5])))
     assert val == pytest.approx(quintic_blend_oracle(0.2, 0.5))
 
 

@@ -62,7 +62,8 @@ def test_laplacian_zero_field(disk_grid):
 
 def test_laplacian_exact_on_quadratics(disk_grid):
     g = disk_grid
-    vals = g.eval_function(lambda x, y: x * x + y * y - 3 * x + 2 * y + 1)
+    x, y = g.points.T
+    vals = x * x + y * y - 3 * x + 2 * y + 1
     lap = g.laplacian(vals)
     np.testing.assert_allclose(lap[g.full_stencil], 4.0, atol=1e-9)
 
@@ -71,7 +72,8 @@ def test_laplacian_sine_mode_second_order():
     errs = {}
     for h in (1.0 / 64, 1.0 / 128):
         g = Grid(SQUARE, h)
-        u = g.eval_function(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        x, y = g.points.T
+        u = np.sin(np.pi * x) * np.sin(np.pi * y)
         lap = g.laplacian(u)
         exact = -2 * np.pi**2 * u
         err = np.abs(lap - exact)[g.full_stencil]
@@ -101,7 +103,8 @@ def test_dirichlet_energy_matches_laplacian_pairing(disk_grid):
 
 def test_gradient_central_on_linear_field(square_grid):
     g = square_grid
-    vals = g.eval_function(lambda x, y: 2.0 * x - 3.0 * y)
+    x, y = g.points.T
+    vals = 2.0 * x - 3.0 * y
     gx, gy = g.gradient(vals)
     full = g.full_stencil
     np.testing.assert_allclose(gx[full], 2.0, atol=1e-10)
@@ -243,23 +246,8 @@ def test_vcycle_exact_on_a_single_level():
     np.testing.assert_allclose(-g.laplacian(x) + mass * x, b, atol=1e-10)
 
 
-def test_integrate_constant(square_grid):
-    g = square_grid
-    ones = np.ones(g.n_interior)
-    # interior nodes tile the unit square up to the h/2 rim
-    assert g.integrate(ones) == pytest.approx(1.0, rel=5e-2)
-
-
-def test_scalar_field_round_trip_json(square_grid):
-    f = ScalarField.from_function(square_grid, lambda x, y: x * y)
-    payload = f.to_json_dict()
-    back = ScalarField.from_json_dict(payload, SQUARE)
-    np.testing.assert_allclose(back.values, f.values)
-    assert back.grid.h == square_grid.h
-
-
 def test_scalar_field_csv(tmp_path, square_grid):
-    f = ScalarField.from_function(square_grid, lambda x, y: x + y)
+    f = ScalarField(square_grid, square_grid.points.sum(axis=1))
     path = tmp_path / "field.csv"
     f.to_csv(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)

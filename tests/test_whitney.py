@@ -11,18 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from blowup.geometry import Annulus, Disk, Polygon
+from blowup.geometry import Annulus, Box, Disk, Polygon
+from blowup.svg import decomposition_to_svg
 from blowup.whitney import (
     BumpFunction,
-    DyadicCube,
     TruncationError,
     WhitneyDecomposition,
     WhitneyParams,
     decompose,
-    decomposition_to_svg,
     derive_constants,
-    overlap_count,
-    partition_weights,
     verify_properties,
 )
 
@@ -182,15 +179,16 @@ def test_disk_center_distance_window(disk_decomp):
 
 def test_disk_cubes_disjoint_and_nonnested(disk_decomp):
     # cubes at one level are distinct; no cube sits inside a coarser one
-    seen = set()
-    for cube in disk_decomp.iter_cubes():
-        seen.add((cube.level, cube.index))
+    levels = disk_decomp.levels
+    seen = {(k, tuple(row)) for k, ms in levels.items() for row in ms.tolist()}
     assert len(seen) == disk_decomp.cube_count
-    for cube in disk_decomp.iter_cubes():
-        anc = cube
-        for _ in range(cube.level - min(disk_decomp.levels)):
-            anc = anc.parent()
-            assert (anc.level, anc.index) not in seen
+    k0 = min(levels)
+    for k, ms in levels.items():
+        assert np.all(disk_decomp.cube_ids(k, ms) >= 0)
+        for j in range(1, k - k0 + 1):
+            anc = ms // 2**j
+            assert np.all(disk_decomp.cube_ids(k - j, anc) == -1)
+            assert not any((k - j, tuple(row)) in seen for row in anc.tolist())
 
 
 def test_disk_coverage(disk_decomp):
@@ -278,17 +276,19 @@ def test_partition_sums_to_one(disk_decomp):
 
 def test_partition_single_point_api(disk_decomp):
     point = np.array([0.31, -0.12])
-    pairs = partition_weights(disk_decomp, point)
-    assert pairs
-    total = sum(w for _, w in pairs)
-    assert total == pytest.approx(1.0, abs=1e-12)
-    for cube, w in pairs:
-        assert isinstance(cube, DyadicCube)
-        assert 0 < w <= 1
-        # the point must lie in the support of every listed cube
-        off = np.abs(point - cube.center) / cube.side
-        assert np.max(off) <= 1.05 / 2 + 1e-12
-    assert overlap_count(disk_decomp, point) >= len(pairs)
+    pid, lev, m, phi, psi = disk_decomp.partition_values(point)
+    assert np.all(pid == 0)
+    active = phi > 0.0
+    assert active.any()
+    w = phi[active] / psi[0]
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all((w > 0) & (w <= 1))
+    # the point must lie in the support of every cube with a positive weight
+    side = 2.0 ** -lev[active].astype(float)
+    center = (m[active] + 0.5) * side[:, None]
+    off = np.abs(point - center) / side[:, None]
+    assert np.all(off.max(axis=1) <= 1.05 / 2 + 1e-12)
+    assert disk_decomp.overlap_counts(point)[0] >= np.count_nonzero(active)
 
 
 def test_verify_properties_disk(disk_decomp):
@@ -329,6 +329,17 @@ def test_verify_properties_rejects_nonpositive_counts(disk_decomp, name):
             verify_properties(disk_decomp, **{name: value})
 
 
+@pytest.mark.parametrize(
+    "domain", [UNIT_DISK, Box((0.0, 0.0), (1.0, 1.0))], ids=["disk", "square"]
+)
+def test_shallow_decomposition_names_the_cut(domain):
+    # at k_max = 2 the coverage cut lies deeper than any point of the domain
+    decomp = decompose(domain, WhitneyParams(k_max=2))
+    assert decomp.constants.epsilon_cut > domain.inradius()
+    with pytest.raises(ValueError, match=r"epsilon_cut=.*k_max=2"):
+        verify_properties(decomp, sample_count=1000)
+
+
 # ---------------------------------------------------------------------------
 # other domains
 # ---------------------------------------------------------------------------
@@ -363,9 +374,7 @@ def test_lshape_respects_reflex_corner():
 def test_truncation_recorded():
     decomp = decompose(UNIT_DISK, WhitneyParams(k_max=4))
     assert decomp.truncated.get(4, 0) > 0
-    payload = decomp.to_json_dict(include_cubes=False)
-    assert payload["truncated"]["count"] > 0
-    assert payload["truncated"]["epsilon_cut"] == pytest.approx(
+    assert decomp.constants.epsilon_cut == pytest.approx(
         decomp.constants.delta_side_max / 16.0
     )
 
@@ -406,19 +415,14 @@ def test_json_and_svg_outputs(tmp_path, disk_decomp):
     assert payload["cube_count"] == disk_decomp.cube_count
     assert len(payload["cubes"]) == disk_decomp.cube_count
     first = payload["cubes"][0]
-    assert set(first) == {"k", "m"}
+    assert set(first) == {"level", "index", "side", "center"}
+    k = min(disk_decomp.levels)
+    assert first["level"] == k
+    assert first["index"] == disk_decomp.levels[k][0].tolist()
+    assert first["side"] == 2.0**-k
     svg_path = tmp_path / "layout.svg"
     decomposition_to_svg(disk_decomp, svg_path)
     text = svg_path.read_text()
     assert text.startswith("<svg")
     assert "<circle" in text and "<rect" in text
 
-
-def test_dyadic_cube_geometry():
-    cube = DyadicCube(3, (5, -2))
-    assert cube.side == 0.125
-    assert np.allclose(cube.lower, [0.625, -0.25])
-    assert np.allclose(cube.center, [0.6875, -0.1875])
-    assert cube.parent() == DyadicCube(2, (2, -1))
-    lo, hi = cube.dilated(2.0)
-    assert np.allclose(hi - lo, 0.25)
