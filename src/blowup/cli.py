@@ -122,12 +122,18 @@ def _output_dir(args) -> str:
     return directory
 
 
-def _write_json(payload: dict, directory: str, name: str) -> str:
-    payload = dict(payload)
-    payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+def _write_json(payload, directory: str, name: str) -> str:
+    """Write ``payload`` plus a ``generated_at`` stamp as indent-2, key-sorted
+    JSON.  ``payload`` is a dict, or an object whose ``json_chunks(extra)``
+    yields that rendering of itself with ``extra`` merged in, piece by piece
+    (the cube file, written as it is rendered)."""
+    stamp = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     path = os.path.join(directory, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        if isinstance(payload, dict):
+            json.dump({**payload, **stamp}, fh, indent=2, sort_keys=True)
+        else:
+            fh.writelines(payload.json_chunks(stamp))
         fh.write("\n")
     return path
 
@@ -236,7 +242,7 @@ def _cmd_whitney(args) -> bool:
     )
 
     outdir = _output_dir(args)
-    cube_path = _write_json(decomp.to_json_dict(), outdir, "whitney_cubes.json")
+    cube_path = _write_json(decomp, outdir, "whitney_cubes.json")
     prop_payload = {
         "domain": domain.to_json_dict(),
         "seed": args.seed,

@@ -406,16 +406,20 @@ class Polygon(Domain):
             t1 = np.minimum(t1, t_hi)
         return np.any(t0 <= t1, axis=0)
 
+    # Box corners need only the even-odd bit, not ``contains``: the two
+    # differ only at a corner on an edge, and that edge meets the closed box,
+    # so ``_edges_overlap_box`` decides the answer either way.
+
     def cube_contained(self, lo, hi):
         lo, hi = _corners(lo, hi, 2)
         corners = _box_corners(lo, hi)  # (n, 4, 2)
-        all_in = np.all(self.contains(corners), axis=-1)
+        all_in = np.all(self._even_odd_inside(corners), axis=-1)
         return all_in & ~self._edges_overlap_box(lo, hi)
 
     def cube_intersects(self, lo, hi):
         lo, hi = _corners(lo, hi, 2)
         corners = _box_corners(lo, hi)
-        any_corner_in = np.any(self.contains(corners), axis=-1)
+        any_corner_in = np.any(self._even_odd_inside(corners), axis=-1)
         v = self.vertices
         vert_in = np.any(
             np.all((v[None, :, :] > lo[:, None, :]) & (v[None, :, :] < hi[:, None, :]), axis=-1),

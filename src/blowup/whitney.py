@@ -18,7 +18,9 @@ maxima are reported alongside for scale.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -356,7 +358,10 @@ class WhitneyDecomposition:
     def _support_hits(self, points: np.ndarray):
         """All (point, cube) incidences of the eta_prime supports.
 
-        Returns (point_idx, level, m) arrays concatenated over levels.
+        Returns (point_idx, level, m) arrays concatenated over levels; within
+        a level, ordered by offset combination, then by point.  The max-norm
+        test splits by axis, so each (axis, offset) mask is computed once and
+        a combination's candidates are the AND of its axes' masks.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         etp = self.params.eta_prime
@@ -368,18 +373,24 @@ class WhitneyDecomposition:
         pid_all, lev_all, m_all = [], [], []
         for k in self.levels:
             s = 2.0 ** (-k)
+            thr = etp * s / 2.0 * (1.0 + 1e-12)
             base = np.ceil(points / s - 0.5 - etp / 2.0 - 1e-12).astype(np.int64)
-            for combo in combos:
-                mq = base + combo
-                centers = (mq + 0.5) * s
-                near = np.flatnonzero(
-                    np.max(np.abs(points - centers), axis=-1)
-                    <= etp * s / 2.0 * (1.0 + 1e-12)
+            near_axis = [
+                [np.abs(points[:, i] - (base[:, i] + j + 0.5) * s) <= thr for j in range(reach)]
+                for i in range(n)
+            ]
+            near = [
+                np.flatnonzero(
+                    np.logical_and.reduce([near_axis[i][j] for i, j in enumerate(combo)])
                 )
-                hit = near[self.cube_ids(k, mq[near]) >= 0]
-                pid_all.append(hit)
-                lev_all.append(np.full(len(hit), k, dtype=np.int64))
-                m_all.append(mq[hit])
+                for combo in combos
+            ]
+            pid = np.concatenate(near)
+            mq = base[pid] + np.repeat(combos, [len(c) for c in near], axis=0)
+            hit = self.cube_ids(k, mq) >= 0
+            pid_all.append(pid[hit])
+            lev_all.append(np.full(len(pid_all[-1]), k, dtype=np.int64))
+            m_all.append(mq[hit])
         return (
             np.concatenate(pid_all),
             np.concatenate(lev_all),
@@ -409,9 +420,8 @@ class WhitneyDecomposition:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        """The decomposition with every cube's level, index, side and center."""
-        ks, ms, sides, centers = self.arrays()
+    def _header_json_dict(self) -> dict:
+        """Every field of the cube file but ``cubes``."""
         return {
             "domain": self.domain.to_json_dict(),
             "eta": self.params.eta,
@@ -420,16 +430,56 @@ class WhitneyDecomposition:
             "cube_count": self.cube_count,
             "truncated_per_level": {str(k): int(v) for k, v in self.truncated.items()},
             "constants": self.constants.to_json_dict(),
-            "cubes": [
-                {
-                    "level": int(k),
-                    "index": [int(v) for v in m],
-                    "side": float(s),
-                    "center": [float(c) for c in cen],
-                }
-                for k, m, s, cen in zip(ks, ms, sides, centers)
-            ],
         }
+
+    def to_json_dict(self) -> dict:
+        """The decomposition with every cube's level, index, side and center."""
+        cubes = [_cube_record(*row) for row in zip(*(a.tolist() for a in self.arrays()))]
+        return {**self._header_json_dict(), "cubes": cubes}
+
+    def json_chunks(self, extra: dict):
+        """``json.dumps({**self.to_json_dict(), **extra}, indent=2,
+        sort_keys=True)`` in pieces, without building the cube dicts: the
+        header is rendered once and each cube through a template made from
+        ``_cube_record`` (``repr`` of a float is what json writes for it).
+        A piece holds at most ``_CUBES_PER_CHUNK`` cubes.
+        """
+        head = json.dumps(
+            {**self._header_json_dict(), **extra, "cubes": []}, indent=2, sort_keys=True
+        )
+        before, after = head.split('\n  "cubes": []')
+        template = _cube_template(self.params.dim)
+        arrays = self.arrays()
+        yield before + '\n  "cubes": [\n'
+        for start in range(0, self.cube_count, _CUBES_PER_CHUNK):
+            rows = (a[start : start + _CUBES_PER_CHUNK].tolist() for a in arrays)
+            text = ",\n".join(template.format(k, s, *m, *c) for k, m, s, c in zip(*rows))
+            yield text if start == 0 else ",\n" + text
+        yield "\n  ]" + after
+
+
+_CUBES_PER_CHUNK = 8192
+
+
+def _cube_record(level, index, side, center) -> dict:
+    """One entry of the cube file's ``cubes`` list."""
+    return {"level": level, "index": index, "side": side, "center": center}
+
+
+def _cube_template(dim: int) -> str:
+    """``str.format`` template of one ``_cube_record`` as json.dumps with
+    indent=2 lays it out inside the top-level ``cubes`` list; its fields are
+    level, side, the dim index entries and the dim center entries, in that
+    order."""
+    record = _cube_record(
+        "#0",
+        [f"#{2 + i}" for i in range(dim)],
+        "#1!r",
+        [f"#{2 + dim + i}!r" for i in range(dim)],
+    )
+    text = json.dumps(record, indent=2, sort_keys=True).replace("{", "{{").replace("}", "}}")
+    text = re.sub(r'"#(\d+(?:!r)?)"', r"{\1}", text)
+    return "\n".join("    " + line for line in text.split("\n"))
 
 
 def decompose(

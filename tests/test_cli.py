@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import blowup.cli as cli
 from blowup.cli import UsageError, main, parse_domain, parse_mesh_size
 from blowup.geometry import Disk
 from blowup.inequalities import c2_constant, sigma_q
@@ -11,6 +12,7 @@ from blowup.whitney import (
     BumpFunction,
     WhitneyDecomposition,
     WhitneyParams,
+    decompose,
     derive_constants,
 )
 
@@ -227,6 +229,40 @@ def test_whitney_square_reports_zero_violations(tmp_path):
     sides = {c["side"] for c in cubes["cubes"]}
     assert all(s == 2.0 ** -c["level"] for c in cubes["cubes"] for s in [c["side"]])
     assert len(sides) > 1
+
+
+def _lshape_truncated_at_two_levels():
+    d = decompose(parse_domain("lshape"), WhitneyParams(k_max=10))
+    # decompose records truncation at k_max only; two levels pin the
+    # string order of sort_keys ("10" before "9")
+    return WhitneyDecomposition(
+        d.domain, d.params, d.bump, d.constants, d.levels, {9: 7, **d.truncated}
+    )
+
+
+_CUBE_FILE_CASES = {
+    "disk": lambda: decompose(parse_domain("disk"), WhitneyParams(k_max=6)),
+    "lshape": _lshape_truncated_at_two_levels,
+    # eta=3 keeps the 3-D overlap enumeration in derive_constants short
+    "box3": lambda: decompose(
+        parse_domain('{"shape": "rectangle", "corner_min": [0, 0, 0], "corner_max": [1, 1, 2]}'),
+        WhitneyParams(eta=3.0, dim=3, k_max=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CUBE_FILE_CASES))
+def test_cube_file_is_json_dumps_of_to_json_dict(tmp_path, case):
+    decomp = _CUBE_FILE_CASES[case]()
+    path = cli._write_json(decomp, str(tmp_path), "whitney_cubes.json")
+    text = open(path).read()
+    ts = json.loads(text)["generated_at"]
+    want = json.dumps({**decomp.to_json_dict(), "generated_at": ts}, indent=2, sort_keys=True)
+    assert text == want + "\n"
+    if case == "disk":
+        assert min(decomp.arrays()[1].ravel()) < 0
+    if case == "lshape":
+        assert list(json.loads(text)["truncated_per_level"]) == ["10", "9"]
 
 
 def test_whitney_invalid_dilation_pair_exits_1(tmp_path, capsys):

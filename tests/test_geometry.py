@@ -308,6 +308,43 @@ def test_polygon_cube_predicates_bit_identical_to_reference(poly):
         )
 
 
+# boxes whose corners sit exactly on the L-shape's boundary: (lo, hi,
+# contained, intersects)
+L_SHAPE_TOUCHING_BOXES = [
+    # a corner on an edge, from inside and from outside
+    ((0.5, 0.0), (0.75, 0.25), False, True),
+    ((0.5, -0.25), (0.75, 0.0), False, True),
+    ((2.0, 0.25), (2.25, 0.5), False, True),
+    # clear of the boundary
+    ((0.25, 0.25), (0.5, 0.5), True, True),
+    ((2.5, 2.5), (3.0, 3.0), False, False),
+    # a corner at the reflex vertex (1, 1)
+    ((0.75, 0.75), (1.0, 1.0), False, True),
+    ((1.0, 1.0), (1.25, 1.25), False, True),
+    ((0.75, 1.0), (1.0, 1.25), False, True),
+    ((1.0, 0.75), (1.25, 1.0), False, True),
+    ((0.5, 0.5), (1.5, 1.5), False, True),
+    # sharing an edge, or part of one, from outside
+    ((1.0, 1.0), (2.0, 2.0), False, True),
+    ((0.0, -1.0), (2.0, 0.0), False, True),
+    ((2.0, 0.0), (2.5, 0.5), False, True),
+    ((-0.5, 0.5), (0.0, 1.0), False, True),
+    ((1.0, 1.5), (1.5, 2.0), False, True),
+]
+
+
+def test_polygon_cube_predicates_on_touching_boxes():
+    lo = np.array([box[0] for box in L_SHAPE_TOUCHING_BOXES])
+    hi = np.array([box[1] for box in L_SHAPE_TOUCHING_BOXES])
+    contained = L_SHAPE.cube_contained(lo, hi)
+    intersects = L_SHAPE.cube_intersects(lo, hi)
+    assert contained.tolist() == [box[2] for box in L_SHAPE_TOUCHING_BOXES]
+    assert intersects.tolist() == [box[3] for box in L_SHAPE_TOUCHING_BOXES]
+    # the corner test by signed distance gives the same answers
+    assert np.array_equal(contained, _reference_cube_contained(L_SHAPE, lo, hi))
+    assert np.array_equal(intersects, _reference_cube_intersects(L_SHAPE, lo, hi))
+
+
 # ---------------------------------------------------------------------------
 # smoothing profile
 # ---------------------------------------------------------------------------

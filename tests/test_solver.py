@@ -340,16 +340,17 @@ def test_pcg_deterministic_and_accurate():
     b = rng.standard_normal(n)
     apply_op = lambda x: a @ x
     identity = lambda r: r
-    x1, it1, res1 = _pcg(apply_op, identity, b, 1e-10, 500)
-    x2, it2, res2 = _pcg(apply_op, identity, b, 1e-10, 500)
+    x1, it1, res1, true1 = _pcg(apply_op, identity, b, 1e-10, 500)
+    x2, it2, res2, _ = _pcg(apply_op, identity, b, 1e-10, 500)
     assert it1 == it2
     assert np.array_equal(x1, x2)
     assert np.linalg.norm(a @ x1 - b) <= 1e-9 * np.linalg.norm(b)
+    assert true1 == pytest.approx(np.linalg.norm(a @ x1 - b) / np.linalg.norm(b))
 
 
 def test_pcg_zero_rhs():
-    x, it, res = _pcg(lambda x: 2.0 * x, lambda r: r, np.zeros(5), 1e-8, 50)
-    assert np.all(x == 0.0) and it == 0 and res == 0.0
+    x, it, res, true = _pcg(lambda x: 2.0 * x, lambda r: r, np.zeros(5), 1e-8, 50)
+    assert np.all(x == 0.0) and it == 0 and res == 0.0 and true == 0.0
 
 
 def test_cg_iterations_per_newton_step_bounded(disk64, disk128):
@@ -397,6 +398,27 @@ def test_smallest_linear_rtol_still_converges():
     assert rep.converged
     assert rep.steps
     assert all(s["linear_converged"] is True for s in rep.steps)
+
+
+def test_linear_converged_follows_the_true_residual(monkeypatch):
+    # at 1/64 the CG recurrence reads below 1e-14 while |b - A x| / |b| of
+    # the returned step stalls above it
+    true_relres = []
+
+    def recording(op, prec, b, rtol, maxiter):
+        out = _pcg(op, prec, b, rtol, maxiter)
+        true_relres.append(np.linalg.norm(b - op(out[0])) / np.linalg.norm(b))
+        return out
+
+    monkeypatch.setattr(solver_module, "_pcg", recording)
+    rtol = 1e-14
+    rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 64), SolverConfig(linear_rtol=rtol))
+    assert rep.converged
+    assert len(rep.steps) == len(true_relres) > 0
+    for s, true in zip(rep.steps, true_relres):
+        assert s["cg_relres"] <= rtol
+        assert s["cg_true_relres"] == pytest.approx(true, rel=1e-6)
+        assert s["linear_converged"] is False
 
 
 def test_line_search_error_reports_linear_convergence(monkeypatch):

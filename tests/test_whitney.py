@@ -291,6 +291,88 @@ def test_partition_single_point_api(disk_decomp):
     assert disk_decomp.overlap_counts(point)[0] >= np.count_nonzero(active)
 
 
+def _reference_support_hits(decomp, points):
+    """The per-combination loop that ``_support_hits`` replaced: one max-norm
+    test and one ``cube_ids`` call per (level, offset combination)."""
+    etp = decomp.params.eta_prime
+    n = points.shape[1]
+    reach = int(math.floor(etp)) + 2
+    combos = np.stack(
+        np.meshgrid(*[np.arange(reach)] * n, indexing="ij"), axis=-1
+    ).reshape(-1, n)
+    pid_all, lev_all, m_all = [], [], []
+    for k in decomp.levels:
+        s = 2.0 ** (-k)
+        base = np.ceil(points / s - 0.5 - etp / 2.0 - 1e-12).astype(np.int64)
+        for combo in combos:
+            mq = base + combo
+            centers = (mq + 0.5) * s
+            near = np.flatnonzero(
+                np.max(np.abs(points - centers), axis=-1) <= etp * s / 2.0 * (1.0 + 1e-12)
+            )
+            hit = near[decomp.cube_ids(k, mq[near]) >= 0]
+            pid_all.append(hit)
+            lev_all.append(np.full(len(hit), k, dtype=np.int64))
+            m_all.append(mq[hit])
+    return np.concatenate(pid_all), np.concatenate(lev_all), np.concatenate(m_all)
+
+
+def _support_probe_points(decomp, rng):
+    """Random points, points exactly on the support faces of every fourth
+    cube and exactly at the max-norm test's threshold from its center, and
+    the dyadic lattice at twice the finest side, inside the decomposition's
+    domain."""
+    ks, _, sides, centers = decomp.arrays()
+    n = decomp.params.dim
+    c = centers[::4]
+    half = 0.5 * decomp.params.eta_prime * sides[::4]
+    thr = half * (1.0 + 1e-12)
+    on_faces = []
+    for axis in range(n):
+        for sign in (-1.0, 1.0):
+            for reach in (half, thr):
+                p = c.copy()
+                p[:, axis] += sign * reach
+                on_faces.append(p[np.abs(p[:, axis] - c[:, axis]) == reach])
+    lo, hi = decomp.domain.bounding_box()
+    step = 2.0 ** -int(ks.max() - 1)
+    ticks = [np.arange(lo[i], hi[i] + step, step) for i in range(n)]
+    lattice = np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, n)
+    random_pts = lo + rng.random((2000, n)) * (hi - lo)
+    pts = np.concatenate([random_pts, lattice, *on_faces])
+    return pts[decomp.domain.contains(pts)]
+
+
+@pytest.mark.parametrize("domain", [UNIT_DISK, L_SHAPE], ids=["disk", "lshape"])
+def test_support_hits_match_brute_force_max_norm(domain):
+    decomp = decompose(domain, WhitneyParams(k_max=6))
+    pts = _support_probe_points(decomp, np.random.default_rng(8))
+    pid, lev, m, phi, psi = decomp.partition_values(pts)
+    # same incidences, in the same order, as the per-combination loop
+    ref = _reference_support_hits(decomp, pts)
+    for got, want in zip((pid, lev, m), ref):
+        assert np.array_equal(got, want)
+    # same set as testing every cube against every point in the max norm
+    ks, ms, sides, centers = decomp.arrays()
+    thr = decomp.params.eta_prime * sides / 2.0 * (1.0 + 1e-12)
+    want_pid, want_cube = [], []
+    for j in range(0, decomp.cube_count, 64):
+        dist = np.max(np.abs(pts[:, None, :] - centers[None, j : j + 64, :]), axis=-1)
+        p, c = np.nonzero(dist <= thr[None, j : j + 64])
+        want_pid.append(p)
+        want_cube.append(c + j)
+    want_pid, want_cube = np.concatenate(want_pid), np.concatenate(want_cube)
+    row_ids = decomp.cube_ids(ks, ms)
+    assert sorted(zip(pid.tolist(), decomp.cube_ids(lev, m).tolist())) == sorted(
+        zip(want_pid.tolist(), row_ids[want_cube].tolist())
+    )
+    # psi is the sum of the reference bumps over those cubes
+    offsets = (pts[want_pid] - centers[want_cube]) / sides[want_cube, None]
+    psi_ref = np.zeros(len(pts))
+    np.add.at(psi_ref, want_pid, decomp.bump.value(offsets))
+    assert np.abs(psi - psi_ref).max() <= 1e-15
+
+
 def test_verify_properties_disk(disk_decomp):
     report = verify_properties(
         disk_decomp, sample_count=6000, coverage_samples=6000, gradient_points=150
