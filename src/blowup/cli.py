@@ -206,6 +206,12 @@ def _cmd_solve(args) -> bool:
         report.converged,
         f"{report.iterations} iterations, grad norm {report.final_grad_norm:.3e}",
     )
+    worst = max((s["cg_true_relres"] for s in report.steps), default=0.0)
+    _check_line(
+        "linear solves",
+        report.linear_converged,
+        f"worst |b - Ax| / |b| {worst:.3e}, linear_rtol {config.linear_rtol:.0e}",
+    )
     c4 = report.corollary4
     _check_line(
         "gradient-energy bound",
@@ -218,7 +224,7 @@ def _cmd_solve(args) -> bool:
             f"on depth > {report.oracle['region_depth']}"
         )
     print(f"report: {path}")
-    return report.converged and bool(c4["pass"])
+    return report.converged and report.linear_converged and bool(c4["pass"])
 
 
 def _cmd_whitney(args) -> bool:

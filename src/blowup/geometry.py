@@ -48,6 +48,18 @@ def _corners(lo, hi, dim: int):
     return lo, hi
 
 
+def _fold(op, mask):
+    """``op`` folded over the last axis of ``mask``, one column at a time:
+    ``_fold(np.logical_and, m)`` is ``np.all(m, axis=-1)``.  For a last axis
+    of a few entries (the dimension, the corners of a box) this is many
+    times faster than numpy's reduction, which walks such an axis element
+    by element."""
+    out = mask[..., 0].copy()
+    for i in range(1, mask.shape[-1]):
+        op(out, mask[..., i], out=out)
+    return out
+
+
 def _radial_range(center, lo, hi):
     """(nearest, farthest) distance from center over each closed box [lo, hi]."""
     below = lo - center
@@ -256,11 +268,11 @@ class Box(Domain):
 
     def cube_contained(self, lo, hi):
         lo, hi = _corners(lo, hi, self.dim)
-        return np.all((lo > self.corner_min) & (hi < self.corner_max), axis=-1)
+        return _fold(np.logical_and, (lo > self.corner_min) & (hi < self.corner_max))
 
     def cube_intersects(self, lo, hi):
         lo, hi = _corners(lo, hi, self.dim)
-        return np.all((lo < self.corner_max) & (hi > self.corner_min), axis=-1)
+        return _fold(np.logical_and, (lo < self.corner_max) & (hi > self.corner_min))
 
     def to_json_dict(self):
         return {
@@ -382,29 +394,38 @@ class Polygon(Domain):
         return bool(np.all(cross >= -1e-14))
 
     def _edges_overlap_box(self, lo, hi):
-        """True per box where some polygon edge meets the closed box."""
-        a, b = self._a, self._b  # (E, 2)
-        d = b - a
+        """True per box where some polygon edge meets the closed box.
+
+        Slab test, one pass per edge: the edge's parameter interval [0, 1]
+        is clipped to each axis' slab [lo, hi].  An edge parallel to an axis
+        misses every box whose slab on that axis does not hold it.
+        """
+        # one contiguous row per axis
+        lo_cols, hi_cols = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
         n_box = lo.shape[0]
-        t0 = np.zeros((len(a), n_box))
-        t1 = np.ones((len(a), n_box))
-        for ax in range(2):
-            da = d[:, ax][:, None]
-            pa = a[:, ax][:, None]
-            lo_ax = lo[:, ax][None, :]
-            hi_ax = hi[:, ax][None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tl = (lo_ax - pa) / da
-                th = (hi_ax - pa) / da
-            t_lo = np.minimum(tl, th)
-            t_hi = np.maximum(tl, th)
-            par = da[:, 0] == 0.0
-            inside = (pa >= lo_ax) & (pa <= hi_ax)
-            t_lo = np.where(par[:, None], np.where(inside, 0.0, 1.0), t_lo)
-            t_hi = np.where(par[:, None], np.where(inside, 1.0, 0.0), t_hi)
-            t0 = np.maximum(t0, t_lo)
-            t1 = np.minimum(t1, t_hi)
-        return np.any(t0 <= t1, axis=0)
+        out = np.zeros(n_box, dtype=bool)
+        t0 = np.empty(n_box)
+        t1 = np.empty(n_box)
+        for a, b in zip(self._a.tolist(), self._b.tolist()):
+            t0.fill(0.0)
+            t1.fill(1.0)
+            in_slab = None
+            for ax in range(2):
+                pa, da = a[ax], b[ax] - a[ax]
+                if da == 0.0:
+                    in_slab = (pa >= lo_cols[ax]) & (pa <= hi_cols[ax])
+                    continue
+                # lo < hi, so the nearer face's parameter is the smaller one
+                near, far = lo_cols[ax], hi_cols[ax]
+                if da < 0.0:
+                    near, far = far, near
+                np.maximum(t0, (near - pa) / da, out=t0)
+                np.minimum(t1, (far - pa) / da, out=t1)
+            meets = t0 <= t1
+            if in_slab is not None:
+                meets &= in_slab
+            out |= meets
+        return out
 
     # Box corners need only the even-odd bit, not ``contains``: the two
     # differ only at a corner on an edge, and that edge meets the closed box,
@@ -413,18 +434,16 @@ class Polygon(Domain):
     def cube_contained(self, lo, hi):
         lo, hi = _corners(lo, hi, 2)
         corners = _box_corners(lo, hi)  # (n, 4, 2)
-        all_in = np.all(self._even_odd_inside(corners), axis=-1)
+        all_in = _fold(np.logical_and, self._even_odd_inside(corners))
         return all_in & ~self._edges_overlap_box(lo, hi)
 
     def cube_intersects(self, lo, hi):
         lo, hi = _corners(lo, hi, 2)
         corners = _box_corners(lo, hi)
-        any_corner_in = np.any(self._even_odd_inside(corners), axis=-1)
+        any_corner_in = _fold(np.logical_or, self._even_odd_inside(corners))
         v = self.vertices
-        vert_in = np.any(
-            np.all((v[None, :, :] > lo[:, None, :]) & (v[None, :, :] < hi[:, None, :]), axis=-1),
-            axis=-1,
-        )
+        strictly_in = (v[None, :, :] > lo[:, None, :]) & (v[None, :, :] < hi[:, None, :])
+        vert_in = _fold(np.logical_or, _fold(np.logical_and, strictly_in))
         return any_corner_in | vert_in | self._edges_overlap_box(lo, hi)
 
     def to_json_dict(self):

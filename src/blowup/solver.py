@@ -88,6 +88,10 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of ``solve``.  ``converged`` is the Newton gradient test alone;
+    ``linear_converged`` says whether every step's linear solve met
+    ``linear_rtol``."""
+
     w: ScalarField
     u: ScalarField
     iterations: int
@@ -100,10 +104,15 @@ class SolveReport:
     oracle: dict | None = None
     verification: dict | None = None
 
+    @property
+    def linear_converged(self) -> bool:
+        return all(s["linear_converged"] for s in self.steps)
+
     def to_json_dict(self) -> dict:
         return {
             "iterations": self.iterations,
             "converged": self.converged,
+            "linear_converged": self.linear_converged,
             "energy_history": self.energy_history,
             "final_energy": self.energy_history[-1],
             "final_grad_norm": self.final_grad_norm,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain
+from .geometry import Domain, _fold
 
 __all__ = [
     "WhitneyParams",
@@ -327,7 +327,7 @@ class WhitneyDecomposition:
         already keys outside the table.
         """
         m = np.asarray(m, dtype=np.int64)
-        ok = np.all((m >= self._lo) & (m < self._hi), axis=-1)
+        ok = _fold(np.logical_and, (m >= self._lo) & (m < self._hi))
         keys = self._key(lev, np.where(ok[:, None], m - self._lo, 0))
         pos = np.searchsorted(self._keys, keys)
         found = self._keys[np.minimum(pos, len(self._keys) - 1)] == keys
@@ -341,18 +341,25 @@ class WhitneyDecomposition:
         n = points.shape[1]
         out = np.zeros(len(points), dtype=bool)
         # a point exactly on a shared face or corner also belongs to the lower
-        # neighbors along the axes where it sits on the lattice
+        # neighbors along the axes where it sits on the lattice; the first
+        # shift is zero
         shifts = np.stack(
             np.meshgrid(*[np.array([0, -1])] * n, indexing="ij"), axis=-1
-        ).reshape(-1, n)
+        ).reshape(-1, n)[1:]
+        todo = np.arange(len(points))
         for k in self.levels:
-            todo = np.flatnonzero(~out)
             scaled = points[todo] / 2.0 ** (-k)
             base = np.floor(scaled).astype(np.int64)
+            hit = self.cube_ids(k, base) >= 0
             on_lattice = scaled == base
+            # only a point on the lattice along some axis qualifies for a
+            # nonzero shift
+            edge = np.flatnonzero(~hit & _fold(np.logical_or, on_lattice))
             for sh in shifts:
-                ask = ~out[todo] & np.all(on_lattice | (sh == 0), axis=1)
-                out[todo[ask]] = self.cube_ids(k, base[ask] + sh) >= 0
+                ask = edge[~hit[edge] & _fold(np.logical_and, on_lattice[edge] | (sh == 0))]
+                hit[ask] = self.cube_ids(k, base[ask] + sh) >= 0
+            out[todo[hit]] = True
+            todo = todo[~hit]
         return out
 
     def _support_hits(self, points: np.ndarray):
@@ -442,19 +449,33 @@ class WhitneyDecomposition:
         sort_keys=True)`` in pieces, without building the cube dicts: the
         header is rendered once and each cube through a template made from
         ``_cube_record`` (``repr`` of a float is what json writes for it).
-        A piece holds at most ``_CUBES_PER_CHUNK`` cubes.
+        A piece holds at most ``_CUBES_PER_CHUNK`` cubes of one level.
+
+        Each float is rendered once: the side once per level, and a center
+        coordinate once per distinct index value m of the level as
+        ``(m + 0.5) * side``, the value ``arrays()`` computes.
         """
         head = json.dumps(
             {**self._header_json_dict(), **extra, "cubes": []}, indent=2, sort_keys=True
         )
         before, after = head.split('\n  "cubes": []')
         template = _cube_template(self.params.dim)
-        arrays = self.arrays()
         yield before + '\n  "cubes": [\n'
-        for start in range(0, self.cube_count, _CUBES_PER_CHUNK):
-            rows = (a[start : start + _CUBES_PER_CHUNK].tolist() for a in arrays)
-            text = ",\n".join(template.format(k, s, *m, *c) for k, m, s, c in zip(*rows))
-            yield text if start == 0 else ",\n" + text
+        sep = ""
+        for k in sorted(self.levels):
+            ms = self.levels[k]
+            side = 2.0 ** (-float(k))
+            values, inverse = np.unique(ms.ravel(), return_inverse=True)
+            texts = np.array([repr(c) for c in ((values + 0.5) * side).tolist()], dtype=object)
+            centers = texts[inverse].reshape(ms.shape)
+            side_text = repr(side)
+            for start in range(0, len(ms), _CUBES_PER_CHUNK):
+                rows = zip(
+                    ms[start : start + _CUBES_PER_CHUNK].tolist(),
+                    centers[start : start + _CUBES_PER_CHUNK].tolist(),
+                )
+                yield sep + ",\n".join(template.format(k, side_text, *m, *c) for m, c in rows)
+                sep = ",\n"
         yield "\n  ]" + after
 
 
@@ -470,15 +491,15 @@ def _cube_template(dim: int) -> str:
     """``str.format`` template of one ``_cube_record`` as json.dumps with
     indent=2 lays it out inside the top-level ``cubes`` list; its fields are
     level, side, the dim index entries and the dim center entries, in that
-    order."""
+    order, the floats (side and center) given as their ``repr`` strings."""
     record = _cube_record(
         "#0",
         [f"#{2 + i}" for i in range(dim)],
-        "#1!r",
-        [f"#{2 + dim + i}!r" for i in range(dim)],
+        "#1",
+        [f"#{2 + dim + i}" for i in range(dim)],
     )
     text = json.dumps(record, indent=2, sort_keys=True).replace("{", "{{").replace("}", "}}")
-    text = re.sub(r'"#(\d+(?:!r)?)"', r"{\1}", text)
+    text = re.sub(r'"#(\d+)"', r"{\1}", text)
     return "\n".join("    " + line for line in text.split("\n"))
 
 
@@ -803,10 +824,14 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
 
     For each finer cube the coarser-level candidate window is at most about
     2 * eta_prime + 1 indices wide per axis, independent of the level gap, so
-    the enumeration is exhaustive and cheap.  Level gaps above 8 need not be
-    scanned: distance to the boundary is 1-Lipschitz, so the exactly-checked
-    center distance window already forces the side ratio of support-sharing
-    cubes under delta_side_max / delta_side_min < 2**8.
+    the enumeration is exhaustive and cheap.  Level gaps above
+    int(level_window) + 1 need not be scanned: distance to the boundary is
+    1-Lipschitz, so a point y in both supports has delta(y) > delta_side_min
+    * s_c from the coarse cube and delta(y) <= delta_side_max * s_f from the
+    fine one, and the side ratio s_c / s_f stays below delta_side_max /
+    delta_side_min = side_ratio_bound = 2**level_window (under 2**5 at the
+    defaults).  The scan goes one level past that, so a pair that broke the
+    argument would show as worst_gap > level_window.
 
     Returns (worst side ratio found, worst level gap found, True when every
     center offset obeyed the center_window constant).
@@ -818,11 +843,12 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
     worst_ratio = 1.0
     worst_gap = 0
     centers_ok = True
+    gap_max = int(cst.level_window) + 1
     for kc in ks:  # coarse level
         sc = 2.0 ** (-kc)
         for kf in ks:  # fine or equal level
             gap = kf - kc
-            if gap < 0 or gap > 8:
+            if gap < 0 or gap > gap_max:
                 continue
             sf = 2.0 ** (-kf)
             mf = decomp.levels[kf]
@@ -834,20 +860,19 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
             found_pair = False
             for combo in np.ndindex(*([width] * n)):
                 mq = lo + np.asarray(combo, dtype=np.int64)
-                ok = np.all(mq <= hi, axis=-1)
+                ok = _fold(np.logical_and, mq <= hi)
                 if gap == 0:
-                    ok &= np.any(mq != mf, axis=-1)  # skip self pairs
-                if not np.any(ok):
+                    ok &= _fold(np.logical_or, mq != mf)  # skip self pairs
+                rows = np.flatnonzero(ok)
+                rows = rows[decomp.cube_ids(kc, mq[rows]) >= 0]
+                if len(rows) == 0:
                     continue
-                hit = ok & (decomp.cube_ids(kc, mq) >= 0)
-                if not np.any(hit):
-                    continue
-                cc = (mq[hit] + 0.5) * sc
-                off = np.abs(cc - cf[hit])
-                touch = np.all(off <= reach * (1.0 + 1e-12), axis=-1)
+                cc = (mq[rows] + 0.5) * sc
+                off = np.abs(cc - cf[rows])
+                touch = _fold(np.logical_and, off <= reach * (1.0 + 1e-12))
                 if np.any(touch):
                     found_pair = True
-                    dist = np.sqrt(np.sum((cc - cf[hit]) ** 2, axis=-1))[touch]
+                    dist = np.sqrt(np.sum((cc - cf[rows]) ** 2, axis=-1))[touch]
                     if np.any(dist > cst.center_window * sf * (1.0 + 1e-9)):
                         centers_ok = False
             if found_pair:

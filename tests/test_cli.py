@@ -5,6 +5,7 @@ import json
 import pytest
 
 import blowup.cli as cli
+import blowup.solver as solver_module
 from blowup.cli import UsageError, main, parse_domain, parse_mesh_size
 from blowup.geometry import Disk
 from blowup.inequalities import c2_constant, sigma_q
@@ -165,10 +166,28 @@ def test_solve_disk_report_passes_checks(tmp_path):
     assert rc == 0
     payload = _load(tmp_path / "solve_report.json")
     assert payload["converged"] is True
+    assert payload["linear_converged"] is True
     assert payload["corollary4"]["pass"] is True
     assert payload["oracle"]["sup_error"] < 5e-3
     assert payload["hardy"]["value"] == 2.0
     assert payload["liouville_residual"]["residual_mode"] == "continuum"
+
+
+def test_unconverged_linear_solves_exit_2(tmp_path, monkeypatch, capsys):
+    # CG capped at 2 iterations: Newton still meets its gradient test, but no
+    # step's linear solve meets linear_rtol
+    pcg = solver_module._pcg
+    capped = lambda op, prec, b, rtol, maxiter: pcg(op, prec, b, rtol, 2)
+    monkeypatch.setattr(solver_module, "_pcg", capped)
+    rc = main(["solve", "--domain", "disk", "--h", "1/16", "--report", str(tmp_path)])
+    assert rc == 2
+    payload = _load(tmp_path / "solve_report.json")
+    assert payload["converged"] is True
+    assert payload["corollary4"]["pass"] is True
+    assert payload["linear_converged"] is False
+    assert not any(s["linear_converged"] for s in payload["steps"])
+    worst = max(s["cg_true_relres"] for s in payload["steps"])
+    assert f"[FAIL] linear solves  (worst |b - Ax| / |b| {worst:.3e}" in capsys.readouterr().out
 
 
 def test_solve_csv_and_svg_outputs(tmp_path):

@@ -245,9 +245,35 @@ def _reference_distance_laplacian(poly, p):
     return np.where(at_vertex, 1.0 / np.maximum(d_near, 1e-300), 0.0)
 
 
+def _reference_edges_overlap_box(poly, lo, hi):
+    """The slab test for every (edge, box) pair at once, with axis-parallel
+    edges patched in afterwards."""
+    a, b = poly._a, poly._b
+    d = b - a
+    t0 = np.zeros((len(a), lo.shape[0]))
+    t1 = np.ones((len(a), lo.shape[0]))
+    for ax in range(2):
+        da = d[:, ax][:, None]
+        pa = a[:, ax][:, None]
+        lo_ax = lo[:, ax][None, :]
+        hi_ax = hi[:, ax][None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tl = (lo_ax - pa) / da
+            th = (hi_ax - pa) / da
+        t_lo = np.minimum(tl, th)
+        t_hi = np.maximum(tl, th)
+        par = da[:, 0] == 0.0
+        inside = (pa >= lo_ax) & (pa <= hi_ax)
+        t_lo = np.where(par[:, None], np.where(inside, 0.0, 1.0), t_lo)
+        t_hi = np.where(par[:, None], np.where(inside, 1.0, 0.0), t_hi)
+        t0 = np.maximum(t0, t_lo)
+        t1 = np.minimum(t1, t_hi)
+    return np.any(t0 <= t1, axis=0)
+
+
 def _reference_cube_contained(poly, lo, hi):
     corners_in = _reference_signed_distance(poly, _box_corners(lo, hi)) > 0.0
-    return np.all(corners_in, axis=-1) & ~poly._edges_overlap_box(lo, hi)
+    return np.all(corners_in, axis=-1) & ~_reference_edges_overlap_box(poly, lo, hi)
 
 
 def _reference_cube_intersects(poly, lo, hi):
@@ -258,7 +284,7 @@ def _reference_cube_intersects(poly, lo, hi):
         np.all((v[None, :, :] > lo[:, None, :]) & (v[None, :, :] < hi[:, None, :]), axis=-1),
         axis=-1,
     )
-    return any_in | vert_in | poly._edges_overlap_box(lo, hi)
+    return any_in | vert_in | _reference_edges_overlap_box(poly, lo, hi)
 
 
 def _special_points(poly):
@@ -343,6 +369,130 @@ def test_polygon_cube_predicates_on_touching_boxes():
     # the corner test by signed distance gives the same answers
     assert np.array_equal(contained, _reference_cube_contained(L_SHAPE, lo, hi))
     assert np.array_equal(intersects, _reference_cube_intersects(L_SHAPE, lo, hi))
+
+
+def _boxes_at_scales(poly, scales, n, rng):
+    lo_b, hi_b = poly.bounding_box()
+    span = hi_b - lo_b
+    boxes = []
+    for scale in scales:
+        center = lo_b - 0.2 * span + rng.random((n, 2)) * 1.4 * span
+        side = scale * rng.uniform(0.2, 1.0, size=(n, 2)) * span.max()
+        boxes.append((center - side / 2, center + side / 2))
+    return boxes
+
+
+def _boxes_on_vertices(poly, sides):
+    """Boxes with a corner on each vertex, in all four quadrants, and boxes
+    with a face through each vertex along both axes."""
+    lo, hi = [], []
+    for v in poly.vertices:
+        for s in sides:
+            for q in np.array([[0, 0], [-1, 0], [0, -1], [-1, -1]]):
+                lo.append(v + q * s)
+                hi.append(v + (q + 1) * s)
+            for axis in range(2):
+                for face in (0.0, -s):
+                    off = np.full(2, -s / 2)
+                    off[axis] = face
+                    lo.append(v + off)
+                    hi.append(v + off + s)
+    return np.array(lo), np.array(hi)
+
+
+def _boxes_on_axis_parallel_edges(poly, sides):
+    """Boxes with a face on each axis-parallel edge's line, from both sides,
+    spanning the edge, an end of it, or a stretch inside it."""
+    lo, hi = [], []
+    for a, b in zip(poly._a, poly._b):
+        for axis in range(2):
+            if a[axis] != b[axis]:
+                continue
+            other = 1 - axis
+            e0, e1 = sorted((a[other], b[other]))
+            spans = [
+                (e0, e1),
+                (e0 - 0.25, e0 + 0.25),
+                (e1 - 0.25, e1 + 0.25),
+                (e0 + 0.25 * (e1 - e0), e0 + 0.5 * (e1 - e0)),
+                (e1, e1 + 0.5),
+            ]
+            for s in sides:
+                for face in (a[axis], a[axis] - s):
+                    for s0, s1 in spans:
+                        box_lo, box_hi = np.empty(2), np.empty(2)
+                        box_lo[axis], box_hi[axis] = face, face + s
+                        box_lo[other], box_hi[other] = s0, s1
+                        lo.append(box_lo)
+                        hi.append(box_hi)
+    return np.array(lo), np.array(hi)
+
+
+SLANTED_POLYGONS = {
+    "triangle": '{"shape": "polygon", "vertices": [[0, 0], [3, 1], [1, 2.5]]}',
+    "rotated_square": (
+        '{"shape": "polygon", "vertices": [[0.5, 0], [1, 0.5], [0.5, 1], [0, 0.5]]}'
+    ),
+}
+
+
+SCALES = (0.5, 0.05, 0.002)
+
+
+def _slab_test_cases():
+    """(id, polygon, random box sets, box sets that all touch the boundary)."""
+    rng = np.random.default_rng(17)
+    cases = [
+        ("lshape-random", L_SHAPE, _boxes_at_scales(L_SHAPE, SCALES, 3000, rng), []),
+        (
+            "lshape-boundary",
+            L_SHAPE,
+            [],
+            [
+                _boxes_on_vertices(L_SHAPE, (0.125, 0.5, 1.0, 3.0)),
+                _boxes_on_axis_parallel_edges(L_SHAPE, (0.125, 0.5, 1.0)),
+            ],
+        ),
+    ]
+    for name, spec in SLANTED_POLYGONS.items():
+        poly = domain_from_json(spec)
+        cases.append(
+            (
+                name,
+                poly,
+                _boxes_at_scales(poly, SCALES, 3000, rng),
+                [_boxes_on_vertices(poly, (0.125, 0.5, 1.0))],
+            )
+        )
+    return cases
+
+
+SLAB_TEST_CASES = _slab_test_cases()
+
+
+@pytest.mark.parametrize(
+    "poly, random_boxes, touching_boxes",
+    [case[1:] for case in SLAB_TEST_CASES],
+    ids=[case[0] for case in SLAB_TEST_CASES],
+)
+def test_slab_pass_per_edge_matches_broadcast_reference(poly, random_boxes, touching_boxes):
+    def overlap_matching_reference(lo, hi):
+        overlap = poly._edges_overlap_box(lo, hi)
+        assert np.array_equal(overlap, _reference_edges_overlap_box(poly, lo, hi))
+        assert np.array_equal(
+            poly.cube_contained(lo, hi), _reference_cube_contained(poly, lo, hi)
+        )
+        assert np.array_equal(
+            poly.cube_intersects(lo, hi), _reference_cube_intersects(poly, lo, hi)
+        )
+        return overlap
+
+    for lo, hi in random_boxes:
+        overlap = overlap_matching_reference(lo, hi)
+        assert overlap.any() and not overlap.all()
+    for lo, hi in touching_boxes:
+        # a vertex or a stretch of an edge lies on every closed box
+        assert overlap_matching_reference(lo, hi).all()
 
 
 # ---------------------------------------------------------------------------

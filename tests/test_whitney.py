@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from blowup.geometry import Annulus, Box, Disk, Polygon
+from blowup.geometry import Annulus, Box, Disk, Polygon, _fold, domain_from_json
 from blowup.svg import decomposition_to_svg
 from blowup.whitney import (
     BumpFunction,
     TruncationError,
     WhitneyDecomposition,
     WhitneyParams,
+    _neighbor_side_ratios,
     decompose,
     derive_constants,
     verify_properties,
@@ -218,6 +219,47 @@ def test_disk_coverage_includes_upper_corners(disk_decomp):
     k = max(disk_decomp.levels)
     corners = (disk_decomp.levels[k] + 1) * 2.0 ** (-k)
     assert np.all(disk_decomp.covers(corners))
+
+
+def _reference_covers(decomp, points):
+    """Every lower-neighbour shift tried for every pending point."""
+    n = points.shape[1]
+    out = np.zeros(len(points), dtype=bool)
+    shifts = np.stack(
+        np.meshgrid(*[np.array([0, -1])] * n, indexing="ij"), axis=-1
+    ).reshape(-1, n)
+    for k in decomp.levels:
+        todo = np.flatnonzero(~out)
+        scaled = points[todo] / 2.0 ** (-k)
+        base = np.floor(scaled).astype(np.int64)
+        on_lattice = scaled == base
+        for sh in shifts:
+            ask = ~out[todo] & np.all(on_lattice | (sh == 0), axis=1)
+            out[todo[ask]] = decomp.cube_ids(k, base[ask] + sh) >= 0
+    return out
+
+
+@pytest.mark.parametrize("domain", [UNIT_DISK, L_SHAPE], ids=["disk", "lshape"])
+def test_covers_matches_all_shifts_reference(domain):
+    decomp = decompose(domain, WhitneyParams(k_max=8))
+    rng = np.random.default_rng(5)
+    lo, hi = domain.bounding_box()
+    pts = [lo - 0.25 + rng.random((20_000, 2)) * (hi - lo + 0.5)]
+    # corners, face midpoints and face points of the cubes at three levels,
+    # and a lattice that lies on the lattice of every level from 6 on
+    ks = sorted(decomp.levels)
+    for k in (ks[0], ks[len(ks) // 2], ks[-1]):
+        s = 2.0 ** (-k)
+        m = decomp.levels[k]
+        for off in ([0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0], [0, 0.5], [1, 0.5], [0.25, 1]):
+            pts.append((m + np.array(off)) * s)
+    step = 2.0**-6
+    ticks = [np.arange(lo[i] - 4 * step, hi[i] + 4 * step, step) for i in range(2)]
+    pts.append(np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, 2))
+    pts = np.concatenate(pts)
+    got = decomp.covers(pts)
+    assert np.array_equal(got, _reference_covers(decomp, pts))
+    assert got.any() and not got.all()
 
 
 def test_cube_ids_permute_in_level_then_axis0_fastest_order(disk_decomp):
@@ -508,3 +550,100 @@ def test_json_and_svg_outputs(tmp_path, disk_decomp):
     assert text.startswith("<svg")
     assert "<circle" in text and "<rect" in text
 
+
+
+# ---------------------------------------------------------------------------
+# neighbour scan and column folds against their plain references
+# ---------------------------------------------------------------------------
+
+
+def _reference_neighbor_side_ratios(decomp):
+    """The neighbour scan over level gaps up to 8, with every fine cube
+    sent to ``cube_ids``."""
+    etp = decomp.params.eta_prime
+    cst = decomp.constants
+    ks = sorted(decomp.levels)
+    n = decomp.params.dim
+    worst_ratio, worst_gap, centers_ok = 1.0, 0, True
+    for kc in ks:
+        sc = 2.0 ** (-kc)
+        for kf in ks:
+            gap = kf - kc
+            if gap < 0 or gap > 8:
+                continue
+            sf = 2.0 ** (-kf)
+            mf = decomp.levels[kf]
+            cf = (mf + 0.5) * sf
+            reach = 0.5 * etp * (sc + sf)
+            lo = np.ceil((cf - reach) / sc - 0.5 - 1e-12).astype(np.int64)
+            hi = np.floor((cf + reach) / sc - 0.5 + 1e-12).astype(np.int64)
+            width = int((hi - lo).max() + 1)
+            found_pair = False
+            for combo in np.ndindex(*([width] * n)):
+                mq = lo + np.asarray(combo, dtype=np.int64)
+                ok = np.all(mq <= hi, axis=-1)
+                if gap == 0:
+                    ok &= np.any(mq != mf, axis=-1)
+                hit = ok & (decomp.cube_ids(kc, mq) >= 0)
+                if not np.any(hit):
+                    continue
+                cc = (mq[hit] + 0.5) * sc
+                touch = np.all(np.abs(cc - cf[hit]) <= reach * (1.0 + 1e-12), axis=-1)
+                if np.any(touch):
+                    found_pair = True
+                    dist = np.sqrt(np.sum((cc - cf[hit]) ** 2, axis=-1))[touch]
+                    if np.any(dist > cst.center_window * sf * (1.0 + 1e-9)):
+                        centers_ok = False
+            if found_pair:
+                worst_ratio = max(worst_ratio, sc / sf)
+                worst_gap = max(worst_gap, gap)
+    return worst_ratio, worst_gap, centers_ok
+
+
+_NEIGHBOR_SCAN_CASES = {
+    "disk-8": lambda: decompose(UNIT_DISK, WhitneyParams(k_max=8)),
+    "disk-10": lambda: decompose(UNIT_DISK, WhitneyParams(k_max=10)),
+    "square-9": lambda: decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=9)),
+    "lshape-8": lambda: decompose(L_SHAPE, WhitneyParams(k_max=8)),
+    "lshape-10": lambda: decompose(L_SHAPE, WhitneyParams(k_max=10)),
+    # the 3-D box of the cube-file test
+    "box3": lambda: decompose(
+        domain_from_json(
+            '{"shape": "rectangle", "corner_min": [0, 0, 0], "corner_max": [1, 1, 2]}'
+        ),
+        WhitneyParams(eta=3.0, dim=3, k_max=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEIGHBOR_SCAN_CASES))
+def test_neighbor_scan_matches_gap_8_reference(case):
+    decomp = _NEIGHBOR_SCAN_CASES[case]()
+    got = _neighbor_side_ratios(decomp)
+    assert got == _reference_neighbor_side_ratios(decomp)
+    worst_ratio, worst_gap, centers_ok = got
+    assert centers_ok and 1 <= worst_gap <= decomp.constants.level_window
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_fold_is_all_and_any_over_the_last_axis(size):
+    rng = np.random.default_rng(size)
+    for shape in ((0, size), (257, size), (3, 5, size)):
+        for p_true in (0.2, 0.5, 0.9):
+            m = rng.random(shape) < p_true
+            before = m.copy()
+            assert np.array_equal(_fold(np.logical_and, m), np.all(m, axis=-1))
+            assert np.array_equal(_fold(np.logical_or, m), np.any(m, axis=-1))
+            assert np.array_equal(m, before)
+
+
+def test_neighbor_scan_reports_a_pair_one_level_past_the_window():
+    # a hand-made family that breaks the Lipschitz argument: a cube at level
+    # 7 whose support touches that of a level-2 cube
+    d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
+    gap = int(d.constants.level_window) + 1
+    levels = {2: np.array([[1, 1]]), 2 + gap: np.array([[2 ** (gap + 1), 40]])}
+    pair = WhitneyDecomposition(d.domain, d.params, d.bump, d.constants, levels, {})
+    worst_ratio, worst_gap, _ = _neighbor_side_ratios(pair)
+    assert (worst_ratio, worst_gap) == (2.0**gap, gap)
+    assert worst_gap > d.constants.level_window
