@@ -317,35 +317,27 @@ class Polygon(Domain):
                 if _segments_cross(a[i], b[i], a[j], b[j]):
                     raise ValueError("polygon is self-intersecting")
 
-    # nearest-feature machinery shared by distance and distance_laplacian
-    def _nearest_edge(self, p):
-        """Distance to the nearest edge and the clamped projection parameter
-        on that edge, each of shape (...).
-
-        One pass per edge; a tie keeps the first edge, as argmin would.
-        """
-        p = _points(p, 2)
-        flat = p.reshape(-1, 2)
+    def _edge_projections(self, flat):
+        """Per edge, in order: the clamped projection parameter t of each
+        point of ``flat`` (shape (n, 2)) on the edge, and the squared
+        distance from the point to that projection."""
         x, y = flat[:, 0], flat[:, 1]
-        best = t_best = None
         for (ax, ay), (bx, by) in zip(self._a.tolist(), self._b.tolist()):
             abx, aby = bx - ax, by - ay
             ab2 = abx * abx + aby * aby
             t = np.clip(((x - ax) * abx + (y - ay) * aby) / ab2, 0.0, 1.0)
             dx = x - (ax + t * abx)
             dy = y - (ay + t * aby)
-            d = np.sqrt(dx * dx + dy * dy)
-            if best is None:
-                best, t_best = d, t
-            else:
-                closer = d < best
-                np.copyto(best, d, where=closer)
-                np.copyto(t_best, t, where=closer)
-        return best.reshape(p.shape[:-1]), t_best.reshape(p.shape[:-1])
+            yield t, dx * dx + dy * dy
 
     def signed_distance(self, p):
+        # sqrt is monotone and correctly rounded, so the root of the least
+        # squared distance is the least distance, bit for bit
         p = _points(p, 2)
-        d, _ = self._nearest_edge(p)
+        best = None
+        for _, d2 in self._edge_projections(p.reshape(-1, 2)):
+            best = d2 if best is None else np.minimum(best, d2, out=best)
+        d = np.sqrt(best).reshape(p.shape[:-1])
         return np.where(self._even_odd_inside(p), d, -d)
 
     def _even_odd_inside(self, p):
@@ -361,11 +353,23 @@ class Polygon(Domain):
         return inside
 
     def distance_laplacian(self, p):
-        d_near, t_near = self._nearest_edge(p)
+        # the nearest edge by distance; a tie keeps the first edge, as argmin
+        # would
+        p = _points(p, 2)
+        d_near = t_near = None
+        for t, d2 in self._edge_projections(p.reshape(-1, 2)):
+            d = np.sqrt(d2)
+            if d_near is None:
+                d_near, t_near = d, t
+            else:
+                closer = d < d_near
+                np.copyto(d_near, d, where=closer)
+                np.copyto(t_near, t, where=closer)
         at_vertex = (t_near <= 0.0) | (t_near >= 1.0)
         # nearest feature an edge interior: distance is locally affine;
         # nearest feature a vertex (reflex corner seen from inside): radial
-        return np.where(at_vertex, 1.0 / np.maximum(d_near, 1e-300), 0.0)
+        lap = np.where(at_vertex, 1.0 / np.maximum(d_near, 1e-300), 0.0)
+        return lap.reshape(p.shape[:-1])
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

@@ -264,7 +264,8 @@ class TruncationError(RuntimeError):
 
 
 class WhitneyDecomposition:
-    """Selected dyadic cubes with constants, one global key table, and queries.
+    """Selected dyadic cubes with constants, one key table per level, and
+    queries.
 
     Immutable after construction.  ``levels`` maps level -> (count, dim)
     integer index array, sorted for determinism; the same cubes are stacked
@@ -294,16 +295,21 @@ class WhitneyDecomposition:
         self._ms = np.concatenate([levels[k] for k in order], axis=0)
         self._ks.flags.writeable = self._ms.flags.writeable = False
         self.cube_count = len(self._ks)
-        # one int64 key per cube: level most significant, then the index in
-        # mixed radix over the global index range with axis 0 varying fastest
+        # one int64 key per cube: the index in mixed radix over the global
+        # index range, axis 0 varying fastest.  The sorted keys of level
+        # k0 + i are _keys[_level_starts[i]:_level_starts[i + 1]].
         self._k0 = order[0]
         self._lo = self._ms.min(axis=0)
-        self._hi = self._ms.max(axis=0) + 1
-        extent = [int(e) for e in self._hi - self._lo] + [order[-1] - order[0] + 1]
-        if math.prod(extent) >= 2**63:
+        self._extent = (self._ms.max(axis=0) + 1 - self._lo).astype(np.uint64)
+        if math.prod(int(e) for e in self._extent) >= 2**63:
             raise ValueError("cube keys do not fit in 63 bits")
-        self._radix = np.cumprod([1] + extent[:-1]).astype(np.int64)
-        self._keys = np.sort(self._key(self._ks, self._ms - self._lo))
+        self._radix = np.cumprod([1] + self._extent[:-1].tolist()).astype(np.int64)
+        counts = [len(levels.get(k, ())) for k in range(order[0], order[-1] + 1)]
+        self._level_starts = np.cumsum([0] + counts).tolist()
+        keys = self._index_keys(self._ms - self._lo)
+        self._keys = np.concatenate(
+            [np.sort(keys[a:b]) for a, b in zip(self._level_starts, self._level_starts[1:])]
+        )
 
     # -- iteration ---------------------------------------------------------
 
@@ -315,23 +321,46 @@ class WhitneyDecomposition:
 
     # -- membership --------------------------------------------------------
 
-    def _key(self, lev, rel: np.ndarray) -> np.ndarray:
-        return rel @ self._radix[:-1] + (np.asarray(lev) - self._k0) * self._radix[-1]
+    def _index_keys(self, rel: np.ndarray) -> np.ndarray:
+        """Mixed-radix key of each row of index offsets from ``_lo``."""
+        keys = rel[:, 0].copy()
+        for i in range(1, rel.shape[1]):
+            keys += rel[:, i] * self._radix[i]
+        return keys
 
     def cube_ids(self, lev, m: np.ndarray) -> np.ndarray:
         """Global id of each queried cube (level lev, index m), or -1 where
-        that cube is not selected.  ``lev`` is one level or one per row of m.
+        that cube is not selected.  ``lev`` is one level or one per row of m;
+        per-row levels are answered one level at a time.
 
         Ids run level-major, then over the index with axis 0 varying fastest.
-        Only the index is range-checked: a level outside the selected range
-        already keys outside the table.
+        A query searches its level's keys alone, a table several times
+        shorter than all the keys.
         """
         m = np.asarray(m, dtype=np.int64)
-        ok = _fold(np.logical_and, (m >= self._lo) & (m < self._hi))
-        keys = self._key(lev, np.where(ok[:, None], m - self._lo, 0))
-        pos = np.searchsorted(self._keys, keys)
-        found = self._keys[np.minimum(pos, len(self._keys) - 1)] == keys
-        return np.where(ok & found, pos, -1)
+        out = np.full(len(m), -1, dtype=np.int64)
+        if np.ndim(lev):
+            lev = np.asarray(lev)
+            for k in np.unique(lev).tolist():
+                rows = np.flatnonzero(lev == k)
+                out[rows] = self.cube_ids(k, m[rows])
+            return out
+        i = int(lev) - self._k0
+        if not 0 <= i < len(self._level_starts) - 1:
+            return out
+        start, stop = self._level_starts[i], self._level_starts[i + 1]
+        if start == stop:
+            return out
+        table = self._keys[start:stop]
+        rel = m - self._lo
+        # a negative offset reads as a huge unsigned one, so one comparison
+        # checks both ends of the index range; the keys of rows out of range
+        # are never read
+        ok = _fold(np.logical_and, rel.view(np.uint64) < self._extent)
+        keys = self._index_keys(rel)
+        pos = np.searchsorted(table, keys)
+        found = table[np.minimum(pos, len(table) - 1)] == keys
+        return np.where(ok & found, pos + start, out)
 
     # -- point queries -----------------------------------------------------
 
@@ -447,34 +476,54 @@ class WhitneyDecomposition:
     def json_chunks(self, extra: dict):
         """``json.dumps({**self.to_json_dict(), **extra}, indent=2,
         sort_keys=True)`` in pieces, without building the cube dicts: the
-        header is rendered once and each cube through a template made from
-        ``_cube_record`` (``repr`` of a float is what json writes for it).
-        A piece holds at most ``_CUBES_PER_CHUNK`` cubes of one level.
+        header is rendered once, and each cube is joined from pieces cut from
+        ``_cube_record``'s layout (``repr`` of a float is what json writes
+        for it).  A piece holds at most ``_CUBES_PER_CHUNK`` cubes of one
+        level.
 
-        Each float is rendered once: the side once per level, and a center
-        coordinate once per distinct index value m of the level as
-        ``(m + 0.5) * side``, the value ``arrays()`` computes.
+        Per level, each distinct index value m is rendered once per field
+        and axis, as its index or its center ``(m + 0.5) * side`` (the value
+        ``arrays()`` computes) followed by the layout up to the next varying
+        field; the level and the side are folded into those pieces.
         """
         head = json.dumps(
             {**self._header_json_dict(), **extra, "cubes": []}, indent=2, sort_keys=True
         )
         before, after = head.split('\n  "cubes": []')
-        template = _cube_template(self.params.dim)
+        layout = _cube_layout(self.params.dim)
         yield before + '\n  "cubes": [\n'
         sep = ""
         for k in sorted(self.levels):
             ms = self.levels[k]
             side = 2.0 ** (-float(k))
             values, inverse = np.unique(ms.ravel(), return_inverse=True)
-            texts = np.array([repr(c) for c in ((values + 0.5) * side).tolist()], dtype=object)
-            centers = texts[inverse].reshape(ms.shape)
-            side_text = repr(side)
+            inverse = inverse.reshape(ms.shape)
+            rendered = (
+                str(k),
+                repr(side),
+                [str(m) for m in values.tolist()],
+                [repr(c) for c in ((values + 0.5) * side).tolist()],
+            )
+            # (text per distinct value, index column) per index or center
+            # field; fixed text goes into the piece after it, or the last one
+            pieces = []
+            pending = layout[0]
+            for kind, axis, text_after in zip(layout[1::3], layout[2::3], layout[3::3]):
+                kind = int(kind)
+                if kind < 2:
+                    pending += rendered[kind] + text_after
+                    continue
+                pieces.append(([pending + t + text_after for t in rendered[kind]], int(axis)))
+                pending = ""
+            pieces[-1] = ([t + pending for t in pieces[-1][0]], pieces[-1][1])
+            pieces = [(np.array(texts, dtype=object), inverse[:, axis]) for texts, axis in pieces]
             for start in range(0, len(ms), _CUBES_PER_CHUNK):
-                rows = zip(
-                    ms[start : start + _CUBES_PER_CHUNK].tolist(),
-                    centers[start : start + _CUBES_PER_CHUNK].tolist(),
-                )
-                yield sep + ",\n".join(template.format(k, side_text, *m, *c) for m, c in rows)
+                stop = start + _CUBES_PER_CHUNK
+                texts, col = pieces[0]
+                cubes = texts[col[start:stop]]
+                for texts, col in pieces[1:]:
+                    cubes = cubes + texts[col[start:stop]]
+                yield sep + ",\n".join(cubes.tolist())
                 sep = ",\n"
         yield "\n  ]" + after
 
@@ -487,20 +536,20 @@ def _cube_record(level, index, side, center) -> dict:
     return {"level": level, "index": index, "side": side, "center": center}
 
 
-def _cube_template(dim: int) -> str:
-    """``str.format`` template of one ``_cube_record`` as json.dumps with
-    indent=2 lays it out inside the top-level ``cubes`` list; its fields are
-    level, side, the dim index entries and the dim center entries, in that
-    order, the floats (side and center) given as their ``repr`` strings."""
+def _cube_layout(dim: int) -> list[str]:
+    """One ``_cube_record`` as json.dumps with indent=2 lays it out inside the
+    top-level ``cubes`` list, cut at its fields: [text, kind, axis, text,
+    kind, axis, ..., text], where kind is "0" for the level, "1" the side,
+    "2" an index entry and "3" a center entry (axis "0" for level and side).
+    """
     record = _cube_record(
-        "#0",
-        [f"#{2 + i}" for i in range(dim)],
-        "#1",
-        [f"#{2 + dim + i}" for i in range(dim)],
+        "#0.0",
+        [f"#2.{i}" for i in range(dim)],
+        "#1.0",
+        [f"#3.{i}" for i in range(dim)],
     )
-    text = json.dumps(record, indent=2, sort_keys=True).replace("{", "{{").replace("}", "}}")
-    text = re.sub(r'"#(\d+)"', r"{\1}", text)
-    return "\n".join("    " + line for line in text.split("\n"))
+    text = json.dumps(record, indent=2, sort_keys=True)
+    return re.split(r'"#(\d)\.(\d+)"', "\n".join("    " + line for line in text.split("\n")))
 
 
 def decompose(
@@ -620,20 +669,36 @@ class PropertyReport:
 
 
 def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng) -> np.ndarray:
-    """The points farther than epsilon_cut from the boundary among ``count``
-    uniform points in the domain; ValueError when there are none, since the
-    decomposition then guarantees nothing to check."""
+    """The points farther than epsilon_cut from the boundary among the first
+    ``count`` of uniform points in the bounding box that fall in the domain;
+    ValueError when there are none, since the decomposition then guarantees
+    nothing to check.
+
+    The box points come in batches of ``max(count, 4096)``, and a batch is
+    drawn whole, so the random stream moves as if every point were used.
+    Distances are taken in order, in chunks sized from the share of points
+    inside seen so far, and stop once ``count`` points inside are found.
+    """
     domain, cut = decomp.domain, decomp.constants.epsilon_cut
     lo, hi = domain.bounding_box()
     pts, dist = [], []
-    have = 0
+    have = tried = 0
     while have < count:
         batch = lo + rng.random((max(count, 4096), domain.dim)) * (hi - lo)
-        sd = domain.signed_distance(batch)
-        inside = sd > 0.0
-        pts.append(batch[inside])
-        dist.append(sd[inside])
-        have += len(dist[-1])
+        start = 0
+        while have < count and start < len(batch):
+            need = count - have
+            # 5% above the rows the yield so far predicts, so that another
+            # chunk is seldom needed; no fewer than need, as the yield is <= 1
+            step = math.ceil(need * tried / have * 1.05) if have else need
+            chunk = batch[start : start + step]
+            sd = domain.signed_distance(chunk)
+            inside = sd > 0.0
+            pts.append(chunk[inside])
+            dist.append(sd[inside])
+            have += len(dist[-1])
+            tried += len(chunk)
+            start += len(chunk)
     deep = np.concatenate(dist)[:count] > cut
     if not deep.any():
         raise ValueError(
@@ -695,10 +760,7 @@ def verify_properties(
     )
 
     # no selected cube is an ancestor of another
-    nested = sum(
-        int(np.count_nonzero(decomp.cube_ids(ks - j, ms // 2**j) >= 0))
-        for j in range(1, int(ks[-1] - ks[0]) + 1)
-    )
+    nested = _nested_pairs(decomp)
     report.checks.append(
         PropertyCheck("no_nesting", nested == 0, worst=float(nested))
     )
@@ -817,6 +879,17 @@ def verify_properties(
         )
     )
     return report
+
+
+def _nested_pairs(decomp: WhitneyDecomposition) -> int:
+    """Number of (cube, selected ancestor) pairs, one ``cube_ids`` call per
+    (level, generation); 0 when no selected cube is nested in another."""
+    k0 = min(decomp.levels)
+    return sum(
+        int(np.count_nonzero(decomp.cube_ids(k - j, ms // 2**j) >= 0))
+        for k, ms in decomp.levels.items()
+        for j in range(1, k - k0 + 1)
+    )
 
 
 def _neighbor_side_ratios(decomp: WhitneyDecomposition):

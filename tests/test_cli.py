@@ -259,6 +259,36 @@ def _lshape_truncated_at_two_levels():
     )
 
 
+def _assert_same_text(got: str, want: str, context: int = 200):
+    """Exact equality that fails with the first differing offset and the text
+    around it: a bare ``==`` on multi-megabyte strings makes pytest build a
+    diff of them, which takes minutes."""
+    if got == want:
+        return
+    block = 4096
+    at = next(
+        i for i in range(0, max(len(got), len(want)), block)
+        if got[i : i + block] != want[i : i + block]
+    )
+    while at < min(len(got), len(want)) and got[at] == want[at]:
+        at += 1
+    lo, hi = max(at - context, 0), at + context
+    pytest.fail(
+        f"texts differ at offset {at} (lengths {len(got)} and {len(want)})\n"
+        f"got:  {got[lo:hi]!r}\nwant: {want[lo:hi]!r}",
+        pytrace=False,
+    )
+
+
+def test_assert_same_text_names_the_first_difference():
+    want = "a" * 10_000 + "b" + "c" * 10_000
+    _assert_same_text(want, want)
+    with pytest.raises(pytest.fail.Exception, match="offset 10000 .lengths 20001 and 20001"):
+        _assert_same_text(want.replace("b", "x"), want)
+    with pytest.raises(pytest.fail.Exception, match="offset 20001 .lengths 20002 and 20001"):
+        _assert_same_text(want + "\n", want)
+
+
 _CUBE_FILE_CASES = {
     "disk": lambda: decompose(parse_domain("disk"), WhitneyParams(k_max=6)),
     "lshape": _lshape_truncated_at_two_levels,
@@ -277,7 +307,7 @@ def test_cube_file_is_json_dumps_of_to_json_dict(tmp_path, case):
     text = open(path).read()
     ts = json.loads(text)["generated_at"]
     want = json.dumps({**decomp.to_json_dict(), "generated_at": ts}, indent=2, sort_keys=True)
-    assert text == want + "\n"
+    _assert_same_text(text, want + "\n")
     if case == "disk":
         assert min(decomp.arrays()[1].ravel()) < 0
     if case == "lshape":

@@ -19,6 +19,8 @@ from blowup.whitney import (
     WhitneyDecomposition,
     WhitneyParams,
     _neighbor_side_ratios,
+    _nested_pairs,
+    _sample_beyond_cut,
     decompose,
     derive_constants,
     verify_properties,
@@ -281,6 +283,89 @@ def test_cube_ids_minus_one_for_non_members(disk_decomp):
         assert disk_decomp.cube_ids(lev, m)[0] == -1
 
 
+def _reference_cube_ids(decomp, lev, m):
+    """One search of the whole key table: the level is the most significant
+    digit of a mixed-radix key over the global index range, axis 0 varying
+    fastest."""
+    ks, ms, _, _ = decomp.arrays()
+    lo, hi = ms.min(axis=0), ms.max(axis=0) + 1
+    radix = np.cumprod([1, *(hi - lo).tolist(), int(ks.max() - ks.min() + 1)])
+
+    def key(lev, m):
+        return (m - lo) @ radix[:-2] + (np.asarray(lev) - ks.min()) * radix[-2]
+
+    table = np.sort(key(ks, ms))
+    m = np.asarray(m, dtype=np.int64).reshape(-1, ms.shape[1])
+    in_range = np.all((m >= lo) & (m < hi), axis=-1)
+    keys = key(lev, np.where(in_range[:, None], m, lo))
+    pos = np.searchsorted(table, keys)
+    found = table[np.minimum(pos, len(table) - 1)] == keys
+    return np.where(in_range & found, pos, -1)
+
+
+_CUBE_ID_CASES = {
+    "disk": lambda: decompose(UNIT_DISK, WhitneyParams(k_max=8)),
+    "lshape": lambda: decompose(L_SHAPE, WhitneyParams(k_max=9)),
+    "box3": lambda: decompose(
+        Box((0.0, 0.0, 0.0), (1.0, 1.0, 2.0)), WhitneyParams(eta=3.0, dim=3, k_max=5)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CUBE_ID_CASES))
+def test_cube_ids_per_level_match_full_table_reference(case):
+    decomp = _CUBE_ID_CASES[case]()
+    ks, ms, _, _ = decomp.arrays()
+    n = decomp.params.dim
+    lo, hi = ms.min(axis=0), ms.max(axis=0) + 1
+    rng = np.random.default_rng(4)
+    for k in range(int(ks.min()) - 2, int(ks.max()) + 3):
+        own = decomp.levels.get(k, ms[:1])
+        # the level's cubes and their neighbours, indices anywhere in and
+        # just beyond the global range, and indices far outside it
+        queries = np.concatenate(
+            [
+                own,
+                own[rng.integers(0, len(own), 500)] + rng.integers(-2, 3, (500, n)),
+                rng.integers(lo - 3, hi + 3, (2000, n)),
+                rng.integers(-(2**40), 2**40, (200, n)),
+            ]
+        )
+        got = decomp.cube_ids(k, queries)
+        assert np.array_equal(got, _reference_cube_ids(decomp, k, queries))
+        if k in decomp.levels:
+            assert np.all(got[: len(own)] >= 0)
+        assert decomp.cube_ids(k, np.empty((0, n), dtype=np.int64)).shape == (0,)
+    # one level per row, levels mixed and out of range
+    lev = rng.integers(int(ks.min()) - 1, int(ks.max()) + 2, len(ms))
+    queries = ms // 2 ** np.clip(ks - lev, 0, None)[:, None]
+    assert np.array_equal(
+        decomp.cube_ids(lev, queries), _reference_cube_ids(decomp, lev, queries)
+    )
+    assert np.array_equal(decomp.cube_ids(ks, ms), _reference_cube_ids(decomp, ks, ms))
+
+
+def test_nested_pairs_match_per_row_count():
+    # the count verify_properties reports as no_nesting's worst, against one
+    # cube_ids call per generation with a level per row, on a hand-made
+    # family: (1, 1) at level 2 holds (2, 2) and (3, 3) at level 3, and
+    # three of the level-5 cubes sit in both; level 4 is empty
+    d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
+    levels = {
+        2: np.array([[1, 1]]),
+        3: np.array([[0, 0], [2, 2], [3, 3]]),
+        5: np.array([[8, 8], [9, 9], [15, 15], [31, 0]]),
+    }
+    nested = WhitneyDecomposition(d.domain, d.params, d.bump, d.constants, levels, {})
+    ks, ms, _, _ = nested.arrays()
+    per_row = sum(
+        int(np.count_nonzero(nested.cube_ids(ks - j, ms // 2**j) >= 0))
+        for j in range(1, int(ks[-1] - ks[0]) + 1)
+    )
+    assert _nested_pairs(nested) == per_row == 8
+    assert _nested_pairs(d) == 0
+
+
 def test_cube_keys_must_fit_in_63_bits(disk_decomp):
     far_apart = {0: np.array([[0, 0], [2**32, 2**32]], dtype=np.int64)}
     with pytest.raises(ValueError, match="63 bits"):
@@ -413,6 +498,59 @@ def test_support_hits_match_brute_force_max_norm(domain):
     psi_ref = np.zeros(len(pts))
     np.add.at(psi_ref, want_pid, decomp.bump.value(offsets))
     assert np.abs(psi - psi_ref).max() <= 1e-15
+
+
+def _reference_sample_beyond_cut(decomp, count, rng):
+    """The sampler that took every point of every batch: whole batches of
+    max(count, 4096) box points, each one's distance taken, until ``count``
+    fall inside."""
+    domain, cut = decomp.domain, decomp.constants.epsilon_cut
+    lo, hi = domain.bounding_box()
+    pts, dist = [], []
+    have = 0
+    while have < count:
+        batch = lo + rng.random((max(count, 4096), domain.dim)) * (hi - lo)
+        sd = domain.signed_distance(batch)
+        inside = sd > 0.0
+        pts.append(batch[inside])
+        dist.append(sd[inside])
+        have += len(dist[-1])
+    deep = np.concatenate(dist)[:count] > cut
+    return np.concatenate(pts, axis=0)[:count][deep]
+
+
+# (domain, k_max, count): the L-shape keeps 3/4 of its box, so two batches;
+# the thin ring about 15%, so several; and a count below the batch floor
+_SAMPLER_CASES = {
+    "lshape": (L_SHAPE, 8, 30_000),
+    "thin-ring": (Annulus((0.0, 0.0), 0.9, 1.0), 8, 5_000),
+    "lshape-small": (L_SHAPE, 8, 1_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLER_CASES))
+def test_sample_beyond_cut_matches_whole_batch_reference(case):
+    domain, k_max, count = _SAMPLER_CASES[case]
+    decomp = decompose(domain, WhitneyParams(k_max=k_max))
+    for seed in (0, 1):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_beyond_cut(decomp, count, rng_got)
+        want = _reference_sample_beyond_cut(decomp, count, rng_want)
+        assert len(got) > 0 and np.array_equal(got, want)
+        # the stream stands where the reference left it
+        assert rng_got.random() == rng_want.random()
+
+
+def test_sample_beyond_cut_takes_distances_only_until_count_inside(monkeypatch):
+    decomp = decompose(L_SHAPE, WhitneyParams(k_max=8))
+    calls = []
+    signed_distance = decomp.domain.signed_distance
+    monkeypatch.setattr(
+        decomp.domain, "signed_distance", lambda p: calls.append(len(p)) or signed_distance(p)
+    )
+    _sample_beyond_cut(decomp, 40_000, np.random.default_rng(2))
+    # two batches of 40k drawn, the first measured whole, the second in part
+    assert calls[0] == 40_000 and 40_000 < sum(calls) < 60_000
 
 
 def test_verify_properties_disk(disk_decomp):
