@@ -313,6 +313,8 @@ def _cmd_verify_inequality(args) -> bool:
 def _cmd_constants(args) -> bool:
     if args.N < 2:
         raise UsageError("--N must be at least 2")
+    if args.q < args.N:
+        raise UsageError("--q must be at least --N")
     try:
         params = WhitneyParams(
             eta=args.eta, eta_prime=args.eta_prime, dim=args.N
@@ -484,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         "constants", help="evaluate the embedding and series constants"
     )
     p.add_argument("--N", type=int, default=2, help="space dimension, at least 2")
-    p.add_argument("--q", type=float, default=4.0)
+    p.add_argument("--q", type=float, default=4.0, help="exponent, at least --N")
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--eta-prime", type=float, default=1.05)
     p.add_argument(

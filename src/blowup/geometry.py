@@ -330,14 +330,17 @@ class Polygon(Domain):
             dy = y - (ay + t * aby)
             yield t, dx * dx + dy * dy
 
-    def signed_distance(self, p):
+    def distance(self, p):
         # sqrt is monotone and correctly rounded, so the root of the least
         # squared distance is the least distance, bit for bit
         p = _points(p, 2)
         best = None
         for _, d2 in self._edge_projections(p.reshape(-1, 2)):
             best = d2 if best is None else np.minimum(best, d2, out=best)
-        d = np.sqrt(best).reshape(p.shape[:-1])
+        return np.sqrt(best).reshape(p.shape[:-1])
+
+    def signed_distance(self, p):
+        d = self.distance(p)
         return np.where(self._even_odd_inside(p), d, -d)
 
     def _even_odd_inside(self, p):

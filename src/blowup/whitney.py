@@ -83,6 +83,14 @@ class DerivedConstants:
     admissible dyadic positions, how many supports can share a point;
     grad_bound scales the gradient of a normalized partition function by the
     cube side.  epsilon_cut is the coverage guarantee of the truncated family.
+
+    Proof of the delta/side window for x in the support of a selected cube
+    of side s and center c, so |x - c| <= sqrt(n) eta_prime s / 2: the
+    cube's eta-dilate lies in the domain, so delta(c) >= eta s / 2, and its
+    parent's eta-dilate (side 2 eta s, center s sqrt(n) / 2 from c) meets the
+    complement, so delta(c) <= (eta + 1/2) sqrt(n) s.  delta is 1-Lipschitz,
+    so delta(x) / s lies in [delta_side_min, delta_side_max] = [(eta -
+    sqrt(n) eta_prime) / 2, (eta + 1/2 + eta_prime / 2) sqrt(n)].
     """
 
     eta: float
@@ -398,6 +406,16 @@ class WhitneyDecomposition:
         a level, ordered by offset combination, then by point.  The max-norm
         test splits by axis, so each (axis, offset) mask is computed once and
         a combination's candidates are the AND of its axes' masks.
+
+        A point x is asked only at the levels whose side s has
+        delta_side_min * s <= delta(x) <= delta_side_max * s, widened by a
+        relative 1e-9: a support of side s that holds x has delta(x) / s in
+        [delta_side_min, delta_side_max] (see ``DerivedConstants``), so at
+        most floor(level_window) + 2 levels per point.  The kept points stay
+        in point order, so the incidences and their order are those of
+        asking every point at every level.  delta is unsigned: a point
+        outside the domain lies in no support (each support lies inside its
+        cube's eta-dilate), so it has no incidences either way.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         etp = self.params.eta_prime
@@ -406,13 +424,18 @@ class WhitneyDecomposition:
         combos = np.stack(
             np.meshgrid(*[np.arange(reach)] * n, indexing="ij"), axis=-1
         ).reshape(-1, n)
+        delta = self.domain.distance(points)
+        lam = self.constants.delta_side_min * (1.0 - 1e-9)
+        mu = self.constants.delta_side_max * (1.0 + 1e-9)
         pid_all, lev_all, m_all = [], [], []
         for k in self.levels:
             s = 2.0 ** (-k)
+            rows = np.flatnonzero((delta >= lam * s) & (delta <= mu * s))
+            p = points[rows]
             thr = etp * s / 2.0 * (1.0 + 1e-12)
-            base = np.ceil(points / s - 0.5 - etp / 2.0 - 1e-12).astype(np.int64)
+            base = np.ceil(p / s - 0.5 - etp / 2.0 - 1e-12).astype(np.int64)
             near_axis = [
-                [np.abs(points[:, i] - (base[:, i] + j + 0.5) * s) <= thr for j in range(reach)]
+                [np.abs(p[:, i] - (base[:, i] + j + 0.5) * s) <= thr for j in range(reach)]
                 for i in range(n)
             ]
             near = [
@@ -421,10 +444,10 @@ class WhitneyDecomposition:
                 )
                 for combo in combos
             ]
-            pid = np.concatenate(near)
-            mq = base[pid] + np.repeat(combos, [len(c) for c in near], axis=0)
+            sub = np.concatenate(near)
+            mq = base[sub] + np.repeat(combos, [len(c) for c in near], axis=0)
             hit = self.cube_ids(k, mq) >= 0
-            pid_all.append(pid[hit])
+            pid_all.append(rows[sub[hit]])
             lev_all.append(np.full(len(pid_all[-1]), k, dtype=np.int64))
             m_all.append(mq[hit])
         return (
@@ -732,13 +755,19 @@ def verify_properties(
     cst = decomp.constants
     params = decomp.params
     report = PropertyReport()
-    ks, ms, sides, centers = decomp.arrays()
+    ks, _, sides, centers = decomp.arrays()
 
     # selection rule, exact on every cube
     half = 0.5 * params.eta * sides
     sel_ok = dom.cube_contained(centers - half[:, None], centers + half[:, None])
-    p_sides = sides * 2.0
-    p_centers = (np.floor_divide(ms, 2) + 0.5) * p_sides[:, None]
+    # siblings share a parent, so each distinct parent is tested once
+    p_sides, p_ms = [], []
+    for k, level_ms in decomp.levels.items():
+        parents = level_ms // 2
+        p_ms.append(parents[_distinct_rows(parents)[0]])
+        p_sides.append(np.full(len(p_ms[-1]), 2.0 ** (1 - k)))
+    p_sides = np.concatenate(p_sides)
+    p_centers = (np.concatenate(p_ms) + 0.5) * p_sides[:, None]
     p_half = 0.5 * params.eta * p_sides
     parent_ok = ~dom.cube_contained(
         p_centers - p_half[:, None], p_centers + p_half[:, None]
@@ -881,15 +910,45 @@ def verify_properties(
     return report
 
 
+def _distinct_rows(ms: np.ndarray):
+    """(first, inverse) of ``np.unique`` over the rows of the integer array
+    ``ms``, through one mixed-radix key per row over the rows' own index
+    range (``np.unique(axis=0)`` is several times slower).  The key is built
+    column by column, as numpy reduces a short last axis element by
+    element."""
+    keys, radix = 0, 1
+    for i in range(ms.shape[1]):
+        col = ms[:, i] - ms[:, i].min()
+        keys = keys + col * radix
+        radix *= int(col.max()) + 1
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def _nested_pairs(decomp: WhitneyDecomposition) -> int:
-    """Number of (cube, selected ancestor) pairs, one ``cube_ids`` call per
-    (level, generation); 0 when no selected cube is nested in another."""
-    k0 = min(decomp.levels)
-    return sum(
-        int(np.count_nonzero(decomp.cube_ids(k - j, ms // 2**j) >= 0))
-        for k, ms in decomp.levels.items()
-        for j in range(1, k - k0 + 1)
-    )
+    """Number of (cube, selected ancestor) pairs; 0 when no selected cube is
+    nested in another.
+
+    Walks from the finest level to the coarsest over distinct ancestors, each
+    with a multiplicity: the number of selected finer cubes it stands for.
+    One ``cube_ids`` call per level adds the multiplicities of the selected
+    ones.
+    """
+    ks = sorted(decomp.levels)
+    ms = np.empty((0, decomp.params.dim), dtype=np.int64)
+    mult = np.empty(0, dtype=np.int64)
+    pairs = 0
+    for k in range(ks[-1], ks[0], -1):
+        if k in decomp.levels:
+            ms = np.concatenate([ms, decomp.levels[k]])
+            mult = np.concatenate([mult, np.ones(len(decomp.levels[k]), dtype=np.int64)])
+        parents = ms // 2
+        first, inverse = _distinct_rows(parents)
+        ms = parents[first]
+        # the counts stay far below 2**53, so the float sums are exact
+        mult = np.bincount(inverse, weights=mult).astype(np.int64)
+        pairs += int(mult[decomp.cube_ids(k - 1, ms) >= 0].sum())
+    return pairs
 
 
 def _neighbor_side_ratios(decomp: WhitneyDecomposition):

@@ -443,6 +443,16 @@ def test_constants_dimension_below_2_exits_1(tmp_path, capsys, dim):
     assert "--N must be at least 2" in err
 
 
+def test_constants_q_below_dimension_exits_1(tmp_path, capsys):
+    rc = main(["constants", "--q", "1.5", "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--q must be at least --N" in err
+    assert not (tmp_path / "constants_report.json").exists()
+    assert main(["constants", "--q", "2", "--report", str(tmp_path)]) == 0
+
+
 def test_p_flag_removed(tmp_path, capsys):
     # the embedding constants exist only at p = n, so no command takes --p;
     # reports still record p as the dimension

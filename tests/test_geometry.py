@@ -436,6 +436,19 @@ SLANTED_POLYGONS = {
 }
 
 
+
+@pytest.mark.parametrize("name", ["lshape", *SLANTED_POLYGONS])
+def test_polygon_distance_is_abs_of_signed_distance(name):
+    poly = L_SHAPE if name == "lshape" else domain_from_json(SLANTED_POLYGONS[name])
+    rng = np.random.default_rng(23)
+    lo, hi = poly.bounding_box()
+    random_pts = lo - 0.5 + rng.random((20000, 2)) * (hi - lo + 1.0)
+    midpoints = (poly._a + poly._b) / 2.0
+    for pts in (random_pts, poly.vertices, midpoints, _special_points(poly), midpoints[0]):
+        assert np.array_equal(poly.distance(pts), np.abs(poly.signed_distance(pts)))
+    assert poly.contains(random_pts).any() and not poly.contains(random_pts).all()
+
+
 SCALES = (0.5, 0.05, 0.002)
 
 

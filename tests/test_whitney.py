@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from blowup.geometry import Annulus, Box, Disk, Polygon, _fold, domain_from_json
+from blowup.grid import Grid
 from blowup.svg import decomposition_to_svg
 from blowup.whitney import (
     BumpFunction,
     TruncationError,
     WhitneyDecomposition,
     WhitneyParams,
+    _distinct_rows,
     _neighbor_side_ratios,
     _nested_pairs,
     _sample_beyond_cut,
@@ -345,6 +347,19 @@ def test_cube_ids_per_level_match_full_table_reference(case):
     assert np.array_equal(decomp.cube_ids(ks, ms), _reference_cube_ids(decomp, ks, ms))
 
 
+def _per_row_nested_pairs(decomp):
+    """One cube_ids call per generation with a level per row."""
+    ks, ms, _, _ = decomp.arrays()
+    return sum(
+        int(np.count_nonzero(decomp.cube_ids(ks - j, ms // 2**j) >= 0))
+        for j in range(1, int(ks[-1] - ks[0]) + 1)
+    )
+
+
+def _hand_made(d, levels):
+    return WhitneyDecomposition(d.domain, d.params, d.bump, d.constants, levels, {})
+
+
 def test_nested_pairs_match_per_row_count():
     # the count verify_properties reports as no_nesting's worst, against one
     # cube_ids call per generation with a level per row, on a hand-made
@@ -356,14 +371,58 @@ def test_nested_pairs_match_per_row_count():
         3: np.array([[0, 0], [2, 2], [3, 3]]),
         5: np.array([[8, 8], [9, 9], [15, 15], [31, 0]]),
     }
-    nested = WhitneyDecomposition(d.domain, d.params, d.bump, d.constants, levels, {})
-    ks, ms, _, _ = nested.arrays()
-    per_row = sum(
-        int(np.count_nonzero(nested.cube_ids(ks - j, ms // 2**j) >= 0))
-        for j in range(1, int(ks[-1] - ks[0]) + 1)
-    )
-    assert _nested_pairs(nested) == per_row == 8
+    nested = _hand_made(d, levels)
+    assert _nested_pairs(nested) == _per_row_nested_pairs(nested) == 8
     assert _nested_pairs(d) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distinct_rows_match_unique_rows(dim):
+    # negative indices and a column whose range is one value wide
+    rng = np.random.default_rng(dim)
+    ms = rng.integers(-5, 4, (3000, dim))
+    ms[:, -1] = 7
+    first, inverse = _distinct_rows(ms)
+    want = np.unique(ms, axis=0)
+    assert len(first) == len(want)
+    assert sorted(map(tuple, ms[first].tolist())) == sorted(map(tuple, want.tolist()))
+    assert np.array_equal(ms[first][inverse], ms)
+
+
+def test_nested_pairs_count_siblings_through_one_ancestor():
+    # the four level-6 siblings under (16, 16) have selected ancestors 2 and
+    # 3 levels up, (8, 8) and (4, 4), and are carried up as one ancestor of
+    # multiplicity 4; (8, 8) sits in (4, 4), (0, 63) in (0, 7) three levels
+    # up; (40, 40) and (1, 1) have no selected ancestor; level 5 is empty
+    d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
+    levels = {
+        3: np.array([[0, 7], [4, 4]]),
+        4: np.array([[1, 1], [8, 8]]),
+        6: np.array([[0, 63], [32, 32], [32, 33], [33, 32], [33, 33], [40, 40]]),
+    }
+    nested = _hand_made(d, levels)
+    assert _nested_pairs(nested) == _per_row_nested_pairs(nested) == 4 * 2 + 1 + 1
+
+
+def test_selection_rule_fails_for_siblings_of_a_selectable_parent():
+    # replace one selected cube by its four children: the children share a
+    # parent whose eta-dilate lies in the domain, so the parent-out half of
+    # the selection rule fails for them, while nothing is nested
+    d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
+    k = sorted(d.levels)[1]
+    levels = dict(d.levels)
+    split = levels[k][len(levels[k]) // 2]
+    levels[k] = np.delete(levels[k], len(levels[k]) // 2, axis=0)
+    children = 2 * split + np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    levels[k + 1] = np.concatenate([levels[k + 1], children])
+    levels[k + 1] = levels[k + 1][np.lexsort(levels[k + 1].T[::-1])]
+    for decomp, selected in ((d, True), (_hand_made(d, levels), False)):
+        report = verify_properties(
+            decomp, sample_count=2000, coverage_samples=2000, gradient_points=20
+        )
+        checks = {c.name: c.passed for c in report.checks}
+        assert checks["selection_rule"] is selected
+        assert checks["no_nesting"]
 
 
 def test_cube_keys_must_fit_in_63_bits(disk_decomp):
@@ -444,29 +503,34 @@ def _reference_support_hits(decomp, points):
     return np.concatenate(pid_all), np.concatenate(lev_all), np.concatenate(m_all)
 
 
-def _support_probe_points(decomp, rng):
-    """Random points, points exactly on the support faces of every fourth
-    cube and exactly at the max-norm test's threshold from its center, and
-    the dyadic lattice at twice the finest side, inside the decomposition's
-    domain."""
-    ks, _, sides, centers = decomp.arrays()
-    n = decomp.params.dim
+def _support_face_points(decomp):
+    """Points exactly on the support faces of every fourth cube and exactly
+    at the max-norm test's threshold from its center."""
+    _, _, sides, centers = decomp.arrays()
     c = centers[::4]
     half = 0.5 * decomp.params.eta_prime * sides[::4]
     thr = half * (1.0 + 1e-12)
     on_faces = []
-    for axis in range(n):
+    for axis in range(decomp.params.dim):
         for sign in (-1.0, 1.0):
             for reach in (half, thr):
                 p = c.copy()
                 p[:, axis] += sign * reach
                 on_faces.append(p[np.abs(p[:, axis] - c[:, axis]) == reach])
+    return np.concatenate(on_faces)
+
+
+def _support_probe_points(decomp, rng):
+    """Random points, the support face points, and the dyadic lattice at
+    twice the finest side, inside the decomposition's domain."""
+    ks, _, _, _ = decomp.arrays()
+    n = decomp.params.dim
     lo, hi = decomp.domain.bounding_box()
     step = 2.0 ** -int(ks.max() - 1)
     ticks = [np.arange(lo[i], hi[i] + step, step) for i in range(n)]
     lattice = np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, n)
     random_pts = lo + rng.random((2000, n)) * (hi - lo)
-    pts = np.concatenate([random_pts, lattice, *on_faces])
+    pts = np.concatenate([random_pts, lattice, _support_face_points(decomp)])
     return pts[decomp.domain.contains(pts)]
 
 
@@ -498,6 +562,103 @@ def test_support_hits_match_brute_force_max_norm(domain):
     psi_ref = np.zeros(len(pts))
     np.add.at(psi_ref, want_pid, decomp.bump.value(offsets))
     assert np.abs(psi - psi_ref).max() <= 1e-15
+
+
+TRIANGLE = Polygon([(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)])
+
+# domain, parameters, a boundary point on a face and the face's inward axis;
+# on the L-shape's and the triangle's faces, which are flat and lie at
+# coordinate 0, a point t inside along that axis has delta = t exactly (on
+# the box, at its two finest levels)
+_SUPPORT_CASES = {
+    "disk": (UNIT_DISK, WhitneyParams(k_max=6), (-1.0, 0.0), 0),
+    "lshape": (L_SHAPE, WhitneyParams(k_max=6), (0.0, 0.5), 0),
+    "lshape-k10": (L_SHAPE, WhitneyParams(k_max=10), (0.0, 0.5), 0),
+    "annulus": (RING, WhitneyParams(k_max=7), (-1.0, 0.0), 0),
+    "triangle": (TRIANGLE, WhitneyParams(k_max=8), (0.5, 0.0), 1),
+    "box3": (
+        Box((0.0, 0.0, 0.0), (1.0, 1.0, 2.0)),
+        WhitneyParams(eta=3.0, dim=3, k_max=5),
+        (0.0, 0.5, 1.0),
+        0,
+    ),
+}
+
+
+def _window_edge_points(decomp, face, axis):
+    """Points t = delta_side_min * s and t = delta_side_max * s inside the
+    face along its inward axis, for the sides s of the three finest levels,
+    at eight places along the face, and their mirror images outside it."""
+    cst = decomp.constants
+    n = decomp.params.dim
+    out = []
+    for k in sorted(decomp.levels)[-3:]:
+        s = 2.0**-k
+        for t in (cst.delta_side_min * s, cst.delta_side_max * s):
+            for sign in (1.0, -1.0):
+                p = np.tile(np.asarray(face, dtype=float), (8, 1))
+                p[:, axis] += sign * t
+                p[:, (axis + 1) % n] += np.arange(8) * 0.37 * s
+                out.append(p)
+    return np.concatenate(out)
+
+
+def _support_cases_points(case):
+    domain, params, face, axis = _SUPPORT_CASES[case]
+    decomp = decompose(domain, params)
+    n = params.dim
+    lo, hi = domain.bounding_box()
+    rng = np.random.default_rng(12)
+    pts = [
+        # the bounding box grown by a quarter each side, so some lie outside
+        lo - 0.25 * (hi - lo) + rng.random((3000, n)) * 1.5 * (hi - lo),
+        _support_face_points(decomp),
+        _window_edge_points(decomp, face, axis),
+    ]
+    if n == 2:
+        pts.append(Grid(domain, 1.0 / 64).points)  # the audit lattice
+    return decomp, np.concatenate(pts)
+
+
+@pytest.mark.parametrize("case", sorted(_SUPPORT_CASES))
+def test_support_hits_match_every_level_reference(case):
+    decomp, pts = _support_cases_points(case)
+    assert not decomp.domain.contains(pts).all()
+    pid, lev, m, phi, psi = decomp.partition_values(pts)
+    ref = _reference_support_hits(decomp, pts)
+    for got, want in zip((pid, lev, m), ref):
+        assert np.array_equal(got, want)
+    assert np.all(decomp.domain.contains(pts[pid]))
+    # psi from the reference incidences, summed in their order, bit for bit
+    ref_pid, ref_lev, ref_m = ref
+    sides = 2.0 ** (-ref_lev.astype(float))
+    offsets = (pts[ref_pid] - (ref_m + 0.5) * sides[:, None]) / sides[:, None]
+    psi_ref = np.zeros(len(pts))
+    np.add.at(psi_ref, ref_pid, decomp.bump.value(offsets))
+    assert np.array_equal(psi, psi_ref)
+
+
+def test_support_hits_ask_each_point_at_few_levels(monkeypatch):
+    # one point at a time: every point asked at a level has a candidate
+    # cube there (the one holding it), so the levels whose cube_ids call
+    # gets rows are the levels the point was asked at; the L-shape at k_max
+    # 10 has 9 levels
+    decomp, pts = _support_cases_points("lshape-k10")
+    asked = []
+    cube_ids = WhitneyDecomposition.cube_ids
+
+    def counting(self, lev, m):
+        if len(m):
+            asked.append(lev)
+        return cube_ids(self, lev, m)
+
+    monkeypatch.setattr(WhitneyDecomposition, "cube_ids", counting)
+    most = 0
+    for p in pts[:: max(1, len(pts) // 200)]:
+        asked.clear()
+        decomp.partition_values(p)
+        most = max(most, len(asked))
+    assert 1 <= most <= int(decomp.constants.level_window) + 2 < len(decomp.levels)
 
 
 def _reference_sample_beyond_cut(decomp, count, rng):
