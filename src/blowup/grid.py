@@ -12,6 +12,16 @@ symmetric domain yields a symmetric node set.  Classification:
 Stencils read missing neighbors as 0 (the Dirichlet ghost value).  Quadrature
 is the midpoint rule sum f(node) * h^2 over interior nodes.
 
+Flat layout.  Node values live in C-contiguous (nx, ny) arrays, so node
+(i, j) is entry i*ny + j of the array's 1-D view, and its four neighbors are
+the entries ny and 1 before and after it.  The five-point passes run on
+those contiguous shifts of the whole view.  A shift by 1 wraps from the end
+of one row to the start of the next, so it is exact only when no interior
+node lies on the array's outer ring.  That is the ring invariant: level 0
+has two rings of exterior margin, and every coarse level of the V-cycle is
+padded with one exterior ring.  Off the interior the passes leave values
+that carry no meaning.
+
 Every interior node at spacing 2h is an interior node at spacing h, so the
 lattices at h, 2h, 4h, ... nest.  ``Grid.vcycle_preconditioner`` uses them
 for one symmetric geometric-multigrid V-cycle (Briggs, Henson & McCormick, *A
@@ -37,6 +47,14 @@ EXTERIOR, BOUNDARY_ADJACENT, INTERIOR = 0, 1, 2
 SMOOTHING_SWEEPS = 2
 JACOBI_DAMPING = 0.8
 COARSEST_NODES = 400
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """The 1-D view of a padded array.  A buffer that is not C-contiguous is
+    refused: reshaping it would copy, and writes to the copy would be lost."""
+    if not a.flags.c_contiguous:
+        raise ValueError("padded arrays must be C-contiguous")
+    return a.reshape(-1)
 
 
 def _neighbors(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -96,6 +114,16 @@ class Grid:
         self._has = _neighbors(m)
         has_w, has_e, has_s, has_n = self._has
         self.full_stencil = (m & has_w & has_e & has_s & has_n)[m]
+        # per axis (flat step ny along x, 1 along y): the interior nodes with
+        # only their high or only their low neighbor interior, as positions
+        # in the interior vector and flat indices, for gradient's one-sided
+        # differences
+        at = np.flatnonzero(m)
+        self._one_sided = []
+        for step, low, high in ((self.ny, has_w, has_e), (1, has_s, has_n)):
+            up = np.flatnonzero((high & ~low)[m])
+            down = np.flatnonzero((low & ~high)[m])
+            self._one_sided.append((step, up, at[up], down, at[down]))
         # padded scratch pair: operand and result of the stencil, and level
         # 0's correction and residual in the V-cycle; the operand is zero
         # outside the interior between calls
@@ -131,16 +159,25 @@ class Grid:
         return self._t[self.interior_mask]
 
     def _stencil(self, full: np.ndarray, out: np.ndarray) -> None:
-        """Five-point Laplacian of the padded array full into out's inner
-        block, in place.  Sums in the order E + W + N + S - 4C; the centre
-        term is subtracted as 4 (sum/4 - C), which rounds exactly like
-        sum - 4C because scaling by 4 is exact."""
-        o = out[1:-1, 1:-1]
-        np.add(full[2:, 1:-1], full[:-2, 1:-1], out=o)
-        o += full[1:-1, 2:]
-        o += full[1:-1, :-2]
+        """Five-point Laplacian of the padded array full into out, in place,
+        exact at interior nodes (see the flat layout above).  Sums in the
+        order E + W + N + S - 4C; the centre term is subtracted as
+        4 (sum/4 - C), which rounds exactly like sum - 4C because scaling by
+        4 is exact."""
+        f, ny = _flat(full), self.ny
+        # entries ny + 1 .. size - ny - 2 hold every interior node, and each
+        # of their shifts by +-ny and +-1 stays inside the array
+        end = f.size - ny - 1
+
+        def shift(k):
+            return f[ny + 1 + k : end + k]
+
+        o = _flat(out)[ny + 1 : end]
+        np.add(shift(ny), shift(-ny), out=o)
+        o += shift(1)
+        o += shift(-1)
         o *= 0.25
-        o -= full[1:-1, 1:-1]
+        o -= shift(0)
         o *= 4.0
         o /= self.h * self.h
 
@@ -155,28 +192,21 @@ class Grid:
     def gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Central-difference gradient at interior nodes, one-sided where a
         stencil neighbor is not interior, zero when neither side is."""
-        flat = self._scatter_scratch(values).ravel()
-        inside = self.interior_mask.ravel()
-        at = np.flatnonzero(inside)
+        f = _flat(self._scatter_scratch(values))
+        inside = _flat(self.interior_mask)
         h = self.h
 
-        def axis(step):
-            # neighbors gathered by flat index: step ny along x, 1 along y
-            lowv, highv = flat[at - step], flat[at + step]
-            has_low, has_high = inside[at - step], inside[at + step]
-            up = has_high & ~has_low
-            down = has_low & ~has_high
-            one_sided_up = (highv[up] - flat[at[up]]) / h
-            one_sided_down = (flat[at[down]] - lowv[down]) / h
-            # central everywhere first: with neither neighbor interior both
-            # gathered values are the zero ghosts, so it is already 0 there
-            g = np.subtract(highv, lowv, out=highv)
+        def axis(step, up, up_at, down, down_at):
+            # central everywhere first, over the flat shifts by +-step: with
+            # neither neighbor interior both values are the zero ghosts, so
+            # it is already 0 there
+            g = np.subtract(f[2 * step :], f[: -2 * step])[inside[step:-step]]
             g /= 2.0 * h
-            g[up] = one_sided_up
-            g[down] = one_sided_down
+            g[up] = (f[up_at + step] - f[up_at]) / h
+            g[down] = (f[down_at] - f[down_at - step]) / h
             return g
 
-        return axis(self.ny), axis(1)
+        return tuple(axis(*one_sided) for one_sided in self._one_sided)
 
     def ghost_signed_sum(self) -> np.ndarray:
         """Per interior node, the sum of signed boundary distances over its
@@ -222,37 +252,46 @@ class Grid:
         use.  Level k + 1 keeps the nodes of level k that lie on even
         multiples of its spacing, so its signed distances are a strided
         slice of level k's and its interior nodes (signed distance at least
-        half its spacing) are those of Grid(domain, 2^(k+1) h).  Coarsening
-        stops at COARSEST_NODES interior nodes or before a level with none.
+        half its spacing) are those of Grid(domain, 2^(k+1) h).  The slice
+        can put interior nodes on its edge, so each coarse level's arrays
+        are the slice padded with one exterior ring, which keeps the ring
+        invariant of the flat layout.  Coarsening stops at COARSEST_NODES
+        interior nodes or before a level with none.
         """
         if self._levels is None:
             top = _Level(self.interior_mask, self.h, slice(None), self._u, self._t)
             levels = [top]
-            sd, index, ci, cj = self.signed_dist, self.index, self.i0, self.j0
+            # the current level's unpadded strided view of the finest grid's
+            # arrays, the lattice index of the view's first row and column,
+            # and the rings its arrays add around the view
+            sd, index, ci, cj, ring = self.signed_dist, self.index, self.i0, self.j0, 0
             while levels[-1].n > COARSEST_NODES:
                 fine = levels[-1]
                 a, b = ci % 2, cj % 2
                 h = 2.0 * fine.h
-                mask = sd[a::2, b::2] >= 0.5 * h
-                if not mask.any():
-                    break
                 sd, index = sd[a::2, b::2], index[a::2, b::2]
+                inner = sd >= 0.5 * h
+                if not inner.any():
+                    break
+                mask = np.pad(inner, 1)
+                # index p of the padded coarse arrays sits on index
+                # a + ring + 2(p - 1) of the fine arrays
                 fine.to_coarse = (
-                    _transfer_pairs(a, fine.mask.shape[0], mask.shape[0]),
-                    _transfer_pairs(b, fine.mask.shape[1], mask.shape[1]),
+                    _transfer_pairs(a + ring - 2, fine.mask.shape[0], mask.shape[0]),
+                    _transfer_pairs(b + ring - 2, fine.mask.shape[1], mask.shape[1]),
                 )
                 u, t = np.zeros(mask.shape), np.zeros(mask.shape)
-                levels.append(_Level(mask, h, index[mask], u, t))
-                ci, cj = (ci + a) // 2, (cj + b) // 2
+                levels.append(_Level(mask, h, index[inner], u, t))
+                ci, cj, ring = (ci + a) // 2, (cj + b) // 2, 1
             self._levels = levels
         return self._levels
 
 
 def _transfer_pairs(a: int, n_fine: int, n_coarse: int) -> list[tuple]:
     """Bilinear interpolation along one axis whose coarse index p sits on
-    fine index a + 2p: per offset d in (-1, 0, 1), the weight 1 - |d|/2 and
-    the slices pairing p with fine index a + 2p + d, clipped to both
-    arrays."""
+    fine index a + 2p (a may be negative): per offset d in (-1, 0, 1), the
+    weight 1 - |d|/2 and the slices pairing p with fine index a + 2p + d,
+    clipped to both arrays."""
     pairs = []
     for d in (-1, 0, 1):
         lo = max(0, -((a + d) // 2))
@@ -270,10 +309,14 @@ class _Level:
     The buffers hold the level's equation multiplied by h^2: diag is
     4 + h^2 mass at interior nodes (4 elsewhere), f the right-hand side, u
     the correction (zero outside the interior), t scratch.  nodes picks the
-    level's interior nodes out of the finest grid's interior vector.
+    level's interior nodes out of the finest grid's interior vector.  The
+    outer ring of mask is exterior (the flat layout's ring invariant).
     """
 
     def __init__(self, mask, h, nodes, u, t):
+        assert not (mask[[0, -1]].any() or mask[:, [0, -1]].any()), (
+            "interior node on the level's outer ring"
+        )
         self.mask = mask
         self.h = h
         self.nodes = nodes
@@ -286,14 +329,15 @@ class _Level:
         self.inverse = None
 
     def residual(self) -> None:
-        """t = f - A u at every node (only interior values are meaningful)."""
-        u, t = self.u, self.t
-        np.multiply(self.diag, u, out=t)
-        t[1:, :] -= u[:-1, :]
-        t[:-1, :] -= u[1:, :]
-        t[:, 1:] -= u[:, :-1]
-        t[:, :-1] -= u[:, 1:]
-        np.subtract(self.f, t, out=t)
+        """t = f - A u at every node (only interior values are meaningful:
+        the shifts by +-1 wrap between rows off the interior)."""
+        u, t, ny = _flat(self.u), _flat(self.t), self.u.shape[1]
+        np.multiply(self.diag, self.u, out=self.t)
+        t[ny:] -= u[:-ny]
+        t[:-ny] -= u[ny:]
+        t[1:] -= u[:-1]
+        t[:-1] -= u[1:]
+        np.subtract(self.f, self.t, out=self.t)
 
     def smooth(self, sweeps: int) -> None:
         """Damped-Jacobi sweeps u += omega (f - A u) / diag at interior nodes."""
@@ -333,15 +377,18 @@ def _cycle(levels: list[_Level], k: int) -> None:
     level.smooth(SMOOTHING_SWEEPS - 1)
     level.residual()
     level.t *= level.mask
-    # restriction: the h^2 scaling turns full weighting into plain P^T
+    # restriction: the h^2 scaling turns full weighting into plain P^T; the
+    # centre pass has weight 1 and adds without a product
     coarse.f.fill(0.0)
     for wx, fx, cx in xs:
         for wy, fy, cy in ys:
-            coarse.f[cx, cy] += (wx * wy) * level.t[fx, fy]
+            w, t = wx * wy, level.t[fx, fy]
+            coarse.f[cx, cy] += t if w == 1.0 else w * t
     _cycle(levels, k + 1)
     for wx, fx, cx in xs:
         for wy, fy, cy in ys:
-            level.u[fx, fy] += (wx * wy) * coarse.u[cx, cy]
+            w, u = wx * wy, coarse.u[cx, cy]
+            level.u[fx, fy] += u if w == 1.0 else w * u
     level.u *= level.mask
     level.smooth(SMOOTHING_SWEEPS)
 

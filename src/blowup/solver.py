@@ -67,7 +67,8 @@ class SolverConfig:
 
     gradient_tol is on the mesh-independent residual norm |G| * h (discrete
     L2); linear_rtol is the relative residual at which each step's
-    conjugate-gradient solve stops, at least ``MIN_LINEAR_RTOL``.
+    conjugate-gradient solve stops, at least ``MIN_LINEAR_RTOL`` here and,
+    in ``solve``, at least the grid's floor eps / h^2.
     """
 
     gradient_tol: float = 1e-8
@@ -193,6 +194,11 @@ def solve(
     Newton from w = 0 (or the supplied initial guess) with Armijo
     backtracking; by convexity the stationary point reached is the unique
     minimizer regardless of the start.
+
+    Raises ValueError, before any work, when ``config.linear_rtol`` is below
+    eps / h^2: the condition number of -Lap_h grows like h^-2, so the true
+    relative residual of a linear solve can stall near eps / h^2 and a
+    smaller tolerance cannot be met.
     """
     t_start = time.perf_counter()
     if profile is None:
@@ -201,6 +207,12 @@ def solve(
         grid = Grid(domain, 1 / 128)
     if config is None:
         config = SolverConfig()
+    floor = np.finfo(float).eps / (grid.h * grid.h)
+    if config.linear_rtol < floor:
+        raise ValueError(
+            f"linear_rtol {config.linear_rtol:g} is below the floor "
+            f"eps / h^2 = {floor:.3g} of the grid at h = {grid.h:g}"
+        )
     sp = (
         singular_part
         if singular_part is not None
@@ -239,7 +251,8 @@ def solve(
             config.linear_rtol,
             maxiter_lin,
         )
-        linear_converged = true_relres <= config.linear_rtol
+        # bool(): a numpy linear_rtol would give a numpy bool, which JSON refuses
+        linear_converged = bool(true_relres <= config.linear_rtol)
 
         # directional derivative of the energy along s at w
         slope = 2.0 * float(np.dot(g, s)) * h * h

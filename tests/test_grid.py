@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blowup.energy import build_singular_part
 from blowup.geometry import (
     Annulus,
     Box,
@@ -14,10 +17,13 @@ from blowup.geometry import (
 from blowup.grid import (
     Grid,
     ScalarField,
+    _flat,
+    _Level,
     _neighbors,
     _transfer_pairs,
     laplacian_of_distance,
 )
+from blowup.solver import solve
 
 DISK = Disk(radius=1.0)
 SQUARE = Box((0.0, 0.0), (1.0, 1.0))
@@ -26,6 +32,13 @@ ANNULUS = Annulus((0.0, 0.0), 0.5, 1.0)
 # lower corner 3.9 h past a multiple of 8h at h = 1/64: interior nodes of
 # the 8h and 16h lattices then sit on the edge of their padded arrays
 OFFSET_BOX = Box((3.9 / 64, 3.9 / 64), (3.0 + 3.9 / 64, 3.0 + 3.9 / 64))
+# at h = 0.01 a level without its exterior ring moved a V-cycle by 3.5e-4
+RING_BOX = Box(
+    (0.21269280773768062, 0.7520496508879551), (2.9267170144952264, 3.722074057387839)
+)
+DOMAINS = [DISK, SQUARE, L_SHAPE, ANNULUS, OFFSET_BOX]
+DOMAIN_IDS = ["disk", "square", "lshape", "annulus", "offset-box"]
+SPACINGS = [1 / 8, 1 / 50, 1 / 64, 1 / 250]
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +124,31 @@ def test_gradient_central_on_linear_field(square_grid):
     np.testing.assert_allclose(gy[full], -3.0, atol=1e-10)
 
 
-# reference versions of the padded-array operators, as they were before the
-# scratch buffers: a fresh scatter and full-size temporaries per call
+# reference versions of the padded-array operators: the Laplacian and
+# gradient as they were before the scratch buffers (a fresh scatter and
+# full-size temporaries per call), and the stencil and V-cycle residual as
+# they were before the flat layout (2-D views of the padded arrays)
+
+
+def _reference_stencil(g, full, out):
+    o = out[1:-1, 1:-1]
+    np.add(full[2:, 1:-1], full[:-2, 1:-1], out=o)
+    o += full[1:-1, 2:]
+    o += full[1:-1, :-2]
+    o *= 0.25
+    o -= full[1:-1, 1:-1]
+    o *= 4.0
+    o /= g.h * g.h
+
+
+def _reference_residual(level):
+    u, t = level.u, level.t
+    np.multiply(level.diag, u, out=t)
+    t[1:, :] -= u[:-1, :]
+    t[:-1, :] -= u[1:, :]
+    t[:, 1:] -= u[:, :-1]
+    t[:, :-1] -= u[:, 1:]
+    np.subtract(level.f, t, out=t)
 
 
 def _reference_laplacian(g, values):
@@ -149,14 +185,22 @@ def _reference_gradient(g, values):
     return axis(w, e, has_w, has_e)[m], axis(s, n, has_s, has_n)[m]
 
 
+def _domains_and_spacings():
+    """DOMAINS at SPACINGS; a case at 1/64 is named by its domain alone."""
+    return [
+        pytest.param(d, h, id=name if h == 1 / 64 else f"{name}-1/{round(1 / h)}")
+        for d, name in zip(DOMAINS, DOMAIN_IDS)
+        for h in SPACINGS
+    ]
+
+
 @pytest.mark.parametrize(
-    "domain",
-    [DISK, SQUARE, L_SHAPE, Disk((0.3, 0.1), 0.05)],
-    ids=["disk", "square", "lshape", "tiny-disk"],
-)
-def test_operators_bit_identical_to_reference(domain):
+    "domain, h",
     # the tiny disk has nodes with no interior neighbor along an axis
-    g = Grid(domain, 1 / 64)
+    _domains_and_spacings() + [pytest.param(Disk((0.3, 0.1), 0.05), 1 / 64, id="tiny-disk")],
+)
+def test_operators_bit_identical_to_reference(domain, h):
+    g = Grid(domain, h)
     rng = np.random.default_rng(3)
     for _ in range(2):  # the second call reuses the scratch buffers
         v = rng.standard_normal(g.n_interior)
@@ -165,6 +209,24 @@ def test_operators_bit_identical_to_reference(domain):
         rx, ry = _reference_gradient(g, v)
         assert np.array_equal(gx, rx)
         assert np.array_equal(gy, ry)
+    profile = default_profile(domain)
+    d_ext = profile.value(g.signed_dist)
+    expected = np.zeros_like(d_ext)
+    _reference_stencil(g, d_ext, expected)
+    fd = laplacian_of_distance(domain, profile, g, method="fd")
+    assert np.array_equal(fd, expected[g.interior_mask])
+
+
+def test_flat_view_refuses_a_buffer_it_would_copy():
+    g = Grid(DISK, 1 / 16)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _flat(g.signed_dist[:, ::2])
+    out = np.zeros((g.ny, g.nx)).T  # Fortran order: reshape(-1) would copy
+    with pytest.raises(ValueError, match="C-contiguous"):
+        g._stencil(g.signed_dist, out)
+    assert not out.any()
+    flat = _flat(g.signed_dist)
+    assert np.shares_memory(flat, g.signed_dist)
 
 
 def test_ghost_signed_sum_matches_neighbor_loop():
@@ -204,7 +266,7 @@ def test_coarse_levels_are_the_coarser_grids(domain):
         assert np.array_equal(g.points[level.nodes], coarse.points)
 
 
-@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("a", [-2, -1, 0, 1])
 @pytest.mark.parametrize("n_fine", [7, 8])
 def test_transfer_pairs_are_bilinear_interpolation(a, n_fine):
     n_coarse = len(range(a, n_fine, 2))
@@ -234,6 +296,72 @@ def test_vcycle_symmetric_positive_definite(domain):
         gap = abs(np.dot(mx, y) - np.dot(x, my))
         assert gap <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
         assert np.dot(mx, x) > 0.0
+
+
+@pytest.mark.parametrize(
+    "domain, h",
+    _domains_and_spacings() + [pytest.param(RING_BOX, 0.01, id="ring-box-0.01")],
+)
+def test_vcycle_bit_identical_to_reference_residual(domain, h, monkeypatch):
+    g = Grid(domain, h)
+    mass = 2.0 / g.delta**2
+    r = np.random.default_rng(4).standard_normal(g.n_interior)
+    flat = g.vcycle_preconditioner(mass)(r)
+    monkeypatch.setattr(_Level, "residual", _reference_residual)
+    assert np.array_equal(g.vcycle_preconditioner(mass)(r), flat)
+
+
+@pytest.mark.parametrize("mode", ["continuum", "lattice"])
+def test_solve_bit_identical_to_reference_kernels(mode, monkeypatch):
+    def run():
+        g = Grid(DISK, 1 / 64)
+        profile = default_profile(DISK)
+        sp = build_singular_part(DISK, profile, g, residual_mode=mode)
+        rep = solve(DISK, profile, g, singular_part=sp)
+        return rep.w.values, rep.steps
+
+    w, steps = run()
+    monkeypatch.setattr(Grid, "_stencil", _reference_stencil)
+    monkeypatch.setattr(Grid, "gradient", _reference_gradient)
+    monkeypatch.setattr(_Level, "residual", _reference_residual)
+    w_ref, steps_ref = run()
+    assert np.array_equal(w, w_ref)
+    assert steps == steps_ref
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    disk=st.booleans(),
+    corner=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    side=st.floats(0.3, 3.0),
+    aspect=st.floats(0.3, 1.0),
+    cells=st.floats(8.0, 200.0),
+)
+def test_hierarchy_keeps_the_ring_invariant(disk, corner, side, aspect, cells):
+    # cells: spacings across the short side, so there are interior nodes
+    x, y = corner
+    if disk:
+        domain = Disk((x, y), side / 2)
+        h = side / cells
+    else:
+        domain = Box((x, y), (x + side, y + aspect * side))
+        h = aspect * side / cells
+    g = Grid(domain, h)
+    levels = g._hierarchy()
+    for k, level in enumerate(levels):
+        m = level.mask
+        assert not (m[[0, -1]].any() or m[:, [0, -1]].any())
+        coarse = Grid(domain, 2**k * h)
+        assert level.n == coarse.n_interior
+        assert np.array_equal(g.points[level.nodes], coarse.points)
+    precondition = g.vcycle_preconditioner(2.0 / g.delta**2)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        a = rng.standard_normal(g.n_interior)
+        b = rng.standard_normal(g.n_interior)
+        ma, mb = precondition(a), precondition(b)
+        gap = abs(np.dot(ma, b) - np.dot(a, mb))
+        assert gap <= 1e-12 * np.linalg.norm(ma) * np.linalg.norm(b)
 
 
 def test_vcycle_exact_on_a_single_level():

@@ -393,31 +393,46 @@ def test_linear_rtol_below_rounding_level_rejected(rtol):
 
 
 def test_smallest_linear_rtol_still_converges():
-    config = SolverConfig(linear_rtol=1e-14)
-    rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 16), config)
+    # the grid's floor eps / h^2 (5.7e-14 at 1/16) is attainable
+    grid = Grid(DISK, 1 / 16)
+    config = SolverConfig(linear_rtol=np.finfo(float).eps / grid.h**2)
+    rep = solve(DISK, default_profile(DISK), grid, config)
     assert rep.converged
     assert rep.steps
     assert all(s["linear_converged"] is True for s in rep.steps)
+    json.dumps(rep.to_json_dict())  # a numpy linear_rtol leaves no numpy bool
+
+
+def test_linear_rtol_below_the_grid_floor_rejected(monkeypatch):
+    # 1e-14 passes SolverConfig but is below eps / h^2 = 9.1e-13 at 1/64;
+    # the singular part is never built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve did work before rejecting linear_rtol")
+
+    monkeypatch.setattr(solver_module, "build_singular_part", unreachable)
+    grid = Grid(DISK, 1 / 64)
+    with pytest.raises(ValueError, match=r"linear_rtol 1e-14 .* 9\.09e-13 .* h = 0\.015625"):
+        solve(DISK, default_profile(DISK), grid, SolverConfig(linear_rtol=1e-14))
 
 
 def test_linear_converged_follows_the_true_residual(monkeypatch):
-    # at 1/64 the CG recurrence reads below 1e-14 while |b - A x| / |b| of
-    # the returned step stalls above it
-    true_relres = []
+    # a linear solve whose recurrence meets linear_rtol while the true
+    # residual of the returned step does not
+    reported = []
 
-    def recording(op, prec, b, rtol, maxiter):
-        out = _pcg(op, prec, b, rtol, maxiter)
-        true_relres.append(np.linalg.norm(b - op(out[0])) / np.linalg.norm(b))
-        return out
+    def stalled(op, prec, b, rtol, maxiter):
+        x, iters, relres, _ = _pcg(op, prec, b, rtol, maxiter)
+        reported.append(10.0 * rtol)
+        return x, iters, relres, reported[-1]
 
-    monkeypatch.setattr(solver_module, "_pcg", recording)
-    rtol = 1e-14
-    rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 64), SolverConfig(linear_rtol=rtol))
+    monkeypatch.setattr(solver_module, "_pcg", stalled)
+    rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 64))
     assert rep.converged
-    assert len(rep.steps) == len(true_relres) > 0
-    for s, true in zip(rep.steps, true_relres):
-        assert s["cg_relres"] <= rtol
-        assert s["cg_true_relres"] == pytest.approx(true, rel=1e-6)
+    assert not rep.linear_converged
+    assert len(rep.steps) == len(reported) > 0
+    for s, true in zip(rep.steps, reported):
+        assert s["cg_relres"] <= SolverConfig().linear_rtol
+        assert s["cg_true_relres"] == true
         assert s["linear_converged"] is False
 
 
