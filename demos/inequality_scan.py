@@ -8,11 +8,9 @@
 #
 #     python demos/inequality_scan.py
 
-import numpy as np
-
 import blowup.inequalities as ineq
 from blowup.geometry import Box, Disk, Polygon
-from blowup.grid import Grid, ScalarField
+from blowup.grid import Grid
 from blowup.whitney import BumpFunction, WhitneyParams, derive_constants
 
 params = WhitneyParams(eta=2.0, eta_prime=1.05)
@@ -29,10 +27,7 @@ for name, domain in domains.items():
     grid = Grid(domain, 1.0 / 64.0)
     print(f"\n== {name} ==")
     print(f"{'function':<16} " + " ".join(f"q={q:<9}" for q in qs))
-    for fn_name, fn in ineq.standard_family(domain):
-        u = ScalarField(grid, fn(grid.points))
-        if not np.any(u.values):
-            continue
+    for fn_name, u in ineq.grid_family(grid):
         rows = ineq.embedding_report(u, constants, qs)
         cells = " ".join(f"{r['ratio']:.1e}  " for r in rows)
         ok = all(r["pass"] for r in rows)

@@ -26,19 +26,18 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from .energy import build_singular_part
 from .geometry import Box, Disk, Polygon, default_profile, domain_from_json
-from .grid import Grid, ScalarField
+from .grid import Grid
 from .inequalities import (
+    FAMILY_NAMES,
     c2_constant,
     chain_audit,
     embedding_report,
+    grid_family,
     resolve_hardy_constant,
     sigma_growth_scan,
     sigma_q,
-    standard_family,
 )
 from .solver import (
     SolverConfig,
@@ -281,10 +280,7 @@ def _cmd_verify_inequality(args) -> bool:
     grid = Grid(domain, h)
 
     rows = []
-    for name, fn in standard_family(domain):
-        u = ScalarField(grid, fn(grid.points))
-        if not np.any(u.values):
-            continue
+    for name, u in grid_family(grid):
         for row in embedding_report(u, constants, qs):
             rows.append({"function": name, **row})
 
@@ -378,24 +374,19 @@ def _cmd_audit_chain(args) -> bool:
         params = WhitneyParams(eta=args.eta, eta_prime=args.eta_prime)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.function is not None and args.function not in FAMILY_NAMES:
+        raise UsageError(
+            f"unknown test function {args.function!r} "
+            f"(expected one of {', '.join(FAMILY_NAMES)})"
+        )
     decomp = decompose(domain, params)
     grid = Grid(domain, h)
-
-    family = standard_family(domain)
-    if args.function is not None:
-        family = [(n, f) for n, f in family if n == args.function]
-        if not family:
-            names = ", ".join(n for n, _ in standard_family(domain))
-            raise UsageError(
-                f"unknown test function {args.function!r} (expected one of {names})"
-            )
 
     runs = []
     total_violations = 0
     all_passed = True
-    for name, fn in family:
-        u = ScalarField(grid, fn(grid.points))
-        if not np.any(u.values):
+    for name, u in grid_family(grid):
+        if args.function is not None and name != args.function:
             continue
         rep = chain_audit(u, decomp, q=args.q)
         runs.append({"function": name, **rep.to_json_dict()})

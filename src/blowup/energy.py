@@ -234,7 +234,13 @@ def hessian_operator(phi: ScalarField, sp: SingularPart):
     g = _same_grid(phi, sp)
     _guard_exponent(phi.values, g, "hessian_operator")
     mass = 2.0 * sp.weight.values * np.exp(2.0 * phi.values)
-    return (lambda psi: -g.laplacian(psi) + mass * psi), mass
+
+    def matvec(psi):
+        # equals -lap + mass psi bit for bit; lap is a fresh array
+        lap = g.laplacian(psi)
+        return np.subtract(mass * psi, lap, out=lap)
+
+    return matvec, mass
 
 
 def hessian_apply(phi: ScalarField, sp: SingularPart, psi: ScalarField) -> ScalarField:

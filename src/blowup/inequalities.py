@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Domain, SmoothingProfile
+from .geometry import Box, Domain, SmoothingProfile
 from .grid import Grid, ScalarField
 from .whitney import BumpFunction, DerivedConstants, WhitneyDecomposition
 
@@ -41,11 +41,10 @@ __all__ = [
     "orlicz_boundary_integral",
     "hardy_quotient",
     "radial_bump",
-    "smoothed_tent",
-    "sine_mode",
-    "log_cutoff",
     "deep_point",
+    "FAMILY_NAMES",
     "standard_family",
+    "grid_family",
     "HardyEstimate",
     "resolve_hardy_constant",
     "ChainStep",
@@ -269,10 +268,15 @@ def hardy_quotient(u: ScalarField) -> float:
     """Ratio of the boundary-weighted L2 norm to the gradient L2 norm."""
     g = u.grid
     gx, gy = g.gradient(u.values)
-    denom = math.sqrt(float(np.sum(gx**2 + gy**2)) * g.h**2)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    denom = math.sqrt(float(np.sum(gx)) * g.h**2)
     if denom == 0.0:
         raise DegenerateInputError("gradient vanishes identically")
-    numer = math.sqrt(float(np.sum((u.values / g.delta) ** 2)) * g.h**2)
+    q = u.values / g.delta
+    q *= q
+    numer = math.sqrt(float(np.sum(q)) * g.h**2)
     return numer / denom
 
 
@@ -281,67 +285,13 @@ def hardy_quotient(u: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def radial_bump(center, radius: float, exponent: float = 2.0):
-    """(1 - |x-c|^2/R^2)_+^exponent; Lipschitz for exponent >= 1 and
-    supported in the ball, so it vanishes on the boundary whenever the ball
-    sits inside the domain."""
+def radial_bump(r2, radius: float, exponent: float = 2.0):
+    """(1 - r2/R^2)_+^exponent of the squared distance r2 to the centre;
+    Lipschitz for exponent >= 1 and supported in the ball of radius R, so it
+    vanishes on the boundary whenever the ball sits inside the domain."""
     if exponent < 1:
         raise ValueError("exponent below 1 is not Lipschitz at the bubble rim")
-    c = np.asarray(center, dtype=float)
-
-    def f(pts):
-        pts = np.asarray(pts, dtype=float)
-        r2 = np.sum((pts - c) ** 2, axis=-1) / radius**2
-        return np.maximum(0.0, 1.0 - r2) ** exponent
-
-    return f
-
-
-def smoothed_tent(domain: Domain, scale: float | None = None):
-    """Saturating ramp of the boundary distance: rises with slope at most 1,
-    levels off at roughly twice the scale.  Vanishes on the boundary."""
-    t0 = scale if scale is not None else max(domain.inradius() / 3.0, 1e-3)
-    prof = SmoothingProfile(t0)
-
-    def f(pts):
-        return prof.value(np.maximum(domain.signed_distance(pts), 0.0))
-
-    return f
-
-
-def sine_mode(domain: Domain, k1: int, k2: int):
-    """Product of sine waves over the bounding box.  On a rectangle the waves
-    vanish on the boundary by themselves; on other shapes the mode is damped
-    by a distance ramp so the product still vanishes on the boundary."""
-    from .geometry import Box
-
-    lo, hi = domain.bounding_box()
-    span = hi - lo
-
-    def waves(pts):
-        pts = np.asarray(pts, dtype=float)
-        a = np.sin(k1 * math.pi * (pts[..., 0] - lo[0]) / span[0])
-        b = np.sin(k2 * math.pi * (pts[..., 1] - lo[1]) / span[1])
-        return a * b
-
-    if isinstance(domain, Box):
-        return waves
-    ramp = smoothed_tent(domain)
-
-    def f(pts):
-        return waves(pts) * ramp(pts)
-
-    return f
-
-
-def log_cutoff(domain: Domain, cutoff: float = 0.1):
-    """log(1 + delta/cutoff): vanishes on the boundary, Lipschitz with
-    constant 1/cutoff."""
-
-    def f(pts):
-        return np.log1p(np.maximum(domain.signed_distance(pts), 0.0) / cutoff)
-
-    return f
+    return np.maximum(0.0, 1.0 - r2 / radius**2) ** exponent
 
 
 def deep_point(domain: Domain, samples: int = 256) -> np.ndarray:
@@ -356,24 +306,72 @@ def deep_point(domain: Domain, samples: int = 256) -> np.ndarray:
     return pts[i]
 
 
-def standard_family(domain: Domain):
-    """Deterministic list of (name, callable) witnesses for the inequalities.
+# witness parameters: bump radii (fractions of the deepest point's depth)
+# with exponents, sine wave numbers per axis, and log cutoffs
+_BUMPS = tuple((frac, expo) for frac in (0.95, 0.55) for expo in (1.0, 2.0, 3.0))
+_SINE_MODES = ((1, 1), (2, 1), (3, 2), (5, 3))
+_LOG_CUTOFFS = (0.05, 0.2)
+FAMILY_NAMES = (
+    *(f"bump_f{frac:.2f}_e{expo:.0f}" for frac, expo in _BUMPS),
+    "tent",
+    *(f"sine_{k1}{k2}" for k1, k2 in _SINE_MODES),
+    *(f"log_c{cut:g}" for cut in _LOG_CUTOFFS),
+)
 
-    Every member vanishes on the boundary and is Lipschitz, hence admissible.
+
+def standard_family(domain: Domain, x, y, sd):
+    """Deterministic witnesses for the inequalities: yields (name, values)
+    in the order of ``FAMILY_NAMES``.
+
+    x, y and sd (coordinates and signed boundary distance of the points)
+    broadcast against each other, and each member takes their broadcast
+    shape.  For arbitrary points pass ``pts[..., 0]``, ``pts[..., 1]`` and
+    ``domain.signed_distance(pts)``; ``grid_family`` passes a grid's axes
+    and its own distances, so each sine wave costs a 1-D ``sin`` per axis.
+    Shared inputs are computed once: the squared offsets (x - c)^2 and
+    (y - c)^2 for the six bumps, and the tent for the sine modes.  On a
+    grid the offsets are 1-D, and nothing of grid size is kept while a
+    member is out, except the tent for the sine modes off rectangles.
+    Members may share memory; do not write to them.
+
+    Every member vanishes on the boundary and is Lipschitz, hence
+    admissible: bumps centred at ``deep_point`` with radii a fraction of its
+    depth; the tent, a ramp of the distance with slope at most 1 that levels
+    off at two thirds of the inradius; sine waves over the bounding box,
+    damped by the tent off rectangles; and log(1 + delta/cutoff).
     """
+    names = iter(FAMILY_NAMES)
     center = deep_point(domain)
     depth = float(domain.signed_distance(center))
-    out = []
-    for frac in (0.95, 0.55):
-        for expo in (1.0, 2.0, 3.0):
-            name = f"bump_f{frac:.2f}_e{expo:.0f}"
-            out.append((name, radial_bump(center, frac * depth, expo)))
-    out.append(("tent", smoothed_tent(domain)))
-    for k1, k2 in ((1, 1), (2, 1), (3, 2), (5, 3)):
-        out.append((f"sine_{k1}{k2}", sine_mode(domain, k1, k2)))
-    for cut in (0.05, 0.2):
-        out.append((f"log_c{cut:g}", log_cutoff(domain, cut)))
-    return out
+    dx2, dy2 = (x - center[0]) ** 2, (y - center[1]) ** 2
+    for frac, expo in _BUMPS:
+        yield next(names), radial_bump(dx2 + dy2, frac * depth, expo)
+    tent = SmoothingProfile(max(domain.inradius() / 3.0, 1e-3)).value
+    # on a rectangle the waves vanish on the boundary by themselves
+    damping = None if isinstance(domain, Box) else tent(np.maximum(sd, 0.0))
+    yield next(names), tent(np.maximum(sd, 0.0)) if damping is None else damping
+    lo, hi = domain.bounding_box()
+    span = hi - lo
+    for k1, k2 in _SINE_MODES:
+        a = np.sin(k1 * math.pi * (x - lo[0]) / span[0])
+        b = np.sin(k2 * math.pi * (y - lo[1]) / span[1])
+        yield next(names), a * b if damping is None else a * b * damping
+    del damping
+    for cut in _LOG_CUTOFFS:
+        yield next(names), np.log1p(np.maximum(sd, 0.0) / cut)
+
+
+def grid_family(grid: Grid):
+    """The standard family at the interior nodes of ``grid`` as
+    (name, ScalarField) pairs, leaving out members that vanish at every
+    node."""
+    for name, values in standard_family(
+        grid.domain, grid.xs[:, None], grid.ys[None, :], grid.signed_dist
+    ):
+        u = ScalarField(grid, values[grid.interior_mask])
+        del values  # the full-grid array, while the caller holds u
+        if np.any(u.values):
+            yield name, u
 
 
 @dataclass(frozen=True)
@@ -403,10 +401,7 @@ def resolve_hardy_constant(
     """
     best = 0.0
     witness = ""
-    for name, fn in standard_family(domain):
-        u = ScalarField(grid, fn(grid.points))
-        if not np.any(u.values):
-            continue
+    for name, u in grid_family(grid):
         try:
             val = hardy_quotient(u)
         except DegenerateInputError:

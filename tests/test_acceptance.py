@@ -178,10 +178,7 @@ def test_5_weighted_embedding_suite(geometry_constants, capsys):
     rows_all = []
     for domain in (UNIT_DISK, UNIT_SQUARE, L_SHAPE):
         grid = Grid(domain, 1.0 / 64.0)
-        for name, fn in ineq.standard_family(domain):
-            u = ScalarField(grid, fn(grid.points))
-            if not np.any(u.values):
-                continue
+        for name, u in ineq.grid_family(grid):
             rows_all.extend(ineq.embedding_report(u, constants, QS))
     embed_ok = bool(rows_all) and all(r["pass"] for r in rows_all)
 
@@ -189,13 +186,11 @@ def test_5_weighted_embedding_suite(geometry_constants, capsys):
     grid = Grid(UNIT_SQUARE, 1.0 / 250.0)
     violations = 0
     audits = 0
-    for name, fn in ineq.standard_family(UNIT_SQUARE):
-        u = ScalarField(grid, fn(grid.points))
-        if not np.any(u.values):
-            continue
+    for name, u in ineq.grid_family(grid):
         violations += ineq.chain_audit(u, dec, q=4.0).total_violations
         audits += 1
-    bump = ScalarField(grid, ineq.radial_bump((0.5, 0.5), 0.45, 2.0)(grid.points))
+    r2 = np.sum((grid.points - 0.5) ** 2, axis=-1)
+    bump = ScalarField(grid, ineq.radial_bump(r2, 0.45, 2.0))
     for q in (3.0, 6.0, 10.0, 20.0):
         violations += ineq.chain_audit(bump, dec, q=q).total_violations
         audits += 1

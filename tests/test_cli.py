@@ -401,7 +401,16 @@ def test_audit_chain_builds_the_partition_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_audit_chain_unknown_function_exits_1(tmp_path):
+def test_audit_chain_unknown_function_exits_1(tmp_path, monkeypatch, capsys):
+    # the name is checked before any work: decompose must not run (main
+    # turns any exception into exit 1, so the call is recorded as well)
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("decompose ran before the name was checked")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
     rc = main(
         [
             "audit-chain",
@@ -414,6 +423,8 @@ def test_audit_chain_unknown_function_exits_1(tmp_path):
         ]
     )
     assert rc == 1
+    assert calls == []
+    assert "unknown test function 'nonsense'" in capsys.readouterr().err
 
 
 # -- constants --------------------------------------------------------------

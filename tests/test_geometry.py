@@ -97,7 +97,7 @@ def test_lshape_reflex_corner_distance():
     assert L_SHAPE.distance_laplacian(q) == pytest.approx(0.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.integers(0, 4),
     st.tuples(st.floats(-2, 3), st.floats(-2, 3)),
