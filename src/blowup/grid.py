@@ -26,7 +26,12 @@ Every interior node at spacing 2h is an interior node at spacing h, so the
 lattices at h, 2h, 4h, ... nest.  ``Grid.vcycle_preconditioner`` uses them
 for one symmetric geometric-multigrid V-cycle (Briggs, Henson & McCormick, *A
 Multigrid Tutorial*, 2000) on -Lap_h + diag(mass), the Hessian of the
-renormalized energy.
+renormalized energy.  Each level stores 1/diag at its interior nodes and 0
+elsewhere, so a damped-Jacobi sweep is five flat passes for
+(f + neighbor sum) / diag and three for the damped update, and every value
+it leaves off the interior is 0 without a mask.  The transfers are
+separable: one axis at a time, three strided passes each, through one
+scratch array that all levels share.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ EXTERIOR, BOUNDARY_ADJACENT, INTERIOR = 0, 1, 2
 SMOOTHING_SWEEPS = 2
 JACOBI_DAMPING = 0.8
 COARSEST_NODES = 400
+# the largest dense level accepted: its inverse takes 128 MiB and O(n^3) work
+# each Newton step.  A domain too thin to coarsen leaves more nodes there.
+DENSE_NODES = 4096
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -125,8 +133,9 @@ class Grid:
             down = np.flatnonzero((low & ~high)[m])
             self._one_sided.append((step, up, at[up], down, at[down]))
         # padded scratch pair: operand and result of the stencil, and level
-        # 0's correction and residual in the V-cycle; the operand is zero
-        # outside the interior between calls
+        # 0's correction and scratch in the V-cycle; the operand is zero
+        # outside the interior between calls, and the result is zero past
+        # the flat range the five-point passes write
         self._u = np.zeros((self.nx, self.ny))
         self._t = np.zeros((self.nx, self.ny))
         self._levels: list[_Level] | None = None
@@ -223,27 +232,35 @@ class Grid:
         node: the map r -> (one V-cycle applied to r), a symmetric positive
         definite approximation of A^{-1} r.
 
-        Level k has spacing 2^k h; its operator is the five-point stencil at
-        that spacing plus the mass sampled at its nodes.  Each level below
-        the coarsest runs SMOOTHING_SWEEPS damped-Jacobi sweeps, restricts
-        the residual by full weighting (P^T / 4 for bilinear prolongation
-        P), corrects with the next level's cycle, and smooths again; the
-        coarsest level is solved densely.  The map shares this grid's
-        scratch buffers and holds until the next call.
+        Level k has spacing s = 2^k h; its operator is the five-point
+        stencil at that spacing plus the mass sampled at its nodes, times
+        s^2, so its diagonal is diag = 4 + s^2 mass.  Each level below the
+        coarsest stores 1 / diag and runs SMOOTHING_SWEEPS damped-Jacobi
+        sweeps, restricts the residual by full weighting (P^T / 4 for
+        bilinear prolongation P) one axis at a time, corrects with the next
+        level's cycle, and smooths again; the coarsest level is solved
+        densely.  The map is linear, so it runs the cycle on r and scales
+        the result by h^2 rather than scaling r.  It shares this grid's
+        scratch buffers and holds until the next call.  Raises ValueError,
+        before any inverse is formed, on a domain too thin for h to coarsen
+        to DENSE_NODES nodes.
         """
         mass = np.asarray(mass, dtype=float)
         if mass.shape != (self.n_interior,):
             raise ValueError("mass must have one entry per interior node")
         levels = self._hierarchy()
-        for level in levels:
-            level.diag[level.mask] = 4.0 + level.h**2 * mass[level.nodes]
-        levels[-1].factor()
+        for level in levels[:-1]:
+            level.inv_diag[level.mask] = 1.0 / (4.0 + level.h**2 * mass[level.nodes])
+        coarsest = levels[-1]
+        coarsest.factor(4.0 + coarsest.h**2 * mass[coarsest.nodes])
 
         def apply(r: np.ndarray) -> np.ndarray:
             top = levels[0]
-            top.f[top.mask] = r * (self.h * self.h)
+            top.f[top.mask] = r
             _cycle(levels, 0)
-            return top.u[top.mask]
+            out = top.u[top.mask]
+            out *= self.h * self.h
+            return out
 
         return apply
 
@@ -256,7 +273,8 @@ class Grid:
         can put interior nodes on its edge, so each coarse level's arrays
         are the slice padded with one exterior ring, which keeps the ring
         invariant of the flat layout.  Coarsening stops at COARSEST_NODES
-        interior nodes or before a level with none.
+        interior nodes or before a level with none.  A coarsest level above
+        DENSE_NODES raises ValueError before any inverse is formed.
         """
         if self._levels is None:
             top = _Level(self.interior_mask, self.h, slice(None), self._u, self._t)
@@ -277,40 +295,84 @@ class Grid:
                 # index p of the padded coarse arrays sits on index
                 # a + ring + 2(p - 1) of the fine arrays
                 fine.to_coarse = (
-                    _transfer_pairs(a + ring - 2, fine.mask.shape[0], mask.shape[0]),
-                    _transfer_pairs(b + ring - 2, fine.mask.shape[1], mask.shape[1]),
+                    _transfer_slices(a + ring - 2, fine.mask.shape[0], mask.shape[0]),
+                    _transfer_slices(b + ring - 2, fine.mask.shape[1], mask.shape[1]),
                 )
                 u, t = np.zeros(mask.shape), np.zeros(mask.shape)
                 levels.append(_Level(mask, h, index[inner], u, t))
                 ci, cj, ring = (ci + a) // 2, (cj + b) // 2, 1
+            if levels[-1].n > DENSE_NODES:
+                raise ValueError(
+                    f"the coarsest multigrid level has {levels[-1].n} interior "
+                    f"nodes, more than the {DENSE_NODES} a dense solve takes: "
+                    f"the domain is too thin for h = {self.h:g}"
+                )
+            # one (coarse rows, fine columns) scratch that every transfer shares
+            shapes = [(c.mask.shape[0], f.mask.shape[1]) for f, c in zip(levels, levels[1:])]
+            scratch = np.zeros(max((x * y for x, y in shapes), default=0))
+            for fine, shape in zip(levels, shapes):
+                fine.scratch = scratch[: shape[0] * shape[1]].reshape(shape)
             self._levels = levels
         return self._levels
 
 
-def _transfer_pairs(a: int, n_fine: int, n_coarse: int) -> list[tuple]:
-    """Bilinear interpolation along one axis whose coarse index p sits on
-    fine index a + 2p (a may be negative): per offset d in (-1, 0, 1), the
-    weight 1 - |d|/2 and the slices pairing p with fine index a + 2p + d,
-    clipped to both arrays."""
-    pairs = []
-    for d in (-1, 0, 1):
-        lo = max(0, -((a + d) // 2))
-        hi = min(n_coarse, (n_fine - 1 - a - d) // 2 + 1)
-        start = a + d + 2 * lo
-        pairs.append(
-            (1.0 - 0.5 * abs(d), slice(start, start + 2 * (hi - lo), 2), slice(lo, hi))
-        )
-    return pairs
+def _transfer_slices(a: int, n_fine: int, n_coarse: int) -> tuple[slice, slice, slice]:
+    """Bilinear transfer along one axis whose coarse index p sits on fine
+    index a + 2p (a may be negative): the window c of coarse indices whose
+    fine node a + 2p and both its neighbors lie in the fine array, the fine
+    nodes f0 under the window and the fine nodes fo between and around
+    them (one more than f0).
+
+    Every interior coarse node is an interior fine node, so its fine
+    neighbors exist and it lies in the window; a coarse node outside the
+    window carries zero.  The spread fo reaches every fine node off the
+    fine array's outer ring.
+    """
+    lo = max(0, (2 - a) // 2)
+    hi = min(n_coarse, (n_fine - 2 - a) // 2 + 1)
+    start, stop = a + 2 * lo, a + 2 * hi
+    assert start <= 2 and stop >= n_fine - 1, "the spread misses a fine node"
+    return slice(lo, hi), slice(start, stop - 1, 2), slice(start - 1, stop, 2)
+
+
+def _restrict_axis(fine: np.ndarray, coarse: np.ndarray, slices) -> None:
+    """Full weighting along axis 0 onto the window: coarse[c] is half the
+    sum of the two fine nodes fo beside each centre f0, plus the centre.
+    The transpose of the spread below, in three passes and no temporary."""
+    c, f0, fo = slices
+    odd, out = fine[fo], coarse[c]
+    np.add(odd[:-1], odd[1:], out=out)
+    out *= 0.5
+    out += fine[f0]
+
+
+def _prolong_axis(coarse: np.ndarray, fine: np.ndarray, slices) -> None:
+    """Linear interpolation of coarse[c] along axis 0 into fine[f0] and
+    fine[fo], the window's outer neighbors taken as zero."""
+    c, f0, fo = slices
+    near, odd = coarse[c], fine[fo]
+    np.add(near[:-1], near[1:], out=odd[1:-1])
+    odd[0] = near[0]
+    odd[-1] = near[-1]
+    odd *= 0.5
+    fine[f0] = near
 
 
 class _Level:
     """One lattice of the V-cycle in the padded layout of its spacing h.
 
-    The buffers hold the level's equation multiplied by h^2: diag is
-    4 + h^2 mass at interior nodes (4 elsewhere), f the right-hand side, u
-    the correction (zero outside the interior), t scratch.  nodes picks the
-    level's interior nodes out of the finest grid's interior vector.  The
-    outer ring of mask is exterior (the flat layout's ring invariant).
+    The buffers hold the level's equation multiplied by h^2, whose diagonal
+    is diag = 4 + h^2 mass.  inv_diag holds 1 / diag at interior nodes and
+    0 elsewhere (the coarsest level hands diag to factor instead), f the
+    right-hand side, u the correction (zero off the interior), t scratch,
+    which the sweep, the residual and the prolongation leave zero off the
+    interior.  Restriction reads t off the interior too, so no pass may
+    leave it nonzero outside the flat range the sweep rewrites.  nodes
+    picks the level's interior nodes out of the finest grid's interior
+    vector.  The outer ring of mask is exterior (the flat layout's ring
+    invariant).  to_coarse holds the per-axis transfer slices to the next
+    level and scratch the shared (next level's rows, this level's columns)
+    buffer they pass through.
     """
 
     def __init__(self, mask, h, nodes, u, t):
@@ -321,39 +383,66 @@ class _Level:
         self.h = h
         self.nodes = nodes
         self.n = int(np.count_nonzero(mask))
-        self.diag = np.full(mask.shape, 4.0)
+        self.inv_diag = np.zeros(mask.shape)
         self.f = np.zeros(mask.shape)
         self.u = u
         self.t = t
         self.to_coarse = None
+        self.scratch = None
         self.inverse = None
 
-    def residual(self) -> None:
-        """t = f - A u at every node (only interior values are meaningful:
-        the shifts by +-1 wrap between rows off the interior)."""
+    def _jacobi(self) -> None:
+        """t = (f + sum of u's four neighbors) / diag over the flat entries
+        that hold every interior node; zero off the interior, where 1/diag
+        is zero (the shifts by +-1 wrap between rows there)."""
         u, t, ny = _flat(self.u), _flat(self.t), self.u.shape[1]
-        np.multiply(self.diag, self.u, out=self.t)
-        t[ny:] -= u[:-ny]
-        t[:-ny] -= u[ny:]
-        t[1:] -= u[:-1]
-        t[:-1] -= u[1:]
-        np.subtract(self.f, self.t, out=self.t)
+        lo, hi = ny + 1, t.size - ny - 1
+        o = t[lo:hi]
+        np.add(_flat(self.f)[lo:hi], u[lo + ny : hi + ny], out=o)
+        o += u[lo - ny : hi - ny]
+        o += u[lo + 1 : hi + 1]
+        o += u[lo - 1 : hi - 1]
+        o *= _flat(self.inv_diag)[lo:hi]
 
     def smooth(self, sweeps: int) -> None:
-        """Damped-Jacobi sweeps u += omega (f - A u) / diag at interior nodes."""
+        """Damped-Jacobi sweeps u = (1 - omega) u + omega (f + neighbor sum)
+        / diag, which is u + omega (f - A u) / diag."""
         for _ in range(sweeps):
-            self.residual()
-            self.t /= self.diag
+            self._jacobi()
+            self.u *= 1.0 - JACOBI_DAMPING
             self.t *= JACOBI_DAMPING
-            self.t *= self.mask
             self.u += self.t
 
-    def factor(self) -> None:
-        """Dense inverse of the level's operator (coarsest level only),
-        symmetrized so the V-cycle stays exactly symmetric."""
+    def residual(self) -> None:
+        """t = f - A u at interior nodes and exactly 0 elsewhere, as
+        ((f + neighbor sum) / diag - u) / (1 / diag)."""
+        self._jacobi()
+        self.t -= self.u
+        np.divide(self.t, self.inv_diag, out=self.t, where=self.mask)
+
+    def restrict(self, coarse: _Level) -> None:
+        """coarse.f = P^T t on the coarse window, rows first: the h^2
+        scaling of each level's equation turns full weighting into P^T."""
+        xs, ys = self.to_coarse
+        _restrict_axis(self.t, self.scratch, xs)
+        _restrict_axis(self.scratch[xs[0]].T, coarse.f[xs[0]].T, ys)
+
+    def prolong(self, coarse: _Level) -> None:
+        """u += P coarse.u at interior nodes, columns first, spread through
+        t (left zero off the interior)."""
+        xs, ys = self.to_coarse
+        _prolong_axis(coarse.u[xs[0]].T, self.scratch[xs[0]].T, ys)
+        _prolong_axis(self.scratch, self.t, xs)
+        self.t *= self.mask
+        self.u += self.t
+
+    def factor(self, diag: np.ndarray) -> None:
+        """Dense inverse of the level's operator (coarsest level only), given
+        its diagonal at the interior nodes in row-major order, symmetrized
+        so the V-cycle stays exactly symmetric."""
         local = np.full(self.mask.shape, -1)
         local[self.mask] = np.arange(self.n)
-        a = np.diag(self.diag[self.mask])
+        a = np.diag(diag)
         for lo, hi in ((local[:-1, :], local[1:, :]), (local[:, :-1], local[:, 1:])):
             both = (lo >= 0) & (hi >= 0)
             a[lo[both], hi[both]] = -1.0
@@ -369,27 +458,14 @@ def _cycle(levels: list[_Level], k: int) -> None:
         level.u[level.mask] = level.inverse @ level.f[level.mask]
         return
     coarse = levels[k + 1]
-    xs, ys = level.to_coarse
     # pre-smoothing; the first sweep starts from u = 0
-    np.divide(level.f, level.diag, out=level.u)
+    np.multiply(level.f, level.inv_diag, out=level.u)
     level.u *= JACOBI_DAMPING
-    level.u *= level.mask
     level.smooth(SMOOTHING_SWEEPS - 1)
     level.residual()
-    level.t *= level.mask
-    # restriction: the h^2 scaling turns full weighting into plain P^T; the
-    # centre pass has weight 1 and adds without a product
-    coarse.f.fill(0.0)
-    for wx, fx, cx in xs:
-        for wy, fy, cy in ys:
-            w, t = wx * wy, level.t[fx, fy]
-            coarse.f[cx, cy] += t if w == 1.0 else w * t
+    level.restrict(coarse)
     _cycle(levels, k + 1)
-    for wx, fx, cx in xs:
-        for wy, fy, cy in ys:
-            w, u = wx * wy, coarse.u[cx, cy]
-            level.u[fx, fy] += u if w == 1.0 else w * u
-    level.u *= level.mask
+    level.prolong(coarse)
     level.smooth(SMOOTHING_SWEEPS)
 
 

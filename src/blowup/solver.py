@@ -135,14 +135,17 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
     The recurrence residual drifts below the true one at rounding level, so
     a stop is confirmed on |b - A x| / |b| (one more operator application);
     when that falls short of rtol the iteration restarts, once, from the
-    true residual.  Returns (x, iterations, relative_residual,
-    true_relative_residual), the last two of the returned x.
+    true residual.  Returns (x, residuals, true_relative_residual): residuals
+    holds the recurrence's |r| / |b| after each iteration, those after the
+    restart included, so its length is the iteration count and its last
+    entry belongs to the returned x.
     Deterministic: plain numpy reductions, no randomness.
     """
     x = np.zeros_like(b)
     bnorm = math.sqrt(float(np.dot(b, b)))
+    residuals: list[float] = []
     if bnorm == 0.0:
-        return x, 0, 0.0, 0.0
+        return x, residuals, 0.0
 
     def true_residual():
         r = b - apply_op(x)
@@ -152,18 +155,20 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
     z = apply_prec(r)
     p = z.copy()
     rz = float(np.dot(r, z))
-    relres = 1.0
     restarted = False
-    for it in range(1, maxiter + 1):
+    for _ in range(maxiter):
         Ap = apply_op(p)
         alpha = rz / float(np.dot(p, Ap))
         x += alpha * p
         r -= alpha * Ap
+        # free Ap before the next product allocates its own
+        del Ap
         relres = math.sqrt(float(np.dot(r, r))) / bnorm
+        residuals.append(relres)
         if relres <= rtol:
             r_true, true_relres = true_residual()
             if true_relres <= rtol or restarted:
-                return x, it, relres, true_relres
+                return x, residuals, true_relres
             r, restarted = r_true, True
             z = apply_prec(r)
             p = z.copy()
@@ -174,7 +179,7 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
         p *= rz_new / rz
         p += z
         rz = rz_new
-    return x, maxiter, relres, true_residual()[1]
+    return x, residuals, true_residual()[1]
 
 
 def _grad_norm(gvals: np.ndarray, h: float) -> float:
@@ -244,13 +249,15 @@ def solve(
             break
 
         apply_h, mass = hessian_operator(wf, sp)
-        s, cg_iters, relres, true_relres = _pcg(
+        s, cg_residuals, true_relres = _pcg(
             apply_h,
             grid.vcycle_preconditioner(mass),
             -g,
             config.linear_rtol,
             maxiter_lin,
         )
+        # g = 0 would have passed the gradient test, so CG ran at least once
+        cg_iters, relres = len(cg_residuals), cg_residuals[-1]
         # bool(): a numpy linear_rtol would give a numpy bool, which JSON refuses
         linear_converged = bool(true_relres <= config.linear_rtol)
 
@@ -306,6 +313,7 @@ def solve(
                 "cg_iterations": cg_iters,
                 "cg_relres": relres,
                 "cg_true_relres": true_relres,
+                "cg_residuals": cg_residuals,
                 "linear_converged": linear_converged,
                 "energy": e_cand.total,
             }

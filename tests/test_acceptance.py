@@ -306,3 +306,23 @@ def test_8_grid_convergence_and_monotonicity(disk_solves, shape_solves, capsys):
     _report_line(capsys, "8 (grid convergence)", passed, detail)
     assert shrink >= 1.5
     assert monotone
+
+
+def test_9_newton_and_cg_counters(disk_solves, shape_solves, capsys):
+    # the solves above, pinned: a change to the preconditioner's rounding
+    # must not move the Newton steps or the CG iterations of any step
+    expected = {
+        "disk 1/256": (disk_solves["fine"][0], [7, 8, 8, 8]),
+        "disk 1/128": (disk_solves["coarse"][0], [7, 8, 8, 8]),
+        "square 1/64": (shape_solves["square"][0], [7, 7, 6, 6]),
+        "lshape 1/64": (shape_solves["lshape"][0], [7, 7, 7, 6]),
+    }
+    got = {
+        name: (report.iterations, [s["cg_iterations"] for s in report.steps])
+        for name, (report, _) in expected.items()
+    }
+    passed = all(got[name] == (4, cg) for name, (_, cg) in expected.items())
+    detail = "; ".join(f"{name} {n} Newton, CG {cg}" for name, (n, cg) in got.items())
+    _report_line(capsys, "9 (solver counters)", passed, detail)
+    for name, (_, cg) in expected.items():
+        assert got[name] == (4, cg), name

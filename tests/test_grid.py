@@ -1,5 +1,8 @@
 """Grid, masked fields, five-point operators, smoothed-distance Laplacian."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +18,15 @@ from blowup.geometry import (
     default_profile,
 )
 from blowup.grid import (
+    DENSE_NODES,
+    JACOBI_DAMPING,
+    SMOOTHING_SWEEPS,
     Grid,
     ScalarField,
     _flat,
     _Level,
     _neighbors,
-    _transfer_pairs,
+    _transfer_slices,
     laplacian_of_distance,
 )
 from blowup.solver import solve
@@ -126,8 +132,10 @@ def test_gradient_central_on_linear_field(square_grid):
 
 # reference versions of the padded-array operators: the Laplacian and
 # gradient as they were before the scratch buffers (a fresh scatter and
-# full-size temporaries per call), and the stencil and V-cycle residual as
-# they were before the flat layout (2-D views of the padded arrays)
+# full-size temporaries per call), the stencil and the V-cycle residual on
+# a stored diagonal as they were before the flat layout (2-D views of the
+# padded arrays), and the V-cycle as it was before the stored 1/diag and
+# the separable transfers
 
 
 def _reference_stencil(g, full, out):
@@ -149,6 +157,148 @@ def _reference_residual(level):
     t[:, 1:] -= u[:, :-1]
     t[:, :-1] -= u[:, 1:]
     np.subtract(level.f, t, out=t)
+
+
+def _reference_target(level):
+    # t = (f + neighbor sum) / diag on the 2-D interior of the padded arrays
+    u, o = level.u, level.t[1:-1, 1:-1]
+    np.add(level.f[1:-1, 1:-1], u[2:, 1:-1], out=o)
+    o += u[:-2, 1:-1]
+    o += u[1:-1, 2:]
+    o += u[1:-1, :-2]
+    o *= level.inv_diag[1:-1, 1:-1]
+
+
+def _reference_smooth(level, sweeps):
+    for _ in range(sweeps):
+        _reference_target(level)
+        level.u *= 1.0 - JACOBI_DAMPING
+        level.t *= JACOBI_DAMPING
+        level.u += level.t
+
+
+def _reference_scaled_residual(level):
+    _reference_target(level)
+    level.t -= level.u
+    np.divide(level.t, level.inv_diag, out=level.t, where=level.mask)
+
+
+def _offsets(fine, coarse):
+    """Per axis, the fine index under coarse index 0, read off the position
+    of the coarse level's first node in both arrays."""
+    ids = np.arange(fine.n)[fine.nodes] if isinstance(fine.nodes, slice) else fine.nodes
+    at = np.searchsorted(ids, coarse.nodes[0])
+    assert ids[at] == coarse.nodes[0]
+    return np.argwhere(fine.mask)[at] - 2 * np.argwhere(coarse.mask)[0]
+
+
+PAD = 4  # zeros around the fine arrays: every coarse node's fine neighbors fit
+
+
+def _reference_restrict(level, coarse):
+    # full weighting at every coarse node of a zero-padded copy of t, with
+    # temporaries: rows, then columns
+    ax, ay = _offsets(level, coarse)
+    nx, ny = coarse.f.shape
+    t = np.pad(level.t, PAD)
+    rows = [t[PAD + ax + d : PAD + ax + d + 2 * nx : 2] for d in (-1, 0, 1)]
+    r = 0.5 * (rows[0] + rows[2]) + rows[1]
+    cols = [r[:, PAD + ay + d : PAD + ay + d + 2 * ny : 2] for d in (-1, 0, 1)]
+    coarse.f[...] = 0.5 * (cols[0] + cols[2]) + cols[1]
+
+
+def _reference_prolong(level, coarse):
+    # linear interpolation of every coarse node along each axis into a
+    # zero-padded fine array: columns, then rows
+    ax, ay = _offsets(level, coarse)
+
+    def spread(e, a, n):
+        out = np.zeros((n + 2 * PAD,) + e.shape[1:])
+        out[PAD + a : PAD + a + 2 * len(e) : 2] = e
+        zero = np.zeros((1,) + e.shape[1:])
+        padded = np.concatenate([zero, e, zero])
+        out[PAD + a - 1 : PAD + a + 2 * len(e) : 2] = 0.5 * (padded[:-1] + padded[1:])
+        return out[PAD : PAD + n]
+
+    nx, ny = level.u.shape
+    level.t[...] = spread(spread(coarse.u.T, ay, ny).T, ax, nx) * level.mask
+    level.u += level.t
+
+
+def _transfer_pairs(a, n_fine, n_coarse):
+    # the clipped (weight, fine slice, coarse slice) pairs behind the
+    # nine-pass transfers
+    pairs = []
+    for d in (-1, 0, 1):
+        lo = max(0, -((a + d) // 2))
+        hi = min(n_coarse, (n_fine - 1 - a - d) // 2 + 1)
+        start = a + d + 2 * lo
+        pairs.append(
+            (1.0 - 0.5 * abs(d), slice(start, start + 2 * (hi - lo), 2), slice(lo, hi))
+        )
+    return pairs
+
+
+def _reference_cycle(g, mass, r):
+    """One V-cycle on r with a stored diagonal, damped-Jacobi sweeps that
+    divide by it, and nine clipped strided passes per transfer, on buffers
+    of its own.  The hierarchy supplies masks, nodes and the coarsest
+    inverse, so g.vcycle_preconditioner(mass) must have run."""
+    levels = g._hierarchy()
+    state = []
+    for level in levels:
+        diag = np.full(level.mask.shape, 4.0)
+        diag[level.mask] = 4.0 + level.h**2 * mass[level.nodes]
+        buffers = {k: np.zeros(level.mask.shape) for k in "fut"}
+        state.append(SimpleNamespace(mask=level.mask, diag=diag, **buffers))
+    for k, (fine, coarse) in enumerate(zip(levels, levels[1:])):
+        ax, ay = _offsets(fine, coarse)
+        (fx, fy), (cx, cy) = fine.mask.shape, coarse.mask.shape
+        state[k].pairs = (_transfer_pairs(ax, fx, cx), _transfer_pairs(ay, fy, cy))
+
+    def smooth(level, sweeps):
+        for _ in range(sweeps):
+            _reference_residual(level)
+            level.t /= level.diag
+            level.t *= JACOBI_DAMPING
+            level.t *= level.mask
+            level.u += level.t
+
+    def cycle(k):
+        level = state[k]
+        if k == len(state) - 1:
+            level.u[level.mask] = levels[k].inverse @ level.f[level.mask]
+            return
+        coarse = state[k + 1]
+        xs, ys = level.pairs
+        np.divide(level.f, level.diag, out=level.u)
+        level.u *= JACOBI_DAMPING
+        level.u *= level.mask
+        smooth(level, SMOOTHING_SWEEPS - 1)
+        _reference_residual(level)
+        level.t *= level.mask
+        coarse.f.fill(0.0)
+        for wx, fx, cx in xs:
+            for wy, fy, cy in ys:
+                coarse.f[cx, cy] += wx * wy * level.t[fx, fy]
+        cycle(k + 1)
+        for wx, fx, cx in xs:
+            for wy, fy, cy in ys:
+                level.u[fx, fy] += wx * wy * coarse.u[cx, cy]
+        level.u *= level.mask
+        smooth(level, SMOOTHING_SWEEPS)
+
+    top = state[0]
+    top.f[top.mask] = r * (g.h * g.h)
+    cycle(0)
+    return top.u[top.mask]
+
+
+def _use_reference_vcycle_kernels(monkeypatch):
+    monkeypatch.setattr(_Level, "smooth", _reference_smooth)
+    monkeypatch.setattr(_Level, "residual", _reference_scaled_residual)
+    monkeypatch.setattr(_Level, "restrict", _reference_restrict)
+    monkeypatch.setattr(_Level, "prolong", _reference_prolong)
 
 
 def _reference_laplacian(g, values):
@@ -269,17 +419,33 @@ def test_coarse_levels_are_the_coarser_grids(domain):
 @pytest.mark.parametrize("a", [-2, -1, 0, 1])
 @pytest.mark.parametrize("n_fine", [7, 8])
 def test_transfer_pairs_are_bilinear_interpolation(a, n_fine):
+    # coarse index p sits on fine index a + 2p; P is bilinear interpolation
+    # clipped to the fine array
     n_coarse = len(range(a, n_fine, 2))
     expected = np.zeros((n_fine, n_coarse))
     for p in range(n_coarse):
         for d in (-1, 0, 1):
             if 0 <= a + 2 * p + d < n_fine:
                 expected[a + 2 * p + d, p] = 1.0 - 0.5 * abs(d)
-    got = np.zeros((n_fine, n_coarse))
-    eye = np.eye(n_coarse)
-    for weight, fine, coarse in _transfer_pairs(a, n_fine, n_coarse):
-        got[fine] += weight * eye[coarse]
-    assert np.array_equal(got, expected)
+    window, f0, fo = _transfer_slices(a, n_fine, n_coarse)
+    inside = np.zeros(n_coarse, dtype=bool)
+    inside[window] = True
+    # the window holds every coarse node whose fine node is off the ring
+    for p in range(n_coarse):
+        if 1 <= a + 2 * p <= n_fine - 2:
+            assert inside[p]
+    # through the window's slices, restriction is P^T on the window's rows
+    # and prolongation is P on coarse vectors that vanish off the window
+    fine_eye = np.eye(n_fine)
+    restricted = np.zeros((n_coarse, n_fine))
+    restricted[window] = 0.5 * (fine_eye[fo][:-1] + fine_eye[fo][1:]) + fine_eye[f0]
+    assert np.array_equal(restricted[inside], expected.T[inside])
+    coarse_eye = np.eye(np.count_nonzero(inside))
+    prolonged = np.zeros((n_fine, len(coarse_eye)))
+    prolonged[f0] = coarse_eye
+    ends = [coarse_eye[:1], coarse_eye[:-1] + coarse_eye[1:], coarse_eye[-1:]]
+    prolonged[fo] = 0.5 * np.concatenate(ends)
+    assert np.array_equal(prolonged, expected[:, inside])
 
 
 @pytest.mark.parametrize(
@@ -303,12 +469,75 @@ def test_vcycle_symmetric_positive_definite(domain):
     _domains_and_spacings() + [pytest.param(RING_BOX, 0.01, id="ring-box-0.01")],
 )
 def test_vcycle_bit_identical_to_reference_residual(domain, h, monkeypatch):
+    # the flat sweep, residual and transfers against 2-D references: the
+    # shifts by +-1 wrap, so this also fails if an interior node sits on a
+    # level's outer ring
     g = Grid(domain, h)
     mass = 2.0 / g.delta**2
     r = np.random.default_rng(4).standard_normal(g.n_interior)
     flat = g.vcycle_preconditioner(mass)(r)
-    monkeypatch.setattr(_Level, "residual", _reference_residual)
+    _use_reference_vcycle_kernels(monkeypatch)
     assert np.array_equal(g.vcycle_preconditioner(mass)(r), flat)
+
+
+@pytest.mark.parametrize(
+    "domain, h",
+    _domains_and_spacings() + [pytest.param(RING_BOX, 0.01, id="ring-box-0.01")],
+)
+def test_vcycle_matches_reference_cycle(domain, h):
+    # the stored 1/diag and the separable transfers round differently from
+    # the stored diag and the nine-pass transfers, and only that far
+    g = Grid(domain, h)
+    mass = 2.0 / g.delta**2
+    precondition = g.vcycle_preconditioner(mass)
+    r = np.random.default_rng(4).standard_normal(g.n_interior)
+    got = precondition(r)
+    want = _reference_cycle(g, mass, r)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_vcycle_allocates_little_beyond_its_result():
+    # one application at 1/64 after a first one
+    g = Grid(DISK, 1 / 64)
+    precondition = g.vcycle_preconditioner(2.0 / g.delta**2)
+    r = np.random.default_rng(5).standard_normal(g.n_interior)
+    precondition(r)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = precondition(r)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # no array of grid size is alive but the result (101 KB) or numpy's
+    # iteration buffers, up to two of getbufsize() doubles, which the
+    # strided transfer passes take; a level-0 array (142 KB) is larger
+    bound = max(out.nbytes, 2 * np.getbufsize() * 8) + 8 * 1024
+    assert g._u.nbytes > bound
+    assert peak <= bound, peak
+
+
+def test_dense_level_refused_on_a_thin_strip(monkeypatch):
+    # at h = 0.01 the strip has no interior node at 2h, so the fine grid
+    # itself would be the dense level
+    def no_inverse(self, diag):
+        raise AssertionError("an inverse was formed")
+
+    monkeypatch.setattr(_Level, "factor", no_inverse)
+    g = Grid(Box((0.0, 0.0), (32.0, 0.03)), 0.01)
+    assert g.n_interior > DENSE_NODES
+    with pytest.raises(ValueError, match=rf"{g.n_interior} interior nodes.*too thin for h = 0\.01"):
+        g.vcycle_preconditioner(np.ones(g.n_interior))
+
+
+def test_thin_strip_below_the_dense_cap_still_solves():
+    strip = Box((0.0, 0.0), (4.0, 0.03))
+    g = Grid(strip, 0.01)
+    assert g.n_interior == 798
+    assert len(g._hierarchy()) == 1
+    rep = solve(strip, default_profile(strip), g)
+    assert rep.converged
+    assert rep.linear_converged
 
 
 @pytest.mark.parametrize("mode", ["continuum", "lattice"])
@@ -323,7 +552,7 @@ def test_solve_bit_identical_to_reference_kernels(mode, monkeypatch):
     w, steps = run()
     monkeypatch.setattr(Grid, "_stencil", _reference_stencil)
     monkeypatch.setattr(Grid, "gradient", _reference_gradient)
-    monkeypatch.setattr(_Level, "residual", _reference_residual)
+    _use_reference_vcycle_kernels(monkeypatch)
     w_ref, steps_ref = run()
     assert np.array_equal(w, w_ref)
     assert steps == steps_ref

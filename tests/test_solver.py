@@ -340,17 +340,42 @@ def test_pcg_deterministic_and_accurate():
     b = rng.standard_normal(n)
     apply_op = lambda x: a @ x
     identity = lambda r: r
-    x1, it1, res1, true1 = _pcg(apply_op, identity, b, 1e-10, 500)
-    x2, it2, res2, _ = _pcg(apply_op, identity, b, 1e-10, 500)
-    assert it1 == it2
+    x1, res1, true1 = _pcg(apply_op, identity, b, 1e-10, 500)
+    x2, res2, _ = _pcg(apply_op, identity, b, 1e-10, 500)
+    assert res1 == res2
     assert np.array_equal(x1, x2)
     assert np.linalg.norm(a @ x1 - b) <= 1e-9 * np.linalg.norm(b)
     assert true1 == pytest.approx(np.linalg.norm(a @ x1 - b) / np.linalg.norm(b))
+    # one entry per iteration; only the last meets the tolerance
+    assert res1[-1] <= 1e-10 < min(res1[:-1])
 
 
 def test_pcg_zero_rhs():
-    x, it, res, true = _pcg(lambda x: 2.0 * x, lambda r: r, np.zeros(5), 1e-8, 50)
-    assert np.all(x == 0.0) and it == 0 and res == 0.0 and true == 0.0
+    x, res, true = _pcg(lambda x: 2.0 * x, lambda r: r, np.zeros(5), 1e-8, 50)
+    assert np.all(x == 0.0) and res == [] and true == 0.0
+
+
+def test_pcg_residual_history_includes_the_restart():
+    # the operator is A + 1e-6 I until the recurrence first meets rtol and A
+    # from the check of the true residual on, so that check fails once and
+    # CG restarts from the true residual
+    n, rtol = 40, 1e-10
+    a = np.diag(np.linspace(1.0, 4.0, n))
+    b = np.random.default_rng(1).standard_normal(n)
+    perturbed = a + 1e-6 * np.eye(n)
+    _, before, _ = _pcg(lambda v: perturbed @ v, lambda r: r, b, rtol, 500)
+    calls = []
+
+    def switching(v):
+        calls.append(None)
+        return (perturbed if len(calls) <= len(before) else a) @ v
+
+    x, res, true = _pcg(switching, lambda r: r, b, rtol, 500)
+    assert res[: len(before)] == before
+    assert len(res) > len(before)
+    assert res[-1] <= rtol
+    assert true <= rtol
+    assert np.linalg.norm(a @ x - b) <= 10 * rtol * np.linalg.norm(b)
 
 
 def test_cg_iterations_per_newton_step_bounded(disk64, disk128):
@@ -370,6 +395,15 @@ def test_cg_iterations_per_newton_step_bounded(disk64, disk128):
 def test_linear_converged_on_every_default_step(disk64):
     _, _, rep = disk64
     assert all(s["linear_converged"] is True for s in rep.steps)
+
+
+def test_steps_record_the_cg_residual_history(disk64):
+    _, _, rep = disk64
+    for s in rep.steps:
+        history = s["cg_residuals"]
+        assert len(history) == s["cg_iterations"]
+        assert history[-1] == s["cg_relres"] <= SolverConfig().linear_rtol
+        assert all(rel > SolverConfig().linear_rtol for rel in history[:-1])
 
 
 def test_linear_converged_false_when_cg_stops_at_its_cap(monkeypatch):
@@ -421,9 +455,9 @@ def test_linear_converged_follows_the_true_residual(monkeypatch):
     reported = []
 
     def stalled(op, prec, b, rtol, maxiter):
-        x, iters, relres, _ = _pcg(op, prec, b, rtol, maxiter)
+        x, residuals, _ = _pcg(op, prec, b, rtol, maxiter)
         reported.append(10.0 * rtol)
-        return x, iters, relres, reported[-1]
+        return x, residuals, reported[-1]
 
     monkeypatch.setattr(solver_module, "_pcg", stalled)
     rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 64))
