@@ -60,6 +60,45 @@ def _fold(op, mask):
     return out
 
 
+# rows per block of the polygon queries and of the Whitney point queries:
+# a block's coordinates and scratch rows stay small enough for the cache, and
+# no temporary grows with the number of points or boxes
+_CHUNK = 2**15
+
+
+def _blocks(flat, n_rows, n_masks=0):
+    """Walk the (n, 2) array ``flat`` in blocks of at most ``_CHUNK`` rows.
+
+    Yields (rows, x, y, scratch, masks) per block: the block's slice of
+    ``flat``, its two coordinates copied into contiguous rows, and
+    ``n_rows`` float and ``n_masks`` bool scratch rows of the block's
+    length.  Every block reuses the same buffers.
+    """
+    n = len(flat)
+    size = min(n, _CHUNK)
+    floats = np.empty((2 + n_rows, size))
+    masks = np.empty((n_masks, size), dtype=bool)
+    for start in range(0, n, _CHUNK):
+        rows = slice(start, min(start + _CHUNK, n))
+        width = rows.stop - start
+        x, y, *scratch = floats[:, :width]
+        np.copyto(x, flat[rows, 0])
+        np.copyto(y, flat[rows, 1])
+        yield rows, x, y, scratch, list(masks[:, :width])
+
+
+def _by_rows(test, *arrays):
+    """The boolean answers of ``test`` over blocks of at most ``_CHUNK``
+    leading rows of ``arrays``, for a test whose answer for a row depends on
+    that row alone: the temporaries of ``test`` grow with the block, not with
+    the arrays."""
+    out = np.empty(len(arrays[0]), dtype=bool)
+    for start in range(0, len(out), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        out[rows] = test(*(a[rows] for a in arrays))
+    return out
+
+
 def _radial_range(center, lo, hi):
     """(nearest, farthest) distance from center over each closed box [lo, hi]."""
     below = lo - center
@@ -286,7 +325,8 @@ class Polygon(Domain):
     """Open simple polygon in the plane.
 
     Vertices may be given in either orientation; they are stored
-    counterclockwise.  Construction rejects self-intersecting vertex lists.
+    counterclockwise.  Construction rejects self-intersecting vertex lists
+    and vertices that are not finite.
     """
 
     dim = 2
@@ -295,6 +335,8 @@ class Polygon(Domain):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("vertices must be an (n>=3, 2) array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("polygon vertices must be finite")
         area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
         if area2 == 0:
             raise ValueError("degenerate polygon")
@@ -317,61 +359,105 @@ class Polygon(Domain):
                 if _segments_cross(a[i], b[i], a[j], b[j]):
                     raise ValueError("polygon is self-intersecting")
 
-    def _edge_projections(self, flat):
-        """Per edge, in order: the clamped projection parameter t of each
-        point of ``flat`` (shape (n, 2)) on the edge, and the squared
-        distance from the point to that projection."""
-        x, y = flat[:, 0], flat[:, 1]
-        for (ax, ay), (bx, by) in zip(self._a.tolist(), self._b.tolist()):
+    def _edge_projections(self, x, y, t, d, d2):
+        """Per edge, in order: fills ``t`` with the clamped projection
+        parameter of each point (x, y) on the edge and ``d2`` with the
+        squared distance from the point to that projection, then yields the
+        edge's number; ``d`` is scratch.
+
+        Each pass is one in-place ufunc, and the passes keep the operand
+        order of t = clip(((x - ax) abx + (y - ay) aby) / ab2, 0, 1),
+        dx = x - (ax + t abx), dy = y - (ay + t aby) and d2 = dx dx + dy dy,
+        so every value is the formula's, bit for bit.
+        """
+        edges = zip(self._a.tolist(), self._b.tolist())
+        for i, ((ax, ay), (bx, by)) in enumerate(edges):
             abx, aby = bx - ax, by - ay
             ab2 = abx * abx + aby * aby
-            t = np.clip(((x - ax) * abx + (y - ay) * aby) / ab2, 0.0, 1.0)
-            dx = x - (ax + t * abx)
-            dy = y - (ay + t * aby)
-            yield t, dx * dx + dy * dy
+            np.subtract(x, ax, out=t)
+            t *= abx
+            np.subtract(y, ay, out=d)
+            d *= aby
+            t += d
+            t /= ab2
+            np.clip(t, 0.0, 1.0, out=t)
+            np.multiply(t, abx, out=d)
+            d += ax
+            np.subtract(x, d, out=d)
+            np.multiply(d, d, out=d2)
+            np.multiply(t, aby, out=d)
+            d += ay
+            np.subtract(y, d, out=d)
+            d *= d
+            d2 += d
+            yield i
 
     def distance(self, p):
         # sqrt is monotone and correctly rounded, so the root of the least
         # squared distance is the least distance, bit for bit
         p = _points(p, 2)
-        best = None
-        for _, d2 in self._edge_projections(p.reshape(-1, 2)):
-            best = d2 if best is None else np.minimum(best, d2, out=best)
-        return np.sqrt(best).reshape(p.shape[:-1])
+        flat = p.reshape(-1, 2)
+        out = np.empty(len(flat))
+        for rows, x, y, (t, d, d2), _ in _blocks(flat, 3):
+            best = out[rows]
+            for edge in self._edge_projections(x, y, t, d, d2):
+                if edge == 0:
+                    np.copyto(best, d2)
+                else:
+                    np.minimum(best, d2, out=best)
+            np.sqrt(best, out=best)
+        return out.reshape(p.shape[:-1])
 
     def signed_distance(self, p):
         d = self.distance(p)
-        return np.where(self._even_odd_inside(p), d, -d)
+        return np.negative(d, out=d, where=~self._even_odd_inside(p))
 
     def _even_odd_inside(self, p):
         p = _points(p, 2)
-        x, y = p[..., 0], p[..., 1]
-        inside = np.zeros(x.shape, dtype=bool)
-        for (ax, ay), (bx, by) in zip(self._a.tolist(), self._b.tolist()):
-            if ay == by:
-                continue  # a horizontal edge never crosses the ray
-            crosses = (ay > y) != (by > y)
-            x_int = ax + (y - ay) * (bx - ax) / (by - ay)
-            inside ^= crosses & (x < x_int)
-        return inside
+        flat = p.reshape(-1, 2)
+        inside = np.zeros(len(flat), dtype=bool)
+        for rows, x, y, (x_int,), (crosses, left) in _blocks(flat, 1, 2):
+            block = inside[rows]
+            for (ax, ay), (bx, by) in zip(self._a.tolist(), self._b.tolist()):
+                if ay == by:
+                    continue  # a horizontal edge never crosses the ray
+                # crosses = (ay > y) != (by > y); x_int = ax + (y - ay) *
+                # (bx - ax) / (by - ay); inside ^= crosses & (x < x_int)
+                np.less(y, ay, out=crosses)
+                np.less(y, by, out=left)
+                np.not_equal(crosses, left, out=crosses)
+                np.subtract(y, ay, out=x_int)
+                x_int *= bx - ax
+                x_int /= by - ay
+                x_int += ax
+                np.less(x, x_int, out=left)
+                crosses &= left
+                block ^= crosses
+        return inside.reshape(p.shape[:-1])
 
     def distance_laplacian(self, p):
         # the nearest edge by distance; a tie keeps the first edge, as argmin
         # would
         p = _points(p, 2)
-        d_near = t_near = None
-        for t, d2 in self._edge_projections(p.reshape(-1, 2)):
-            d = np.sqrt(d2)
-            if d_near is None:
-                d_near, t_near = d, t
-            else:
-                closer = d < d_near
-                np.copyto(d_near, d, where=closer)
+        flat = p.reshape(-1, 2)
+        lap = np.zeros(len(flat))
+        for rows, x, y, (t, d, d2, d_near, t_near), (closer, far) in _blocks(flat, 5, 2):
+            for edge in self._edge_projections(x, y, t, d, d2):
+                np.sqrt(d2, out=d2)
+                if edge == 0:
+                    np.copyto(d_near, d2)
+                    np.copyto(t_near, t)
+                    continue
+                np.less(d2, d_near, out=closer)
+                np.copyto(d_near, d2, where=closer)
                 np.copyto(t_near, t, where=closer)
-        at_vertex = (t_near <= 0.0) | (t_near >= 1.0)
-        # nearest feature an edge interior: distance is locally affine;
-        # nearest feature a vertex (reflex corner seen from inside): radial
-        lap = np.where(at_vertex, 1.0 / np.maximum(d_near, 1e-300), 0.0)
+            # nearest feature an edge interior (0 < t < 1): distance is
+            # locally affine; nearest feature a vertex (reflex corner seen
+            # from inside): radial, 1 / d
+            at_vertex = np.less_equal(t_near, 0.0, out=closer)
+            at_vertex |= np.greater_equal(t_near, 1.0, out=far)
+            np.maximum(d_near, 1e-300, out=d_near)
+            np.divide(1.0, d_near, out=lap[rows], where=at_vertex)
         return lap.reshape(p.shape[:-1])
 
     def bounding_box(self):
@@ -439,13 +525,17 @@ class Polygon(Domain):
     # so ``_edges_overlap_box`` decides the answer either way.
 
     def cube_contained(self, lo, hi):
-        lo, hi = _corners(lo, hi, 2)
+        return _by_rows(self._contained, *_corners(lo, hi, 2))
+
+    def _contained(self, lo, hi):
         corners = _box_corners(lo, hi)  # (n, 4, 2)
         all_in = _fold(np.logical_and, self._even_odd_inside(corners))
         return all_in & ~self._edges_overlap_box(lo, hi)
 
     def cube_intersects(self, lo, hi):
-        lo, hi = _corners(lo, hi, 2)
+        return _by_rows(self._intersects, *_corners(lo, hi, 2))
+
+    def _intersects(self, lo, hi):
         corners = _box_corners(lo, hi)
         any_corner_in = _fold(np.logical_or, self._even_odd_inside(corners))
         v = self.vertices
@@ -461,9 +551,9 @@ def _box_corners(lo, hi):
     n = lo.shape[0]
     out = np.empty((n, 4, 2))
     out[:, 0] = lo
-    out[:, 1] = np.stack([hi[:, 0], lo[:, 1]], axis=-1)
+    out[:, 1, 0], out[:, 1, 1] = hi[:, 0], lo[:, 1]
     out[:, 2] = hi
-    out[:, 3] = np.stack([lo[:, 0], hi[:, 1]], axis=-1)
+    out[:, 3, 0], out[:, 3, 1] = lo[:, 0], hi[:, 1]
     return out
 
 

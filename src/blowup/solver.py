@@ -139,6 +139,7 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
     holds the recurrence's |r| / |b| after each iteration, those after the
     restart included, so its length is the iteration count and its last
     entry belongs to the returned x.
+    ``apply_op`` must return a new array: ``_pcg`` overwrites it in place.
     Deterministic: plain numpy reductions, no randomness.
     """
     x = np.zeros_like(b)
@@ -159,9 +160,12 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
     for _ in range(maxiter):
         Ap = apply_op(p)
         alpha = rz / float(np.dot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        # free Ap before the next product allocates its own
+        # r -= alpha Ap and x += alpha p, through Ap's buffer; Ap is then
+        # freed before the next product allocates its own
+        Ap *= alpha
+        r -= Ap
+        np.multiply(p, alpha, out=Ap)
+        x += Ap
         del Ap
         relres = math.sqrt(float(np.dot(r, r))) / bnorm
         residuals.append(relres)

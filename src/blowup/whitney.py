@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, _fold
+from .geometry import _CHUNK, Domain, _by_rows, _fold
 
 __all__ = [
     "WhitneyParams",
@@ -314,7 +314,7 @@ class WhitneyDecomposition:
         self._radix = np.cumprod([1] + self._extent[:-1].tolist()).astype(np.int64)
         counts = [len(levels.get(k, ())) for k in range(order[0], order[-1] + 1)]
         self._level_starts = np.cumsum([0] + counts).tolist()
-        keys = self._index_keys(self._ms - self._lo)
+        keys, _ = self._index_keys(self._ms)
         self._keys = np.concatenate(
             [np.sort(keys[a:b]) for a, b in zip(self._level_starts, self._level_starts[1:])]
         )
@@ -329,12 +329,21 @@ class WhitneyDecomposition:
 
     # -- membership --------------------------------------------------------
 
-    def _index_keys(self, rel: np.ndarray) -> np.ndarray:
-        """Mixed-radix key of each row of index offsets from ``_lo``."""
-        keys = rel[:, 0].copy()
-        for i in range(1, rel.shape[1]):
-            keys += rel[:, i] * self._radix[i]
-        return keys
+    def _index_keys(self, m: np.ndarray):
+        """(key, in range) of each row of the index array m: its mixed-radix
+        key over the global index range, built column by column, and True
+        where the row lies in that range.  Only the keys of rows in range
+        mean anything."""
+        keys = m[:, 0] - self._lo[0]
+        # a negative offset reads as a huge unsigned one, so one comparison
+        # checks both ends of the range
+        ok = keys.view(np.uint64) < self._extent[0]
+        for i in range(1, m.shape[1]):
+            rel = m[:, i] - self._lo[i]
+            ok &= rel.view(np.uint64) < self._extent[i]
+            rel *= self._radix[i]
+            keys += rel
+        return keys, ok
 
     def cube_ids(self, lev, m: np.ndarray) -> np.ndarray:
         """Global id of each queried cube (level lev, index m), or -1 where
@@ -360,21 +369,22 @@ class WhitneyDecomposition:
         if start == stop:
             return out
         table = self._keys[start:stop]
-        rel = m - self._lo
-        # a negative offset reads as a huge unsigned one, so one comparison
-        # checks both ends of the index range; the keys of rows out of range
-        # are never read
-        ok = _fold(np.logical_and, rel.view(np.uint64) < self._extent)
-        keys = self._index_keys(rel)
+        keys, ok = self._index_keys(m)
         pos = np.searchsorted(table, keys)
-        found = table[np.minimum(pos, len(table) - 1)] == keys
-        return np.where(ok & found, pos + start, out)
+        # pos is at most len(table), and clipping makes that the last key
+        ok &= table.take(pos, mode="clip") == keys
+        pos += start
+        np.copyto(out, pos, where=ok)
+        return out
 
     # -- point queries -----------------------------------------------------
 
     def covers(self, points: np.ndarray) -> np.ndarray:
         """True where some selected (undilated, closed) cube holds the point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        return _by_rows(self._covers, points)
+
+    def _covers(self, points: np.ndarray) -> np.ndarray:
         n = points.shape[1]
         out = np.zeros(len(points), dtype=bool)
         # a point exactly on a shared face or corner also belongs to the lower
@@ -385,10 +395,13 @@ class WhitneyDecomposition:
         ).reshape(-1, n)[1:]
         todo = np.arange(len(points))
         for k in self.levels:
-            scaled = points[todo] / 2.0 ** (-k)
-            base = np.floor(scaled).astype(np.int64)
-            hit = self.cube_ids(k, base) >= 0
+            scaled = points[todo]
+            scaled /= 2.0 ** (-k)
+            base = np.floor(scaled)
             on_lattice = scaled == base
+            del scaled
+            base = base.astype(np.int64)
+            hit = self.cube_ids(k, base) >= 0
             # only a point on the lattice along some axis qualifies for a
             # nonzero shift
             edge = np.flatnonzero(~hit & _fold(np.logical_or, on_lattice))
@@ -399,8 +412,9 @@ class WhitneyDecomposition:
             todo = todo[~hit]
         return out
 
-    def _support_hits(self, points: np.ndarray):
-        """All (point, cube) incidences of the eta_prime supports.
+    def _support_hits(self, points: np.ndarray, delta: np.ndarray):
+        """All (point, cube) incidences of the eta_prime supports, given the
+        boundary distance ``delta`` of each point.
 
         Returns (point_idx, level, m) arrays concatenated over levels; within
         a level, ordered by offset combination, then by point.  The max-norm
@@ -417,14 +431,12 @@ class WhitneyDecomposition:
         outside the domain lies in no support (each support lies inside its
         cube's eta-dilate), so it has no incidences either way.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
         etp = self.params.eta_prime
         n = points.shape[1]
         reach = int(math.floor(etp)) + 2
         combos = np.stack(
             np.meshgrid(*[np.arange(reach)] * n, indexing="ij"), axis=-1
         ).reshape(-1, n)
-        delta = self.domain.distance(points)
         lam = self.constants.delta_side_min * (1.0 - 1e-9)
         mu = self.constants.delta_side_max * (1.0 + 1e-9)
         pid_all, lev_all, m_all = [], [], []
@@ -458,7 +470,7 @@ class WhitneyDecomposition:
 
     def overlap_counts(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        pid, _, _ = self._support_hits(points)
+        pid, _, _ = self._support_hits(points, self.domain.distance(points))
         return np.bincount(pid, minlength=len(points)).astype(np.int64)
 
     def partition_values(self, points: np.ndarray):
@@ -468,11 +480,21 @@ class WhitneyDecomposition:
         partition weights are phi_ref / psi[pid].
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        pid, lev, m = self._support_hits(points)
-        sides = 2.0 ** (-lev.astype(float))
-        centers = (m + 0.5) * sides[:, None]
-        offsets = (points[pid] - centers) / sides[:, None]
-        phi = self.bump.value(offsets)
+        return self._partition_values(points, self.domain.distance(points))
+
+    def _partition_values(self, points: np.ndarray, delta: np.ndarray):
+        """``partition_values`` at the (n, dim) array ``points``, whose
+        boundary distances ``delta`` the caller already has."""
+        pid, lev, m = self._support_hits(points, delta)
+        # the bump at each incidence's offset, in blocks of incidences; the
+        # same blocks through geometry._by_rows, with a float result, left
+        # the Whitney run's peak RSS about 7 MB higher at an equal heap peak
+        phi = np.empty(len(pid))
+        for start in range(0, len(pid), _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            sides = 2.0 ** (-lev[rows].astype(float))
+            centers = (m[rows] + 0.5) * sides[:, None]
+            phi[rows] = self.bump.value((points[pid[rows]] - centers) / sides[:, None])
         psi = np.zeros(len(points))
         np.add.at(psi, pid, phi)
         return pid, lev, m, phi, psi
@@ -691,44 +713,50 @@ class PropertyReport:
         }
 
 
-def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng) -> np.ndarray:
+def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
     """The points farther than epsilon_cut from the boundary among the first
-    ``count`` of uniform points in the bounding box that fall in the domain;
-    ValueError when there are none, since the decomposition then guarantees
-    nothing to check.
+    ``count`` of uniform points in the bounding box that fall in the domain,
+    with their boundary distances; ValueError when there are none, since the
+    decomposition then guarantees nothing to check.
 
     The box points come in batches of ``max(count, 4096)``, and a batch is
     drawn whole, so the random stream moves as if every point were used.
-    Distances are taken in order, in chunks sized from the share of points
-    inside seen so far, and stop once ``count`` points inside are found.
+    Distances are taken in order, in chunks of at most ``_CHUNK`` rows
+    sized from the share of points inside seen so far, and stop once
+    ``count`` points inside are found.  Only the rows returned are kept from
+    a chunk, and a batch is dropped before the next is drawn.
     """
     domain, cut = decomp.domain, decomp.constants.epsilon_cut
     lo, hi = domain.bounding_box()
-    pts, dist = [], []
-    have = tried = 0
+    pts, dist = np.empty((count, domain.dim)), np.empty(count)
+    have = tried = kept = 0
     while have < count:
-        batch = lo + rng.random((max(count, 4096), domain.dim)) * (hi - lo)
+        batch = chunk = None  # free the last batch before drawing the next
+        batch = rng.random((max(count, 4096), domain.dim))
+        batch *= hi - lo
+        batch += lo
         start = 0
         while have < count and start < len(batch):
             need = count - have
             # 5% above the rows the yield so far predicts, so that another
             # chunk is seldom needed; no fewer than need, as the yield is <= 1
             step = math.ceil(need * tried / have * 1.05) if have else need
-            chunk = batch[start : start + step]
+            chunk = batch[start : start + min(step, _CHUNK)]
             sd = domain.signed_distance(chunk)
-            inside = sd > 0.0
-            pts.append(chunk[inside])
-            dist.append(sd[inside])
-            have += len(dist[-1])
+            inside = np.flatnonzero(sd > 0.0)[:need]
+            keep = inside[sd[inside] > cut]
+            pts[kept : kept + len(keep)] = chunk[keep]
+            dist[kept : kept + len(keep)] = sd[keep]
+            kept += len(keep)
+            have += len(inside)
             tried += len(chunk)
             start += len(chunk)
-    deep = np.concatenate(dist)[:count] > cut
-    if not deep.any():
+    if kept == 0:
         raise ValueError(
             f"no sample lies beyond epsilon_cut={cut:.3e}: the decomposition is "
             f"too shallow for the domain at k_max={decomp.params.k_max}; raise k_max"
         )
-    return np.concatenate(pts, axis=0)[:count][deep]
+    return pts[:kept], dist[:kept]
 
 
 def verify_properties(
@@ -742,7 +770,9 @@ def verify_properties(
 
     The sampled checks use points beyond ``epsilon_cut``; a ValueError naming
     it and ``k_max`` is raised when a sample holds none (a decomposition too
-    shallow for the domain).
+    shallow for the domain).  The checks that hold large arrays each run in
+    a helper of their own, so those arrays are freed before the next check
+    starts.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -751,13 +781,39 @@ def verify_properties(
     if gradient_points < 1:
         raise ValueError("gradient_points must be at least 1")
     rng = np.random.default_rng(seed)
-    dom = decomp.domain
-    cst = decomp.constants
-    params = decomp.params
     report = PropertyReport()
-    ks, _, sides, centers = decomp.arrays()
+    report.checks += _cube_checks(decomp)
+    report.checks.append(_support_window_check(decomp, rng))
+    # neighbor side ratios over all pairs with overlapping supports
+    cst = decomp.constants
+    worst_ratio, worst_gap, centers_ok = _neighbor_side_ratios(decomp)
+    report.checks.append(
+        PropertyCheck(
+            "neighbor_side_ratio",
+            worst_ratio < cst.side_ratio_bound
+            and worst_gap <= cst.level_window
+            and centers_ok,
+            worst=worst_ratio,
+            detail=(
+                f"ratio bound {cst.side_ratio_bound:.4g}, worst level gap "
+                f"{worst_gap} (window {cst.level_window:.3g})"
+            ),
+        )
+    )
+    n_cov = coverage_samples if coverage_samples is not None else sample_count
+    report.checks.append(_coverage_check(decomp, n_cov, rng))
+    _partition_checks(decomp, sample_count, gradient_points, rng, report)
+    return report
 
-    # selection rule, exact on every cube
+
+def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
+    """The selection rule, supports in the domain, no nesting and the center
+    distance window, each exact on every cube."""
+    dom, params = decomp.domain, decomp.params
+    _, _, sides, centers = decomp.arrays()
+    checks = []
+
+    # selection rule
     half = 0.5 * params.eta * sides
     sel_ok = dom.cube_contained(centers - half[:, None], centers + half[:, None])
     # siblings share a parent, so each distinct parent is tested once
@@ -773,7 +829,7 @@ def verify_properties(
         p_centers - p_half[:, None], p_centers + p_half[:, None]
     )
     ok = bool(np.all(sel_ok) and np.all(parent_ok))
-    report.checks.append(
+    checks.append(
         PropertyCheck(
             "selection_rule",
             ok,
@@ -781,25 +837,20 @@ def verify_properties(
         )
     )
 
-    # supports stay inside the domain, exact on every cube
+    # supports stay inside the domain
     s_half = 0.5 * params.eta_prime * sides
     sup_ok = dom.cube_contained(centers - s_half[:, None], centers + s_half[:, None])
-    report.checks.append(
-        PropertyCheck("support_in_domain", bool(np.all(sup_ok)))
-    )
+    checks.append(PropertyCheck("support_in_domain", bool(np.all(sup_ok))))
 
     # no selected cube is an ancestor of another
     nested = _nested_pairs(decomp)
-    report.checks.append(
-        PropertyCheck("no_nesting", nested == 0, worst=float(nested))
-    )
+    checks.append(PropertyCheck("no_nesting", nested == 0, worst=float(nested)))
 
     # center distance bounds: eta/2 < delta/side <= (eta + 1/2) sqrt(dim)
-    delta_c = dom.distance(centers)
-    ratio_c = delta_c / sides
+    ratio_c = dom.distance(centers) / sides
     lo_c = params.eta / 2.0
     hi_c = (params.eta + 0.5) * math.sqrt(params.dim)
-    report.checks.append(
+    checks.append(
         PropertyCheck(
             "center_distance_window",
             bool(np.all((ratio_c > lo_c) & (ratio_c <= hi_c))),
@@ -807,56 +858,54 @@ def verify_properties(
             detail=f"delta/side in ({lo_c:.4g}, {hi_c:.4g}]",
         )
     )
+    return checks
 
-    # support distance bounds via random points in each support
-    reps = 4
-    offs = rng.uniform(-0.5, 0.5, size=(reps, len(ks), params.dim))
-    pts = centers[None, :, :] + offs * (params.eta_prime * sides)[None, :, None]
-    ratio_s = dom.distance(pts.reshape(-1, params.dim)).reshape(reps, -1) / sides[None, :]
-    report.checks.append(
-        PropertyCheck(
-            "support_distance_window",
-            bool(
-                np.all(ratio_s >= cst.delta_side_min)
-                and np.all(ratio_s <= cst.delta_side_max)
-            ),
-            worst=float(ratio_s.min()),
-            detail=f"bounds [{cst.delta_side_min:.4g}, {cst.delta_side_max:.4g}]",
-        )
+
+def _support_window_check(decomp: WhitneyDecomposition, rng) -> PropertyCheck:
+    """Support distance bounds at four random points in each support, drawn
+    one point per cube at a time."""
+    cst, dim = decomp.constants, decomp.params.dim
+    _, _, sides, centers = decomp.arrays()
+    scale = (decomp.params.eta_prime * sides)[:, None]
+    ok, worst = True, []
+    for _ in range(4):
+        pts = rng.uniform(-0.5, 0.5, size=(decomp.cube_count, dim))
+        pts *= scale
+        pts += centers
+        ratio = decomp.domain.distance(pts)
+        ratio /= sides
+        ok &= bool(np.all(ratio >= cst.delta_side_min) and np.all(ratio <= cst.delta_side_max))
+        worst.append(ratio.min())
+    return PropertyCheck(
+        "support_distance_window",
+        ok,
+        worst=float(np.min(worst)),
+        detail=f"bounds [{cst.delta_side_min:.4g}, {cst.delta_side_max:.4g}]",
     )
 
-    # neighbor side ratios over all pairs with overlapping supports
-    worst_ratio, worst_gap, centers_ok = _neighbor_side_ratios(decomp)
-    report.checks.append(
-        PropertyCheck(
-            "neighbor_side_ratio",
-            worst_ratio < cst.side_ratio_bound
-            and worst_gap <= cst.level_window
-            and centers_ok,
-            worst=worst_ratio,
-            detail=(
-                f"ratio bound {cst.side_ratio_bound:.4g}, worst level gap "
-                f"{worst_gap} (window {cst.level_window:.3g})"
-            ),
-        )
-    )
 
-    # coverage of the comfortably-interior region
-    n_cov = coverage_samples if coverage_samples is not None else sample_count
-    pts = _sample_beyond_cut(decomp, n_cov, rng)
+def _coverage_check(decomp: WhitneyDecomposition, count: int, rng) -> PropertyCheck:
+    """Coverage of the comfortably-interior region."""
+    pts, _ = _sample_beyond_cut(decomp, count, rng)
     misses = int(np.count_nonzero(~decomp.covers(pts)))
-    report.checks.append(
-        PropertyCheck(
-            "coverage_beyond_cut",
-            misses == 0,
-            worst=float(misses),
-            detail=f"{len(pts)} samples beyond epsilon_cut={cst.epsilon_cut:.3e}",
-        )
+    return PropertyCheck(
+        "coverage_beyond_cut",
+        misses == 0,
+        worst=float(misses),
+        detail=f"{len(pts)} samples beyond epsilon_cut={decomp.constants.epsilon_cut:.3e}",
     )
 
-    # overlap bound and partition sums on a fresh sample
-    pts = _sample_beyond_cut(decomp, sample_count, rng)
-    pid, lev, m, phi, psi = decomp.partition_values(pts)
+
+def _partition_checks(
+    decomp: WhitneyDecomposition, count: int, gradient_points: int, rng, report
+) -> None:
+    """Overlap bound, partition sums and the gradient bound on a fresh
+    sample; appends their checks to ``report`` and sets its empirical
+    maxima.  The sample's distances are those the partition uses: inside the
+    domain the signed distance is the distance, bit for bit."""
+    cst = decomp.constants
+    pts, delta = _sample_beyond_cut(decomp, count, rng)
+    pid, lev, m, phi, psi = decomp._partition_values(pts, delta)
     counts = np.bincount(pid, minlength=len(pts))
     report.empirical_overlap_max = int(counts.max())
     report.checks.append(
@@ -876,8 +925,9 @@ def verify_properties(
             detail="1 <= sum of reference bumps <= overlap bound on covered points",
         )
     )
+    w = phi / psi[pid]
     weight_sum = np.zeros(len(pts))
-    np.add.at(weight_sum, pid, phi / psi[pid])
+    np.add.at(weight_sum, pid, w)
     report.checks.append(
         PropertyCheck(
             "partition_sum",
@@ -889,7 +939,7 @@ def verify_properties(
     # powers of partition weights: sum w^q <= 1 and (sum w)^q <= P^q sum w^q
     q = 3.0
     wq = np.zeros(len(pts))
-    np.add.at(wq, pid, (phi / psi[pid]) ** q)
+    np.add.at(wq, pid, w**q)
     pow_ok = bool(
         np.all(wq <= 1.0 + 1e-12)
         and np.all(weight_sum**q <= cst.overlap_bound**q * wq * (1 + 1e-9))
@@ -907,7 +957,6 @@ def verify_properties(
             detail=f"side * |grad weight| <= {cst.grad_bound:.4g}",
         )
     )
-    return report
 
 
 def _distinct_rows(ms: np.ndarray):

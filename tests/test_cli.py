@@ -143,6 +143,18 @@ def test_nonpositive_solve_flags_rejected_before_solving(
     assert message in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_polygon_with_a_non_finite_vertex_exits_1(tmp_path, capsys, value):
+    # json reads NaN and Infinity, so a domain can carry them
+    spec = '{"shape": "polygon", "vertices": [[0, 0], [%s, 0], [1, 1]]}' % value
+    rc = main(["whitney", "--domain", spec, "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "polygon vertices must be finite" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "flags", [["--samples", "0"], ["--coverage-samples", "0"], ["--samples", "-5"]]
 )

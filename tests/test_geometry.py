@@ -1,6 +1,7 @@
 """Geometry layer: distances, cube predicates, smoothing profile."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from blowup.geometry import (
     Polygon,
     SmoothingProfile,
     _box_corners,
+    _CHUNK,
     default_profile,
     domain_from_json,
 )
@@ -509,6 +511,127 @@ def test_slab_pass_per_edge_matches_broadcast_reference(poly, random_boxes, touc
 
 
 # ---------------------------------------------------------------------------
+# polygon queries in blocks, against the whole-array passes they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_polygon_distance(poly, p):
+    """``Polygon.distance`` with one whole-array pass per edge."""
+    p = np.asarray(p, dtype=float)
+    flat = p.reshape(-1, 2)
+    x, y = flat[:, 0], flat[:, 1]
+    best = None
+    for (ax, ay), (bx, by) in zip(poly._a.tolist(), poly._b.tolist()):
+        abx, aby = bx - ax, by - ay
+        ab2 = abx * abx + aby * aby
+        t = np.clip(((x - ax) * abx + (y - ay) * aby) / ab2, 0.0, 1.0)
+        dx = x - (ax + t * abx)
+        dy = y - (ay + t * aby)
+        d2 = dx * dx + dy * dy
+        best = d2 if best is None else np.minimum(best, d2, out=best)
+    return np.sqrt(best).reshape(p.shape[:-1])
+
+
+def _reference_even_odd_inside(poly, p):
+    """``Polygon._even_odd_inside`` with one whole-array pass per edge."""
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    inside = np.zeros(x.shape, dtype=bool)
+    for (ax, ay), (bx, by) in zip(poly._a.tolist(), poly._b.tolist()):
+        if ay == by:
+            continue
+        crosses = (ay > y) != (by > y)
+        x_int = ax + (y - ay) * (bx - ax) / (by - ay)
+        inside ^= crosses & (x < x_int)
+    return inside
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# point counts around the block size, a partial last block among them
+BLOCK_COUNTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+
+
+def _points_across_blocks(poly, count, seed):
+    """``count`` random points around the polygon; the rows within 7 of a
+    block boundary are vertices, points on edges and lattice points."""
+    rng = np.random.default_rng(seed)
+    lo, hi = poly.bounding_box()
+    pts = lo - 0.5 + rng.random((count, 2)) * (hi - lo + 1.0)
+    special = _special_points(poly)
+    near = np.flatnonzero(np.abs((np.arange(count) + 7) % _CHUNK - 7) <= 7)
+    pts[near] = special[rng.integers(len(special), size=len(near))]
+    return pts
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+@pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])
+def test_polygon_block_kernels_match_whole_array_reference(poly, count):
+    pts = _points_across_blocks(poly, count, seed=count)
+    wide = np.zeros((count, 3))
+    wide[:, 1:] = pts
+    shapes = {
+        "points": pts,
+        "corners": _box_corners(pts, pts + 0.25),  # (n, 4, 2)
+        "view": wide[::-1, 1:],  # rows reversed, not contiguous
+    }
+    for name, p in shapes.items():
+        dist = _reference_polygon_distance(poly, p)
+        inside = _reference_even_odd_inside(poly, p)
+        assert _same_bits(poly.distance(p), dist), name
+        assert _same_bits(poly._even_odd_inside(p), inside), name
+        assert _same_bits(poly.signed_distance(p), np.where(inside, dist, -dist)), name
+        assert _same_bits(
+            poly.distance_laplacian(p), _reference_distance_laplacian(poly, p)
+        ), name
+
+
+@pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])
+def test_polygon_cube_predicates_in_blocks_match_reference(poly):
+    rng = np.random.default_rng(29)
+    count = _CHUNK + 7  # a full block and a partial one
+    # random boxes at three scales, then boxes with a corner on a vertex or
+    # on an edge around each block boundary
+    scales = _boxes_at_scales(poly, (0.5, 0.05, 0.002), count // 3 + 1, rng)
+    lo = np.concatenate([box[0] for box in scales])[:count]
+    hi = np.concatenate([box[1] for box in scales])[:count]
+    corners = _points_across_blocks(poly, count, seed=31)
+    near = np.flatnonzero(np.abs((np.arange(count) + 7) % _CHUNK - 7) <= 7)
+    lo[near], hi[near] = corners[near], corners[near] + 0.125
+    assert np.array_equal(poly.cube_contained(lo, hi), _reference_cube_contained(poly, lo, hi))
+    assert np.array_equal(
+        poly.cube_intersects(lo, hi), _reference_cube_intersects(poly, lo, hi)
+    )
+
+
+def _heap_peak(fn, *args):
+    """(result, bytes allocated at the peak of one call beyond what was
+    held before it), after a first call that fills any cache."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_polygon_distance_allocates_its_result_and_a_few_block_rows():
+    pts = np.random.default_rng(9).random((1_000_000, 2)) * 2.0
+    out, peak = _heap_peak(L_SHAPE.distance, pts)
+    # the result, plus the block's two coordinate rows and three scratch
+    # rows (measured: exactly that), with one more row and 64 KiB to spare:
+    # under an eighth of one copy of the points, where the whole-array
+    # passes held several arrays of the points' length
+    bound = out.nbytes + 6 * 8 * _CHUNK + 64 * 1024
+    assert bound < out.nbytes + pts.nbytes / 8
+    assert peak <= bound, peak
+
+
+# ---------------------------------------------------------------------------
 # smoothing profile
 # ---------------------------------------------------------------------------
 
@@ -591,6 +714,15 @@ def test_profile_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 # polygon validation and JSON round trips
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_polygon_rejects_non_finite_vertices(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Polygon([(0, 0), (bad, 0), (1, 1)])
+    spec = json.dumps({"shape": "polygon", "vertices": [[0, 0], [1, 0], [1, bad]]})
+    with pytest.raises(ValueError, match="finite"):
+        domain_from_json(spec)
 
 
 def test_polygon_rejects_self_intersection():
