@@ -392,10 +392,17 @@ def _cmd_audit_chain(args) -> bool:
         runs.append({"function": name, **rep.to_json_dict()})
         total_violations += rep.total_violations
         all_passed = all_passed and rep.all_passed
+        # a failed run names each failing step with both of its sides
+        failed = "".join(
+            f"; {s.name} failed: lhs {s.lhs:.6g}, rhs {s.rhs:.6g}"
+            + (f", {s.violations} violating cubes" if s.violations else "")
+            for s in rep.steps
+            if not s.passed
+        )
         _check_line(
             f"chain[{name}]",
             rep.all_passed,
-            f"{len(rep.steps)} steps, {rep.total_violations} violations",
+            f"{len(rep.steps)} steps, {rep.total_violations} violations{failed}",
         )
 
     outdir = _output_dir(args)

@@ -133,8 +133,12 @@ def weighted_rhs(u: ScalarField, p: float, n: int = 2) -> float:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
+    return _weighted_rhs(u, *u.grid.gradient(u.values), p, n)
+
+
+def _weighted_rhs(u: ScalarField, gx, gy, p: float, n: int) -> float:
+    """``weighted_rhs`` of u given its gradient (gx, gy) from ``Grid.gradient``."""
     g = u.grid
-    gx, gy = g.gradient(u.values)
     gmag = np.hypot(gx, gy)
     total = (
         np.sum(gmag**p * g.delta ** (p - n) + np.abs(u.values) ** p / g.delta**n)
@@ -479,19 +483,32 @@ _EPS = 1e-12
 class _Partition:
     """The u-independent part of ``chain_audit`` on one grid.
 
-    One row per (interior node, cube support) incidence; cubes are numbered
-    0..cube_count-1 in key order.  Arrays are read-only because one record
-    serves every audit on the same grid.
+    One entry per (interior node, cube support) incidence, in the order of
+    ``partition_values``; cubes are numbered 0..cube_count-1 in id order.
+    Next to the incidence map it holds every per-incidence factor of the
+    audit's cube sums that does not depend on u, each a contiguous 1-D
+    array: the weight and its square, the exact gradient of the weight one
+    axis per row and its squared length, the node's delta^n and delta^2,
+    and the squared side.  Arrays are read-only because one record serves
+    every audit on the same grid.
+
+    Every scatter-add here and in the audit is ``np.bincount`` with
+    weights, which adds each cube's (or node's) terms in input order into a
+    float64 zero, one at a time, as ``np.add.at`` into a zero array does:
+    the sums are the same bit for bit.
     """
 
     pid: np.ndarray  # node of each incidence
     gci: np.ndarray  # cube number of each incidence
-    cube_count: int
-    sides: np.ndarray  # cube side of each incidence
     s_cube: np.ndarray  # side of each cube
     w_part: np.ndarray  # normalized partition weight
-    grad_w: np.ndarray  # (incidences, n) exact gradient of the weight
+    w2: np.ndarray  # w_part^2
+    grad_w: np.ndarray  # (n, incidences) exact gradient of the weight
     gw2: np.ndarray  # |grad_w|^2
+    delta_n: np.ndarray  # delta^n at the node
+    delta2: np.ndarray  # delta^2 at the node
+    side2: np.ndarray  # squared cube side
+    cube_count: int
     recon_worst: float  # max |sum of the weights - 1| over the nodes
     grad_worst: float  # max of side * |grad_w|
 
@@ -509,36 +526,46 @@ def _grid_partition(
     """
     pts = grid.points
     n = decomp.params.dim
+    # temporaries are dropped once used: the end of this build is the heap
+    # peak of an audit run
     pid, lev, m, phi_ref, psi = decomp.partition_values(pts)
+    # number the cubes met in id order: the rank of each id among those
+    # present, which is np.unique's inverse without its sort (nor the
+    # numpy.ma import its first call in a process costs)
     gid = decomp.cube_ids(lev, m)
-    _, gci = np.unique(gid, return_inverse=True)
-    C = int(gci.max()) + 1 if len(gci) else 0
+    rank = np.zeros(decomp.cube_count, dtype=np.int64)
+    rank[gid] = 1
+    np.cumsum(rank, out=rank)
+    gci = rank[gid] - 1
+    C = int(rank[-1])
+    del gid, rank
     sides = 2.0 ** (-lev.astype(float))
-    centers = (m + 0.5) * sides[:, None]
-    offs = (pts[pid] - centers) / sides[:, None]
-    w_part = phi_ref / psi[pid]
     s_cube = np.zeros(C)
     s_cube[gci] = sides
+    gref = bump.gradient((pts[pid] - (m + 0.5) * sides[:, None]) / sides[:, None])
+    del lev, m
 
-    recon = np.zeros(len(pts))
-    np.add.at(recon, pid, w_part)
+    psi = psi[pid]
+    w_part = phi_ref / psi
+    recon = np.bincount(pid, weights=w_part, minlength=len(pts))
     recon_worst = float(np.abs(recon - 1.0).max()) if len(pts) else 0.0
+    del recon
 
-    gref = bump.gradient(offs) / sides[:, None]
-    grad_psi = np.zeros((len(pts), n))
-    np.add.at(grad_psi, pid, gref)
-    grad_w = (gref * psi[pid][:, None] - phi_ref[:, None] * grad_psi[pid]) / (
-        psi[pid] ** 2
-    )[:, None]
-    gw2 = np.sum(grad_w**2, axis=-1)
-    s_grad = sides * np.sqrt(gw2)
-    grad_worst = float(s_grad.max()) if len(s_grad) else 0.0
+    psi2 = psi**2
+    grad_w = np.empty((n, len(pid)))
+    for i in range(n):
+        gi = gref[:, i] / sides
+        grad_psi = np.bincount(pid, weights=gi, minlength=len(pts))
+        grad_w[i] = (gi * psi - phi_ref * grad_psi[pid]) / psi2
+    del gref, gi, grad_psi, psi, psi2, phi_ref
+    gw2 = sum(g * g for g in grad_w)
+    grad_worst = float((sides * np.sqrt(gw2)).max()) if len(pid) else 0.0
 
-    for a in (pid, gci, sides, s_cube, w_part, grad_w, gw2):
+    dn = grid.delta[pid]
+    arrays = (pid, gci, s_cube, w_part, w_part**2, grad_w, gw2, dn**n, dn**2, sides**2)
+    for a in arrays:
         a.flags.writeable = False
-    return _Partition(
-        pid, gci, C, sides, s_cube, w_part, grad_w, gw2, recon_worst, grad_worst
-    )
+    return _Partition(*arrays, C, recon_worst, grad_worst)
 
 
 def chain_audit(
@@ -561,7 +588,12 @@ def chain_audit(
 
     The partition data does not depend on u: it is cached for the last
     (grid, decomposition, bump), so auditing several functions on one grid
-    builds it once.
+    builds it once.  That per-grid record (``_Partition``) holds the
+    incidence map and every u-independent per-incidence factor as a
+    contiguous 1-D array; an audit gathers u and |grad u|^2 at the
+    incidences once and sums per cube with ``np.bincount``, which adds in
+    input order from zero exactly as ``np.add.at`` does, so every sum is
+    the same bit for bit.
 
     Grids whose step divides a power of two sample every node exactly on a
     cube plateau (the matching collars between plateaus are thin), which
@@ -581,16 +613,16 @@ def chain_audit(
     delta = g.delta
     if float(delta.min()) <= cst.epsilon_cut:
         raise ValueError(
-            "interior nodes reach below the coverage cut; deepen the "
-            "decomposition or coarsen the grid"
+            f"interior nodes reach below the coverage cut (smallest delta "
+            f"{float(delta.min()):.6g} <= epsilon_cut {cst.epsilon_cut:.6g} at "
+            f"k_max {decomp.params.k_max}); deepen the decomposition or coarsen "
+            "the grid"
         )
     part = _grid_partition(g, decomp, bump)
-    pid, gci, C, sides = part.pid, part.gci, part.cube_count, part.sides
-    w_part, grad_w, gw2, s_cube = part.w_part, part.grad_w, part.gw2, part.s_cube
+    pid, gci, C, s_cube = part.pid, part.gci, part.cube_count, part.s_cube
     h = g.h
     uv = u.values
     gx, gy = g.gradient(uv)
-    Du = np.stack([gx, gy], axis=-1)
     du2 = gx**2 + gy**2
     G_tot = float(np.sum(du2)) * h**2
     W_tot = float(np.sum(uv**2 / delta**2)) * h**2
@@ -601,9 +633,8 @@ def chain_audit(
     )
 
     def gsum(x):
-        out = np.zeros(C)
-        np.add.at(out, gci, x)
-        return out
+        """Per-cube sum of the incidence values x, times the cell area."""
+        return np.bincount(gci, weights=x, minlength=C) * h**2
 
     # step: the partition reconstructs u exactly on covered nodes
     report.steps.append(
@@ -627,22 +658,30 @@ def chain_audit(
         )
     )
 
-    # per-incidence localized pieces
-    v = uv[pid] * w_part
-    Dv = w_part[:, None] * Du[pid] + uv[pid][:, None] * grad_w
-    dv2 = np.sum(Dv**2, axis=-1)
-    dn = delta[pid]
-
-    L = gsum(np.abs(v) ** q / dn**n) * h**2
-    Iq = gsum(np.abs(v) ** q) * h**2
+    # per-incidence localized pieces v = w u and Dv = w Du + u Dw, one axis
+    # at a time; each per-incidence array is dropped once summed, which
+    # keeps the run's heap peak in the partition build
+    up = uv[pid]
+    v = up * part.w_part
+    vq = np.abs(v) ** q
+    L = gsum(vq / part.delta_n)
+    Iq = gsum(vq)
+    del vq
+    vmass_scaled = gsum(v**2 / part.side2)
+    del v
+    dv_mass = gsum(
+        sum((part.w_part * du[pid] + up * dw) ** 2 for du, dw in zip((gx, gy), part.grad_w))
+    )
     vhat_q = Iq / s_cube**n
-    dv_mass = gsum(dv2) * h**2
-    vmass_scaled = gsum(v**2 / sides**2) * h**2
     K2 = dv_mass + vmass_scaled
-    grad_piece = gsum(w_part**2 * du2[pid]) * h**2
-    cross_piece = gsum(uv[pid] ** 2 * gw2) * h**2
-    G_cube = gsum(du2[pid]) * h**2
-    W_cube = gsum(uv[pid] ** 2 / dn**2) * h**2
+    du2p = du2[pid]
+    grad_piece = gsum(part.w2 * du2p)
+    G_cube = gsum(du2p)
+    del du2p
+    up2 = up**2
+    cross_piece = gsum(up2 * part.gw2)
+    W_cube = gsum(up2 / part.delta2)
+    up_mass = gsum(up2)
 
     P = cst.overlap_bound
     lam = cst.delta_side_min
@@ -708,7 +747,7 @@ def chain_audit(
 
     # transfer support-scale weights onto boundary-distance weights
     ok1 = grad_piece <= G_cube * (1 + _EPS)
-    ok2 = cross_piece <= (c3**2 / s_cube**2) * (gsum(uv[pid] ** 2) * h**2) * (1 + _EPS)
+    ok2 = cross_piece <= (c3**2 / s_cube**2) * up_mass * (1 + _EPS)
     ok3 = cross_piece <= c3**2 * mu**2 * W_cube * (1 + _EPS)
     ok4 = vmass_scaled <= mu**2 * W_cube * (1 + _EPS)
     bad = ~(ok1 & ok2 & ok3 & ok4)
@@ -773,7 +812,7 @@ def chain_audit(
 
     # closure against the single-constant form
     final = math.exp(log_assembled / q)
-    rhs_m = weighted_rhs(u, n, n)
+    rhs_m = _weighted_rhs(u, gx, gy, n, n)
     sig = sigma_q(cst, q, n)
     report.steps.append(
         ChainStep(

@@ -189,12 +189,19 @@ def derive_constants(params: WhitneyParams, bump: "BumpFunction") -> DerivedCons
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, strictly increasing."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, strictly increasing;
+    NaN stays NaN.  The exponentials are taken only strictly inside (0, 1),
+    the transition; every other entry is its exact plateau value."""
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    np.copyto(out, t, where=np.isnan(t))
+    inside = (t > 0.0) & (t < 1.0)
+    ti = t[inside]
+    with np.errstate(over="ignore"):  # -1/t is -inf for t below 1/DBL_MAX
+        a = np.exp(-1.0 / ti)
+    b = np.exp(-1.0 / (1.0 - ti))
+    out[inside] = a / (a + b)
+    return out[()]  # a scalar for a scalar t
 
 
 class BumpFunction:
@@ -222,17 +229,19 @@ class BumpFunction:
         return np.prod(self.profile(y), axis=-1)
 
     def profile_derivative(self, t: np.ndarray) -> np.ndarray:
-        """Exact derivative of the 1-D profile (zero on plateau and outside)."""
+        """Exact derivative of the 1-D profile (zero on plateau and outside),
+        evaluated only on the transition."""
         t = np.asarray(t, dtype=float)
         width = (self.eta_prime - 1.0) / 2.0
         tau = (self.eta_prime / 2.0 - np.abs(t)) / width
         inside = (tau > 0.0) & (tau < 1.0)
-        tc = np.clip(tau, 1e-12, 1.0 - 1e-12)
-        with np.errstate(over="ignore"):
-            a = np.exp(-1.0 / tc)
-            b = np.exp(-1.0 / (1.0 - tc))
-            sprime = a * b * (tc**-2 + (1.0 - tc) ** -2) / (a + b) ** 2
-        return np.where(inside, -np.sign(t) * sprime / width, 0.0)
+        tc = np.clip(tau[inside], 1e-12, 1.0 - 1e-12)
+        a = np.exp(-1.0 / tc)
+        b = np.exp(-1.0 / (1.0 - tc))
+        sprime = a * b * (tc**-2 + (1.0 - tc) ** -2) / (a + b) ** 2
+        out = np.zeros(tau.shape)
+        out[inside] = -np.sign(t[inside]) * sprime / width
+        return out
 
     def gradient(self, y) -> np.ndarray:
         """Exact gradient of the tensor bump at offsets y of shape (..., dim)."""
@@ -348,7 +357,8 @@ class WhitneyDecomposition:
     def cube_ids(self, lev, m: np.ndarray) -> np.ndarray:
         """Global id of each queried cube (level lev, index m), or -1 where
         that cube is not selected.  ``lev`` is one level or one per row of m;
-        per-row levels are answered one level at a time.
+        per-row levels are answered one level of the decomposition's range
+        at a time (rows at other levels stay -1).
 
         Ids run level-major, then over the index with axis 0 varying fastest.
         A query searches its level's keys alone, a table several times
@@ -358,7 +368,7 @@ class WhitneyDecomposition:
         out = np.full(len(m), -1, dtype=np.int64)
         if np.ndim(lev):
             lev = np.asarray(lev)
-            for k in np.unique(lev).tolist():
+            for k in range(self._k0, self._k0 + len(self._level_starts) - 1):
                 rows = np.flatnonzero(lev == k)
                 out[rows] = self.cube_ids(k, m[rows])
             return out
@@ -495,8 +505,7 @@ class WhitneyDecomposition:
             sides = 2.0 ** (-lev[rows].astype(float))
             centers = (m[rows] + 0.5) * sides[:, None]
             phi[rows] = self.bump.value((points[pid[rows]] - centers) / sides[:, None])
-        psi = np.zeros(len(points))
-        np.add.at(psi, pid, phi)
+        psi = np.bincount(pid, weights=phi, minlength=len(points))
         return pid, lev, m, phi, psi
 
     # -- serialization -----------------------------------------------------
@@ -526,10 +535,7 @@ class WhitneyDecomposition:
         for it).  A piece holds at most ``_CUBES_PER_CHUNK`` cubes of one
         level.
 
-        Per level, each distinct index value m is rendered once per field
-        and axis, as its index or its center ``(m + 0.5) * side`` (the value
-        ``arrays()`` computes) followed by the layout up to the next varying
-        field; the level and the side are folded into those pieces.
+        Each level's cubes come from ``_level_chunks``.
         """
         head = json.dumps(
             {**self._header_json_dict(), **extra, "cubes": []}, indent=2, sort_keys=True
@@ -539,41 +545,66 @@ class WhitneyDecomposition:
         yield before + '\n  "cubes": [\n'
         sep = ""
         for k in sorted(self.levels):
-            ms = self.levels[k]
-            side = 2.0 ** (-float(k))
-            values, inverse = np.unique(ms.ravel(), return_inverse=True)
-            inverse = inverse.reshape(ms.shape)
-            rendered = (
-                str(k),
-                repr(side),
-                [str(m) for m in values.tolist()],
-                [repr(c) for c in ((values + 0.5) * side).tolist()],
-            )
-            # (text per distinct value, index column) per index or center
-            # field; fixed text goes into the piece after it, or the last one
-            pieces = []
-            pending = layout[0]
-            for kind, axis, text_after in zip(layout[1::3], layout[2::3], layout[3::3]):
-                kind = int(kind)
-                if kind < 2:
-                    pending += rendered[kind] + text_after
-                    continue
-                pieces.append(([pending + t + text_after for t in rendered[kind]], int(axis)))
-                pending = ""
-            pieces[-1] = ([t + pending for t in pieces[-1][0]], pieces[-1][1])
-            pieces = [(np.array(texts, dtype=object), inverse[:, axis]) for texts, axis in pieces]
-            for start in range(0, len(ms), _CUBES_PER_CHUNK):
-                stop = start + _CUBES_PER_CHUNK
-                texts, col = pieces[0]
-                cubes = texts[col[start:stop]]
-                for texts, col in pieces[1:]:
-                    cubes = cubes + texts[col[start:stop]]
-                yield sep + ",\n".join(cubes.tolist())
-                sep = ",\n"
+            yield from _level_chunks(k, self.levels[k], layout, sep)
+            sep = ",\n"
         yield "\n  ]" + after
 
 
 _CUBES_PER_CHUNK = 8192
+
+
+def _level_chunks(k: int, ms: np.ndarray, layout: list[str], sep: str):
+    """The cube-file entries of level k's index rows ``ms``, joined with
+    ",\n", at most ``_CUBES_PER_CHUNK`` cubes per string, the first string
+    led by ``sep`` and the others by ",\n"; ``layout`` is
+    ``_cube_layout``'s.
+
+    Each field renders each index value m of its own axis, from that
+    axis's lowest to its highest at this level, once: as its index or its
+    center ``(m + 0.5) * side`` (the value ``arrays()`` computes) followed
+    by the layout up to the next varying field; the level and the side are
+    folded into those pieces.  The texts thus scale with each axis's extent,
+    not with where the domain sits; axes with the same range render their
+    bare value texts once.  A cube looks its texts up by the offset of its
+    indices from the per-axis lowest.  The texts die with the generator,
+    before the next level renders its own.
+    """
+    side = 2.0 ** (-float(k))
+    lo = ms.min(axis=0)
+    hi = ms.max(axis=0)
+    fixed = (str(k), repr(side))
+    # [text before, kind, axis, text after] per index or center field;
+    # fixed text goes into the piece after it, or the last one
+    fields = []
+    pending = layout[0]
+    for kind, axis, text_after in zip(layout[1::3], layout[2::3], layout[3::3]):
+        kind = int(kind)
+        if kind < 2:
+            pending += fixed[kind] + text_after
+            continue
+        fields.append([pending, kind, int(axis), text_after])
+        pending = ""
+    fields[-1][3] += pending
+    # (text per index value of the field's axis, axis) per field
+    bare = {}
+    pieces = []
+    for pre, kind, axis, post in fields:
+        key = (kind, int(lo[axis]), int(hi[axis]))
+        if key not in bare:
+            values = np.arange(key[1], key[2] + 1)
+            if kind == 3:
+                values = (values + 0.5) * side
+            bare[key] = [repr(v) for v in values.tolist()]
+        pieces.append((np.array([pre + t + post for t in bare[key]], dtype=object), axis))
+    del values, bare  # the bare value texts; the pieces hold their own
+    for start in range(0, len(ms), _CUBES_PER_CHUNK):
+        offsets = ms[start : start + _CUBES_PER_CHUNK] - lo
+        texts, axis = pieces[0]
+        cubes = texts[offsets[:, axis]]
+        for texts, axis in pieces[1:]:
+            cubes = cubes + texts[offsets[:, axis]]
+        yield sep + ",\n".join(cubes.tolist())
+        sep = ",\n"
 
 
 def _cube_record(level, index, side, center) -> dict:
@@ -964,14 +995,23 @@ def _distinct_rows(ms: np.ndarray):
     ``ms``, through one mixed-radix key per row over the rows' own index
     range (``np.unique(axis=0)`` is several times slower).  The key is built
     column by column, as numpy reduces a short last axis element by
-    element."""
+    element.  The keys are ranked by the stable sort ``np.unique`` uses
+    with ``return_index``, so ``first`` holds each row's first occurrence;
+    done here, the Whitney run calls no ``np.unique``, whose first call in
+    a process imports ``numpy.ma`` (about 30 ms of CPU)."""
     keys, radix = 0, 1
     for i in range(ms.shape[1]):
         col = ms[:, i] - ms[:, i].min()
         keys = keys + col * radix
         radix *= int(col.max()) + 1
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _nested_pairs(decomp: WhitneyDecomposition) -> int:

@@ -1,6 +1,7 @@
 """Exit codes, report determinism, and argument parsing of the command line."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -304,6 +305,11 @@ def test_assert_same_text_names_the_first_difference():
 _CUBE_FILE_CASES = {
     "disk": lambda: decompose(parse_domain("disk"), WhitneyParams(k_max=6)),
     "lshape": _lshape_truncated_at_two_levels,
+    # index ranges that start far from 0 on one axis and near 0 on the other
+    "translated": lambda: decompose(
+        parse_domain('{"shape": "rectangle", "corner_min": [40, 0], "corner_max": [41, 1]}'),
+        WhitneyParams(k_max=6),
+    ),
     # eta=3 keeps the 3-D overlap enumeration in derive_constants short
     "box3": lambda: decompose(
         parse_domain('{"shape": "rectangle", "corner_min": [0, 0, 0], "corner_max": [1, 1, 2]}'),
@@ -322,8 +328,32 @@ def test_cube_file_is_json_dumps_of_to_json_dict(tmp_path, case):
     _assert_same_text(text, want + "\n")
     if case == "disk":
         assert min(decomp.arrays()[1].ravel()) < 0
+    if case == "translated":
+        ms = decomp.arrays()[1]
+        assert ms[:, 0].min() >= 40 * 2**2 and ms[:, 1].max() < 2**6
     if case == "lshape":
         assert list(json.loads(text)["truncated_per_level"]) == ["10", "9"]
+
+
+def test_cube_file_texts_do_not_grow_with_the_domain_offset():
+    def write_peak(corner_min):
+        corner_max = [c + 1 for c in corner_min]
+        domain = parse_domain(
+            json.dumps({"shape": "rectangle", "corner_min": corner_min, "corner_max": corner_max})
+        )
+        decomp = decompose(domain, WhitneyParams(k_max=8))
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in decomp.json_chunks({}))
+            return size, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    size0, peak0 = write_peak([0, 0])
+    size1, peak1 = write_peak([1000, 0])
+    # at level 8 the x indices sit near 256000 and the y indices near 0
+    assert size1 > size0
+    assert peak1 < 2 * peak0
 
 
 def test_whitney_invalid_dilation_pair_exits_1(tmp_path, capsys):
@@ -411,6 +441,40 @@ def test_audit_chain_builds_the_partition_once(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len(_load(tmp_path / "chain_report.json")["runs"]) == 13
     assert len(calls) == 1
+
+
+def test_audit_chain_failure_names_each_failing_step(tmp_path, monkeypatch, capsys):
+    # one step of one run is made to fail; its line names that step with
+    # both sides, every other line stays as a passing run prints it, and a
+    # failed check exits 2
+    audit = cli.chain_audit
+
+    def one_failing_step(u, decomp, **kwargs):
+        rep = audit(u, decomp, **kwargs)
+        calls.append(u)
+        if len(calls) == 2:
+            step = next(s for s in rep.steps if s.name == "scaled_sobolev")
+            step.passed, step.lhs, step.rhs, step.violations = False, 1.25, 1.0, 3
+        return rep
+
+    calls = []
+    argv = ["audit-chain", "--domain", "square", "--h", "1/50", "--report", str(tmp_path)]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(cli, "chain_audit", one_failing_step)
+    assert main(argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] chain[bump_f0.95_e2]  (11 steps, 3 violations; scaled_sobolev failed: "
+        "lhs 1.25, rhs 1, 3 violating cubes)"
+    ]
+    assert [line for line in lines if line not in failed] == [
+        line for line in clean if "bump_f0.95_e2" not in line
+    ]
+    report = _load(tmp_path / "chain_report.json")
+    assert report["total_violations"] == 3
+    assert [r["all_passed"] for r in report["runs"]].count(False) == 1
 
 
 def test_audit_chain_unknown_function_exits_1(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """Tests for the weighted-inequality module: series, norms, constants,
 Hardy quotients, and the proof-chain audit."""
 
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -532,7 +534,11 @@ def test_chain_audit_rejects_shallow_decomposition():
     shallow = decompose(UNIT_SQUARE, WhitneyParams(k_max=4))
     grid = Grid(UNIT_SQUARE, 1 / 64)
     u = ScalarField(grid, ineq.radial_bump(_r2(grid.points, (0.5, 0.5)), 0.4))
-    with pytest.raises(ValueError, match="coverage cut"):
+    # the message names the nearest node's distance (one step, 1/64), the
+    # cut and the depth
+    cut = f"{shallow.constants.epsilon_cut:.6g}"
+    message = rf"\(smallest delta 0.015625 <= epsilon_cut {cut} at k_max 4\)"
+    with pytest.raises(ValueError, match=message):
         ineq.chain_audit(u, shallow, q=4)
 
 
@@ -575,6 +581,306 @@ def test_chain_report_serializes(audit_setup):
     assert payload["total_violations"] == 0
     assert len(payload["steps"]) == len(rep.steps)
     assert all("lhs" in s and "rhs" in s for s in payload["steps"])
+
+
+# oracle for the audit: the partition record and the audit as first written,
+# against which every report must match to the last bit
+
+
+def _reference_grid_partition(grid, decomp, bump):
+    """The partition record as first written: (incidence, axis) arrays,
+    ``np.add.at`` scatters and cube numbers from ``np.unique``."""
+    pts = grid.points
+    n = decomp.params.dim
+    pid, lev, m, phi_ref, psi = decomp.partition_values(pts)
+    gid = decomp.cube_ids(lev, m)
+    _, gci = np.unique(gid, return_inverse=True)
+    C = int(gci.max()) + 1 if len(gci) else 0
+    sides = 2.0 ** (-lev.astype(float))
+    centers = (m + 0.5) * sides[:, None]
+    offs = (pts[pid] - centers) / sides[:, None]
+    w_part = phi_ref / psi[pid]
+    s_cube = np.zeros(C)
+    s_cube[gci] = sides
+
+    recon = np.zeros(len(pts))
+    np.add.at(recon, pid, w_part)
+    recon_worst = float(np.abs(recon - 1.0).max()) if len(pts) else 0.0
+
+    gref = bump.gradient(offs) / sides[:, None]
+    grad_psi = np.zeros((len(pts), n))
+    np.add.at(grad_psi, pid, gref)
+    grad_w = (gref * psi[pid][:, None] - phi_ref[:, None] * grad_psi[pid]) / (
+        psi[pid] ** 2
+    )[:, None]
+    gw2 = np.sum(grad_w**2, axis=-1)
+    s_grad = sides * np.sqrt(gw2)
+    grad_worst = float(s_grad.max()) if len(s_grad) else 0.0
+
+    for a in (pid, gci, sides, s_cube, w_part, grad_w, gw2):
+        a.flags.writeable = False
+    return SimpleNamespace(
+        pid=pid, gci=gci, cube_count=C, sides=sides, s_cube=s_cube, w_part=w_part,
+        grad_w=grad_w, gw2=gw2, recon_worst=recon_worst, grad_worst=grad_worst,
+    )
+
+
+def _reference_chain_audit(u, decomp, bump=None, q=4.0):
+    """The audit as first written: (incidence, axis) gradients, repeated
+    gathers and ``np.add.at`` cube sums, and its own gradient of u for the
+    combined norm."""
+    n = decomp.params.dim
+    if q < n:
+        raise ValueError("q must be at least n")
+    if bump is None:
+        bump = decomp.bump
+    elif bump.eta_prime != decomp.params.eta_prime:
+        raise ValueError("bump support dilation must match the decomposition")
+    g = u.grid
+    cst = decomp.constants
+    delta = g.delta
+    if float(delta.min()) <= cst.epsilon_cut:
+        raise ValueError(
+            "interior nodes reach below the coverage cut; deepen the "
+            "decomposition or coarsen the grid"
+        )
+    part = _reference_grid_partition(g, decomp, bump)
+    pid, gci, C, sides = part.pid, part.gci, part.cube_count, part.sides
+    w_part, grad_w, gw2, s_cube = part.w_part, part.grad_w, part.gw2, part.s_cube
+    h = g.h
+    uv = u.values
+    gx, gy = g.gradient(uv)
+    Du = np.stack([gx, gy], axis=-1)
+    du2 = gx**2 + gy**2
+    G_tot = float(np.sum(du2)) * h**2
+    W_tot = float(np.sum(uv**2 / delta**2)) * h**2
+    lhs_total = float(np.sum(np.abs(uv) ** q / delta**n)) * h**2
+
+    report = ineq.ChainReport(
+        q=q, p=float(n), cube_count=C, node_count=len(g.points), incidence_count=len(pid)
+    )
+
+    def gsum(x):
+        out = np.zeros(C)
+        np.add.at(out, gci, x)
+        return out
+
+    # step: the partition reconstructs u exactly on covered nodes
+    report.steps.append(
+        ineq.ChainStep(
+            "partition_reconstruction",
+            part.recon_worst <= 1e-12,
+            part.recon_worst,
+            1e-12,
+            detail="max deviation of the weight sum from 1 at interior nodes",
+        )
+    )
+
+    # exact partition gradients via the quotient rule
+    report.steps.append(
+        ineq.ChainStep(
+            "partition_gradient_pointwise",
+            part.grad_worst <= cst.grad_bound,
+            part.grad_worst,
+            cst.grad_bound,
+            detail="side-scaled exact partition gradient against the derived bound",
+        )
+    )
+
+    # per-incidence localized pieces
+    v = uv[pid] * w_part
+    Dv = w_part[:, None] * Du[pid] + uv[pid][:, None] * grad_w
+    dv2 = np.sum(Dv**2, axis=-1)
+    dn = delta[pid]
+
+    L = gsum(np.abs(v) ** q / dn**n) * h**2
+    Iq = gsum(np.abs(v) ** q) * h**2
+    vhat_q = Iq / s_cube**n
+    dv_mass = gsum(dv2) * h**2
+    vmass_scaled = gsum(v**2 / sides**2) * h**2
+    K2 = dv_mass + vmass_scaled
+    grad_piece = gsum(w_part**2 * du2[pid]) * h**2
+    cross_piece = gsum(uv[pid] ** 2 * gw2) * h**2
+    G_cube = gsum(du2[pid]) * h**2
+    W_cube = gsum(uv[pid] ** 2 / dn**2) * h**2
+
+    P = cst.overlap_bound
+    lam = cst.delta_side_min
+    mu = cst.delta_side_max
+    c3 = cst.grad_bound
+    S = ineq.sobolev_bound(q, n)
+
+    # localization: |sum of <= P terms|^q <= P^q * sum of |term|^q
+    rhs = P**q * float(L.sum())
+    report.steps.append(
+        ineq.ChainStep(
+            "localization",
+            lhs_total <= rhs * (1 + ineq._EPS),
+            lhs_total,
+            rhs,
+            detail="whole-domain weighted power against the localized sum",
+        )
+    )
+
+    # distance window: delta >= lambda * side on supports
+    rhs_off = lam ** (-n) * vhat_q
+    bad = L > rhs_off * (1 + ineq._EPS)
+    report.steps.append(
+        ineq.ChainStep(
+            "support_weight_offload",
+            not np.any(bad),
+            float(L.max()) if C else 0.0,
+            float(rhs_off.max()) if C else 0.0,
+            violations=int(np.count_nonzero(bad)),
+            detail="per-cube weighted power against the unweighted one",
+        )
+    )
+
+    # scaled Sobolev on each support
+    lhs_sob = vhat_q ** (1.0 / q)
+    rhs_sob = S * np.sqrt(K2)
+    bad = lhs_sob > rhs_sob * (1 + 1e-9)
+    report.steps.append(
+        ineq.ChainStep(
+            "scaled_sobolev",
+            not np.any(bad),
+            float((lhs_sob / np.maximum(rhs_sob, 1e-300)).max()) if C else 0.0,
+            1.0,
+            violations=int(np.count_nonzero(bad)),
+            detail="per-cube q-norm of the localized piece against the embedding "
+            "bound times its scaled gradient norm (ratio reported)",
+        )
+    )
+
+    # gradient split with the crude 2^r constant
+    split_rhs = 4.0 * grad_piece + 4.0 * cross_piece
+    bad = dv_mass > split_rhs * (1 + ineq._EPS)
+    report.steps.append(
+        ineq.ChainStep(
+            "gradient_split",
+            not np.any(bad),
+            float(dv_mass.max()) if C else 0.0,
+            float(split_rhs.max()) if C else 0.0,
+            violations=int(np.count_nonzero(bad)),
+            detail="product-rule split of the localized gradient mass",
+        )
+    )
+
+    # transfer support-scale weights onto boundary-distance weights
+    ok1 = grad_piece <= G_cube * (1 + ineq._EPS)
+    ok2 = cross_piece <= (c3**2 / s_cube**2) * (gsum(uv[pid] ** 2) * h**2) * (1 + ineq._EPS)
+    ok3 = cross_piece <= c3**2 * mu**2 * W_cube * (1 + ineq._EPS)
+    ok4 = vmass_scaled <= mu**2 * W_cube * (1 + ineq._EPS)
+    bad = ~(ok1 & ok2 & ok3 & ok4)
+    report.steps.append(
+        ineq.ChainStep(
+            "support_weight_transfer",
+            not np.any(bad),
+            float(cross_piece.max()) if C else 0.0,
+            float((c3**2 * mu**2 * W_cube).max()) if C else 0.0,
+            violations=int(np.count_nonzero(bad)),
+            detail="partition bounds and the distance window move support "
+            "sums onto the weighted norms",
+        )
+    )
+
+    # overlap aggregation
+    lhs_g = float(G_cube.sum())
+    lhs_w = float(W_cube.sum())
+    ok = lhs_g <= P * G_tot * (1 + ineq._EPS) and lhs_w <= P * W_tot * (1 + ineq._EPS)
+    report.steps.append(
+        ineq.ChainStep(
+            "overlap_aggregation",
+            ok,
+            max(lhs_g, lhs_w),
+            max(P * G_tot, P * W_tot),
+            detail="summed support integrals against the overlap bound times "
+            "the whole-domain integrals",
+        )
+    )
+
+    # power-sum collapse: sum b^r <= (sum b)^r for r = q/p >= 1
+    lhs_c = float(np.sum(K2 ** (q / 2.0)))
+    rhs_c = float(K2.sum()) ** (q / 2.0)
+    report.steps.append(
+        ineq.ChainStep(
+            "power_sum_collapse",
+            lhs_c <= rhs_c * (1 + ineq._EPS),
+            lhs_c,
+            rhs_c,
+            detail="elementary power-sum inequality over the cube family",
+        )
+    )
+
+    # assembled final bound, in logs to dodge overflow at large q
+    bracket = 4.0 * P * G_tot + (4.0 * c3**2 + 1.0) * mu**2 * P * W_tot
+    log_assembled = (
+        q * math.log(P)
+        - n * math.log(lam)
+        + q * math.log(S)
+        + (q / 2.0) * math.log(bracket)
+    )
+    log_lhs = math.log(lhs_total) if lhs_total > 0 else -math.inf
+    report.steps.append(
+        ineq.ChainStep(
+            "assembled_bound",
+            log_lhs <= log_assembled + ineq._EPS,
+            log_lhs,
+            log_assembled,
+            detail="log of the weighted power against the log of the chained bound",
+        )
+    )
+
+    # closure against the single-constant form
+    final = math.exp(log_assembled / q)
+    rhs_m = ineq.weighted_rhs(u, n, n)
+    sig = ineq.sigma_q(cst, q, n)
+    report.steps.append(
+        ineq.ChainStep(
+            "dominated_by_sigma_bound",
+            final <= sig * rhs_m * (1 + ineq._EPS) or rhs_m == 0.0,
+            final,
+            sig * rhs_m,
+            detail="chained bound against the closed-form constant times the "
+            "combined norm",
+        )
+    )
+    return report
+
+
+@pytest.fixture(scope="module")
+def lshape_decomp():
+    return decompose(L_SHAPE, WhitneyParams(k_max=10))
+
+
+def _assert_same_reports(u, dec, q):
+    got = ineq.chain_audit(u, dec, q=q).to_json_dict()
+    want = _reference_chain_audit(u, dec, q=q).to_json_dict()
+    assert got == want
+    # json keeps the sign of a zero, which == does not see
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_chain_audit_matches_reference_on_the_dyadic_square(square_decomp):
+    # h = 1/64 puts every node on a plateau: the collars carry no node
+    names = []
+    for name, u in ineq.grid_family(Grid(UNIT_SQUARE, 1 / 64)):
+        names.append(name)
+        _assert_same_reports(u, square_decomp, 4.0)
+    assert names == list(ineq.FAMILY_NAMES)
+
+
+@pytest.mark.parametrize("q", [3.0, 4.0, 6.0])
+def test_chain_audit_matches_reference_on_the_lshape_off_the_lattice(lshape_decomp, q):
+    # 1/90 divides no power of two, so nodes fall in the transition collars
+    # and the gradient steps compare nonzero partition gradients
+    grid = Grid(L_SHAPE, 1 / 90)
+    family = list(ineq.grid_family(grid))
+    assert len(family) == len(ineq.FAMILY_NAMES)
+    for _, u in family:
+        _assert_same_reports(u, lshape_decomp, q)
+    part = ineq._grid_partition(grid, lshape_decomp, lshape_decomp.bump)
+    assert part.grad_worst > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from blowup.whitney import (
     _neighbor_side_ratios,
     _nested_pairs,
     _sample_beyond_cut,
+    _smoothstep,
     decompose,
     derive_constants,
     verify_properties,
@@ -141,6 +142,89 @@ def test_max_slope_magnitude():
     # so the peak slope is near 80
     bump = BumpFunction(1.05)
     assert 60 < bump.max_slope() < 110
+
+
+def _reference_smoothstep(t):
+    """The step with both exponentials over every entry, as first written."""
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+        return a / (a + b)
+
+
+def _reference_profile(eta_prime, t):
+    t = np.abs(np.asarray(t, dtype=float))
+    width = (eta_prime - 1.0) / 2.0
+    return _reference_smoothstep((eta_prime / 2.0 - t) / width)
+
+
+def _reference_profile_derivative(eta_prime, t):
+    t = np.asarray(t, dtype=float)
+    width = (eta_prime - 1.0) / 2.0
+    tau = (eta_prime / 2.0 - np.abs(t)) / width
+    inside = (tau > 0.0) & (tau < 1.0)
+    tc = np.clip(tau, 1e-12, 1.0 - 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.exp(-1.0 / tc)
+        b = np.exp(-1.0 / (1.0 - tc))
+        sprime = a * b * (tc**-2 + (1.0 - tc) ** -2) / (a + b) ** 2
+    return np.where(inside, -np.sign(t) * sprime / width, 0.0)
+
+
+def _reference_gradient(eta_prime, y):
+    y = np.asarray(y, dtype=float)
+    g = _reference_profile(eta_prime, y)
+    gp = _reference_profile_derivative(eta_prime, y)
+    cols = []
+    for i in range(y.shape[-1]):
+        others = np.prod(np.delete(g, i, axis=-1), axis=-1)
+        cols.append(gp[..., i] * others)
+    return np.stack(cols, axis=-1)
+
+
+def _assert_same_values(got, want):
+    """Equal shape and values, NaN where the reference has NaN, and the sign
+    of every zero kept."""
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    real = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got)[real], np.signbit(want)[real])
+
+
+@pytest.mark.parametrize("eta_prime", [1.05, 1.3])
+def test_bump_kernels_match_full_evaluation_reference(eta_prime):
+    # the kernels take exp only on the transition; every other entry must
+    # still be the exact plateau or zero value of the full evaluation
+    bump = BumpFunction(eta_prime)
+    half, edge = 0.5, eta_prime / 2.0
+    # zero, both ends of the transition and the floats next to them, beyond
+    # the support, negatives, infinities and NaN
+    special = np.array(
+        [
+            *(0.0, -0.0, half, -half, edge, -edge),
+            *(np.nextafter(half, 1.0), np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)),
+            *(edge + 0.1, -edge - 0.1, 3.0, -7.0, np.inf, -np.inf, np.nan, 0.3, -0.2),
+        ]
+    )
+    rng = np.random.default_rng(11)
+    transition = rng.uniform(half, edge, 300) * rng.choice([-1.0, 1.0], 300)
+    offsets = np.concatenate([special, transition, rng.uniform(-1.0, 1.0, 300)])
+    # the step's own argument: its ends, its middle, beyond, and rounding
+    # distance from either end
+    ends = [0.0, -0.0, 0.5, 1.0, 1.5, -0.3, np.inf, -np.inf, np.nan, 1e-310]
+    steps = np.concatenate([ends, [np.nextafter(1.0, 0.0)], rng.uniform(-0.5, 1.5, 300)])
+    for t in [*steps[:11].tolist(), *(np.asarray(x) for x in steps[:11]), steps]:
+        _assert_same_values(_smoothstep(t), _reference_smoothstep(t))
+    for t in [*special.tolist(), *(np.asarray(x) for x in special), offsets]:
+        _assert_same_values(bump.profile(t), _reference_profile(eta_prime, t))
+        _assert_same_values(
+            bump.profile_derivative(t), _reference_profile_derivative(eta_prime, t)
+        )
+    pairs = [offsets.reshape(-1, 2), rng.permutation(offsets).reshape(-1, 2)]
+    for y in [*pairs, special[:2], special[None, 4:6], np.empty((0, 2))]:
+        _assert_same_values(bump.value(y), np.prod(_reference_profile(eta_prime, y), axis=-1))
+        _assert_same_values(bump.gradient(y), _reference_gradient(eta_prime, y))
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +546,10 @@ def test_distinct_rows_match_unique_rows(dim):
     ms = rng.integers(-5, 4, (3000, dim))
     ms[:, -1] = 7
     first, inverse = _distinct_rows(ms)
-    want = np.unique(ms, axis=0)
+    want, want_first = np.unique(ms, axis=0, return_index=True)
     assert len(first) == len(want)
     assert sorted(map(tuple, ms[first].tolist())) == sorted(map(tuple, want.tolist()))
+    assert sorted(first.tolist()) == sorted(want_first.tolist())  # first occurrences
     assert np.array_equal(ms[first][inverse], ms)
 
 
@@ -534,6 +619,10 @@ def test_partition_sums_to_one(disk_decomp):
     pts = pts[1.0 - np.linalg.norm(pts, axis=1) > disk_decomp.constants.epsilon_cut]
     pid, lev, m, phi, psi = disk_decomp.partition_values(pts)
     assert np.all(psi >= 1.0 - 1e-12)
+    # psi adds each point's bumps in incidence order, as np.add.at does
+    want = np.zeros(len(pts))
+    np.add.at(want, pid, phi)
+    assert np.array_equal(psi, want)
     total = np.zeros(len(pts))
     np.add.at(total, pid, phi / psi[pid])
     assert np.abs(total - 1.0).max() <= 1e-12
