@@ -18,7 +18,6 @@ from .energy import (
     build_singular_part,
     energy_gap,
     energy_gradient,
-    hessian_apply,
 )
 from .geometry import (
     Annulus,
@@ -99,7 +98,6 @@ __all__ = [
     "build_singular_part",
     "energy_gap",
     "energy_gradient",
-    "hessian_apply",
     "LineSearchError",
     "SolveReport",
     "SolverConfig",

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from .energy import build_singular_part
@@ -105,13 +107,32 @@ def parse_domain(text: str):
     raise UsageError(f"unknown domain {text!r} (expected {names}, JSON, or a file)")
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every float option: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _build(cls, **kwargs):
+    """``cls(**kwargs)``, its ValueError turned into a usage error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _parse_q_list(text: str) -> list[float]:
     try:
         qs = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse exponent list {text!r}") from exc
-    if not qs or any(q <= 2.0 for q in qs):
-        raise UsageError("exponent list must be non-empty with every q > 2")
+    if not qs or not all(2.0 < q < math.inf for q in qs):
+        raise UsageError("exponent list must be non-empty with every q > 2 and finite")
     return qs
 
 
@@ -153,12 +174,9 @@ def _cmd_solve(args) -> bool:
     h = parse_mesh_size(args.h)
     if args.hardy is not None and args.hardy <= 0:
         raise UsageError("--hardy must be positive")
-    try:
-        config = SolverConfig(
-            gradient_tol=args.gradient_tol, max_iterations=args.max_iterations
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = _build(
+        SolverConfig, gradient_tol=args.gradient_tol, max_iterations=args.max_iterations
+    )
     grid = Grid(domain, h)
     profile = default_profile(domain)
     sp = build_singular_part(domain, profile, grid, residual_mode=args.residual_mode)
@@ -169,7 +187,7 @@ def _cmd_solve(args) -> bool:
         h_const = args.hardy
     else:
         estimate = resolve_hardy_constant(domain, grid)
-        hardy = estimate.to_json_dict()
+        hardy = asdict(estimate)
         h_const = estimate.value
     corollary4_check(report, sp, h_const)
     residual = liouville_residual(report, sp)
@@ -228,12 +246,7 @@ def _cmd_solve(args) -> bool:
 
 def _cmd_whitney(args) -> bool:
     domain = parse_domain(args.domain)
-    try:
-        params = WhitneyParams(
-            eta=args.eta, eta_prime=args.eta_prime, k_max=args.k_max
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = _build(WhitneyParams, eta=args.eta, eta_prime=args.eta_prime, k_max=args.k_max)
     if args.samples < 1 or (
         args.coverage_samples is not None and args.coverage_samples < 1
     ):
@@ -272,10 +285,7 @@ def _cmd_verify_inequality(args) -> bool:
     domain = parse_domain(args.domain)
     h = parse_mesh_size(args.h)
     qs = _parse_q_list(args.q)
-    try:
-        params = WhitneyParams(eta=args.eta, eta_prime=args.eta_prime)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = _build(WhitneyParams, eta=args.eta, eta_prime=args.eta_prime)
     constants = derive_constants(params, BumpFunction(params.eta_prime))
     grid = Grid(domain, h)
 
@@ -311,12 +321,7 @@ def _cmd_constants(args) -> bool:
         raise UsageError("--N must be at least 2")
     if args.q < args.N:
         raise UsageError("--q must be at least --N")
-    try:
-        params = WhitneyParams(
-            eta=args.eta, eta_prime=args.eta_prime, dim=args.N
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = _build(WhitneyParams, eta=args.eta, eta_prime=args.eta_prime, dim=args.N)
     constants = derive_constants(params, BumpFunction(params.eta_prime))
     sig = sigma_q(constants, args.q, n=args.N)
     if args.c1 is not None:
@@ -337,7 +342,7 @@ def _cmd_constants(args) -> bool:
         "p": float(args.N),
         "eta": params.eta,
         "eta_prime": params.eta_prime,
-        "constants": constants.to_json_dict(),
+        "constants": asdict(constants),
         "sigma_q": sig,
         "series": series.to_json_dict(),
     }
@@ -370,10 +375,7 @@ def _cmd_audit_chain(args) -> bool:
     h = parse_mesh_size(args.h)
     if args.q <= 2.0:
         raise UsageError("--q must exceed 2")
-    try:
-        params = WhitneyParams(eta=args.eta, eta_prime=args.eta_prime)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = _build(WhitneyParams, eta=args.eta, eta_prime=args.eta_prime)
     if args.function is not None and args.function not in FAMILY_NAMES:
         raise UsageError(
             f"unknown test function {args.function!r} "
@@ -438,17 +440,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory (BLOWUP_REPORT_DIR overrides)",
         )
 
+    def etas(p):
+        p.add_argument("--eta", type=_finite, default=2.0)
+        p.add_argument("--eta-prime", type=_finite, default=1.05)
+
     p = sub.add_parser("solve", help="minimize the renormalized energy")
     p.add_argument("--domain", required=True, help="disk|square|lshape, JSON, or file")
     p.add_argument("--h", default="1/128", help='mesh size, e.g. "1/256"')
-    p.add_argument("--gradient-tol", type=float, default=1e-8)
+    p.add_argument("--gradient-tol", type=_finite, default=1e-8)
     p.add_argument("--max-iterations", type=int, default=40)
     p.add_argument(
         "--residual-mode", choices=("continuum", "lattice"), default="continuum"
     )
     p.add_argument(
         "--hardy",
-        type=float,
+        type=_finite,
         default=None,
         help="constant for the gradient-energy bound (default: resolved per domain)",
     )
@@ -459,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("whitney", help="build and verify a cube decomposition")
     p.add_argument("--domain", required=True)
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--eta-prime", type=float, default=1.05)
+    etas(p)
     p.add_argument("--k-max", type=int, default=10, help="finest dyadic level")
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--coverage-samples", type=int, default=None)
@@ -475,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--h", default="1/128")
     p.add_argument("--q", default="3,4,6,10,20", help="comma-separated exponents")
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--eta-prime", type=float, default=1.05)
+    etas(p)
     common(p)
     p.set_defaults(func=_cmd_verify_inequality)
 
@@ -484,11 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
         "constants", help="evaluate the embedding and series constants"
     )
     p.add_argument("--N", type=int, default=2, help="space dimension, at least 2")
-    p.add_argument("--q", type=float, default=4.0, help="exponent, at least --N")
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--eta-prime", type=float, default=1.05)
+    p.add_argument("--q", type=_finite, default=4.0, help="exponent, at least --N")
+    etas(p)
     p.add_argument(
-        "--c1", type=float, default=None, help="series coupling (default: 2x threshold)"
+        "--c1", type=_finite, default=None, help="series coupling (default: 2x threshold)"
     )
     common(p)
     p.set_defaults(func=_cmd_constants)
@@ -503,9 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="mesh size; an off-dyadic default keeps partition gradients "
         "nonvanishing at grid nodes",
     )
-    p.add_argument("--q", type=float, default=4.0)
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--eta-prime", type=float, default=1.05)
+    p.add_argument("--q", type=_finite, default=4.0)
+    etas(p)
     p.add_argument("--function", default=None, help="restrict to one test function")
     common(p)
     p.set_defaults(func=_cmd_audit_chain)

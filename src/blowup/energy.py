@@ -39,7 +39,6 @@ __all__ = [
     "build_singular_part",
     "energy",
     "energy_gradient",
-    "hessian_apply",
     "hessian_operator",
     "energy_gap",
 ]
@@ -241,14 +240,6 @@ def hessian_operator(phi: ScalarField, sp: SingularPart):
         return np.subtract(mass * psi, lap, out=lap)
 
     return matvec, mass
-
-
-def hessian_apply(phi: ScalarField, sp: SingularPart, psi: ScalarField) -> ScalarField:
-    """The second-variation operator at phi applied to the field psi."""
-    if psi.grid is not phi.grid:
-        raise ValueError("direction lives on a different grid")
-    apply_h, _ = hessian_operator(phi, sp)
-    return ScalarField(psi.grid, apply_h(psi.values))
 
 
 def energy_gap(

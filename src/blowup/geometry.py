@@ -27,6 +27,7 @@ __all__ = [
     "Polygon",
     "SmoothingProfile",
     "default_profile",
+    "deepest_point",
     "domain_from_json",
 ]
 
@@ -87,12 +88,12 @@ def _blocks(flat, n_rows, n_masks=0):
         yield rows, x, y, scratch, list(masks[:, :width])
 
 
-def _by_rows(test, *arrays):
-    """The boolean answers of ``test`` over blocks of at most ``_CHUNK``
-    leading rows of ``arrays``, for a test whose answer for a row depends on
-    that row alone: the temporaries of ``test`` grow with the block, not with
-    the arrays."""
-    out = np.empty(len(arrays[0]), dtype=bool)
+def _by_rows(test, *arrays, dtype=bool):
+    """The answers (of ``dtype``) of ``test`` over blocks of at most
+    ``_CHUNK`` leading rows of ``arrays``, for a test whose answer for a row
+    depends on that row alone: the temporaries of ``test`` grow with the
+    block, not with the arrays."""
+    out = np.empty(len(arrays[0]), dtype=dtype)
     for start in range(0, len(out), _CHUNK):
         rows = slice(start, start + _CHUNK)
         out[rows] = test(*(a[rows] for a in arrays))
@@ -473,13 +474,7 @@ class Polygon(Domain):
     def inradius(self):
         """Deterministic grid estimate of max boundary distance (lower bound,
         accurate to about diameter/512)."""
-        lo, hi = self.bounding_box()
-        n = self._INRADIUS_SAMPLES
-        xs = np.linspace(lo[0], hi[0], n)
-        ys = np.linspace(lo[1], hi[1], n)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        sd = self.signed_distance(np.stack([X, Y], axis=-1))
-        return float(np.max(sd))
+        return deepest_point(self, self._INRADIUS_SAMPLES)[1]
 
     def is_convex(self):
         e = self._b - self._a
@@ -555,6 +550,18 @@ def _box_corners(lo, hi):
     out[:, 2] = hi
     out[:, 3, 0], out[:, 3, 1] = lo[:, 0], hi[:, 1]
     return out
+
+
+def deepest_point(domain: Domain, samples: int):
+    """(point, signed distance) of the deepest of samples x samples points
+    spaced evenly over the bounding box of the planar domain; the first
+    such point in row-major order on a tie, so it is deterministic."""
+    lo, hi = domain.bounding_box()
+    axes = [np.linspace(lo[i], hi[i], samples) for i in range(2)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    sd = domain.signed_distance(pts)
+    i = np.unravel_index(np.argmax(sd), sd.shape)
+    return pts[i], float(sd[i])
 
 
 def _segments_cross(p, q, r, s):

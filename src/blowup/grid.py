@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Annulus, Box, Disk, Domain, Polygon, SmoothingProfile
+from .geometry import Annulus, Disk, Domain, SmoothingProfile
 
 __all__ = ["Grid", "ScalarField", "laplacian_of_distance"]
 

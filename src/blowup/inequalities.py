@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, Domain, SmoothingProfile
+from .geometry import Box, Domain, SmoothingProfile, deepest_point
 from .grid import Grid, ScalarField
-from .whitney import BumpFunction, DerivedConstants, WhitneyDecomposition
+from .whitney import DerivedConstants, WhitneyDecomposition, _cube_geometry
 
 __all__ = [
     "SeriesOverflowError",
@@ -300,14 +300,7 @@ def radial_bump(r2, radius: float, exponent: float = 2.0):
 
 def deep_point(domain: Domain, samples: int = 256) -> np.ndarray:
     """Deterministic grid argmax of the boundary distance (deepest point)."""
-    lo, hi = domain.bounding_box()
-    xs = np.linspace(lo[0], hi[0], samples)
-    ys = np.linspace(lo[1], hi[1], samples)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X, Y], axis=-1)
-    sd = domain.signed_distance(pts)
-    i = np.unravel_index(np.argmax(sd), sd.shape)
-    return pts[i]
+    return deepest_point(domain, samples)[0]
 
 
 # witness parameters: bump radii (fractions of the deepest point's depth)
@@ -384,14 +377,6 @@ class HardyEstimate:
     empirical_max: float
     method: str
     witness: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "empirical_max": self.empirical_max,
-            "method": self.method,
-            "witness": self.witness,
-        }
 
 
 def resolve_hardy_constant(
@@ -514,15 +499,13 @@ class _Partition:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_partition(
-    grid: Grid, decomp: WhitneyDecomposition, bump: BumpFunction
-) -> _Partition:
+def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     """Partition weights of ``decomp`` at the interior nodes of ``grid``,
-    with exact gradients of ``bump`` through the quotient rule.
+    with exact gradients of its bump through the quotient rule.
 
-    Kept for the last (grid, decomposition, bump): all three are immutable
-    and hash by identity, and an audit of several functions on one grid
-    asks for the same partition each time.
+    Kept for the last (grid, decomposition): both are immutable and hash by
+    identity, and an audit of several functions on one grid asks for the
+    same partition each time.
     """
     pts = grid.points
     n = decomp.params.dim
@@ -539,11 +522,14 @@ def _grid_partition(
     gci = rank[gid] - 1
     C = int(rank[-1])
     del gid, rank
-    sides = 2.0 ** (-lev.astype(float))
+    sides, centers = _cube_geometry(lev, m)
     s_cube = np.zeros(C)
     s_cube[gci] = sides
-    gref = bump.gradient((pts[pid] - (m + 0.5) * sides[:, None]) / sides[:, None])
-    del lev, m
+    # the offsets from the centres at cube scale, in the centres' buffer
+    offsets = np.subtract(pts[pid], centers, out=centers)
+    offsets /= sides[:, None]
+    gref = decomp.bump.gradient(offsets)
+    del lev, m, centers, offsets
 
     psi = psi[pid]
     w_part = phi_ref / psi
@@ -568,12 +554,7 @@ def _grid_partition(
     return _Partition(*arrays, C, recon_worst, grad_worst)
 
 
-def chain_audit(
-    u: ScalarField,
-    decomp: WhitneyDecomposition,
-    bump: BumpFunction | None = None,
-    q: float = 4.0,
-) -> ChainReport:
+def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) -> ChainReport:
     """Audit the localization proof of the weighted embedding numerically.
 
     Walks the derivation one inequality at a time on the actual grid data:
@@ -587,7 +568,7 @@ def chain_audit(
     central differences throughout, so every comparison is self-consistent.
 
     The partition data does not depend on u: it is cached for the last
-    (grid, decomposition, bump), so auditing several functions on one grid
+    (grid, decomposition), so auditing several functions on one grid
     builds it once.  That per-grid record (``_Partition``) holds the
     incidence map and every u-independent per-incidence factor as a
     contiguous 1-D array; an audit gathers u and |grad u|^2 at the
@@ -604,10 +585,6 @@ def chain_audit(
     n = decomp.params.dim
     if q < n:
         raise ValueError("q must be at least n")
-    if bump is None:
-        bump = decomp.bump
-    elif bump.eta_prime != decomp.params.eta_prime:
-        raise ValueError("bump support dilation must match the decomposition")
     g = u.grid
     cst = decomp.constants
     delta = g.delta
@@ -618,7 +595,7 @@ def chain_audit(
             f"k_max {decomp.params.k_max}); deepen the decomposition or coarsen "
             "the grid"
         )
-    part = _grid_partition(g, decomp, bump)
+    part = _grid_partition(g, decomp)
     pid, gci, C, s_cube = part.pid, part.gci, part.cube_count, part.s_cube
     h = g.h
     uv = u.values

@@ -68,7 +68,7 @@ class SolverConfig:
     gradient_tol is on the mesh-independent residual norm |G| * h (discrete
     L2); linear_rtol is the relative residual at which each step's
     conjugate-gradient solve stops, at least ``MIN_LINEAR_RTOL`` here and,
-    in ``solve``, at least the grid's floor eps / h^2.
+    in ``solve``, at least the grid's floor eps / h^2.  Both are finite.
     """
 
     gradient_tol: float = 1e-8
@@ -76,11 +76,11 @@ class SolverConfig:
     linear_rtol: float = 1e-8
 
     def __post_init__(self):
-        if self.gradient_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not self.linear_rtol >= MIN_LINEAR_RTOL:
+        if not 0.0 < self.gradient_tol < math.inf:
+            raise ValueError("tolerances must be positive and finite")
+        if not MIN_LINEAR_RTOL <= self.linear_rtol < math.inf:
             raise ValueError(
-                f"linear_rtol must be at least {MIN_LINEAR_RTOL:g}, "
+                f"linear_rtol must be finite and at least {MIN_LINEAR_RTOL:g}, "
                 f"got {self.linear_rtol!r}"
             )
         if self.max_iterations < 1:
@@ -207,7 +207,8 @@ def solve(
     Raises ValueError, before any work, when ``config.linear_rtol`` is below
     eps / h^2: the condition number of -Lap_h grows like h^-2, so the true
     relative residual of a linear solve can stall near eps / h^2 and a
-    smaller tolerance cannot be met.
+    smaller tolerance cannot be met; and, also before any work, when the
+    initial guess does not hold one entry per interior node.
     """
     t_start = time.perf_counter()
     if profile is None:
@@ -222,111 +223,17 @@ def solve(
             f"linear_rtol {config.linear_rtol:g} is below the floor "
             f"eps / h^2 = {floor:.3g} of the grid at h = {grid.h:g}"
         )
+    if initial_guess is not None and np.shape(initial_guess) != (grid.n_interior,):
+        raise ValueError("initial guess must have one entry per interior node")
     sp = (
         singular_part
         if singular_part is not None
         else build_singular_part(domain, profile, grid)
     )
-    h = grid.h
-    n = grid.n_interior
-    maxiter_lin = max(200, 20 * int(math.sqrt(n)))
-
-    if initial_guess is None:
-        w = np.zeros(n)
-        current = EnergyBreakdown(0.0, 0.0, 0.0)
-    else:
-        w = np.array(initial_guess, dtype=float)
-        if w.shape != (n,):
-            raise ValueError("initial guess must have one entry per interior node")
-        current = energy(ScalarField(grid, w), sp)
-    history = [current.total]
-    steps: list[dict] = []
-    gnorm = math.inf
-    converged = False
-
-    for it in range(1, config.max_iterations + 1):
-        wf = ScalarField(grid, w)
-        g = energy_gradient(wf, sp).values
-        gnorm = _grad_norm(g, h)
-        if gnorm <= config.gradient_tol:
-            converged = True
-            break
-
-        apply_h, mass = hessian_operator(wf, sp)
-        s, cg_residuals, true_relres = _pcg(
-            apply_h,
-            grid.vcycle_preconditioner(mass),
-            -g,
-            config.linear_rtol,
-            maxiter_lin,
-        )
-        # g = 0 would have passed the gradient test, so CG ran at least once
-        cg_iters, relres = len(cg_residuals), cg_residuals[-1]
-        # bool(): a numpy linear_rtol would give a numpy bool, which JSON refuses
-        linear_converged = bool(true_relres <= config.linear_rtol)
-
-        # directional derivative of the energy along s at w
-        slope = 2.0 * float(np.dot(g, s)) * h * h
-        if slope >= 0.0:
-            # fall back to steepest descent if the inexact solve lost
-            # the descent property (does not happen for SPD solves, kept
-            # as a safety net)
-            s = -g
-            slope = 2.0 * float(np.dot(g, s)) * h * h
-        t = 1.0
-        e0 = current.total
-        accepted = None
-        while t >= 1e-14:
-            try:
-                cand = ScalarField(grid, w + t * s)
-                e_cand = energy(cand, sp)
-            except ExponentOverflowError:
-                t *= BACKTRACK_RATIO
-                continue
-            if e_cand.total <= e0 + ARMIJO_C * t * slope:
-                accepted = (cand, e_cand, t)
-                break
-            t *= BACKTRACK_RATIO
-        if accepted is None:
-            raise LineSearchError(
-                "no energy decrease found along the Newton direction",
-                {
-                    "iteration": it,
-                    "grad_norm": gnorm,
-                    "slope": slope,
-                    "cg_iterations": cg_iters,
-                    "cg_relres": relres,
-                    "cg_true_relres": true_relres,
-                    "linear_converged": linear_converged,
-                    "energy": e0,
-                },
-            )
-        cand, e_cand, t = accepted
-        w = cand.values
-        current = e_cand
-        # near float resolution a step can leave the energy bitwise
-        # unchanged while still improving the gradient; record only
-        # representable decreases so the history stays strictly monotone
-        if e_cand.total < history[-1]:
-            history.append(e_cand.total)
-        steps.append(
-            {
-                "iteration": it,
-                "grad_norm": gnorm,
-                "step_scale": t,
-                "cg_iterations": cg_iters,
-                "cg_relres": relres,
-                "cg_true_relres": true_relres,
-                "cg_residuals": cg_residuals,
-                "linear_converged": linear_converged,
-                "energy": e_cand.total,
-            }
-        )
-
-    wf = ScalarField(grid, w)
+    w, history, steps, gnorm, converged = _newton(sp, config, initial_guess)
     u = ScalarField(grid, sp.v.values + w)
     report = SolveReport(
-        w=wf,
+        w=ScalarField(grid, w),
         u=u,
         iterations=len(steps),
         energy_history=history,
@@ -338,6 +245,96 @@ def solve(
     if isinstance(domain, Disk):
         report.oracle = oracle_errors(u, domain)
     return report
+
+
+def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
+    """Newton from ``initial_guess`` (zero when None) on the grid of ``sp``:
+    (w, energy history, steps, last gradient norm, converged).  A step
+    record adds the step scale, CG residuals and new energy to the six keys
+    it shares with ``LineSearchError.diagnostics``."""
+    grid = sp.grid
+    h = grid.h
+    n = grid.n_interior
+    maxiter_lin = max(200, 20 * int(math.sqrt(n)))
+    if initial_guess is None:
+        w = np.zeros(n)
+        current = EnergyBreakdown(0.0, 0.0, 0.0)
+    else:
+        w = np.array(initial_guess, dtype=float)
+        current = energy(ScalarField(grid, w), sp)
+    history = [current.total]
+    steps: list[dict] = []
+    gnorm = math.inf
+
+    for it in range(1, config.max_iterations + 1):
+        wf = ScalarField(grid, w)
+        g = energy_gradient(wf, sp).values
+        gnorm = _grad_norm(g, h)
+        if gnorm <= config.gradient_tol:
+            return w, history, steps, gnorm, True
+
+        apply_h, mass = hessian_operator(wf, sp)
+        s, cg_residuals, true_relres = _pcg(
+            apply_h,
+            grid.vcycle_preconditioner(mass),
+            -g,
+            config.linear_rtol,
+            maxiter_lin,
+        )
+        step = {
+            "iteration": it,
+            "grad_norm": gnorm,
+            # g = 0 would have passed the gradient test, so CG ran at least once
+            "cg_iterations": len(cg_residuals),
+            "cg_relres": cg_residuals[-1],
+            "cg_true_relres": true_relres,
+            # bool(): JSON refuses the numpy bool of a numpy linear_rtol
+            "linear_converged": bool(true_relres <= config.linear_rtol),
+        }
+
+        # directional derivative of the energy along s at w
+        slope = 2.0 * float(np.dot(g, s)) * h * h
+        if slope >= 0.0:
+            # fall back to steepest descent if the inexact solve lost
+            # the descent property (does not happen for SPD solves, kept
+            # as a safety net)
+            s = -g
+            slope = 2.0 * float(np.dot(g, s)) * h * h
+        accepted = _line_search(w, s, current.total, slope, sp)
+        if accepted is None:
+            raise LineSearchError(
+                "no energy decrease found along the Newton direction",
+                {**step, "slope": slope, "energy": current.total},
+            )
+        cand, current, t = accepted
+        w = cand.values
+        # near float resolution a step can leave the energy bitwise
+        # unchanged while still improving the gradient; record only
+        # representable decreases so the history stays strictly monotone
+        if current.total < history[-1]:
+            history.append(current.total)
+        steps.append(
+            {**step, "step_scale": t, "cg_residuals": cg_residuals, "energy": current.total}
+        )
+    return w, history, steps, gnorm, False
+
+
+def _line_search(w: np.ndarray, s: np.ndarray, e0: float, slope: float, sp: SingularPart):
+    """(field, energy, t) at the first t = 1, 1/2, ... >= 1e-14 whose w + t s
+    does not overflow and has energy at most e0 + ARMIJO_C t slope, with e0
+    the energy at w and slope its derivative along s; else None."""
+    t = 1.0
+    while t >= 1e-14:
+        try:
+            cand = ScalarField(sp.grid, w + t * s)
+            e_cand = energy(cand, sp)
+        except ExponentOverflowError:
+            t *= BACKTRACK_RATIO
+            continue
+        if e_cand.total <= e0 + ARMIJO_C * t * slope:
+            return cand, e_cand, t
+        t *= BACKTRACK_RATIO
+    return None
 
 
 # ---------------------------------------------------------------------------

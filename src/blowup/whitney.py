@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,20 +57,17 @@ class WhitneyParams:
     eta: float = 2.0
     eta_prime: float = 1.05
     dim: int = 2
-    k_min: int | None = None
     k_max: int = 14
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         root_n = math.sqrt(self.dim)
-        if not (self.eta / root_n > self.eta_prime > 1.0):
+        if not (math.isfinite(self.eta) and self.eta / root_n > self.eta_prime > 1.0):
             raise ValueError(
-                "need eta/sqrt(dim) > eta_prime > 1, got "
+                "need finite eta with eta/sqrt(dim) > eta_prime > 1, got "
                 f"eta={self.eta}, eta_prime={self.eta_prime}, dim={self.dim}"
             )
-        if self.k_min is not None and self.k_min > self.k_max:
-            raise ValueError("k_min must not exceed k_max")
 
 
 @dataclass(frozen=True)
@@ -105,22 +102,6 @@ class DerivedConstants:
     ref_slope_bound: float
     grad_bound: float
     epsilon_cut: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "eta_prime": self.eta_prime,
-            "dim": self.dim,
-            "delta_side_min": self.delta_side_min,
-            "delta_side_max": self.delta_side_max,
-            "side_ratio_bound": self.side_ratio_bound,
-            "level_window": self.level_window,
-            "center_window": self.center_window,
-            "overlap_bound": self.overlap_bound,
-            "ref_slope_bound": self.ref_slope_bound,
-            "grad_bound": self.grad_bound,
-            "epsilon_cut": self.epsilon_cut,
-        }
 
 
 def _count_shifted_lattice_ball(radius: float, dim: int) -> int:
@@ -332,9 +313,7 @@ class WhitneyDecomposition:
 
     def arrays(self):
         """(levels, indices, sides, centers) stacked over all cubes."""
-        sides = 2.0 ** (-self._ks.astype(float))
-        centers = (self._ms + 0.5) * sides[:, None]
-        return self._ks, self._ms, sides, centers
+        return self._ks, self._ms, *_cube_geometry(self._ks, self._ms)
 
     # -- membership --------------------------------------------------------
 
@@ -496,15 +475,12 @@ class WhitneyDecomposition:
         """``partition_values`` at the (n, dim) array ``points``, whose
         boundary distances ``delta`` the caller already has."""
         pid, lev, m = self._support_hits(points, delta)
-        # the bump at each incidence's offset, in blocks of incidences; the
-        # same blocks through geometry._by_rows, with a float result, left
-        # the Whitney run's peak RSS about 7 MB higher at an equal heap peak
-        phi = np.empty(len(pid))
-        for start in range(0, len(pid), _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            sides = 2.0 ** (-lev[rows].astype(float))
-            centers = (m[rows] + 0.5) * sides[:, None]
-            phi[rows] = self.bump.value((points[pid[rows]] - centers) / sides[:, None])
+
+        def bump_at(pid, lev, m):
+            sides, centers = _cube_geometry(lev, m)
+            return self.bump.value((points[pid] - centers) / sides[:, None])
+
+        phi = _by_rows(bump_at, pid, lev, m, dtype=float)
         psi = np.bincount(pid, weights=phi, minlength=len(points))
         return pid, lev, m, phi, psi
 
@@ -519,7 +495,7 @@ class WhitneyDecomposition:
             "k_max": self.params.k_max,
             "cube_count": self.cube_count,
             "truncated_per_level": {str(k): int(v) for k, v in self.truncated.items()},
-            "constants": self.constants.to_json_dict(),
+            "constants": asdict(self.constants),
         }
 
     def to_json_dict(self) -> dict:
@@ -548,6 +524,26 @@ class WhitneyDecomposition:
             yield from _level_chunks(k, self.levels[k], layout, sep)
             sep = ",\n"
         yield "\n  ]" + after
+
+
+def _cube_geometry(lev, m: np.ndarray):
+    """(sides, centers) of the cubes at levels ``lev`` (one per row of the
+    index array ``m``) with indices ``m``."""
+    sides = 2.0 ** (-np.asarray(lev, dtype=float))
+    return sides, (m + 0.5) * sides[:, None]
+
+
+def _dilate_inside(domain: Domain, lev, m: np.ndarray, factor: float) -> np.ndarray:
+    """True where the closed ``factor``-dilate about its center of the cube
+    (lev, m) lies in ``domain``, in blocks of ``_CHUNK`` cubes; ``lev`` is
+    one level or one per row of m."""
+
+    def inside(lev, m):
+        sides, centers = _cube_geometry(lev, m)
+        half = (0.5 * factor * sides)[:, None]
+        return domain.cube_contained(centers - half, centers + half)
+
+    return _by_rows(inside, np.broadcast_to(lev, len(m)), m)
 
 
 _CUBES_PER_CHUNK = 8192
@@ -628,29 +624,22 @@ def _cube_layout(dim: int) -> list[str]:
     return re.split(r'"#(\d)\.(\d+)"', "\n".join("    " + line for line in text.split("\n")))
 
 
-def decompose(
-    domain: Domain, params: WhitneyParams, bump: BumpFunction | None = None
-) -> WhitneyDecomposition:
+def decompose(domain: Domain, params: WhitneyParams) -> WhitneyDecomposition:
     """Select cubes level by level with exact containment predicates.
 
     A cube is selected when its eta-dilate fits in the domain; its children
     are explored otherwise (pruning children that miss the domain entirely is
-    an optimization only: their descendants could never be selected).  Roots
-    are coarse enough that no root can be selected, so every selected cube's
-    parent was examined and failed the containment test.
+    an optimization only: their descendants could never be selected).  The
+    root cubes are at least as wide as the domain's diameter, so no root can
+    be selected and every selected cube's parent was examined and failed the
+    containment test.  The partition bump is ``BumpFunction(eta_prime)``.
     """
-    if bump is None:
-        bump = BumpFunction(params.eta_prime)
-    if bump.eta_prime != params.eta_prime:
-        raise ValueError("bump support dilation must match params.eta_prime")
     n = params.dim
     if domain.dim != n:
         raise ValueError("domain dimension does not match params.dim")
     diam = domain.diameter()
-    auto_k_min = -math.ceil(math.log2(diam)) if diam > 1.0 else 0
-    k_min = params.k_min if params.k_min is not None else auto_k_min
-    if 2.0 ** (-k_min) < diam:
-        raise ValueError("root cubes must be at least as wide as the domain diameter")
+    k_min = -math.ceil(math.log2(diam)) if diam > 1.0 else 0
+    bump = BumpFunction(params.eta_prime)
     constants = derive_constants(params, bump)
 
     lo_b, hi_b = domain.bounding_box()
@@ -841,25 +830,16 @@ def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
     """The selection rule, supports in the domain, no nesting and the center
     distance window, each exact on every cube."""
     dom, params = decomp.domain, decomp.params
-    _, _, sides, centers = decomp.arrays()
+    ks, ms = decomp._ks, decomp._ms
     checks = []
 
-    # selection rule
-    half = 0.5 * params.eta * sides
-    sel_ok = dom.cube_contained(centers - half[:, None], centers + half[:, None])
-    # siblings share a parent, so each distinct parent is tested once
-    p_sides, p_ms = [], []
+    # selection rule; siblings share a parent, so each distinct parent is
+    # tested once
+    ok = bool(np.all(_dilate_inside(dom, ks, ms, params.eta)))
     for k, level_ms in decomp.levels.items():
         parents = level_ms // 2
-        p_ms.append(parents[_distinct_rows(parents)[0]])
-        p_sides.append(np.full(len(p_ms[-1]), 2.0 ** (1 - k)))
-    p_sides = np.concatenate(p_sides)
-    p_centers = (np.concatenate(p_ms) + 0.5) * p_sides[:, None]
-    p_half = 0.5 * params.eta * p_sides
-    parent_ok = ~dom.cube_contained(
-        p_centers - p_half[:, None], p_centers + p_half[:, None]
-    )
-    ok = bool(np.all(sel_ok) and np.all(parent_ok))
+        parents = parents[_distinct_rows(parents)[0]]
+        ok &= not np.any(_dilate_inside(dom, k - 1, parents, params.eta))
     checks.append(
         PropertyCheck(
             "selection_rule",
@@ -869,8 +849,7 @@ def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
     )
 
     # supports stay inside the domain
-    s_half = 0.5 * params.eta_prime * sides
-    sup_ok = dom.cube_contained(centers - s_half[:, None], centers + s_half[:, None])
+    sup_ok = _dilate_inside(dom, ks, ms, params.eta_prime)
     checks.append(PropertyCheck("support_in_domain", bool(np.all(sup_ok))))
 
     # no selected cube is an ancestor of another
@@ -878,7 +857,11 @@ def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
     checks.append(PropertyCheck("no_nesting", nested == 0, worst=float(nested)))
 
     # center distance bounds: eta/2 < delta/side <= (eta + 1/2) sqrt(dim)
-    ratio_c = dom.distance(centers) / sides
+    def center_ratio(lev, m):
+        sides, centers = _cube_geometry(lev, m)
+        return dom.distance(centers) / sides
+
+    ratio_c = _by_rows(center_ratio, ks, ms, dtype=float)
     lo_c = params.eta / 2.0
     hi_c = (params.eta + 0.5) * math.sqrt(params.dim)
     checks.append(
@@ -1114,8 +1097,7 @@ def _partition_gradient_check(decomp: WhitneyDecomposition, points: np.ndarray):
     if len(pid) == 0:
         return 0.0, True
     n = points.shape[1]
-    sides = 2.0 ** (-lev.astype(float))
-    centers = (m + 0.5) * sides[:, None]
+    sides, centers = _cube_geometry(lev, m)
     tau = 1e-6 * sides
     # stencil layout: (incidence, axis, +/-), flattened for one batched query
     stencil = np.repeat(points[pid][:, None, None, :], n, axis=1).repeat(2, axis=2)

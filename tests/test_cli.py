@@ -100,6 +100,62 @@ def test_bad_exponent_list_exits_1(tmp_path, capsys):
     assert rc == 1
 
 
+# every float option, with the arguments its subcommand needs besides it
+FLOAT_FLAGS = [
+    (["solve", "--domain", "disk"], "--gradient-tol"),
+    (["solve", "--domain", "disk"], "--hardy"),
+    (["whitney", "--domain", "square"], "--eta"),
+    (["whitney", "--domain", "square"], "--eta-prime"),
+    (["verify-inequality", "--domain", "square"], "--eta"),
+    (["verify-inequality", "--domain", "square"], "--eta-prime"),
+    (["constants"], "--q"),
+    (["constants"], "--eta"),
+    (["constants"], "--eta-prime"),
+    (["constants"], "--c1"),
+    (["audit-chain", "--domain", "square"], "--q"),
+    (["audit-chain", "--domain", "square"], "--eta"),
+    (["audit-chain", "--domain", "square"], "--eta-prime"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "args, flag", FLOAT_FLAGS, ids=[f"{a[0]}{f}" for a, f in FLOAT_FLAGS]
+)
+def test_non_finite_float_option_exits_1_before_any_work(
+    tmp_path, capsys, args, flag, value
+):
+    # "--flag=-inf": argparse reads a separate "-inf" as an option
+    rc = main([*args, f"{flag}={value}", "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument {flag}: expected a finite number, got {value!r}" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_every_float_option_is_parsed_as_finite():
+    subparsers = next(
+        a for a in cli.build_parser()._actions if a.dest == "command"
+    ).choices
+    typed = {
+        (command, action.option_strings[0]): action.type
+        for command, sub in subparsers.items()
+        for action in sub._actions
+        if action.type in (float, cli._finite)
+    }
+    assert set(typed) == {(args[0], flag) for args, flag in FLOAT_FLAGS}
+    assert set(typed.values()) == {cli._finite}
+
+
+def test_non_finite_exponent_list_exits_1(tmp_path, capsys):
+    rc = main(
+        ["verify-inequality", "--domain", "disk", "--q", "3,inf", "--report", str(tmp_path)]
+    )
+    assert rc == 1
+    assert "every q > 2 and finite" in capsys.readouterr().err
+
+
 def test_understated_hardy_constant_exits_2(tmp_path):
     # a deliberately tiny constant makes the gradient bound fail: the report
     # must still be written and the exit code must flag the failed check

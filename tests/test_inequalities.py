@@ -524,12 +524,6 @@ def test_chain_audit_rejects_bad_exponents(audit_setup):
         ineq.chain_audit(u, dec, q=1.0)
 
 
-def test_chain_audit_rejects_mismatched_bump(audit_setup):
-    u, dec = audit_setup
-    with pytest.raises(ValueError):
-        ineq.chain_audit(u, dec, bump=BumpFunction(eta_prime=1.2), q=4)
-
-
 def test_chain_audit_rejects_shallow_decomposition():
     shallow = decompose(UNIT_SQUARE, WhitneyParams(k_max=4))
     grid = Grid(UNIT_SQUARE, 1 / 64)
@@ -879,7 +873,7 @@ def test_chain_audit_matches_reference_on_the_lshape_off_the_lattice(lshape_deco
     assert len(family) == len(ineq.FAMILY_NAMES)
     for _, u in family:
         _assert_same_reports(u, lshape_decomp, q)
-    part = ineq._grid_partition(grid, lshape_decomp, lshape_decomp.bump)
+    part = ineq._grid_partition(grid, lshape_decomp)
     assert part.grad_worst > 1.0
 
 

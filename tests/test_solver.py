@@ -70,6 +70,29 @@ def test_initial_guess_shape_rejected():
         solve(DISK, default_profile(DISK), grid, initial_guess=np.zeros(3))
 
 
+@pytest.mark.parametrize("extra", [(-1,), (1,), (0, 1)])
+def test_initial_guess_shape_rejected_before_any_work(monkeypatch, extra):
+    # one entry short, one too many, and a column: the singular part is
+    # never built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve did work before checking the initial guess")
+
+    monkeypatch.setattr(solver_module, "build_singular_part", unreachable)
+    grid = Grid(DISK, 1 / 16)
+    shape = (grid.n_interior + extra[0], *extra[1:])
+    with pytest.raises(ValueError, match="one entry per interior node"):
+        solve(DISK, default_profile(DISK), grid, initial_guess=np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gradient_tol", math.inf), ("gradient_tol", math.nan), ("linear_rtol", math.inf)],
+)
+def test_config_rejects_non_finite_tolerances(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # convergence basics
 # ---------------------------------------------------------------------------
@@ -92,6 +115,24 @@ def test_energy_history_strictly_decreasing(disk64):
 def test_energy_negative_when_residual_nonzero(disk64):
     _, _, rep = disk64
     assert rep.energy_history[-1] < 0.0
+
+
+# the keys a Newton step shares with the line-search diagnostics
+SHARED_STEP_KEYS = {
+    "iteration",
+    "grad_norm",
+    "cg_iterations",
+    "cg_relres",
+    "cg_true_relres",
+    "linear_converged",
+}
+
+
+def test_step_records_hold_exactly_their_keys(disk64):
+    _, _, rep = disk64
+    assert rep.steps
+    for s in rep.steps:
+        assert set(s) == SHARED_STEP_KEYS | {"step_scale", "cg_residuals", "energy"}
 
 
 def test_every_step_reported(disk64):
@@ -478,6 +519,7 @@ def test_line_search_error_reports_linear_convergence(monkeypatch):
     with pytest.raises(LineSearchError) as info:
         solve(DISK, default_profile(DISK), Grid(DISK, 1 / 16))
     diagnostics = info.value.diagnostics
+    assert set(diagnostics) == SHARED_STEP_KEYS | {"slope", "energy"}
     assert diagnostics["iteration"] == 1
     assert diagnostics["linear_converged"] is True
     assert diagnostics["cg_relres"] <= SolverConfig().linear_rtol
