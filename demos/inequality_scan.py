@@ -11,10 +11,10 @@
 import blowup.inequalities as ineq
 from blowup.geometry import Box, Disk, Polygon
 from blowup.grid import Grid
-from blowup.whitney import BumpFunction, WhitneyParams, derive_constants
+from blowup.whitney import WhitneyParams, derive_constants
 
 params = WhitneyParams(eta=2.0, eta_prime=1.05)
-constants = derive_constants(params, BumpFunction(params.eta_prime))
+constants = derive_constants(params)
 
 domains = {
     "disk": Disk((0.0, 0.0), 1.0),

@@ -50,7 +50,6 @@ from .solver import (
 )
 from .svg import decomposition_to_svg, field_to_svg
 from .whitney import (
-    BumpFunction,
     WhitneyParams,
     decompose,
     derive_constants,
@@ -286,7 +285,7 @@ def _cmd_verify_inequality(args) -> bool:
     h = parse_mesh_size(args.h)
     qs = _parse_q_list(args.q)
     params = _build(WhitneyParams, eta=args.eta, eta_prime=args.eta_prime)
-    constants = derive_constants(params, BumpFunction(params.eta_prime))
+    constants = derive_constants(params)
     grid = Grid(domain, h)
 
     rows = []
@@ -322,7 +321,7 @@ def _cmd_constants(args) -> bool:
     if args.q < args.N:
         raise UsageError("--q must be at least --N")
     params = _build(WhitneyParams, eta=args.eta, eta_prime=args.eta_prime, dim=args.N)
-    constants = derive_constants(params, BumpFunction(params.eta_prime))
+    constants = derive_constants(params)
     sig = sigma_q(constants, args.q, n=args.N)
     if args.c1 is not None:
         if args.c1 <= 0:

@@ -9,11 +9,11 @@ the abandoned cubes.  Points farther than ``epsilon_cut`` from the boundary
 are guaranteed covered; the truncation report quantifies the rest.
 
 Derived constants bound the geometry of the selected family: distance-to-side
-ratios on supports, the side ratio of overlapping neighbors, a finite overlap
-bound obtained by enumerating the dyadic positions an overlapping neighbor
-could occupy, and a gradient bound for the normalized partition functions.
-All bounds are theorems of the construction, not empirical fits; empirical
-maxima are reported alongside for scale.
+ratios on supports, the side ratio of overlapping neighbors, the number of
+supports that can share a point, and a gradient bound for the normalized
+partition functions.  Each is a closed form in (eta, eta_prime, dim) and a
+theorem of the construction, not an empirical fit; empirical maxima are
+reported alongside for scale.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ class DerivedConstants:
 
     delta_side_min / delta_side_max bound distance-to-boundary over cube side
     on supports; side_ratio_bound bounds the side ratio of cubes with
-    overlapping supports; overlap_bound counts, by exact enumeration of
-    admissible dyadic positions, how many supports can share a point;
-    grad_bound scales the gradient of a normalized partition function by the
-    cube side.  epsilon_cut is the coverage guarantee of the truncated family.
+    overlapping supports; overlap_bound bounds how many supports can share a
+    point; grad_bound scales the gradient of a normalized partition function
+    by the cube side.  epsilon_cut is the coverage guarantee of the
+    truncated family.
 
     Proof of the delta/side window for x in the support of a selected cube
     of side s and center c, so |x - c| <= sqrt(n) eta_prime s / 2: the
@@ -88,6 +88,14 @@ class DerivedConstants:
     complement, so delta(c) <= (eta + 1/2) sqrt(n) s.  delta is 1-Lipschitz,
     so delta(x) / s lies in [delta_side_min, delta_side_max] = [(eta -
     sqrt(n) eta_prime) / 2, (eta + 1/2 + eta_prime / 2) sqrt(n)].
+
+    Proof of overlap_bound = (floor(eta_prime) + 1)**n (floor(log2(mu /
+    lam)) + 1), [lam, mu] that window: a support of side s holding x has s
+    in [delta(x) / mu, delta(x) / lam], which holds at most floor(log2(mu /
+    lam)) + 1 powers of 2, and per axis |x_i - (m_i + 1/2) s| <= eta_prime
+    s / 2 holds for at most floor(eta_prime) + 1 integers m_i.  At the
+    defaults that is 4 * 5 = 20 in 2-D and 8 * 6 = 48 in 3-D, attained at x
+    = 0 with delta(x) = mu / 8: 2**n supports at each side in the window.
     """
 
     eta: float
@@ -104,40 +112,7 @@ class DerivedConstants:
     epsilon_cut: float
 
 
-def _count_shifted_lattice_ball(radius: float, dim: int) -> int:
-    """Number of m in Z^dim with |m + 1/2| <= radius (Euclidean)."""
-    if radius < 0:
-        return 0
-    if dim == 1:
-        lo = math.ceil(-radius - 0.5)
-        hi = math.floor(radius - 0.5)
-        return max(0, hi - lo + 1)
-    lo = math.ceil(-radius - 0.5)
-    hi = math.floor(radius - 0.5)
-    if hi < lo:
-        return 0
-    m0 = np.arange(lo, hi + 1, dtype=float)
-    rem = radius * radius - (m0 + 0.5) ** 2
-    total = 0
-    for r2 in rem:
-        if r2 >= 0:
-            total += _count_shifted_lattice_ball(math.sqrt(r2), dim - 1)
-    return total
-
-
-def _overlap_enumeration_bound(side_ratio_bound: float, center_window: float, dim: int) -> int:
-    """Count dyadic cubes (level offset j, index m) that could, after scaling
-    one cube to unit side, overlap it: |j| <= log2(side ratio bound) and
-    center within the window radius."""
-    j_max = int(math.floor(math.log2(side_ratio_bound)))
-    total = 0
-    for j in range(-j_max, j_max + 1):
-        scale = 2.0**j
-        total += _count_shifted_lattice_ball(center_window / scale, dim)
-    return total
-
-
-def derive_constants(params: WhitneyParams, bump: "BumpFunction") -> DerivedConstants:
+def derive_constants(params: WhitneyParams) -> DerivedConstants:
     eta, etp, n = params.eta, params.eta_prime, params.dim
     root_n = math.sqrt(n)
     lam = (eta - etp * root_n) / 2.0
@@ -145,8 +120,9 @@ def derive_constants(params: WhitneyParams, bump: "BumpFunction") -> DerivedCons
     c_ratio = (2.0 * eta + 1.0 + etp) * root_n / (eta - etp * root_n)
     level_window = math.log(c_ratio) / math.log(2.0)
     center_window = 0.5 * (1.0 + c_ratio) * etp * root_n
-    overlap = _overlap_enumeration_bound(c_ratio, center_window, n)
-    ref_slope = root_n * bump.max_slope()
+    # frexp(c)[1] is floor(log2(c)) + 1 exactly, c being f * 2**e with 1/2 <= f < 1
+    overlap = (math.floor(etp) + 1) ** n * math.frexp(c_ratio)[1]
+    ref_slope = root_n * BumpFunction(etp).max_slope()
     grad_bound = ref_slope * (1.0 + overlap * c_ratio)
     return DerivedConstants(
         eta=eta,
@@ -196,13 +172,12 @@ class BumpFunction:
         if eta_prime <= 1.0:
             raise ValueError("eta_prime must exceed 1")
         self.eta_prime = float(eta_prime)
-        self._max_slope: float | None = None
+        self.width = (self.eta_prime - 1.0) / 2.0
 
     def profile(self, t: np.ndarray) -> np.ndarray:
         """1-D profile g(|t|): 1 up to 1/2, 0 beyond eta_prime/2."""
         t = np.abs(np.asarray(t, dtype=float))
-        width = (self.eta_prime - 1.0) / 2.0
-        return _smoothstep((self.eta_prime / 2.0 - t) / width)
+        return _smoothstep((self.eta_prime / 2.0 - t) / self.width)
 
     def value(self, y) -> np.ndarray:
         """Bump at unit-scale offsets y of shape (..., dim)."""
@@ -213,15 +188,14 @@ class BumpFunction:
         """Exact derivative of the 1-D profile (zero on plateau and outside),
         evaluated only on the transition."""
         t = np.asarray(t, dtype=float)
-        width = (self.eta_prime - 1.0) / 2.0
-        tau = (self.eta_prime / 2.0 - np.abs(t)) / width
+        tau = (self.eta_prime / 2.0 - np.abs(t)) / self.width
         inside = (tau > 0.0) & (tau < 1.0)
         tc = np.clip(tau[inside], 1e-12, 1.0 - 1e-12)
         a = np.exp(-1.0 / tc)
         b = np.exp(-1.0 / (1.0 - tc))
         sprime = a * b * (tc**-2 + (1.0 - tc) ** -2) / (a + b) ** 2
         out = np.zeros(tau.shape)
-        out[inside] = -np.sign(t[inside]) * sprime / width
+        out[inside] = -np.sign(t[inside]) * sprime / self.width
         return out
 
     def gradient(self, y) -> np.ndarray:
@@ -237,15 +211,17 @@ class BumpFunction:
         return np.stack(cols, axis=-1)
 
     def max_slope(self) -> float:
-        """Numerical maximum of |g'| over the transition, with a 1% cushion
-        so downstream bounds stay on the safe side."""
-        if self._max_slope is None:
-            lo, hi = 0.5, self.eta_prime / 2.0
-            ts = np.linspace(lo, hi, 200_001)
-            g = self.profile(ts)
-            slope = np.abs(np.diff(g)) / (ts[1] - ts[0])
-            self._max_slope = float(slope.max()) * 1.01
-        return self._max_slope
+        """max |g'| = 2 / width, at the middle of the transition.
+
+        Proof: |g'| is s'(tau) / width, s the smoothstep.  With u = tau - 1/2
+        and p = tau (1 - tau) = 1/4 - u**2, s = sigma(2u / p), sigma the
+        logistic function, so s' = sigma (1 - sigma) (tau**-2 + (1 -
+        tau)**-2) = (1/2 + 2 u**2) / (4 p**2 cosh(u / p)**2).  As cosh(y)**2
+        >= 1 + y**2, that denominator is at least 4 p**2 + 4 u**2 = 1/4 + 2
+        u**2 + 4 u**4, so s' <= 2 as 1/2 + 2 u**2 <= 1/2 + 4 u**2 + 8 u**4,
+        with equality only at u = 0.
+        """
+        return 2.0 / self.width
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +244,21 @@ class WhitneyDecomposition:
     Immutable after construction.  ``levels`` maps level -> (count, dim)
     integer index array, sorted for determinism; the same cubes are stacked
     level-major once, and every membership question goes through
-    ``cube_ids``.
+    ``cube_ids``.  The partition bump and the constants follow from
+    ``params``.
     """
 
     def __init__(
         self,
         domain: Domain,
         params: WhitneyParams,
-        bump: BumpFunction,
-        constants: DerivedConstants,
         levels: dict[int, np.ndarray],
         truncated: dict[int, int],
     ):
         self.domain = domain
         self.params = params
-        self.bump = bump
-        self.constants = constants
+        self.bump = BumpFunction(params.eta_prime)
+        self.constants = derive_constants(params)
         self.levels = levels
         self.truncated = truncated
         order = sorted(levels)
@@ -527,10 +502,10 @@ class WhitneyDecomposition:
 
 
 def _cube_geometry(lev, m: np.ndarray):
-    """(sides, centers) of the cubes at levels ``lev`` (one per row of the
-    index array ``m``) with indices ``m``."""
+    """(sides, centers) of the cubes at levels ``lev`` (one level, or one per
+    row of the index array ``m``) with indices ``m``."""
     sides = 2.0 ** (-np.asarray(lev, dtype=float))
-    return sides, (m + 0.5) * sides[:, None]
+    return sides, (m + 0.5) * np.atleast_1d(sides)[:, None]
 
 
 def _dilate_inside(domain: Domain, lev, m: np.ndarray, factor: float) -> np.ndarray:
@@ -632,15 +607,13 @@ def decompose(domain: Domain, params: WhitneyParams) -> WhitneyDecomposition:
     an optimization only: their descendants could never be selected).  The
     root cubes are at least as wide as the domain's diameter, so no root can
     be selected and every selected cube's parent was examined and failed the
-    containment test.  The partition bump is ``BumpFunction(eta_prime)``.
+    containment test.
     """
     n = params.dim
     if domain.dim != n:
         raise ValueError("domain dimension does not match params.dim")
     diam = domain.diameter()
     k_min = -math.ceil(math.log2(diam)) if diam > 1.0 else 0
-    bump = BumpFunction(params.eta_prime)
-    constants = derive_constants(params, bump)
 
     lo_b, hi_b = domain.bounding_box()
     s0 = 2.0 ** (-k_min)
@@ -680,17 +653,20 @@ def decompose(domain: Domain, params: WhitneyParams) -> WhitneyDecomposition:
         active = (rest[:, None, :] * 2 + child_offsets[None, :, :]).reshape(-1, n)
 
     if not levels:
+        capped = truncated.get(params.k_max, 0)
+        cut = derive_constants(params).epsilon_cut
         report = {
             "reason": "no cube passed selection before the level cap",
             "k_max": params.k_max,
-            "truncated_at_cap": truncated.get(params.k_max, 0),
-            "epsilon_cut": constants.epsilon_cut,
+            "truncated_at_cap": capped,
+            "epsilon_cut": cut,
         }
         raise TruncationError(
-            "empty decomposition: domain thinner than the deepest cube level",
+            "empty decomposition: domain thinner than the deepest cube level "
+            f"(k_max={params.k_max}, truncated_at_cap={capped}, epsilon_cut={cut:.3e})",
             report,
         )
-    return WhitneyDecomposition(domain, params, bump, constants, levels, truncated)
+    return WhitneyDecomposition(domain, params, levels, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -927,7 +903,7 @@ def _partition_checks(
             "overlap_bound",
             bool(np.all(counts <= cst.overlap_bound)),
             worst=float(counts.max()),
-            detail=f"enumerated bound {cst.overlap_bound}",
+            detail=f"certified bound {cst.overlap_bound}",
         )
     )
     psi_ok = bool(np.all(psi >= 1.0 - 1e-12) and np.all(psi <= cst.overlap_bound))
@@ -1054,9 +1030,8 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
             gap = kf - kc
             if gap < 0 or gap > gap_max:
                 continue
-            sf = 2.0 ** (-kf)
             mf = decomp.levels[kf]
-            cf = (mf + 0.5) * sf
+            sf, cf = _cube_geometry(kf, mf)
             reach = 0.5 * etp * (sc + sf)
             lo = np.ceil((cf - reach) / sc - 0.5 - 1e-12).astype(np.int64)
             hi = np.floor((cf + reach) / sc - 0.5 + 1e-12).astype(np.int64)
@@ -1071,7 +1046,7 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
                 rows = rows[decomp.cube_ids(kc, mq[rows]) >= 0]
                 if len(rows) == 0:
                     continue
-                cc = (mq[rows] + 0.5) * sc
+                _, cc = _cube_geometry(kc, mq[rows])
                 off = np.abs(cc - cf[rows])
                 touch = _fold(np.logical_and, off <= reach * (1.0 + 1e-12))
                 if np.any(touch):

@@ -21,7 +21,7 @@ from blowup.solver import (
     solve,
     verify_minimizer,
 )
-from blowup.whitney import BumpFunction, WhitneyParams, decompose, derive_constants, verify_properties
+from blowup.whitney import WhitneyParams, decompose, derive_constants, verify_properties
 
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
@@ -60,7 +60,7 @@ def shape_solves():
 @pytest.fixture(scope="module")
 def geometry_constants():
     params = WhitneyParams()
-    return derive_constants(params, BumpFunction(params.eta_prime))
+    return derive_constants(params)
 
 
 def _taper(grid, values):

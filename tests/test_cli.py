@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 
@@ -11,7 +12,6 @@ from blowup.cli import UsageError, main, parse_domain, parse_mesh_size
 from blowup.geometry import Disk
 from blowup.inequalities import c2_constant, sigma_q
 from blowup.whitney import (
-    BumpFunction,
     WhitneyDecomposition,
     WhitneyParams,
     decompose,
@@ -323,9 +323,7 @@ def _lshape_truncated_at_two_levels():
     d = decompose(parse_domain("lshape"), WhitneyParams(k_max=10))
     # decompose records truncation at k_max only; two levels pin the
     # string order of sort_keys ("10" before "9")
-    return WhitneyDecomposition(
-        d.domain, d.params, d.bump, d.constants, d.levels, {9: 7, **d.truncated}
-    )
+    return WhitneyDecomposition(d.domain, d.params, d.levels, {9: 7, **d.truncated})
 
 
 def _assert_same_text(got: str, want: str, context: int = 200):
@@ -366,7 +364,6 @@ _CUBE_FILE_CASES = {
         parse_domain('{"shape": "rectangle", "corner_min": [40, 0], "corner_max": [41, 1]}'),
         WhitneyParams(k_max=6),
     ),
-    # eta=3 keeps the 3-D overlap enumeration in derive_constants short
     "box3": lambda: decompose(
         parse_domain('{"shape": "rectangle", "corner_min": [0, 0, 0], "corner_max": [1, 1, 2]}'),
         WhitneyParams(eta=3.0, dim=3, k_max=5),
@@ -436,6 +433,28 @@ def test_whitney_too_shallow_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "epsilon_cut=" in err and "k_max=2" in err
     assert "zero-size array" not in err
+
+
+def test_whitney_empty_decomposition_exits_1_with_its_numbers(tmp_path, capsys):
+    # no cube of a disk of radius 0.01 passes selection by level 3; the
+    # message carries the truncation report's numbers
+    rc = main(
+        [
+            "whitney",
+            "--domain",
+            '{"shape": "disk", "center": [0, 0], "radius": 0.01}',
+            "--k-max",
+            "3",
+            "--report",
+            str(tmp_path),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    cut = derive_constants(WhitneyParams(k_max=3)).epsilon_cut
+    assert "error: TruncationError: empty decomposition" in err
+    assert f"(k_max=3, truncated_at_cap=4, epsilon_cut={cut:.3e})" in err
+    assert not (tmp_path / "whitney_cubes.json").exists()
 
 
 # -- verify-inequality and audit-chain -------------------------------------
@@ -569,12 +588,22 @@ def test_constants_match_direct_evaluation(tmp_path):
     assert rc == 0
     payload = _load(tmp_path / "constants_report.json")
     params = WhitneyParams(eta=2.0, eta_prime=1.05)
-    constants = derive_constants(params, BumpFunction(params.eta_prime))
+    constants = derive_constants(params)
     assert payload["sigma_q"] == sigma_q(constants, 4.0, n=2)
     direct = c2_constant(3.0, constants, n=2)
     assert payload["series"]["diverges"] == direct.diverges
     if not direct.diverges:
         assert payload["series"]["value"] == direct.value
+
+
+def test_constants_in_three_dimensions(tmp_path):
+    # the closed-form overlap bound at the default eta and eta_prime
+    assert main(["constants", "--N", "3", "--report", str(tmp_path)]) == 0
+    payload = _load(tmp_path / "constants_report.json")
+    constants = derive_constants(WhitneyParams(dim=3))
+    assert payload["constants"]["overlap_bound"] == 48
+    assert payload["constants"] == asdict(constants)
+    assert payload["sigma_q"] == sigma_q(constants, 4.0, n=3)
 
 
 @pytest.mark.parametrize("dim", ["1", "0"])
@@ -627,7 +656,7 @@ def test_constants_growth_table(tmp_path):
     assert len(lines) == 1 + 58
     q, sig, norm = lines[1].split(",")
     params = WhitneyParams(eta=2.0, eta_prime=1.05)
-    constants = derive_constants(params, BumpFunction(params.eta_prime))
+    constants = derive_constants(params)
     assert float(q) == 3.0
     assert float(sig) == sigma_q(constants, 3.0, n=2)
     normalized = [float(line.split(",")[2]) for line in lines[1:]]

@@ -177,7 +177,7 @@ def test_sigma_closed_form(constants):
 
 def test_sigma_regression_pin(constants):
     # regression pin for the default geometry parameters
-    assert ineq.sigma_q(constants, 4) == pytest.approx(3.072815764335619e18, rel=1e-9)
+    assert ineq.sigma_q(constants, 4) == pytest.approx(3.794387868470e8, rel=1e-9)
 
 
 def test_sigma_monotone_in_overlap(constants):

@@ -1,7 +1,7 @@
 """Dyadic decomposition tests.
 
-Constants are recomputed here with fresh arithmetic, the overlap enumeration
-is crosschecked against a brute-force lattice count, and cube-level claims
+Constants are recomputed here with fresh arithmetic, the overlap bound is
+crosschecked against a brute-force count of supports, and cube-level claims
 are re-verified with plain norm computations independent of the geometry
 predicates used during selection.
 """
@@ -65,7 +65,7 @@ def test_params_reject_non_finite(name, value):
 def test_constants_closed_forms():
     # hand-computed for eta=2, eta_prime=1.05, dim=2
     params = WhitneyParams()
-    cst = derive_constants(params, BumpFunction(1.05))
+    cst = derive_constants(params)
     lam = (2.0 - 1.05 * ROOT2) / 2.0
     mu = (2.0 + 0.5 + 0.525) * ROOT2
     assert cst.delta_side_min == pytest.approx(0.2575378797, rel=1e-9)
@@ -84,30 +84,58 @@ def test_constants_closed_forms():
     assert cst.side_ratio_bound > 4
 
 
-def test_overlap_bound_matches_bruteforce_lattice_count():
-    params = WhitneyParams()
-    cst = derive_constants(params, BumpFunction(1.05))
-    j_max = int(math.floor(cst.level_window))
-    total = 0
-    for j in range(-j_max, j_max + 1):
-        radius = cst.center_window / 2.0**j
-        half = int(math.ceil(radius)) + 1
-        m = np.arange(-half, half + 1)
-        mx, my = np.meshgrid(m, m, indexing="ij")
-        inside = (mx + 0.5) ** 2 + (my + 0.5) ** 2 <= radius**2
-        total += int(np.count_nonzero(inside))
-    assert cst.overlap_bound == total
-    assert 1e5 < cst.overlap_bound < 3e5
+def _support_count(x, delta, cst):
+    """Number of cubes (k, m) with side 2**-k in [delta / delta_side_max,
+    delta / delta_side_min] whose closed eta_prime support holds the point
+    x, counted per axis over every index within 3 of x / side."""
+    count = 0
+    for k in range(-10, 40):
+        s = 2.0**-k
+        if not delta / cst.delta_side_max <= s <= delta / cst.delta_side_min:
+            continue
+        per_axis = [
+            sum(
+                abs(xi - (m + 0.5) * s) <= cst.eta_prime * s / 2.0
+                for m in range(math.floor(xi / s) - 3, math.floor(xi / s) + 4)
+            )
+            for xi in x
+        ]
+        count += math.prod(per_axis)
+    return count
+
+
+@pytest.mark.parametrize("dim, bound", [(2, 20), (3, 48)])
+def test_overlap_bound_against_bruteforce_support_count(dim, bound):
+    # domain-free: any point x with boundary distance delta lies only in
+    # supports whose side is in the delta/side window; the bound holds at
+    # random points, at points on dyadic lattices and at window edges, and
+    # a lattice vertex with delta = delta_side_max / 8 attains it
+    cst = derive_constants(WhitneyParams(dim=dim))
+    assert cst.overlap_bound == bound
+    rng = np.random.default_rng(dim)
+    for i in range(300):
+        x = rng.uniform(-3.0, 3.0, dim)
+        if i % 2:
+            x = np.round(x * 2.0 ** (i % 7)) / 2.0 ** (i % 7)
+        delta = rng.uniform(1e-3, 2.0)
+        if i % 3 == 0:
+            delta = cst.delta_side_max * 2.0 ** -int(rng.integers(0, 8))
+        assert _support_count(x, delta, cst) <= cst.overlap_bound
+    vertex = np.zeros(dim)
+    for x in (vertex, vertex + 2.0 ** (dim - 1)):
+        assert _support_count(x, cst.delta_side_max / 8.0, cst) == cst.overlap_bound
 
 
 def test_grad_bound_structure():
     params = WhitneyParams()
     bump = BumpFunction(1.05)
-    cst = derive_constants(params, bump)
+    cst = derive_constants(params)
     assert cst.ref_slope_bound == pytest.approx(ROOT2 * bump.max_slope(), rel=1e-12)
+    assert cst.ref_slope_bound == pytest.approx(ROOT2 * 80.0, rel=1e-15)
     assert cst.grad_bound == pytest.approx(
         cst.ref_slope_bound * (1 + cst.overlap_bound * cst.side_ratio_bound), rel=1e-12
     )
+    assert cst.grad_bound == pytest.approx(3.76998e4, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +172,16 @@ def test_bump_flat_at_seams():
 
 
 def test_max_slope_magnitude():
-    # transition width 0.025, interior slope of the smoothstep is about 2,
-    # so the peak slope is near 80
-    bump = BumpFunction(1.05)
-    assert 60 < bump.max_slope() < 110
+    # the closed form 2 / width bounds |g'| on a fine sample of the
+    # transition and is reached there up to rounding: the sampled maxima are
+    # 79.99999999999991, 13.333... and 4.0
+    for eta_prime in (1.05, 1.3, 2.0):
+        bump = BumpFunction(eta_prime)
+        assert bump.max_slope() == 2.0 / ((eta_prime - 1.0) / 2.0)
+        ts = np.linspace(0.5, eta_prime / 2.0, 2_000_000)
+        worst = np.abs(bump.profile_derivative(ts)).max()
+        assert worst <= bump.max_slope()
+        assert worst == pytest.approx(bump.max_slope(), rel=1e-12)
 
 
 def _reference_smoothstep(t):
@@ -526,7 +560,7 @@ def _per_row_nested_pairs(decomp):
 
 
 def _hand_made(d, levels):
-    return WhitneyDecomposition(d.domain, d.params, d.bump, d.constants, levels, {})
+    return WhitneyDecomposition(d.domain, d.params, levels, {})
 
 
 def test_nested_pairs_match_per_row_count():
@@ -598,14 +632,7 @@ def test_selection_rule_fails_for_siblings_of_a_selectable_parent():
 def test_cube_keys_must_fit_in_63_bits(disk_decomp):
     far_apart = {0: np.array([[0, 0], [2**32, 2**32]], dtype=np.int64)}
     with pytest.raises(ValueError, match="63 bits"):
-        WhitneyDecomposition(
-            disk_decomp.domain,
-            disk_decomp.params,
-            disk_decomp.bump,
-            disk_decomp.constants,
-            far_apart,
-            {},
-        )
+        WhitneyDecomposition(disk_decomp.domain, disk_decomp.params, far_apart, {})
 
 
 def test_overlap_counts_and_bound(disk_decomp):
@@ -1150,7 +1177,7 @@ def test_neighbor_scan_reports_a_pair_one_level_past_the_window():
     d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
     gap = int(d.constants.level_window) + 1
     levels = {2: np.array([[1, 1]]), 2 + gap: np.array([[2 ** (gap + 1), 40]])}
-    pair = WhitneyDecomposition(d.domain, d.params, d.bump, d.constants, levels, {})
+    pair = WhitneyDecomposition(d.domain, d.params, levels, {})
     worst_ratio, worst_gap, _ = _neighbor_side_ratios(pair)
     assert (worst_ratio, worst_gap) == (2.0**gap, gap)
     assert worst_gap > d.constants.level_window
