@@ -12,16 +12,15 @@
 import numpy as np
 
 import blowup.energy as en
-from blowup.geometry import Disk, default_profile
+from blowup.geometry import Disk
 from blowup.grid import Grid, ScalarField
 from blowup.solver import solve, verify_minimizer
 
 disk = Disk((0.0, 0.0), 1.0)
 grid = Grid(disk, 1.0 / 64.0)
-profile = default_profile(disk)
-sp = en.build_singular_part(disk, profile, grid)
+sp = en.build_singular_part(grid)
 
-report = solve(disk, profile=profile, grid=grid, singular_part=sp)
+report = solve(sp)
 e_min = report.energy_history[-1]
 print(f"minimum energy {e_min:.9f} after {report.iterations} Newton steps")
 
@@ -49,7 +48,7 @@ print("\ngaps stay positive (minimality) and shrink like amplitude^2 "
 
 # the batch version used by the acceptance gate: 100 seeded shapes at three
 # amplitudes, worst gap and worst identity mismatch
-verify_minimizer(report, sp, trials=100)
+verify_minimizer(report, trials=100)
 v = report.verification
 print(f"\nbatch check: {v['trials']} shapes x {len(v['amplitudes'])} amplitudes, "
       f"worst gap {v['worst_gap']:+.3e}, worst identity mismatch "

@@ -10,7 +10,7 @@
 import numpy as np
 
 from blowup.energy import build_singular_part
-from blowup.geometry import Disk, default_profile
+from blowup.geometry import Disk
 from blowup.grid import Grid
 from blowup.solver import corollary4_check, disk_exact_solution, solve
 
@@ -18,11 +18,10 @@ disk = Disk((0.0, 0.0), 1.0)
 h = 1.0 / 128.0
 
 grid = Grid(disk, h)
-profile = default_profile(disk)
-sp = build_singular_part(disk, profile, grid)
+sp = build_singular_part(grid)
 print(f"grid: h = 1/{round(1/h)}, {grid.n_interior} interior nodes")
 
-report = solve(disk, profile=profile, grid=grid, singular_part=sp)
+report = solve(sp)
 print(f"converged in {report.iterations} Newton steps, "
       f"final gradient norm {report.final_grad_norm:.2e}, "
       f"{report.runtime_seconds:.1f}s")
@@ -47,7 +46,7 @@ print(f"\nremainder: sup|w| = {np.max(np.abs(report.w.values)):.4f}, "
       f"sup |w|/d = {np.max(ratio):.4f}  (w = O(d) at the rim)")
 
 # energy-gradient bound with the convex-domain constant
-corollary4_check(report, sp, 2.0)
+corollary4_check(report, 2.0)
 c4 = report.corollary4
 print(f"gradient bound: |grad w| = {c4['lhs']:.3f} <= {c4['rhs']:.3f} "
       f"= 2 H |Lap d|  -> {'holds' if c4['pass'] else 'violated'}")

@@ -29,7 +29,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .energy import build_singular_part
-from .geometry import Box, Disk, Polygon, default_profile, domain_from_json
+from .geometry import Box, Disk, Polygon, domain_from_json
 from .grid import Grid
 from .inequalities import (
     FAMILY_NAMES,
@@ -177,19 +177,15 @@ def _cmd_solve(args) -> bool:
         SolverConfig, gradient_tol=args.gradient_tol, max_iterations=args.max_iterations
     )
     grid = Grid(domain, h)
-    profile = default_profile(domain)
-    sp = build_singular_part(domain, profile, grid, residual_mode=args.residual_mode)
-    report = solve(domain, profile=profile, grid=grid, config=config, singular_part=sp)
+    sp = build_singular_part(grid, residual_mode=args.residual_mode)
+    report = solve(sp, config=config)
 
     if args.hardy is not None:
         hardy = {"value": args.hardy, "method": "configured"}
-        h_const = args.hardy
     else:
-        estimate = resolve_hardy_constant(domain, grid)
-        hardy = asdict(estimate)
-        h_const = estimate.value
-    corollary4_check(report, sp, h_const)
-    residual = liouville_residual(report, sp)
+        hardy = asdict(resolve_hardy_constant(grid))
+    corollary4_check(report, hardy["value"])
+    residual = liouville_residual(report)
 
     outdir = _output_dir(args)
     payload = report.to_json_dict()
@@ -212,7 +208,7 @@ def _cmd_solve(args) -> bool:
             report.u, os.path.join(outdir, "solution.svg"), title="u = v + w"
         )
         field_to_svg(
-            liouville_defect(report, sp),
+            liouville_defect(report),
             os.path.join(outdir, "residual.svg"),
             title="pointwise defect, distance-squared weighted",
         )
@@ -245,7 +241,11 @@ def _cmd_solve(args) -> bool:
 
 def _cmd_whitney(args) -> bool:
     domain = parse_domain(args.domain)
-    params = _build(WhitneyParams, eta=args.eta, eta_prime=args.eta_prime, k_max=args.k_max)
+    if args.svg and domain.dim != 2:
+        raise UsageError(f"--svg draws planar domains only, got dimension {domain.dim}")
+    params = _build(
+        WhitneyParams, eta=args.eta, eta_prime=args.eta_prime, dim=domain.dim, k_max=args.k_max
+    )
     if args.samples < 1 or (
         args.coverage_samples is not None and args.coverage_samples < 1
     ):

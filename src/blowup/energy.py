@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Annulus, Disk, Domain, SmoothingProfile
+from .geometry import Annulus, Disk, Domain, SmoothingProfile, default_profile
 from .grid import Grid, ScalarField, laplacian_of_distance
 
 __all__ = [
@@ -127,12 +127,12 @@ def _boundary_curvature(domain: Domain, pts: np.ndarray) -> np.ndarray:
 
 
 def build_singular_part(
-    domain: Domain,
-    profile: SmoothingProfile,
     grid: Grid,
+    profile: SmoothingProfile | None = None,
     residual_mode: str = "continuum",
 ) -> SingularPart:
-    """Assemble d, v = -ln(2d), weight = 1/d^2, and the residual r.
+    """Assemble d, v = -ln(2d), weight = 1/d^2, and the residual r on ``grid``;
+    the profile defaults to ``default_profile(grid.domain)``.
 
     residual_mode selects how r is evaluated:
 
@@ -154,17 +154,15 @@ def build_singular_part(
     (kappa/2) * sd(ghost).  The rim residual absorbs that known offset; on
     polygons kappa = 0 and nothing changes.
     """
-    if grid.n_interior == 0:
-        raise ValueError("grid has no interior nodes; refine the spacing")
-    if grid.domain is not domain:
-        raise ValueError("grid was built on a different domain")
     if residual_mode not in ("continuum", "lattice"):
         raise ValueError("residual_mode must be 'continuum' or 'lattice'")
+    if profile is None:
+        profile = default_profile(grid.domain)
     delta = grid.delta
     d = profile.value(delta)
     v = -np.log(2.0 * d)
     weight = 1.0 / d**2
-    dd = laplacian_of_distance(domain, profile, grid)
+    dd = laplacian_of_distance(grid, profile)
     full_stencil = grid.full_stencil
 
     fp = profile.slope(delta)
@@ -172,7 +170,7 @@ def build_singular_part(
     if residual_mode == "lattice":
         r = np.where(full_stencil, -grid.laplacian(v) + weight, r)
     # only rim nodes have ghosts, so the correction vanishes elsewhere
-    kappa = _boundary_curvature(domain, grid.points)
+    kappa = _boundary_curvature(grid.domain, grid.points)
     r = r - 0.5 * kappa * grid.ghost_signed_sum() / grid.h**2
 
     mk = lambda a: ScalarField(grid, a)

@@ -583,22 +583,21 @@ class SmoothingProfile:
     """Monotone C^2 profile F applied to the boundary distance.
 
     F(t) = t on (-inf, t0]  (identity near the boundary),
-    F(t) = cap for t >= 2*cap - t0  (constant far inside),
+    F(t) = cap = 2*t0 for t >= 2*cap - t0  (constant far inside),
     and a quintic Hermite blend in between.  The blend keeps F' in [0, 1]
     with F'(t0) = 1, F'(end) = 0 and matching second derivatives, so the
     composite F(delta) is C^2 wherever delta is.
     """
 
     transition_start: float
-    cap: float | None = None
 
     def __post_init__(self):
         if self.transition_start <= 0:
             raise ValueError("transition_start must be positive")
-        if self.cap is None:
-            object.__setattr__(self, "cap", 2.0 * self.transition_start)
-        if self.cap <= self.transition_start:
-            raise ValueError("cap must exceed transition_start")
+
+    @property
+    def cap(self) -> float:
+        return 2.0 * self.transition_start
 
     @property
     def transition_end(self) -> float:

@@ -493,10 +493,7 @@ class ScalarField:
 
 
 def laplacian_of_distance(
-    domain: Domain,
-    profile: SmoothingProfile,
-    grid: Grid,
-    method: str = "auto",
+    grid: Grid, profile: SmoothingProfile, method: str = "auto"
 ) -> np.ndarray:
     """Laplacian of the smoothed distance d = F(delta) at interior nodes.
 
@@ -511,6 +508,7 @@ def laplacian_of_distance(
       returns its h-smeared version there, by design.
     * ``auto``: analytic for Disk/Annulus, fd for Box/Polygon.
     """
+    domain = grid.domain
     if method == "auto":
         method = "analytic" if isinstance(domain, (Disk, Annulus)) else "fd"
     if method == "analytic":

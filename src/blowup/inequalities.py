@@ -214,19 +214,17 @@ class C2Result:
         }
 
 
-def c2_constant(
-    c1: float,
-    constants: DerivedConstants,
-    n: int = 2,
-    tail_rtol: float = 1e-12,
-    max_terms: int = 100_000,
-) -> C2Result:
+C2_TAIL_RTOL = 1e-12
+C2_MAX_TERMS = 100_000
+
+
+def c2_constant(c1: float, constants: DerivedConstants, n: int = 2) -> C2Result:
     """Series sum_{q >= n-1} lambda^(-n) n' omega_n (n' omega_n A / c1^n')^q q^q/(q-1)!.
 
     The term ratio is x (1 + 1/q)^(q+1), strictly decreasing to x e, so the
     series converges exactly when x e < 1, i.e. c1^n' > e omega_n n' A.  On
     convergence the partial sum is returned once the remaining geometric
-    tail is certified below ``tail_rtol`` of the partial sum.
+    tail is certified below ``C2_TAIL_RTOL`` of the partial sum.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -254,9 +252,9 @@ def c2_constant(
         if ratio_next < 1.0:
             next_term = term * x * (1.0 + 1.0 / q) ** (q + 1)
             tail = next_term / (1.0 - ratio_next)
-            if tail <= tail_rtol * partial:
+            if tail <= C2_TAIL_RTOL * partial:
                 return C2Result(c1, False, partial, threshold, tail, used, A)
-        if used >= max_terms:
+        if used >= C2_MAX_TERMS:
             raise RuntimeError("series tail failed to certify")
         q += 1
 
@@ -379,13 +377,15 @@ class HardyEstimate:
     witness: str
 
 
-def resolve_hardy_constant(
-    domain: Domain, grid: Grid, safety: float = 1.05
-) -> HardyEstimate:
-    """Boundary-distance Hardy constant for the domain.
+HARDY_SAFETY = 1.05
 
-    Convex domains take the literature value 2.  Otherwise the constant is a
-    safety multiple of the largest quotient over the witness family, floored
+
+def resolve_hardy_constant(grid: Grid) -> HardyEstimate:
+    """Boundary-distance Hardy constant for ``grid.domain``, from the witness
+    family on ``grid``.
+
+    Convex domains take the literature value 2.  Otherwise the constant is
+    HARDY_SAFETY times the largest quotient over the witness family, floored
     at 2; the empirical maximum is reported either way.
     """
     best = 0.0
@@ -397,9 +397,9 @@ def resolve_hardy_constant(
             continue
         if val > best:
             best, witness = val, name
-    if domain.is_convex():
+    if grid.domain.is_convex():
         return HardyEstimate(2.0, best, "convex literature value", witness)
-    return HardyEstimate(max(2.0, safety * best), best, "empirical with margin", witness)
+    return HardyEstimate(max(2.0, HARDY_SAFETY * best), best, "empirical with margin", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +567,9 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     partition functions are exact (analytic); gradients of u are the grid's
     central differences throughout, so every comparison is self-consistent.
 
+    Distances come from ``u.grid``, so ``decomp`` must decompose its domain
+    (ValueError otherwise), or cubes meet the wrong boundary.
+
     The partition data does not depend on u: it is cached for the last
     (grid, decomposition), so auditing several functions on one grid
     builds it once.  That per-grid record (``_Partition``) holds the
@@ -586,6 +589,8 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     if q < n:
         raise ValueError("q must be at least n")
     g = u.grid
+    if decomp.domain.to_json_dict() != g.domain.to_json_dict():
+        raise ValueError("the decomposition and the grid are built on different domains")
     cst = decomp.constants
     delta = g.delta
     if float(delta.min()) <= cst.epsilon_cut:

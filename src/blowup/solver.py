@@ -21,13 +21,12 @@ from .energy import (
     EnergyBreakdown,
     ExponentOverflowError,
     SingularPart,
-    build_singular_part,
     energy,
     energy_gap,
     energy_gradient,
     hessian_operator,
 )
-from .geometry import Disk, Domain, SmoothingProfile, default_profile
+from .geometry import Disk
 from .grid import Grid, ScalarField
 
 __all__ = [
@@ -91,10 +90,12 @@ class SolverConfig:
 class SolveReport:
     """Outcome of ``solve``.  ``converged`` is the Newton gradient test alone;
     ``linear_converged`` says whether every step's linear solve met
-    ``linear_rtol``."""
+    ``linear_rtol``.  ``singular_part`` is the one the solve minimized on;
+    the checks below read it from here, and ``to_json_dict`` leaves it out."""
 
     w: ScalarField
     u: ScalarField
+    singular_part: SingularPart
     iterations: int
     energy_history: list[float]
     final_grad_norm: float
@@ -191,14 +192,12 @@ def _grad_norm(gvals: np.ndarray, h: float) -> float:
 
 
 def solve(
-    domain: Domain,
-    profile: SmoothingProfile | None = None,
-    grid: Grid | None = None,
+    sp: SingularPart,
     config: SolverConfig | None = None,
-    singular_part: SingularPart | None = None,
     initial_guess: np.ndarray | None = None,
 ) -> SolveReport:
-    """Minimize the renormalized energy; returns the remainder w and u = v + w.
+    """Minimize the renormalized energy of the singular part ``sp`` on its
+    grid; returns the remainder w and u = v + w.
 
     Newton from w = 0 (or the supplied initial guess) with Armijo
     backtracking; by convexity the stationary point reached is the unique
@@ -211,10 +210,7 @@ def solve(
     initial guess does not hold one entry per interior node.
     """
     t_start = time.perf_counter()
-    if profile is None:
-        profile = default_profile(domain)
-    if grid is None:
-        grid = Grid(domain, 1 / 128)
+    grid = sp.grid
     if config is None:
         config = SolverConfig()
     floor = np.finfo(float).eps / (grid.h * grid.h)
@@ -225,16 +221,11 @@ def solve(
         )
     if initial_guess is not None and np.shape(initial_guess) != (grid.n_interior,):
         raise ValueError("initial guess must have one entry per interior node")
-    sp = (
-        singular_part
-        if singular_part is not None
-        else build_singular_part(domain, profile, grid)
-    )
     w, history, steps, gnorm, converged = _newton(sp, config, initial_guess)
-    u = ScalarField(grid, sp.v.values + w)
     report = SolveReport(
         w=ScalarField(grid, w),
-        u=u,
+        u=ScalarField(grid, sp.v.values + w),
+        singular_part=sp,
         iterations=len(steps),
         energy_history=history,
         final_grad_norm=gnorm,
@@ -242,8 +233,8 @@ def solve(
         steps=steps,
         runtime_seconds=time.perf_counter() - t_start,
     )
-    if isinstance(domain, Disk):
-        report.oracle = oracle_errors(u, domain)
+    if isinstance(grid.domain, Disk):
+        report.oracle = oracle_errors(report.u, grid.domain)
     return report
 
 
@@ -377,6 +368,11 @@ def oracle_errors(u: ScalarField, disk: Disk, region_depth: float = 0.05) -> dic
 # ---------------------------------------------------------------------------
 
 
+PERTURBATION_AMPLITUDES = (1e-3, 1e-2, 1e-1)
+GAP_SLACK = 1e-8
+IDENTITY_RTOL = 1e-6
+
+
 def _random_perturbation(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Smooth-ish random Dirichlet field with unit sup norm."""
     raw = rng.standard_normal(grid.n_interior)
@@ -388,37 +384,30 @@ def _random_perturbation(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     return vals / np.max(np.abs(vals))
 
 
-def verify_minimizer(
-    report: SolveReport,
-    sp: SingularPart,
-    trials: int = 100,
-    amplitudes: tuple = (1e-3, 1e-2, 1e-1),
-    seed: int = 0,
-    slack: float = 1e-8,
-    identity_rtol: float = 1e-6,
-) -> SolveReport:
+def verify_minimizer(report: SolveReport, trials: int = 100, seed: int = 0) -> SolveReport:
     """Random-perturbation check that w is the minimizer.
 
-    For seeded random Dirichlet perturbations at several amplitudes the
-    energy gap energy(w + phi) - energy(w) must be >= -slack, and the two
-    independent evaluations of the expansion identity must agree to
-    identity_rtol.  Results are attached to the report.
+    For seeded random Dirichlet perturbations at each of the amplitudes
+    PERTURBATION_AMPLITUDES the energy gap energy(w + phi) - energy(w) must
+    be >= -GAP_SLACK, and the two independent evaluations of the expansion
+    identity must agree to IDENTITY_RTOL.  Results are attached to the report.
     """
     g = report.w.grid
+    sp = report.singular_part
     rng = np.random.default_rng(seed)
     shapes = [_random_perturbation(g, rng) for _ in range(trials)]
     worst_gap = math.inf
     worst_rel = 0.0
     gap_rows = []
     failures = 0
-    for amp in amplitudes:
+    for amp in PERTURBATION_AMPLITUDES:
         for k, shape in enumerate(shapes):
             phi = ScalarField(g, amp * shape)
             lhs, rhs = energy_gap(phi, report.w, sp)
             rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
             worst_gap = min(worst_gap, lhs)
             worst_rel = max(worst_rel, rel)
-            ok = lhs >= -slack and rel < identity_rtol
+            ok = lhs >= -GAP_SLACK and rel < IDENTITY_RTOL
             if not ok:
                 failures += 1
                 gap_rows.append(
@@ -426,9 +415,9 @@ def verify_minimizer(
                 )
     report.verification = {
         "trials": trials,
-        "amplitudes": list(amplitudes),
-        "slack": slack,
-        "identity_rtol": identity_rtol,
+        "amplitudes": list(PERTURBATION_AMPLITUDES),
+        "slack": GAP_SLACK,
+        "identity_rtol": IDENTITY_RTOL,
         "worst_gap": worst_gap,
         "worst_identity_rel": worst_rel,
         "failures": failures,
@@ -438,11 +427,11 @@ def verify_minimizer(
     return report
 
 
-def corollary4_check(report: SolveReport, sp: SingularPart, H: float) -> dict:
+def corollary4_check(report: SolveReport, H: float) -> dict:
     """Gradient-norm bound for the remainder: |grad w|_2 <= 2 H |Lap d|_2."""
     g = report.w.grid
     lhs = math.sqrt(g.dirichlet_energy(report.w.values))
-    rhs = 2.0 * H * math.sqrt(float(np.sum(sp.delta_d.values**2)) * g.h**2)
+    rhs = 2.0 * H * math.sqrt(float(np.sum(report.singular_part.delta_d.values**2)) * g.h**2)
     out = {
         "lhs": lhs,
         "rhs": rhs,
@@ -454,7 +443,7 @@ def corollary4_check(report: SolveReport, sp: SingularPart, H: float) -> dict:
     return out
 
 
-def liouville_defect(report: SolveReport, sp: SingularPart) -> ScalarField:
+def liouville_defect(report: SolveReport) -> ScalarField:
     """Pointwise defect (-Lap_h(u) + 4 e^{2u}) d^2 of the blow-up equation
     at full-stencil interior nodes; zero at rim nodes, whose stencil reads
     Dirichlet ghosts.
@@ -463,13 +452,14 @@ def liouville_defect(report: SolveReport, sp: SingularPart) -> ScalarField:
     direct exponential of u would overflow.
     """
     g = report.w.grid
+    sp = report.singular_part
     defect = -g.laplacian(report.u.values) + sp.weight.values * np.exp(
         2.0 * report.w.values
     )
     return ScalarField(g, np.where(g.full_stencil, defect * sp.d.values**2, 0.0))
 
 
-def liouville_residual(report: SolveReport, sp: SingularPart) -> dict:
+def liouville_residual(report: SolveReport) -> dict:
     """Largest d^2-weighted Liouville defect (see liouville_defect).
 
     With the lattice residual mode the defect equals the energy gradient at
@@ -479,8 +469,9 @@ def liouville_residual(report: SolveReport, sp: SingularPart) -> dict:
     conflated.
     """
     g = report.w.grid
+    sp = report.singular_part
     full = g.full_stencil
-    weighted = np.abs(liouville_defect(report, sp).values[full])
+    weighted = np.abs(liouville_defect(report).values[full])
     gvals = energy_gradient(report.w, sp).values
     gw = np.abs(gvals[full]) * sp.d.values[full] ** 2
     deep = g.delta[full] > 0.2

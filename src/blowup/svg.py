@@ -17,6 +17,10 @@ from .whitney import WhitneyDecomposition
 
 __all__ = ["field_to_svg", "decomposition_to_svg"]
 
+# the most cells a heatmap spans per side and the most cubes a layout draws
+MAX_PX = 640
+MAX_CUBES = 60000
+
 
 def _write_svg(path, width: float, height: float, title: str, body: list[str]) -> None:
     """Write body elements inside the shared frame, sized width x height px."""
@@ -33,11 +37,11 @@ def _write_svg(path, width: float, height: float, title: str, body: list[str]) -
         fh.write("\n".join(parts))
 
 
-def field_to_svg(field: ScalarField, path, title: str = "", max_px: int = 640) -> None:
+def field_to_svg(field: ScalarField, path, title: str = "") -> None:
     """Rect-per-cell heatmap of an interior-node field, with a caption line
     giving its value range."""
     full = field.grid.scatter(field.values, fill=np.nan)
-    stride = max(1, int(math.ceil(max(full.shape) / max_px)))
+    stride = max(1, int(math.ceil(max(full.shape) / MAX_PX)))
     sub = full[::stride, ::stride]
     finite = np.isfinite(sub)
     lo = float(np.nanmin(sub)) if finite.any() else 0.0
@@ -67,7 +71,7 @@ def field_to_svg(field: ScalarField, path, title: str = "", max_px: int = 640) -
     _write_svg(path, W, H + 20, title, body)
 
 
-def decomposition_to_svg(decomp: WhitneyDecomposition, path, max_cubes: int = 60000):
+def decomposition_to_svg(decomp: WhitneyDecomposition, path):
     """Cube layout (coarsest cubes first, one hue per level) under the
     domain outline."""
     if decomp.params.dim != 2:
@@ -90,7 +94,7 @@ def decomposition_to_svg(decomp: WhitneyDecomposition, path, max_cubes: int = 60
         hue = (37 * (k - ks[0])) % 360
         s = 2.0 ** (-k)
         for row in decomp.levels[k]:
-            if drawn >= max_cubes:
+            if drawn >= MAX_CUBES:
                 break
             x, y = row[0] * s, row[1] * s
             body.append(
@@ -100,9 +104,9 @@ def decomposition_to_svg(decomp: WhitneyDecomposition, path, max_cubes: int = 60
             )
             drawn += 1
     body.append(_domain_outline_svg(decomp.domain, sx, sy, scale))
-    if drawn >= max_cubes:
+    if drawn >= MAX_CUBES:
         body.append(
-            f'<text x="{pad}" y="{pad-10:.0f}" font-size="14">truncated to {max_cubes} cubes</text>'
+            f'<text x="{pad}" y="{pad-10:.0f}" font-size="14">truncated to {MAX_CUBES} cubes</text>'
         )
     width = 2 * pad + (hi[0] - lo[0]) * scale
     height = 2 * pad + (hi[1] - lo[1]) * scale

@@ -3,29 +3,25 @@
 Each test covers one acceptance criterion at its stated tolerance and prints
 a single pass/fail line (bypassing capture) so a plain pytest run shows the
 scoreboard.  Solves at the two production resolutions are shared through
-module-scoped fixtures.
+fixtures: module-scoped here, session-scoped in ``conftest`` where another
+module needs the same solve.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import L_SHAPE, UNIT_DISK, UNIT_SQUARE, singular_part, solved
 
 import blowup.energy as en
 import blowup.inequalities as ineq
-from blowup.geometry import Box, Disk, Polygon, default_profile
 from blowup.grid import Grid, ScalarField
 from blowup.solver import (
     corollary4_check,
     disk_exact_solution,
-    solve,
     verify_minimizer,
 )
 from blowup.whitney import WhitneyParams, decompose, derive_constants, verify_properties
-
-UNIT_DISK = Disk((0.0, 0.0), 1.0)
-UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
-L_SHAPE = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
 
 QS = (3.0, 4.0, 6.0, 10.0, 20.0)
 
@@ -35,26 +31,14 @@ def _report_line(capsys, label, passed, detail):
         print(f"\nacceptance {label}: {'PASS' if passed else 'FAIL'} - {detail}")
 
 
-def _solve_domain(domain, h):
-    grid = Grid(domain, h)
-    profile = default_profile(domain)
-    sp = en.build_singular_part(domain, profile, grid)
-    return solve(domain, profile=profile, grid=grid, singular_part=sp), sp
+@pytest.fixture(scope="module")
+def disk_solves(disk_solve_128):
+    return {"fine": solved(UNIT_DISK, 1.0 / 256.0), "coarse": disk_solve_128}
 
 
 @pytest.fixture(scope="module")
-def disk_solves():
-    fine, sp_fine = _solve_domain(UNIT_DISK, 1.0 / 256.0)
-    coarse, sp_coarse = _solve_domain(UNIT_DISK, 1.0 / 128.0)
-    return {"fine": (fine, sp_fine), "coarse": (coarse, sp_coarse)}
-
-
-@pytest.fixture(scope="module")
-def shape_solves():
-    return {
-        "square": _solve_domain(UNIT_SQUARE, 1.0 / 64.0),
-        "lshape": _solve_domain(L_SHAPE, 1.0 / 64.0),
-    }
+def shape_solves(lshape_solve_64):
+    return {"square": solved(UNIT_SQUARE, 1.0 / 64.0), "lshape": lshape_solve_64}
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +76,7 @@ def test_1_disk_oracle_accuracy_and_runtime(disk_solves, capsys):
         prev / cur >= 3.0 for prev, cur in zip(stencil_max, stencil_max[1:])
     )
 
-    fine, _sp = disk_solves["fine"]
+    fine = disk_solves["fine"]
     oracle = fine.oracle
     sup_ok = oracle["sup_error"] < 5e-3
     runtime_ok = fine.runtime_seconds < 60.0
@@ -112,8 +96,8 @@ def test_1_disk_oracle_accuracy_and_runtime(disk_solves, capsys):
 
 
 def test_2_variational_minimality(disk_solves, capsys):
-    coarse, sp = disk_solves["coarse"]
-    verify_minimizer(coarse, sp, trials=100, amplitudes=(1e-3, 1e-2, 1e-1))
+    coarse = disk_solves["coarse"]
+    verify_minimizer(coarse, trials=100)
     result = coarse.verification
     passed = result["passed"]
     detail = (
@@ -121,25 +105,25 @@ def test_2_variational_minimality(disk_solves, capsys):
         f"identity rel {result['worst_identity_rel']:.3e} < 1e-6"
     )
     _report_line(capsys, "2 (variational minimality)", passed, detail)
+    assert result["amplitudes"] == [1e-3, 1e-2, 1e-1]
     assert result["worst_gap"] >= -1e-8
     assert result["worst_identity_rel"] < 1e-6
     assert passed
 
 
 def test_3_gradient_energy_bound(disk_solves, shape_solves, capsys):
-    cases = []
-    coarse, sp = disk_solves["coarse"]
-    cases.append(("disk", coarse, sp, 2.0))
-    sq_report, sq_sp = shape_solves["square"]
-    cases.append(("square", sq_report, sq_sp, 2.0))
-    ls_report, ls_sp = shape_solves["lshape"]
-    est = ineq.resolve_hardy_constant(L_SHAPE, ls_report.w.grid)
-    cases.append(("lshape", ls_report, ls_sp, 1.05 * est.empirical_max))
+    ls_report = shape_solves["lshape"]
+    est = ineq.resolve_hardy_constant(ls_report.w.grid)
+    cases = [
+        ("disk", disk_solves["coarse"], 2.0),
+        ("square", shape_solves["square"], 2.0),
+        ("lshape", ls_report, 1.05 * est.empirical_max),
+    ]
 
     parts = []
     all_pass = True
-    for name, report, sp_i, H in cases:
-        c4 = corollary4_check(report, sp_i, H)
+    for name, report, H in cases:
+        c4 = corollary4_check(report, H)
         all_pass = all_pass and c4["pass"]
         parts.append(
             f"{name} lhs {c4['lhs']:.3f} <= rhs {c4['rhs']:.3f} (H={H:.3f})"
@@ -173,7 +157,7 @@ def test_4_whitney_suite(capsys):
     assert all_pass
 
 
-def test_5_weighted_embedding_suite(geometry_constants, capsys):
+def test_5_weighted_embedding_suite(geometry_constants, square_decomp_12, capsys):
     constants = geometry_constants
     rows_all = []
     for domain in (UNIT_DISK, UNIT_SQUARE, L_SHAPE):
@@ -182,7 +166,7 @@ def test_5_weighted_embedding_suite(geometry_constants, capsys):
             rows_all.extend(ineq.embedding_report(u, constants, QS))
     embed_ok = bool(rows_all) and all(r["pass"] for r in rows_all)
 
-    dec = decompose(UNIT_SQUARE, WhitneyParams(k_max=12))
+    dec = square_decomp_12
     grid = Grid(UNIT_SQUARE, 1.0 / 250.0)
     violations = 0
     audits = 0
@@ -238,9 +222,8 @@ def test_6_series_constant_threshold(geometry_constants, capsys):
 
 
 def test_7_gradient_hessian_consistency(capsys):
-    grid = Grid(UNIT_DISK, 1.0 / 32.0)
-    profile = default_profile(UNIT_DISK)
-    sp = en.build_singular_part(UNIT_DISK, profile, grid)
+    sp = singular_part(UNIT_DISK, 1.0 / 32.0)
+    grid = sp.grid
     pts = grid.points
     base = 0.2 * np.sin(math.pi * pts[:, 0]) * np.cos(math.pi * pts[:, 1])
     w = ScalarField(grid, _taper(grid, base))
@@ -286,16 +269,11 @@ def test_7_gradient_hessian_consistency(capsys):
 
 
 def test_8_grid_convergence_and_monotonicity(disk_solves, shape_solves, capsys):
-    fine, _ = disk_solves["fine"]
-    coarse, _ = disk_solves["coarse"]
+    fine = disk_solves["fine"]
+    coarse = disk_solves["coarse"]
     shrink = coarse.oracle["sup_error"] / fine.oracle["sup_error"]
     monotone = True
-    for report, _sp in (
-        (fine, None),
-        (coarse, None),
-        shape_solves["square"],
-        shape_solves["lshape"],
-    ):
+    for report in (fine, coarse, shape_solves["square"], shape_solves["lshape"]):
         hist = report.energy_history
         monotone = monotone and all(b < a for a, b in zip(hist, hist[1:]))
 
@@ -313,10 +291,10 @@ def test_9_newton_and_cg_counters(disk_solves, shape_solves, capsys):
     # the solves above, pinned: a change to the preconditioner's rounding
     # must not move the Newton steps or the CG iterations of any step
     expected = {
-        "disk 1/256": (disk_solves["fine"][0], [7, 8, 8, 8]),
-        "disk 1/128": (disk_solves["coarse"][0], [7, 8, 8, 8]),
-        "square 1/64": (shape_solves["square"][0], [7, 7, 6, 6]),
-        "lshape 1/64": (shape_solves["lshape"][0], [7, 7, 7, 6]),
+        "disk 1/256": (disk_solves["fine"], [7, 8, 8, 8]),
+        "disk 1/128": (disk_solves["coarse"], [7, 8, 8, 8]),
+        "square 1/64": (shape_solves["square"], [7, 7, 6, 6]),
+        "lshape 1/64": (shape_solves["lshape"], [7, 7, 7, 6]),
     }
     got = {
         name: (report.iterations, [s["cg_iterations"] for s in report.steps])

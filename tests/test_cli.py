@@ -409,6 +409,36 @@ def test_cube_file_texts_do_not_grow_with_the_domain_offset():
     assert peak1 < 2 * peak0
 
 
+BOX3 = '{"shape": "rectangle", "corner_min": [0, 0, 0], "corner_max": [1, 1, 2]}'
+
+
+def test_whitney_three_dimensional_box(tmp_path):
+    # the dimension comes from the domain; no flag sets it
+    rc = main(["whitney", "--domain", BOX3, "--k-max", "5", "--report", str(tmp_path)])
+    assert rc == 0
+    props = _load(tmp_path / "whitney_properties.json")
+    assert props["all_passed"] is True
+    assert len(props["checks"]) == 12
+    cubes = _load(tmp_path / "whitney_cubes.json")
+    assert cubes["cube_count"] == len(cubes["cubes"]) == 10944
+    assert all(len(c["center"]) == 3 for c in cubes["cubes"])
+
+
+def test_whitney_svg_of_a_three_dimensional_domain_exits_1_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decompose ran before --svg was validated")
+
+    monkeypatch.setattr("blowup.cli.decompose", no_decompose)
+    rc = main(["whitney", "--domain", BOX3, "--svg", "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--svg draws planar domains only, got dimension 3" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_whitney_invalid_dilation_pair_exits_1(tmp_path, capsys):
     rc = main(
         [

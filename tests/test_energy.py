@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import singular_part
 
-from blowup.geometry import Box, Disk, default_profile
+from blowup.geometry import Disk, SmoothingProfile, default_profile
 from blowup.grid import Grid, ScalarField, laplacian_of_distance
 import blowup.energy as en
 
@@ -14,13 +15,13 @@ DISK = Disk((0.0, 0.0), 1.0)
 
 
 @pytest.fixture(scope="module")
-def disk_grid():
-    return Grid(DISK, 1 / 128)
+def disk_sp(disk_sp_128):
+    return disk_sp_128
 
 
 @pytest.fixture(scope="module")
-def disk_sp(disk_grid):
-    return en.build_singular_part(DISK, default_profile(DISK), disk_grid)
+def disk_grid(disk_sp):
+    return disk_sp.grid
 
 
 def _smooth_field(grid, seed, scale=0.05):
@@ -58,8 +59,8 @@ def test_residual_is_big_o_of_inverse_distance():
     # inside the rim layer the discrete residual picks up the intrinsic
     # O(h^2/delta^4) truncation of the five-point stencil
     for h in (1 / 64, 1 / 128, 1 / 256):
-        g = Grid(DISK, h)
-        sp = en.build_singular_part(DISK, default_profile(DISK), g)
+        sp = singular_part(DISK, h)
+        g = sp.grid
         band = g.delta > 0.05
         prod = np.abs(sp.r.values[band] * sp.d.values[band])
         assert np.max(prod) < 4.0
@@ -86,10 +87,8 @@ def test_lattice_residual_times_distance_converges_to_distance_laplacian():
     # second-order consistency error
     errs = []
     for h in (1 / 64, 1 / 256):
-        g = Grid(DISK, h)
-        sp = en.build_singular_part(
-            DISK, default_profile(DISK), g, residual_mode="lattice"
-        )
+        sp = singular_part(DISK, h, residual_mode="lattice")
+        g = sp.grid
         band = (g.delta > 0.1) & (g.delta < 0.19)
         rel = np.abs(
             sp.r.values[band] * sp.d.values[band] - sp.delta_d.values[band]
@@ -107,7 +106,7 @@ def test_rim_ghost_correction_is_curvature_scaled(disk_grid, disk_sp):
     delta = disk_grid.delta
     d = prof.value(delta)
     weight = 1.0 / d**2
-    plain = laplacian_of_distance(DISK, prof, disk_grid) / d + (
+    plain = laplacian_of_distance(disk_grid, prof) / d + (
         1.0 - prof.slope(delta) ** 2
     ) * weight
     diff = disk_sp.r.values - plain
@@ -118,17 +117,21 @@ def test_rim_ghost_correction_is_curvature_scaled(disk_grid, disk_sp):
     assert np.max(np.abs(diff - expected)) < 1e-9
 
 
+def test_singular_part_takes_the_given_profile(disk_grid, disk_sp):
+    # without a profile it is default_profile(grid.domain); with one, d is
+    # that profile of the boundary distance
+    assert np.array_equal(
+        disk_sp.d.values, default_profile(disk_grid.domain).value(disk_grid.delta)
+    )
+    profile = SmoothingProfile(transition_start=0.1)
+    sp = en.build_singular_part(disk_grid, profile)
+    assert np.array_equal(sp.d.values, profile.value(disk_grid.delta))
+    assert not np.array_equal(sp.d.values, disk_sp.d.values)
+
+
 def test_residual_mode_rejected(disk_grid):
     with pytest.raises(ValueError):
-        en.build_singular_part(
-            DISK, default_profile(DISK), disk_grid, residual_mode="spectral"
-        )
-
-
-def test_singular_part_grid_mismatch():
-    other = Grid(Box((0.0, 0.0), (1.0, 1.0)), 1 / 32)
-    with pytest.raises(ValueError):
-        en.build_singular_part(DISK, default_profile(DISK), other)
+        en.build_singular_part(disk_grid, residual_mode="spectral")
 
 
 def test_singular_part_json(disk_sp):

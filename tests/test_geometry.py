@@ -663,7 +663,7 @@ def test_profile_cap_and_saturation():
 
 
 def test_profile_c2_gluing_and_slope_range():
-    prof = SmoothingProfile(transition_start=0.15, cap=0.5)
+    prof = SmoothingProfile(transition_start=0.15)
     ts = np.linspace(1e-4, prof.transition_end + 0.3, 20001)
     vals = prof.value(ts)
     slopes = prof.slope(ts)
@@ -708,7 +708,7 @@ def test_profile_rejects_bad_parameters():
     with pytest.raises(ValueError):
         SmoothingProfile(transition_start=-0.1)
     with pytest.raises(ValueError):
-        SmoothingProfile(transition_start=0.3, cap=0.2)
+        SmoothingProfile(transition_start=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import singular_part
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -363,7 +364,7 @@ def test_operators_bit_identical_to_reference(domain, h):
     d_ext = profile.value(g.signed_dist)
     expected = np.zeros_like(d_ext)
     _reference_stencil(g, d_ext, expected)
-    fd = laplacian_of_distance(domain, profile, g, method="fd")
+    fd = laplacian_of_distance(g, profile, method="fd")
     assert np.array_equal(fd, expected[g.interior_mask])
 
 
@@ -535,7 +536,7 @@ def test_thin_strip_below_the_dense_cap_still_solves():
     g = Grid(strip, 0.01)
     assert g.n_interior == 798
     assert len(g._hierarchy()) == 1
-    rep = solve(strip, default_profile(strip), g)
+    rep = solve(build_singular_part(g))
     assert rep.converged
     assert rep.linear_converged
 
@@ -543,10 +544,7 @@ def test_thin_strip_below_the_dense_cap_still_solves():
 @pytest.mark.parametrize("mode", ["continuum", "lattice"])
 def test_solve_bit_identical_to_reference_kernels(mode, monkeypatch):
     def run():
-        g = Grid(DISK, 1 / 64)
-        profile = default_profile(DISK)
-        sp = build_singular_part(DISK, profile, g, residual_mode=mode)
-        rep = solve(DISK, profile, g, singular_part=sp)
+        rep = solve(singular_part(DISK, 1 / 64, residual_mode=mode))
         return rep.w.values, rep.steps
 
     w, steps = run()
@@ -625,7 +623,7 @@ def test_field_length_checked(square_grid):
 def test_lap_distance_disk_identity_zone():
     prof = SmoothingProfile(transition_start=0.2)
     g = Grid(DISK, 1.0 / 64)
-    lap_d = laplacian_of_distance(DISK, prof, g, method="analytic")
+    lap_d = laplacian_of_distance(g, prof, method="analytic")
     rho = np.linalg.norm(g.points, axis=1)
     zone = g.delta < 0.19
     np.testing.assert_allclose(lap_d[zone], -1.0 / rho[zone], rtol=1e-12)
@@ -634,7 +632,7 @@ def test_lap_distance_disk_identity_zone():
 def test_lap_distance_disk_saturated_zone_zero():
     prof = SmoothingProfile(transition_start=0.2)
     g = Grid(DISK, 1.0 / 64)
-    lap_d = laplacian_of_distance(DISK, prof, g, method="analytic")
+    lap_d = laplacian_of_distance(g, prof, method="analytic")
     assert np.all(lap_d[g.delta > 0.61] == 0.0)
 
 
@@ -644,8 +642,8 @@ def test_lap_distance_fd_matches_analytic_on_disk():
     diffs = {}
     for h in (1.0 / 64, 1.0 / 128):
         g = Grid(DISK, h)
-        ana = laplacian_of_distance(DISK, prof, g, method="analytic")
-        fd = laplacian_of_distance(DISK, prof, g, method="fd")
+        ana = laplacian_of_distance(g, prof, method="analytic")
+        fd = laplacian_of_distance(g, prof, method="fd")
         seam = np.minimum(
             np.abs(g.delta - prof.transition_start),
             np.abs(g.delta - prof.transition_end),
@@ -662,7 +660,7 @@ def test_lap_distance_fd_square_plateau():
     # smoothed distance is F(face distance) and its Laplacian is F''(delta)
     prof = SmoothingProfile(transition_start=0.1)
     g = Grid(SQUARE, 1.0 / 128)
-    fd = laplacian_of_distance(SQUARE, prof, g, method="fd")
+    fd = laplacian_of_distance(g, prof, method="fd")
     x, y = g.points[:, 0], g.points[:, 1]
     ridge = np.minimum(np.abs(x - y), np.abs(x + y - 1.0)) / np.sqrt(2.0)
     sel = (ridge > 0.05) & (g.delta > 0.12) & (g.delta < 0.28)
@@ -673,7 +671,7 @@ def test_lap_distance_analytic_refused_for_polygon():
     poly = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     g = Grid(poly, 1.0 / 32)
     with pytest.raises(ValueError):
-        laplacian_of_distance(poly, default_profile(poly), g, method="analytic")
+        laplacian_of_distance(g, default_profile(poly), method="analytic")
 
 
 def test_grid_rejects_too_coarse():

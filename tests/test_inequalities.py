@@ -38,8 +38,8 @@ def _at_points(domain, pts):
 
 
 @pytest.fixture(scope="module")
-def square_decomp():
-    return decompose(UNIT_SQUARE, WhitneyParams(k_max=12))
+def square_decomp(square_decomp_12):
+    return square_decomp_12
 
 
 @pytest.fixture(scope="module")
@@ -279,14 +279,14 @@ def test_convex_family_quotients_below_two(domain):
 
 
 def test_resolve_hardy_convex():
-    est = ineq.resolve_hardy_constant(UNIT_DISK, Grid(UNIT_DISK, 1 / 64))
+    est = ineq.resolve_hardy_constant(Grid(UNIT_DISK, 1 / 64))
     assert est.value == 2.0
     assert "convex" in est.method
     assert est.empirical_max <= 2.05
 
 
 def test_resolve_hardy_nonconvex():
-    est = ineq.resolve_hardy_constant(RING, Grid(RING, 1 / 64))
+    est = ineq.resolve_hardy_constant(Grid(RING, 1 / 64))
     assert est.value >= 2.0
     assert "empirical" in est.method
     assert est.value >= est.empirical_max
@@ -426,7 +426,7 @@ def test_resolve_hardy_matches_reference_loop(domain):
         val = _reference_hardy_quotient(u)
         if val > best:
             best, witness = val, name
-    est = ineq.resolve_hardy_constant(domain, grid)
+    est = ineq.resolve_hardy_constant(grid)
     assert (est.empirical_max, est.witness) == (best, witness)
     assert witness
 
@@ -534,6 +534,22 @@ def test_chain_audit_rejects_shallow_decomposition():
     message = rf"\(smallest delta 0.015625 <= epsilon_cut {cut} at k_max 4\)"
     with pytest.raises(ValueError, match=message):
         ineq.chain_audit(u, shallow, q=4)
+
+
+def test_chain_audit_rejects_a_decomposition_of_another_domain(audit_setup, monkeypatch):
+    # the audit takes distances at the grid's nodes: a disk's cubes on the
+    # square's grid would be audited against the wrong boundary.  (The
+    # square's own decomposition is of an equal but separate Box object,
+    # which the other audit tests accept.)
+    u, _ = audit_setup
+    disk_decomp = decompose(UNIT_DISK, WhitneyParams(k_max=6))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the partition was built before the domain check")
+
+    monkeypatch.setattr(ineq, "_grid_partition", unreachable)
+    with pytest.raises(ValueError, match="different domains"):
+        ineq.chain_audit(u, disk_decomp)
 
 
 def test_chain_audit_partition_cache_follows_grid_and_decomposition(square_decomp):

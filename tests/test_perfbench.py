@@ -1,0 +1,52 @@
+"""The benchmark's traced child runs each benchmarked subcommand through the
+package, and its span metrics read the counters those runs are known to
+have.  A signature change that the tracer's attribute readers cannot bind,
+or that bypasses the names the child patches, fails here."""
+
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+CASES = {
+    "solve": (["solve", "--domain", "disk", "--h", "1/16"], "solver.newton_steps", 4),
+    "whitney": (
+        ["whitney", "--domain", "square", "--k-max", "6", "--samples", "2000"],
+        "whitney.cubes",
+        436,
+    ),
+    "audit-chain": (
+        ["audit-chain", "--domain", "square", "--h", "1/40"],
+        "inequalities.chain_audits",
+        13,
+    ),
+}
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv, metric, expected", CASES.values(), ids=list(CASES))
+def test_traced_child_reads_the_counters(tmp_path, argv, metric, expected):
+    env = {k: v for k, v in os.environ.items() if k != "BLOWUP_REPORT_DIR"}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), str(tmp_path), "trace", "--", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "child.json").read_text())["rc"] == 0
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    assert _spans_module().layer_metrics(spans)[metric] == expected

@@ -8,16 +8,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import singular_part, solved
+
 from blowup.energy import (
     ExponentOverflowError,
-    build_singular_part,
     energy,
     energy_gap,
 )
 import blowup.solver as solver_module
 from blowup.energy import EnergyBreakdown
-from blowup.geometry import Box, Disk, Polygon, default_profile
-from blowup.grid import Grid, ScalarField
+from blowup.geometry import Box, Disk
+from blowup.grid import ScalarField
 from blowup.solver import (
     LineSearchError,
     SolveReport,
@@ -36,18 +37,13 @@ DISK = Disk((0.0, 0.0), 1.0)
 
 @pytest.fixture(scope="module")
 def disk64():
-    grid = Grid(DISK, 1 / 64)
-    sp = build_singular_part(DISK, default_profile(DISK), grid)
-    report = solve(DISK, default_profile(DISK), grid, singular_part=sp)
-    return grid, sp, report
+    report = solved(DISK, 1 / 64)
+    return report.singular_part.grid, report.singular_part, report
 
 
 @pytest.fixture(scope="module")
-def disk128():
-    grid = Grid(DISK, 1 / 128)
-    sp = build_singular_part(DISK, default_profile(DISK), grid)
-    report = solve(DISK, default_profile(DISK), grid, singular_part=sp)
-    return grid, sp, report
+def disk128(disk_solve_128):
+    return disk_solve_128.singular_part.grid, disk_solve_128.singular_part, disk_solve_128
 
 
 # ---------------------------------------------------------------------------
@@ -65,23 +61,21 @@ def test_config_validation():
 
 
 def test_initial_guess_shape_rejected():
-    grid = Grid(DISK, 1 / 16)
     with pytest.raises(ValueError):
-        solve(DISK, default_profile(DISK), grid, initial_guess=np.zeros(3))
+        solve(singular_part(DISK, 1 / 16), initial_guess=np.zeros(3))
 
 
 @pytest.mark.parametrize("extra", [(-1,), (1,), (0, 1)])
 def test_initial_guess_shape_rejected_before_any_work(monkeypatch, extra):
-    # one entry short, one too many, and a column: the singular part is
-    # never built
+    # one entry short, one too many, and a column: no Newton step starts
     def unreachable(*args, **kwargs):
         raise AssertionError("solve did work before checking the initial guess")
 
-    monkeypatch.setattr(solver_module, "build_singular_part", unreachable)
-    grid = Grid(DISK, 1 / 16)
-    shape = (grid.n_interior + extra[0], *extra[1:])
+    monkeypatch.setattr(solver_module, "_newton", unreachable)
+    sp = singular_part(DISK, 1 / 16)
+    shape = (sp.grid.n_interior + extra[0], *extra[1:])
     with pytest.raises(ValueError, match="one entry per interior node"):
-        solve(DISK, default_profile(DISK), grid, initial_guess=np.zeros(shape))
+        solve(sp, initial_guess=np.zeros(shape))
 
 
 @pytest.mark.parametrize(
@@ -144,22 +138,15 @@ def test_every_step_reported(disk64):
 
 
 def test_not_converged_within_one_iteration():
-    grid = Grid(DISK, 1 / 32)
-    cfg = SolverConfig(max_iterations=1)
-    rep = solve(DISK, default_profile(DISK), grid, cfg)
+    rep = solved(DISK, 1 / 32, SolverConfig(max_iterations=1))
     assert not rep.converged
     assert rep.iterations == 1
 
 
 def test_overflowing_initial_guess_raises():
-    grid = Grid(DISK, 1 / 16)
+    sp = singular_part(DISK, 1 / 16)
     with pytest.raises(ExponentOverflowError):
-        solve(
-            DISK,
-            default_profile(DISK),
-            grid,
-            initial_guess=np.full(grid.n_interior, 400.0),
-        )
+        solve(sp, initial_guess=np.full(sp.grid.n_interior, 400.0))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +183,7 @@ def test_exact_solution_general_disk():
 
 
 def test_oracle_absent_off_disk():
-    box = Box((0.0, 0.0), (1.0, 1.0))
-    rep = solve(box, default_profile(box), Grid(box, 1 / 32))
+    rep = solved(Box((0.0, 0.0), (1.0, 1.0)), 1 / 32)
     assert rep.converged
     assert rep.oracle is None
 
@@ -237,14 +223,14 @@ def test_radial_symmetry_under_quarter_turns(disk64):
 
 
 def test_uniqueness_from_random_starts():
-    grid = Grid(DISK, 1 / 32)
-    sp = build_singular_part(DISK, default_profile(DISK), grid)
+    sp = singular_part(DISK, 1 / 32)
+    grid = sp.grid
     rng = np.random.default_rng(7)
     taper = np.minimum(grid.delta, 0.3)
     sols = []
     for _ in range(2):
         guess = 0.01 * rng.standard_normal(grid.n_interior) * taper
-        rep = solve(DISK, default_profile(DISK), grid, singular_part=sp, initial_guess=guess)
+        rep = solve(sp, initial_guess=guess)
         assert rep.converged
         sols.append(rep.w.values)
     assert np.max(np.abs(sols[0] - sols[1])) < 10 * SolverConfig().linear_rtol
@@ -258,11 +244,11 @@ def test_uniqueness_from_random_starts():
 def test_zero_residual_gives_zero_remainder(disk64):
     grid, sp, _ = disk64
     quiet = dataclasses.replace(sp, r=ScalarField.zeros(grid))
-    rep = solve(DISK, default_profile(DISK), grid, singular_part=quiet)
+    rep = solve(quiet)
     assert rep.converged
     assert rep.iterations == 0
     assert np.all(rep.w.values == 0.0)
-    out = corollary4_check(rep, quiet, 2.0)
+    out = corollary4_check(rep, 2.0)
     assert out["lhs"] == 0.0
     assert out["pass"]
 
@@ -273,8 +259,8 @@ def test_zero_residual_gives_zero_remainder(disk64):
 
 
 def test_verify_minimizer_all_gaps_nonnegative(disk64):
-    _, sp, rep = disk64
-    verify_minimizer(rep, sp, trials=25, seed=3)
+    _, _, rep = disk64
+    verify_minimizer(rep, trials=25, seed=3)
     v = rep.verification
     assert v["passed"]
     assert v["failures"] == 0
@@ -310,8 +296,8 @@ def test_restoring_zero_perturbation(disk64):
 
 
 def test_corollary_bound_on_disk(disk64):
-    _, sp, rep = disk64
-    out = corollary4_check(rep, sp, 2.0)
+    _, _, rep = disk64
+    out = corollary4_check(rep, 2.0)
     assert out["pass"]
     assert out["lhs"] > 0.0
     assert out["margin"] > 0.0
@@ -338,27 +324,18 @@ def test_intermediate_forcing_bound(disk64):
 
 
 def test_lattice_mode_defect_tracks_tolerance():
-    grid = Grid(DISK, 1 / 48)
-    sp = build_singular_part(
-        DISK, default_profile(DISK), grid, residual_mode="lattice"
-    )
+    sp = singular_part(DISK, 1 / 48, residual_mode="lattice")
     maxima = []
     for tol in (1e-4, 1e-10):
-        rep = solve(
-            DISK,
-            default_profile(DISK),
-            grid,
-            SolverConfig(gradient_tol=tol),
-            singular_part=sp,
-        )
-        maxima.append(liouville_residual(rep, sp)["max_weighted_residual"])
+        rep = solve(sp, SolverConfig(gradient_tol=tol))
+        maxima.append(liouville_residual(rep)["max_weighted_residual"])
     assert maxima[1] < maxima[0] / 100.0
     assert maxima[1] < 1e-9
 
 
 def test_continuum_mode_defect_floor_is_bounded(disk64):
-    grid, sp, rep = disk64
-    out = liouville_residual(rep, sp)
+    _, _, rep = disk64
+    out = liouville_residual(rep)
     assert out["residual_mode"] == "continuum"
     # rim floor from the stencil truncation of the log profile
     assert out["max_weighted_residual"] < 1.0
@@ -419,15 +396,9 @@ def test_pcg_residual_history_includes_the_restart():
     assert np.linalg.norm(a @ x - b) <= 10 * rtol * np.linalg.norm(b)
 
 
-def test_cg_iterations_per_newton_step_bounded(disk64, disk128):
+def test_cg_iterations_per_newton_step_bounded(disk64, disk128, lshape_solve_64):
     # the V-cycle keeps the count flat as h halves (plain CG doubled it)
-    lshape = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
-    reports = [
-        solve(DISK, default_profile(DISK), Grid(DISK, 1 / 32)),
-        disk64[2],
-        disk128[2],
-        solve(lshape, default_profile(lshape), Grid(lshape, 1 / 64)),
-    ]
+    reports = [solved(DISK, 1 / 32), disk64[2], disk128[2], lshape_solve_64]
     for rep in reports:
         assert rep.converged
         assert max(s["cg_iterations"] for s in rep.steps) <= 12
@@ -450,8 +421,7 @@ def test_steps_record_the_cg_residual_history(disk64):
 def test_linear_converged_false_when_cg_stops_at_its_cap(monkeypatch):
     capped = lambda op, prec, b, rtol, maxiter: _pcg(op, prec, b, rtol, 2)
     monkeypatch.setattr(solver_module, "_pcg", capped)
-    config = SolverConfig(max_iterations=3)
-    rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 16), config)
+    rep = solved(DISK, 1 / 16, SolverConfig(max_iterations=3))
     assert rep.steps
     for s in rep.steps:
         assert s["cg_iterations"] == 2
@@ -469,9 +439,8 @@ def test_linear_rtol_below_rounding_level_rejected(rtol):
 
 def test_smallest_linear_rtol_still_converges():
     # the grid's floor eps / h^2 (5.7e-14 at 1/16) is attainable
-    grid = Grid(DISK, 1 / 16)
-    config = SolverConfig(linear_rtol=np.finfo(float).eps / grid.h**2)
-    rep = solve(DISK, default_profile(DISK), grid, config)
+    sp = singular_part(DISK, 1 / 16)
+    rep = solve(sp, SolverConfig(linear_rtol=np.finfo(float).eps / sp.grid.h**2))
     assert rep.converged
     assert rep.steps
     assert all(s["linear_converged"] is True for s in rep.steps)
@@ -480,14 +449,14 @@ def test_smallest_linear_rtol_still_converges():
 
 def test_linear_rtol_below_the_grid_floor_rejected(monkeypatch):
     # 1e-14 passes SolverConfig but is below eps / h^2 = 9.1e-13 at 1/64;
-    # the singular part is never built
+    # no Newton step starts
     def unreachable(*args, **kwargs):
         raise AssertionError("solve did work before rejecting linear_rtol")
 
-    monkeypatch.setattr(solver_module, "build_singular_part", unreachable)
-    grid = Grid(DISK, 1 / 64)
+    monkeypatch.setattr(solver_module, "_newton", unreachable)
+    sp = singular_part(DISK, 1 / 64)
     with pytest.raises(ValueError, match=r"linear_rtol 1e-14 .* 9\.09e-13 .* h = 0\.015625"):
-        solve(DISK, default_profile(DISK), grid, SolverConfig(linear_rtol=1e-14))
+        solve(sp, SolverConfig(linear_rtol=1e-14))
 
 
 def test_linear_converged_follows_the_true_residual(monkeypatch):
@@ -501,7 +470,7 @@ def test_linear_converged_follows_the_true_residual(monkeypatch):
         return x, residuals, reported[-1]
 
     monkeypatch.setattr(solver_module, "_pcg", stalled)
-    rep = solve(DISK, default_profile(DISK), Grid(DISK, 1 / 64))
+    rep = solved(DISK, 1 / 64)
     assert rep.converged
     assert not rep.linear_converged
     assert len(rep.steps) == len(reported) > 0
@@ -517,7 +486,7 @@ def test_line_search_error_reports_linear_convergence(monkeypatch):
         solver_module, "energy", lambda phi, sp: EnergyBreakdown(1.0, 0.0, 0.0)
     )
     with pytest.raises(LineSearchError) as info:
-        solve(DISK, default_profile(DISK), Grid(DISK, 1 / 16))
+        solved(DISK, 1 / 16)
     diagnostics = info.value.diagnostics
     assert set(diagnostics) == SHARED_STEP_KEYS | {"slope", "energy"}
     assert diagnostics["iteration"] == 1
@@ -531,9 +500,9 @@ def test_line_search_error_reports_linear_convergence(monkeypatch):
 
 
 def test_report_serializes(disk64):
-    _, sp, rep = disk64
-    corollary4_check(rep, sp, 2.0)
-    verify_minimizer(rep, sp, trials=3)
+    _, _, rep = disk64
+    corollary4_check(rep, 2.0)
+    verify_minimizer(rep, trials=3)
     payload = rep.to_json_dict()
     text = json.dumps(payload, sort_keys=True)
     assert "energy_history" in payload
