@@ -23,6 +23,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -62,6 +63,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-inf" and "-nan" are values, as "-3" is, for the option's type to judge
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+|inf|nan)$", re.I)
+
     # argparse exits with status 2 on bad flags; the exit-code contract
     # reserves 2 for failed checks, so route parse errors through UsageError
     def error(self, message):

@@ -592,8 +592,8 @@ class SmoothingProfile:
     transition_start: float
 
     def __post_init__(self):
-        if self.transition_start <= 0:
-            raise ValueError("transition_start must be positive")
+        if not 0 < self.transition_start < np.inf:  # NaN fails as well
+            raise ValueError("transition_start must be positive and finite")
 
     @property
     def cap(self) -> float:

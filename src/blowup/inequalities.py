@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import Box, Domain, SmoothingProfile, deepest_point
 from .grid import Grid, ScalarField
-from .whitney import DerivedConstants, WhitneyDecomposition, _cube_geometry
+from .whitney import DerivedConstants, WhitneyDecomposition, _cube_geometry, _weight_gradient
 
 __all__ = [
     "SeriesOverflowError",
@@ -41,7 +41,6 @@ __all__ = [
     "orlicz_boundary_integral",
     "hardy_quotient",
     "radial_bump",
-    "deep_point",
     "FAMILY_NAMES",
     "standard_family",
     "grid_family",
@@ -296,13 +295,10 @@ def radial_bump(r2, radius: float, exponent: float = 2.0):
     return np.maximum(0.0, 1.0 - r2 / radius**2) ** exponent
 
 
-def deep_point(domain: Domain, samples: int = 256) -> np.ndarray:
-    """Deterministic grid argmax of the boundary distance (deepest point)."""
-    return deepest_point(domain, samples)[0]
-
-
-# witness parameters: bump radii (fractions of the deepest point's depth)
-# with exponents, sine wave numbers per axis, and log cutoffs
+# witness parameters: grid nodes per axis of the deepest-point search, bump
+# radii (fractions of its depth) with exponents, sine wave numbers per axis,
+# and log cutoffs
+_DEEP_SAMPLES = 256
 _BUMPS = tuple((frac, expo) for frac in (0.95, 0.55) for expo in (1.0, 2.0, 3.0))
 _SINE_MODES = ((1, 1), (2, 1), (3, 2), (5, 3))
 _LOG_CUTOFFS = (0.05, 0.2)
@@ -330,14 +326,14 @@ def standard_family(domain: Domain, x, y, sd):
     Members may share memory; do not write to them.
 
     Every member vanishes on the boundary and is Lipschitz, hence
-    admissible: bumps centred at ``deep_point`` with radii a fraction of its
+    admissible: bumps centred at the deepest node of a ``_DEEP_SAMPLES``
+    per axis grid (``geometry.deepest_point``) with radii a fraction of its
     depth; the tent, a ramp of the distance with slope at most 1 that levels
     off at two thirds of the inradius; sine waves over the bounding box,
     damped by the tent off rectangles; and log(1 + delta/cutoff).
     """
     names = iter(FAMILY_NAMES)
-    center = deep_point(domain)
-    depth = float(domain.signed_distance(center))
+    center, depth = deepest_point(domain, _DEEP_SAMPLES)
     dx2, dy2 = (x - center[0]) ** 2, (y - center[1]) ** 2
     for frac, expo in _BUMPS:
         yield next(names), radial_bump(dx2 + dy2, frac * depth, expo)
@@ -501,7 +497,7 @@ class _Partition:
 @functools.lru_cache(maxsize=1)
 def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     """Partition weights of ``decomp`` at the interior nodes of ``grid``,
-    with exact gradients of its bump through the quotient rule.
+    with their exact gradients (``whitney._weight_gradient``).
 
     Kept for the last (grid, decomposition): both are immutable and hash by
     identity, and an audit of several functions on one grid asks for the
@@ -528,22 +524,16 @@ def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     # the offsets from the centres at cube scale, in the centres' buffer
     offsets = np.subtract(pts[pid], centers, out=centers)
     offsets /= sides[:, None]
-    gref = decomp.bump.gradient(offsets)
-    del lev, m, centers, offsets
+    del lev, m, centers
+    grad_w = _weight_gradient(decomp.bump, pid, offsets, sides, phi_ref, psi)
+    del offsets
 
-    psi = psi[pid]
-    w_part = phi_ref / psi
+    w_part = phi_ref / psi[pid]
+    del psi, phi_ref
     recon = np.bincount(pid, weights=w_part, minlength=len(pts))
     recon_worst = float(np.abs(recon - 1.0).max()) if len(pts) else 0.0
     del recon
 
-    psi2 = psi**2
-    grad_w = np.empty((n, len(pid)))
-    for i in range(n):
-        gi = gref[:, i] / sides
-        grad_psi = np.bincount(pid, weights=gi, minlength=len(pts))
-        grad_w[i] = (gi * psi - phi_ref * grad_psi[pid]) / psi2
-    del gref, gi, grad_psi, psi, psi2, phi_ref
     gw2 = sum(g * g for g in grad_w)
     grad_worst = float((sides * np.sqrt(gw2)).max()) if len(pid) else 0.0
 

@@ -224,6 +224,23 @@ class BumpFunction:
         return 2.0 / self.width
 
 
+def _weight_gradient(bump: BumpFunction, pid, offsets, sides, phi, psi) -> np.ndarray:
+    """Exact gradient, one axis per row, of each normalized weight phi /
+    psi[pid] of ``partition_values``, by the quotient rule; per incidence,
+    ``offsets`` is the point's offset from the cube's center over the cube's
+    side ``sides``, where the bump's gradient is ``bump.gradient(offsets) /
+    sides`` and psi's is the sum of those over the point's incidences."""
+    gref = bump.gradient(offsets)
+    psi = psi[pid]
+    psi2 = psi**2
+    grad_w = np.empty((offsets.shape[1], len(pid)))
+    for i in range(len(grad_w)):
+        gi = gref[:, i] / sides
+        grad_psi = np.bincount(pid, weights=gi)
+        grad_w[i] = (gi * psi - phi * grad_psi[pid]) / psi2
+    return grad_w
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -381,9 +398,7 @@ class WhitneyDecomposition:
         boundary distance ``delta`` of each point.
 
         Returns (point_idx, level, m) arrays concatenated over levels; within
-        a level, ordered by offset combination, then by point.  The max-norm
-        test splits by axis, so each (axis, offset) mask is computed once and
-        a combination's candidates are the AND of its axes' masks.
+        a level, in ``_near``'s order: by offset combination, then by point.
 
         A point x is asked only at the levels whose side s has
         delta_side_min * s <= delta(x) <= delta_side_max * s, widened by a
@@ -396,41 +411,48 @@ class WhitneyDecomposition:
         cube's eta-dilate), so it has no incidences either way.
         """
         etp = self.params.eta_prime
-        n = points.shape[1]
-        reach = int(math.floor(etp)) + 2
-        combos = np.stack(
-            np.meshgrid(*[np.arange(reach)] * n, indexing="ij"), axis=-1
-        ).reshape(-1, n)
         lam = self.constants.delta_side_min * (1.0 - 1e-9)
         mu = self.constants.delta_side_max * (1.0 + 1e-9)
         pid_all, lev_all, m_all = [], [], []
         for k in self.levels:
             s = 2.0 ** (-k)
             rows = np.flatnonzero((delta >= lam * s) & (delta <= mu * s))
-            p = points[rows]
-            thr = etp * s / 2.0 * (1.0 + 1e-12)
-            base = np.ceil(p / s - 0.5 - etp / 2.0 - 1e-12).astype(np.int64)
-            near_axis = [
-                [np.abs(p[:, i] - (base[:, i] + j + 0.5) * s) <= thr for j in range(reach)]
-                for i in range(n)
-            ]
-            near = [
-                np.flatnonzero(
-                    np.logical_and.reduce([near_axis[i][j] for i, j in enumerate(combo)])
-                )
-                for combo in combos
-            ]
-            sub = np.concatenate(near)
-            mq = base[sub] + np.repeat(combos, [len(c) for c in near], axis=0)
-            hit = self.cube_ids(k, mq) >= 0
-            pid_all.append(rows[sub[hit]])
-            lev_all.append(np.full(len(pid_all[-1]), k, dtype=np.int64))
-            m_all.append(mq[hit])
+            sub, mq = self._near(k, points[rows], etp * s / 2.0)
+            pid_all.append(rows[sub])
+            lev_all.append(np.full(len(sub), k, dtype=np.int64))
+            m_all.append(mq)
         return (
             np.concatenate(pid_all),
             np.concatenate(lev_all),
             np.concatenate(m_all, axis=0),
         )
+
+    def _near(self, k: int, points: np.ndarray, half: float):
+        """(row, m) of every selected level-k cube m whose center lies within
+        ``half * (1 + 1e-12)`` of a row of ``points`` in the max norm,
+        ordered by offset combination, then by row.  Per axis, a row's
+        candidates are floor(2 half / s) + 2 indices from its lowest, s the
+        side; each (axis, offset) test is made once, a combination's
+        candidates are the AND of its axes' tests, and one ``cube_ids`` call
+        keeps the selected ones."""
+        n = points.shape[1]
+        s = 2.0 ** (-k)
+        reach = int(math.floor(2.0 * half / s)) + 2
+        combos = np.indices((reach,) * n).reshape(n, -1).T  # axis 0 slowest
+        thr = half * (1.0 + 1e-12)
+        base = np.ceil(points / s - 0.5 - half / s - 1e-12).astype(np.int64)
+        near_axis = [
+            [np.abs(points[:, i] - (base[:, i] + j + 0.5) * s) <= thr for j in range(reach)]
+            for i in range(n)
+        ]
+        near = [
+            np.flatnonzero(np.logical_and.reduce([near_axis[i][j] for i, j in enumerate(combo)]))
+            for combo in combos
+        ]
+        sub = np.concatenate(near)
+        mq = base[sub] + np.repeat(combos, [len(c) for c in near], axis=0)
+        hit = self.cube_ids(k, mq) >= 0
+        return sub[hit], mq[hit]
 
     def overlap_counts(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -755,27 +777,28 @@ def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
     return pts[:kept], dist[:kept]
 
 
+GRADIENT_POINTS = 1500
+
+
 def verify_properties(
     decomp: WhitneyDecomposition,
     sample_count: int = 200_000,
     coverage_samples: int | None = None,
-    gradient_points: int = 1500,
     seed: int = 0,
 ) -> PropertyReport:
     """Exhaustive exact checks on cubes plus sampled checks on points.
 
     The sampled checks use points beyond ``epsilon_cut``; a ValueError naming
     it and ``k_max`` is raised when a sample holds none (a decomposition too
-    shallow for the domain).  The checks that hold large arrays each run in
-    a helper of their own, so those arrays are freed before the next check
-    starts.
+    shallow for the domain).  The exact gradients are checked on the first
+    ``GRADIENT_POINTS`` of the partition sample.  The checks that hold large
+    arrays each run in a helper of their own, so those arrays are freed
+    before the next check starts.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     if coverage_samples is not None and coverage_samples < 1:
         raise ValueError("coverage_samples must be at least 1")
-    if gradient_points < 1:
-        raise ValueError("gradient_points must be at least 1")
     rng = np.random.default_rng(seed)
     report = PropertyReport()
     report.checks += _cube_checks(decomp)
@@ -798,7 +821,7 @@ def verify_properties(
     )
     n_cov = coverage_samples if coverage_samples is not None else sample_count
     report.checks.append(_coverage_check(decomp, n_cov, rng))
-    _partition_checks(decomp, sample_count, gradient_points, rng, report)
+    _partition_checks(decomp, sample_count, rng, report)
     return report
 
 
@@ -886,9 +909,7 @@ def _coverage_check(decomp: WhitneyDecomposition, count: int, rng) -> PropertyCh
     )
 
 
-def _partition_checks(
-    decomp: WhitneyDecomposition, count: int, gradient_points: int, rng, report
-) -> None:
+def _partition_checks(decomp: WhitneyDecomposition, count: int, rng, report) -> None:
     """Overlap bound, partition sums and the gradient bound on a fresh
     sample; appends their checks to ``report`` and sets its empirical
     maxima.  The sample's distances are those the partition uses: inside the
@@ -936,13 +957,19 @@ def _partition_checks(
     )
     report.checks.append(PropertyCheck("partition_power_sums", pow_ok, worst=float(wq.max())))
 
-    # gradient bound for normalized partition functions, finite differences
-    grad_max, grad_ok = _partition_gradient_check(decomp, pts[:gradient_points])
+    # exact gradient bound for normalized partition functions; the first
+    # points' incidences, in the order a query of those points alone gives
+    head = pid < GRADIENT_POINTS
+    pid, lev, m, phi = pid[head], lev[head], m[head], phi[head]
+    sides, centers = _cube_geometry(lev, m)
+    offsets = (pts[pid] - centers) / sides[:, None]
+    grad = _weight_gradient(decomp.bump, pid, offsets, sides, phi, psi)
+    grad_max = float((sides * np.sqrt(np.sum(grad**2, axis=0))).max()) if len(pid) else 0.0
     report.empirical_grad_max = grad_max
     report.checks.append(
         PropertyCheck(
             "partition_gradient_bound",
-            grad_ok,
+            grad_max <= cst.grad_bound,
             worst=grad_max,
             detail=f"side * |grad weight| <= {cst.grad_bound:.4g}",
         )
@@ -1002,9 +1029,11 @@ def _nested_pairs(decomp: WhitneyDecomposition) -> int:
 def _neighbor_side_ratios(decomp: WhitneyDecomposition):
     """Examine every pair of cubes whose eta_prime supports meet.
 
-    For each finer cube the coarser-level candidate window is at most about
-    2 * eta_prime + 1 indices wide per axis, independent of the level gap, so
-    the enumeration is exhaustive and cheap.  Level gaps above
+    The supports of a coarse cube and a fine one meet when their centers
+    lie within eta_prime (s_c + s_f) / 2 in the max norm, so the coarse
+    partners of each block of fine cubes are one ``_near`` query around
+    their centers: at most floor(2 eta_prime) + 2 indices per axis, whatever
+    the level gap.  Level gaps above
     int(level_window) + 1 need not be scanned: distance to the boundary is
     1-Lipschitz, so a point y in both supports has delta(y) > delta_side_min
     * s_c from the coarse cube and delta(y) <= delta_side_max * s_f from the
@@ -1019,74 +1048,36 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
     etp = decomp.params.eta_prime
     cst = decomp.constants
     ks = sorted(decomp.levels)
-    n = decomp.params.dim
     worst_ratio = 1.0
     worst_gap = 0
     centers_ok = True
     gap_max = int(cst.level_window) + 1
+    # fine cubes per query: each brings about 9 candidates (gap 0, 2-D), so
+    # a query's temporaries stay near those of 2 * _CHUNK rows
+    block = _CHUNK // 4
     for kc in ks:  # coarse level
         sc = 2.0 ** (-kc)
         for kf in ks:  # fine or equal level
             gap = kf - kc
             if gap < 0 or gap > gap_max:
                 continue
-            mf = decomp.levels[kf]
-            sf, cf = _cube_geometry(kf, mf)
-            reach = 0.5 * etp * (sc + sf)
-            lo = np.ceil((cf - reach) / sc - 0.5 - 1e-12).astype(np.int64)
-            hi = np.floor((cf + reach) / sc - 0.5 + 1e-12).astype(np.int64)
-            width = int((hi - lo).max() + 1)
+            sf = 2.0 ** (-kf)
             found_pair = False
-            for combo in np.ndindex(*([width] * n)):
-                mq = lo + np.asarray(combo, dtype=np.int64)
-                ok = _fold(np.logical_and, mq <= hi)
+            for start in range(0, len(decomp.levels[kf]), block):
+                mf = decomp.levels[kf][start : start + block]
+                _, cf = _cube_geometry(kf, mf)
+                rows, mc = decomp._near(kc, cf, 0.5 * etp * (sc + sf))
                 if gap == 0:
-                    ok &= _fold(np.logical_or, mq != mf)  # skip self pairs
-                rows = np.flatnonzero(ok)
-                rows = rows[decomp.cube_ids(kc, mq[rows]) >= 0]
+                    keep = _fold(np.logical_or, mc != mf[rows])  # skip self pairs
+                    rows, mc = rows[keep], mc[keep]
                 if len(rows) == 0:
                     continue
-                _, cc = _cube_geometry(kc, mq[rows])
-                off = np.abs(cc - cf[rows])
-                touch = _fold(np.logical_and, off <= reach * (1.0 + 1e-12))
-                if np.any(touch):
-                    found_pair = True
-                    dist = np.sqrt(np.sum((cc - cf[rows]) ** 2, axis=-1))[touch]
-                    if np.any(dist > cst.center_window * sf * (1.0 + 1e-9)):
-                        centers_ok = False
+                found_pair = True
+                _, cc = _cube_geometry(kc, mc)
+                dist = np.sqrt(np.sum((cc - cf[rows]) ** 2, axis=-1))
+                if np.any(dist > cst.center_window * sf * (1.0 + 1e-9)):
+                    centers_ok = False
             if found_pair:
                 worst_ratio = max(worst_ratio, sc / sf)
                 worst_gap = max(worst_gap, gap)
     return worst_ratio, worst_gap, centers_ok
-
-
-def _partition_gradient_check(decomp: WhitneyDecomposition, points: np.ndarray):
-    """Central-difference gradients of every normalized weight active at the
-    sample points, batched; returns (max of side*|grad|, within-bound flag).
-
-    The step is scaled to the cube side, far smaller than the distance to the
-    boundary on covered points, so all stencil points stay inside the domain.
-    """
-    cst = decomp.constants
-    pid, lev, m, _, _ = decomp.partition_values(points)
-    if len(pid) == 0:
-        return 0.0, True
-    n = points.shape[1]
-    sides, centers = _cube_geometry(lev, m)
-    tau = 1e-6 * sides
-    # stencil layout: (incidence, axis, +/-), flattened for one batched query
-    stencil = np.repeat(points[pid][:, None, None, :], n, axis=1).repeat(2, axis=2)
-    for ax in range(n):
-        stencil[:, ax, 0, ax] += tau
-        stencil[:, ax, 1, ax] -= tau
-    flat = stencil.reshape(-1, n)
-    reps = 2 * n
-    phi_own = decomp.bump.value(
-        (flat - np.repeat(centers, reps, axis=0)) / np.repeat(sides, reps)[:, None]
-    )
-    _, _, _, _, psi_flat = decomp.partition_values(flat)
-    w = (phi_own / psi_flat).reshape(len(pid), n, 2)
-    grad = (w[:, :, 0] - w[:, :, 1]) / (2.0 * tau[:, None])
-    vals = sides * np.sqrt(np.sum(grad**2, axis=1))
-    worst = float(vals.max())
-    return worst, bool(worst <= cst.grad_bound)

@@ -125,12 +125,23 @@ FLOAT_FLAGS = [
 def test_non_finite_float_option_exits_1_before_any_work(
     tmp_path, capsys, args, flag, value
 ):
-    # "--flag=-inf": argparse reads a separate "-inf" as an option
     rc = main([*args, f"{flag}={value}", "--report", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert "usage:" in err
     assert f"argument {flag}: expected a finite number, got {value!r}" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-INF"])
+def test_non_finite_value_as_a_separate_token_exits_1(tmp_path, capsys, value):
+    # argparse takes a token that starts with "-" for a flag unless it looks
+    # like a negative number, as "-3" does and "-inf" and "-nan" must
+    rc = main(["solve", "--domain", "disk", "--hardy", value, "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument --hardy: expected a finite number, got {value!r}" in err
     assert not any(tmp_path.iterdir())
 
 

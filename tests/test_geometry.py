@@ -709,6 +709,10 @@ def test_profile_rejects_bad_parameters():
         SmoothingProfile(transition_start=-0.1)
     with pytest.raises(ValueError):
         SmoothingProfile(transition_start=0.0)
+    # a NaN start would make every value, slope and curvature NaN
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SmoothingProfile(transition_start=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup.geometry import Annulus, Box, Disk, Polygon, SmoothingProfile
+from blowup.geometry import Annulus, Box, Disk, Polygon, SmoothingProfile, deepest_point
 from blowup.grid import Grid, ScalarField
 from blowup.whitney import BumpFunction, WhitneyParams, decompose
 from blowup import inequalities as ineq
@@ -303,7 +303,7 @@ def test_radial_bump_rejects_sharp_exponent():
 
 
 def test_deep_point_avoids_reentrant_corner():
-    p = ineq.deep_point(L_SHAPE)
+    p, _ = deepest_point(L_SHAPE, 256)
     assert L_SHAPE.signed_distance(p) > 0.25
 
 
@@ -326,7 +326,7 @@ def test_family_nontrivial_on_grid(square_grid):
 def _reference_standard_family(domain):
     """The witness family as separate pointwise closures, each recomputing
     its inputs: the oracle for the shared-input generator."""
-    center = ineq.deep_point(domain)
+    center = deepest_point(domain, 256)[0]
     depth = float(domain.signed_distance(center))
     prof = SmoothingProfile(max(domain.inradius() / 3.0, 1e-3))
     lo, hi = domain.bounding_box()

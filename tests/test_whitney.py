@@ -21,11 +21,13 @@ from blowup.whitney import (
     WhitneyDecomposition,
     WhitneyParams,
     _cube_checks,
+    _cube_geometry,
     _distinct_rows,
     _neighbor_side_ratios,
     _nested_pairs,
     _sample_beyond_cut,
     _smoothstep,
+    _weight_gradient,
     decompose,
     derive_constants,
     verify_properties,
@@ -621,9 +623,7 @@ def test_selection_rule_fails_for_siblings_of_a_selectable_parent():
     levels[k + 1] = np.concatenate([levels[k + 1], children])
     levels[k + 1] = levels[k + 1][np.lexsort(levels[k + 1].T[::-1])]
     for decomp, selected in ((d, True), (_hand_made(d, levels), False)):
-        report = verify_properties(
-            decomp, sample_count=2000, coverage_samples=2000, gradient_points=20
-        )
+        report = verify_properties(decomp, sample_count=2000, coverage_samples=2000)
         checks = {c.name: c.passed for c in report.checks}
         assert checks["selection_rule"] is selected
         assert checks["no_nesting"]
@@ -922,9 +922,7 @@ def test_sample_beyond_cut_takes_distances_only_until_count_inside(monkeypatch):
 
 
 def test_verify_properties_disk(disk_decomp):
-    report = verify_properties(
-        disk_decomp, sample_count=6000, coverage_samples=6000, gradient_points=150
-    )
+    report = verify_properties(disk_decomp, sample_count=6000, coverage_samples=6000)
     names = {c.name for c in report.checks}
     assert {
         "selection_rule",
@@ -951,9 +949,7 @@ def test_verify_properties_heap_peak_on_the_lshape():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = verify_properties(
-            decomp, sample_count=20_000, coverage_samples=200_000, gradient_points=150
-        )
+        report = verify_properties(decomp, sample_count=20_000, coverage_samples=200_000)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -988,9 +984,7 @@ def report_grad_limit(decomp):
     return decomp.constants.grad_bound
 
 
-@pytest.mark.parametrize(
-    "name", ["sample_count", "coverage_samples", "gradient_points"]
-)
+@pytest.mark.parametrize("name", ["sample_count", "coverage_samples"])
 def test_verify_properties_rejects_nonpositive_counts(disk_decomp, name):
     for value in (0, -5):
         with pytest.raises(ValueError, match=name):
@@ -1016,9 +1010,7 @@ def test_shallow_decomposition_names_the_cut(domain):
 @pytest.mark.parametrize("domain", [L_SHAPE, RING], ids=["lshape", "ring"])
 def test_verify_properties_other_domains(domain):
     decomp = decompose(domain, WhitneyParams(k_max=8))
-    report = verify_properties(
-        decomp, sample_count=4000, coverage_samples=4000, gradient_points=100
-    )
+    report = verify_properties(decomp, sample_count=4000, coverage_samples=4000)
     for check in report.checks:
         assert check.passed, f"{check.name}: worst={check.worst} {check.detail}"
 
@@ -1157,6 +1149,41 @@ def test_neighbor_scan_matches_gap_8_reference(case):
     assert got == _reference_neighbor_side_ratios(decomp)
     worst_ratio, worst_gap, centers_ok = got
     assert centers_ok and 1 <= worst_gap <= decomp.constants.level_window
+
+
+def _central_difference_gradient(decomp, points, pid, lev, m):
+    """The gradient of each normalized weight by central differences of
+    ``partition_values`` at tau = 1e-6 * side, one axis at a time."""
+    sides, centers = _cube_geometry(lev, m)
+    tau = 1e-6 * sides
+    grad = np.empty((points.shape[1], len(pid)))
+    for axis in range(points.shape[1]):
+        w = []
+        for sign in (1.0, -1.0):
+            q = points[pid]
+            q[:, axis] += sign * tau
+            _, _, _, _, psi = decomp.partition_values(q)
+            w.append(decomp.bump.value((q - centers) / sides[:, None]) / psi)
+        grad[axis] = (w[0] - w[1]) / (2.0 * tau)
+    return grad
+
+
+@pytest.mark.parametrize("case", ["disk-8", "lshape-8", "box3"])
+def test_exact_weight_gradient_matches_central_differences(case):
+    decomp = _NEIGHBOR_SCAN_CASES[case]()
+    pts, delta = _sample_beyond_cut(decomp, 1500, np.random.default_rng(0))
+    pid, lev, m, phi, psi = decomp._partition_values(pts, delta)
+    sides, centers = _cube_geometry(lev, m)
+    offsets = (pts[pid] - centers) / sides[:, None]
+    exact = _weight_gradient(decomp.bump, pid, offsets, sides, phi, psi)
+    fd = _central_difference_gradient(decomp, pts, pid, lev, m)
+    scaled = sides * np.sqrt(np.sum(exact**2, axis=0))
+    gap = sides * np.sqrt(np.sum((exact - fd) ** 2, axis=0))
+    assert 10.0 < scaled.max() <= decomp.constants.grad_bound
+    # measured max gap / max scaled gradient: 9.6e-8 (disk), 6.7e-8
+    # (lshape), 1.8e-7 (box3), and at most 1.8e-7 over seeds 0-3; the gate
+    # leaves a factor 5.6 above that
+    assert gap.max() <= 1e-6 * scaled.max(), gap.max() / scaled.max()
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
