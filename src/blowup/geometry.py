@@ -126,12 +126,6 @@ class Domain(ABC):
     def contains(self, p) -> np.ndarray:
         return self.signed_distance(p) > 0.0
 
-    @abstractmethod
-    def distance_laplacian(self, p) -> np.ndarray:
-        """Laplacian of the boundary distance at interior points, almost
-        everywhere (undefined on the medial axis; there the value of the
-        nearest branch is returned)."""
-
     # -- extent ------------------------------------------------------------
 
     @abstractmethod
@@ -190,6 +184,7 @@ class Disk(Domain):
         return self.radius - np.linalg.norm(p - self.center, axis=-1)
 
     def distance_laplacian(self, p):
+        """Laplacian of the boundary distance, -(dim - 1) / rho."""
         p = _points(p, self.dim)
         rho = np.linalg.norm(p - self.center, axis=-1)
         return -(self.dim - 1) / np.maximum(rho, 1e-300)
@@ -235,6 +230,8 @@ class Annulus(Domain):
         return np.minimum(rho - self.inner_radius, self.outer_radius - rho)
 
     def distance_laplacian(self, p):
+        """Laplacian of the boundary distance, that of the inner wall's
+        branch on the medial sphere."""
         p = _points(p, self.dim)
         rho = np.linalg.norm(p - self.center, axis=-1)
         rho = np.maximum(rho, 1e-300)
@@ -288,11 +285,6 @@ class Box(Domain):
         inside_gap = np.min(gap, axis=-1)
         outside = np.linalg.norm(np.maximum(-gap, 0.0), axis=-1)
         return np.where(inside_gap > 0, inside_gap, -outside)
-
-    def distance_laplacian(self, p):
-        p = _points(p, self.dim)
-        # distance to a face is locally affine; the singular ridge has measure zero
-        return np.zeros(p.shape[:-1])
 
     def bounding_box(self):
         return self.corner_min.copy(), self.corner_max.copy()
@@ -435,31 +427,6 @@ class Polygon(Domain):
                 crosses &= left
                 block ^= crosses
         return inside.reshape(p.shape[:-1])
-
-    def distance_laplacian(self, p):
-        # the nearest edge by distance; a tie keeps the first edge, as argmin
-        # would
-        p = _points(p, 2)
-        flat = p.reshape(-1, 2)
-        lap = np.zeros(len(flat))
-        for rows, x, y, (t, d, d2, d_near, t_near), (closer, far) in _blocks(flat, 5, 2):
-            for edge in self._edge_projections(x, y, t, d, d2):
-                np.sqrt(d2, out=d2)
-                if edge == 0:
-                    np.copyto(d_near, d2)
-                    np.copyto(t_near, t)
-                    continue
-                np.less(d2, d_near, out=closer)
-                np.copyto(d_near, d2, where=closer)
-                np.copyto(t_near, t, where=closer)
-            # nearest feature an edge interior (0 < t < 1): distance is
-            # locally affine; nearest feature a vertex (reflex corner seen
-            # from inside): radial, 1 / d
-            at_vertex = np.less_equal(t_near, 0.0, out=closer)
-            at_vertex |= np.greater_equal(t_near, 1.0, out=far)
-            np.maximum(d_near, 1e-300, out=d_near)
-            np.divide(1.0, d_near, out=lap[rows], where=at_vertex)
-        return lap.reshape(p.shape[:-1])
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

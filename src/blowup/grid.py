@@ -2,25 +2,28 @@
 five-point finite-difference operators.
 
 Nodes sit on the lattice h*Z^2 so that grids at dyadic spacings nest and a
-symmetric domain yields a symmetric node set.  Classification:
+symmetric domain yields a symmetric node set.  Three kinds of node:
 
 * interior          signed distance >= h/2; these carry the unknowns,
 * boundary-adjacent inside the domain but closer than h/2 to the boundary;
   they hold the Dirichlet value 0,
 * exterior          outside the closed domain.
 
-Stencils read missing neighbors as 0 (the Dirichlet ghost value).  Quadrature
-is the midpoint rule sum f(node) * h^2 over interior nodes.
+Only the interior mask is stored: stencils read every other node as 0 (the
+Dirichlet ghost value), and the rim's ghost correction reads its signed
+distance.  Quadrature is the midpoint rule sum f(node) * h^2 over interior
+nodes.
 
 Flat layout.  Node values live in C-contiguous (nx, ny) arrays, so node
-(i, j) is entry i*ny + j of the array's 1-D view, and its four neighbors are
-the entries ny and 1 before and after it.  The five-point passes run on
-those contiguous shifts of the whole view.  A shift by 1 wraps from the end
-of one row to the start of the next, so it is exact only when no interior
-node lies on the array's outer ring.  That is the ring invariant: level 0
-has two rings of exterior margin, and every coarse level of the V-cycle is
-padded with one exterior ring.  Off the interior the passes leave values
-that carry no meaning.
+(i, j) is entry i*ny + j of the array's 1-D view, and its west, east, south
+and north neighbors are the entries at offsets -ny, +ny, -1 and +1.  Every
+neighbor lookup is one of these flat shifts, of the whole view (the
+five-point passes) or of the interior nodes' flat indices (the per-node
+sets).  A shift by 1 wraps from the end of one row to the start of the
+next, so it is exact only when no interior node lies on the array's outer
+ring.  That is the ring invariant: level 0 has two rings of exterior
+margin, and every coarse level of the V-cycle is padded with one exterior
+ring.  Off the interior the passes leave values that carry no meaning.
 
 Every interior node at spacing 2h is an interior node at spacing h, so the
 lattices at h, 2h, 4h, ... nest.  ``Grid.vcycle_preconditioner`` uses them
@@ -44,8 +47,6 @@ from .geometry import Annulus, Disk, Domain, SmoothingProfile
 
 __all__ = ["Grid", "ScalarField", "laplacian_of_distance"]
 
-EXTERIOR, BOUNDARY_ADJACENT, INTERIOR = 0, 1, 2
-
 # V-cycle: damped-Jacobi sweeps before and after each coarse correction, the
 # damping factor, and the node count at or below which a level is solved
 # densely instead of coarsened further
@@ -63,17 +64,6 @@ def _flat(a: np.ndarray) -> np.ndarray:
     if not a.flags.c_contiguous:
         raise ValueError("padded arrays must be C-contiguous")
     return a.reshape(-1)
-
-
-def _neighbors(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """West, east, south and north neighbor of every node of a padded
-    (nx, ny) array, zero (False) past the array's edge."""
-    w, e, s, n = (np.zeros_like(a) for _ in range(4))
-    w[1:, :] = a[:-1, :]
-    e[:-1, :] = a[1:, :]
-    s[:, 1:] = a[:, :-1]
-    n[:, :-1] = a[:, 1:]
-    return w, e, s, n
 
 
 class Grid:
@@ -104,34 +94,26 @@ class Grid:
         self.ys = (self.j0 + np.arange(self.ny)) * self.h
         pts = np.stack(np.meshgrid(self.xs, self.ys, indexing="ij"), axis=-1)
         self.signed_dist = domain.signed_distance(pts)
-        self.classification = np.where(
-            self.signed_dist >= 0.5 * self.h,
-            INTERIOR,
-            np.where(self.signed_dist > 0.0, BOUNDARY_ADJACENT, EXTERIOR),
-        ).astype(np.int8)
-        self.interior_mask = self.classification == INTERIOR
+        self.interior_mask = self.signed_dist >= 0.5 * self.h
         self.n_interior = int(np.count_nonzero(self.interior_mask))
         if self.n_interior == 0:
             raise ValueError("grid has no interior nodes; h too coarse for the domain")
-        self.index = np.full((self.nx, self.ny), -1, dtype=np.int64)
-        self.index[self.interior_mask] = np.arange(self.n_interior)
         self.delta = self.signed_dist[self.interior_mask]
         self.points = pts[self.interior_mask]
-        # per node and neighbor (west, east, south, north): is it interior
-        m = self.interior_mask
-        self._has = _neighbors(m)
-        has_w, has_e, has_s, has_n = self._has
-        self.full_stencil = (m & has_w & has_e & has_s & has_n)[m]
+        # flat index of each interior node, in interior-vector order
+        self._at = np.flatnonzero(self.interior_mask)
+        inside = _flat(self.interior_mask)
+        has_w, has_e, has_s, has_n = (inside[k] for k in self._neighbor_at())
+        self.full_stencil = has_w & has_e & has_s & has_n
         # per axis (flat step ny along x, 1 along y): the interior nodes with
         # only their high or only their low neighbor interior, as positions
         # in the interior vector and flat indices, for gradient's one-sided
         # differences
-        at = np.flatnonzero(m)
         self._one_sided = []
         for step, low, high in ((self.ny, has_w, has_e), (1, has_s, has_n)):
-            up = np.flatnonzero((high & ~low)[m])
-            down = np.flatnonzero((low & ~high)[m])
-            self._one_sided.append((step, up, at[up], down, at[down]))
+            up = np.flatnonzero(high & ~low)
+            down = np.flatnonzero(low & ~high)
+            self._one_sided.append((step, up, self._at[up], down, self._at[down]))
         # padded scratch pair: operand and result of the stencil, and level
         # 0's correction and scratch in the V-cycle; the operand is zero
         # outside the interior between calls, and the result is zero past
@@ -220,10 +202,22 @@ class Grid:
     def ghost_signed_sum(self) -> np.ndarray:
         """Per interior node, the sum of signed boundary distances over its
         stencil neighbors that are not interior (the Dirichlet ghosts)."""
-        out = np.zeros_like(self.signed_dist)
-        for has, sd in zip(self._has, _neighbors(self.signed_dist)):
-            out += np.where(has, 0.0, sd)
-        return out[self.interior_mask]
+        inside, sd = _flat(self.interior_mask), _flat(self.signed_dist)
+        out = np.zeros(self.n_interior)
+        # skipping an interior neighbor leaves the bits of adding 0.0, as
+        # the sum starts at 0.0 and so is never -0.0
+        for k in self._neighbor_at():
+            np.add(out, sd[k], out=out, where=~inside[k])
+        return out
+
+    def _neighbor_at(self):
+        """Flat indices of the interior nodes' west, east, south and north
+        neighbors, one direction at a time (offsets -ny, +ny, -1, +1), in
+        one buffer that each step overwrites; the ring invariant keeps them
+        inside the arrays."""
+        at = np.empty_like(self._at)
+        for k in (-self.ny, self.ny, -1, 1):
+            yield np.add(self._at, k, out=at)
 
     # -- multigrid ---------------------------------------------------------
 
@@ -279,10 +273,14 @@ class Grid:
         if self._levels is None:
             top = _Level(self.interior_mask, self.h, slice(None), self._u, self._t)
             levels = [top]
+            # each node's position in the finest grid's interior vector (-1
+            # off the interior), which picks out every level's nodes
+            index = np.full((self.nx, self.ny), -1)
+            index[self.interior_mask] = np.arange(self.n_interior)
             # the current level's unpadded strided view of the finest grid's
-            # arrays, the lattice index of the view's first row and column,
-            # and the rings its arrays add around the view
-            sd, index, ci, cj, ring = self.signed_dist, self.index, self.i0, self.j0, 0
+            # arrays (sd and index), the lattice index of the view's first
+            # row and column, and the rings its arrays add around the view
+            sd, ci, cj, ring = self.signed_dist, self.i0, self.j0, 0
             while levels[-1].n > COARSEST_NODES:
                 fine = levels[-1]
                 a, b = ci % 2, cj % 2
@@ -440,13 +438,16 @@ class _Level:
         """Dense inverse of the level's operator (coarsest level only), given
         its diagonal at the interior nodes in row-major order, symmetrized
         so the V-cycle stays exactly symmetric."""
-        local = np.full(self.mask.shape, -1)
-        local[self.mask] = np.arange(self.n)
+        at = np.flatnonzero(self.mask)
+        local = np.full(self.mask.size, -1)
+        local[at] = np.arange(self.n)
         a = np.diag(diag)
-        for lo, hi in ((local[:-1, :], local[1:, :]), (local[:, :-1], local[:, 1:])):
-            both = (lo >= 0) & (hi >= 0)
-            a[lo[both], hi[both]] = -1.0
-            a[hi[both], lo[both]] = -1.0
+        # each interior node's interior east and north neighbors (flat
+        # offsets ny and 1)
+        for k in (self.mask.shape[1], 1):
+            hi = local[at + k]
+            lo = np.flatnonzero(hi >= 0)
+            a[lo, hi[lo]] = a[hi[lo], lo] = -1.0
         inv = np.linalg.inv(a)
         self.inverse = 0.5 * (inv + inv.T)
 
@@ -498,9 +499,10 @@ def laplacian_of_distance(
     """Laplacian of the smoothed distance d = F(delta) at interior nodes.
 
     * ``analytic``: chain rule F''(delta) + F'(delta) * Lap(delta) with the
-      shape's exact distance Laplacian.  Valid where delta is smooth, which
-      holds everywhere relevant for disks and annuli (the medial set is a
-      point or a circle, below the cap where F' vanishes).
+      exact ``distance_laplacian``, which only disks and annuli define.
+      Valid where delta is smooth, which holds everywhere relevant for them
+      (the medial set is a point or a circle, below the cap where F'
+      vanishes).
     * ``fd``: five-point stencil on sampled F(signed distance).  The signed
       extension is kink-free across the boundary, so this is O(h^2) away
       from the medial axis; on the medial axis of a box or polygon the true

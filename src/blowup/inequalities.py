@@ -24,7 +24,8 @@ import numpy as np
 
 from .geometry import Box, Domain, SmoothingProfile, deepest_point
 from .grid import Grid, ScalarField
-from .whitney import DerivedConstants, WhitneyDecomposition, _cube_geometry, _weight_gradient
+from .whitney import DerivedConstants, WhitneyDecomposition
+from .whitney import _cube_geometry, _side_scaled_gradient, _weight_gradient
 
 __all__ = [
     "SeriesOverflowError",
@@ -534,8 +535,7 @@ def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     recon_worst = float(np.abs(recon - 1.0).max()) if len(pts) else 0.0
     del recon
 
-    gw2 = sum(g * g for g in grad_w)
-    grad_worst = float((sides * np.sqrt(gw2)).max()) if len(pid) else 0.0
+    gw2, grad_worst = _side_scaled_gradient(grad_w, sides)
 
     dn = grid.delta[pid]
     arrays = (pid, gci, s_cube, w_part, w_part**2, grad_w, gw2, dn**n, dn**2, sides**2)
@@ -558,7 +558,10 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     central differences throughout, so every comparison is self-consistent.
 
     Distances come from ``u.grid``, so ``decomp`` must decompose its domain
-    (ValueError otherwise), or cubes meet the wrong boundary.
+    (ValueError otherwise), or cubes meet the wrong boundary.  A field
+    whose grid gradient vanishes at every node, which no nonzero continuum
+    field does, shows a grid too coarse to difference it: that raises
+    DegenerateInputError before the partition is built.
 
     The partition data does not depend on u: it is cached for the last
     (grid, decomposition), so auditing several functions on one grid
@@ -590,13 +593,15 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
             f"k_max {decomp.params.k_max}); deepen the decomposition or coarsen "
             "the grid"
         )
-    part = _grid_partition(g, decomp)
-    pid, gci, C, s_cube = part.pid, part.gci, part.cube_count, part.s_cube
     h = g.h
     uv = u.values
     gx, gy = g.gradient(uv)
     du2 = gx**2 + gy**2
     G_tot = float(np.sum(du2)) * h**2
+    if G_tot == 0.0:
+        raise DegenerateInputError(f"gradient vanishes identically on the grid at h = {h:g}")
+    part = _grid_partition(g, decomp)
+    pid, gci, C, s_cube = part.pid, part.gci, part.cube_count, part.s_cube
     W_tot = float(np.sum(uv**2 / delta**2)) * h**2
     lhs_total = float(np.sum(np.abs(uv) ** q / delta**n)) * h**2
 

@@ -241,6 +241,14 @@ def _weight_gradient(bump: BumpFunction, pid, offsets, sides, phi, psi) -> np.nd
     return grad_w
 
 
+def _side_scaled_gradient(grad_w: np.ndarray, sides) -> tuple[np.ndarray, float]:
+    """The squared length of each weight gradient of ``_weight_gradient``
+    and the largest side * length, the quantity the derived gradient bound
+    caps (0 without incidences)."""
+    gw2 = np.sum(grad_w**2, axis=0)
+    return gw2, float((sides * np.sqrt(gw2)).max()) if len(sides) else 0.0
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -964,7 +972,7 @@ def _partition_checks(decomp: WhitneyDecomposition, count: int, rng, report) -> 
     sides, centers = _cube_geometry(lev, m)
     offsets = (pts[pid] - centers) / sides[:, None]
     grad = _weight_gradient(decomp.bump, pid, offsets, sides, phi, psi)
-    grad_max = float((sides * np.sqrt(np.sum(grad**2, axis=0))).max()) if len(pid) else 0.0
+    grad_max = _side_scaled_gradient(grad, sides)[1]
     report.empirical_grad_max = grad_max
     report.checks.append(
         PropertyCheck(

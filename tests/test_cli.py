@@ -619,6 +619,32 @@ def test_audit_chain_unknown_function_exits_1(tmp_path, monkeypatch, capsys):
     assert "unknown test function 'nonsense'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "domain, h",
+    [
+        ("square", "1/2"),  # one interior node
+        ('{"shape": "annulus", "inner_radius": 0.5, "outer_radius": 1.0}', "1/4"),
+    ],
+    ids=["square-1/2", "annulus-1/4"],
+)
+def test_audit_chain_refuses_a_grid_too_coarse_to_difference(
+    domain, h, tmp_path, monkeypatch, capsys
+):
+    # no interior node has an interior neighbor, so every grid gradient
+    # vanishes while sum u^2 / delta^2 does not, which no continuum u does;
+    # the audit refuses before it builds the partition
+    def refuse(*args):
+        raise AssertionError("the partition was built")
+
+    monkeypatch.setattr(WhitneyDecomposition, "partition_values", refuse)
+    rc = main(["audit-chain", "--domain", domain, "--h", h, "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "DegenerateInputError: gradient vanishes identically on the grid at h = " in err
+    assert err.rstrip().endswith(f"h = {parse_mesh_size(h):g}")
+    assert not (tmp_path / "chain_report.json").exists()
+
+
 # -- constants --------------------------------------------------------------
 
 

@@ -92,11 +92,9 @@ def test_lshape_reflex_corner_distance():
     # near the reflex corner the nearest boundary point is the corner itself
     p = np.array([0.9, 0.9])
     assert L_SHAPE.signed_distance(p) == pytest.approx(np.hypot(0.1, 0.1))
-    assert L_SHAPE.distance_laplacian(p) == pytest.approx(1.0 / np.hypot(0.1, 0.1))
     # deep in an arm the nearest feature is an edge
     q = np.array([0.5, 1.7])  # 0.3 below the top edge, nearest feature an edge
     assert L_SHAPE.signed_distance(q) == pytest.approx(0.3)
-    assert L_SHAPE.distance_laplacian(q) == pytest.approx(0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -217,8 +215,7 @@ def _reference_edge_distances(poly, p):
     ap = p[..., None, :] - a
     t = np.clip(np.sum(ap * ab, axis=-1) / ab2, 0.0, 1.0)
     closest = a + t[..., None] * ab
-    dist = np.linalg.norm(p[..., None, :] - closest, axis=-1)
-    return dist, t
+    return np.linalg.norm(p[..., None, :] - closest, axis=-1)
 
 
 def _reference_inside(poly, p):
@@ -233,18 +230,8 @@ def _reference_inside(poly, p):
 
 
 def _reference_signed_distance(poly, p):
-    dist, _ = _reference_edge_distances(poly, p)
-    d = np.min(dist, axis=-1)
+    d = np.min(_reference_edge_distances(poly, p), axis=-1)
     return np.where(_reference_inside(poly, p), d, -d)
-
-
-def _reference_distance_laplacian(poly, p):
-    dist, t = _reference_edge_distances(poly, p)
-    k = np.argmin(dist, axis=-1)
-    t_near = np.take_along_axis(t, k[..., None], axis=-1)[..., 0]
-    d_near = np.take_along_axis(dist, k[..., None], axis=-1)[..., 0]
-    at_vertex = (t_near <= 0.0) | (t_near >= 1.0)
-    return np.where(at_vertex, 1.0 / np.maximum(d_near, 1e-300), 0.0)
 
 
 def _reference_edges_overlap_box(poly, lo, hi):
@@ -312,9 +299,6 @@ def test_polygon_distance_bit_identical_to_reference(poly):
     for pts in (random_pts, special, special.reshape(-1, 1, 2), special[7]):
         assert np.array_equal(
             poly.signed_distance(pts), _reference_signed_distance(poly, pts)
-        )
-        assert np.array_equal(
-            poly.distance_laplacian(pts), _reference_distance_laplacian(poly, pts)
         )
 
 
@@ -583,9 +567,6 @@ def test_polygon_block_kernels_match_whole_array_reference(poly, count):
         assert _same_bits(poly.distance(p), dist), name
         assert _same_bits(poly._even_odd_inside(p), inside), name
         assert _same_bits(poly.signed_distance(p), np.where(inside, dist, -dist)), name
-        assert _same_bits(
-            poly.distance_laplacian(p), _reference_distance_laplacian(poly, p)
-        ), name
 
 
 @pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])

@@ -26,7 +26,6 @@ from blowup.grid import (
     ScalarField,
     _flat,
     _Level,
-    _neighbors,
     _transfer_slices,
     laplacian_of_distance,
 )
@@ -61,11 +60,7 @@ def square_grid():
 def test_classification_thresholds(disk_grid):
     g = disk_grid
     assert np.all(g.delta >= g.h / 2)
-    adj = g.classification == 1
-    assert np.all(g.signed_dist[adj] > 0)
-    assert np.all(g.signed_dist[adj] < g.h / 2)
-    ext = g.classification == 0
-    assert np.all(g.signed_dist[ext] <= 0)
+    assert np.all(g.signed_dist[~g.interior_mask] < g.h / 2)
 
 
 def test_grid_nodes_on_lattice(disk_grid):
@@ -316,12 +311,23 @@ def _reference_laplacian(g, values):
     return out[g.interior_mask]
 
 
+def _reference_neighbors(a):
+    """West, east, south and north neighbor of every node of a padded
+    (nx, ny) array, zero (False) past the array's edge."""
+    w, e, s, n = (np.zeros_like(a) for _ in range(4))
+    w[1:, :] = a[:-1, :]
+    e[:-1, :] = a[1:, :]
+    s[:, 1:] = a[:, :-1]
+    n[:, :-1] = a[:, 1:]
+    return w, e, s, n
+
+
 def _reference_gradient(g, values):
     full = g.scatter(values)
     h = g.h
     m = g.interior_mask
-    w, e, s, n = _neighbors(full)
-    has_w, has_e, has_s, has_n = _neighbors(m)
+    w, e, s, n = _reference_neighbors(full)
+    has_w, has_e, has_s, has_n = _reference_neighbors(m)
 
     def axis(lowv, highv, has_low, has_high):
         central = (highv - lowv) / (2.0 * h)
@@ -383,15 +389,18 @@ def test_flat_view_refuses_a_buffer_it_would_copy():
 def test_ghost_signed_sum_matches_neighbor_loop():
     g = Grid(DISK, 1 / 16)
     m = g.interior_mask
-    expected = []
+    expected, full = [], []
     for i, j in zip(*np.nonzero(m)):
         total = 0.0
         for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
             if not m[a, b]:
                 total += g.signed_dist[a, b]
         expected.append(total)
+        full.append(bool(m[i - 1, j] and m[i + 1, j] and m[i, j - 1] and m[i, j + 1]))
     assert np.count_nonzero(expected) > 0
     np.testing.assert_array_equal(g.ghost_signed_sum(), expected)
+    assert 0 < sum(full) < len(full)
+    np.testing.assert_array_equal(g.full_stencil, full)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +525,26 @@ def test_vcycle_allocates_little_beyond_its_result():
     bound = max(out.nbytes, 2 * np.getbufsize() * 8) + 8 * 1024
     assert g._u.nbytes > bound
     assert peak <= bound, peak
+
+
+def test_grid_and_singular_part_heap_on_the_disk_at_1_256():
+    # traced from before the grid: what the grid keeps (measured 12.87 MiB:
+    # the signed distances, the interior mask, its flat indices, the
+    # interior points and distances, the stencil sets and the scratch pair)
+    # and the peak while build_singular_part runs on it (measured 30.48
+    # MiB); each gate is the measured value plus about 5%
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = Grid(DISK, 1 / 256)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        build_singular_part(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    mib = 2**20
+    assert kept <= 13.5 * mib, kept / mib
+    assert peak <= 32.0 * mib, peak / mib
 
 
 def test_dense_level_refused_on_a_thin_strip(monkeypatch):

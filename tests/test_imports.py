@@ -32,14 +32,32 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+
+
 def _private_definitions(tree):
     """The module-level private functions and classes of ``tree`` and the
     private methods of its classes, dunders aside."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     members = [d for c in tree.body if isinstance(c, ast.ClassDef) for d in c.body]
     for node in tree.body + members:
-        if isinstance(node, defs) and node.name.startswith("_") and not node.name.endswith("__"):
+        if isinstance(node, DEFS) and node.name.startswith("_") and not node.name.endswith("__"):
             yield node
+
+
+def _private_test_helpers(tree):
+    """The module-level private functions and classes of a test module but
+    its autouse fixtures, which pytest calls without a name."""
+    for node in tree.body:
+        if isinstance(node, DEFS) and node.name.startswith("_"):
+            autouse = any(
+                k.arg == "autouse" and getattr(k.value, "value", None) is True
+                for d in node.decorator_list
+                if isinstance(d, ast.Call)
+                for k in d.keywords
+            )
+            if not autouse:
+                yield node
 
 
 def _mentions(node):
@@ -52,17 +70,30 @@ def _mentions(node):
             yield n.attr
 
 
-def test_every_private_definition_is_named_elsewhere():
-    # a helper whose last caller went away is named only in its own body
-    trees = [ast.parse(path.read_text()) for path in SOURCES]
+def _named_nowhere_else(paths, definitions):
+    """The "file:line name" of each of ``definitions(tree)`` over the
+    files ``paths`` that the files name only inside its own body."""
+    trees = [ast.parse(path.read_text()) for path in paths]
     everywhere = {}
     for tree in trees:
         for name in _mentions(tree):
             everywhere[name] = everywhere.get(name, 0) + 1
-    dead = [
+    return [
         f"{path.name}:{node.lineno} {node.name}"
-        for path, tree in zip(SOURCES, trees)
-        for node in _private_definitions(tree)
+        for path, tree in zip(paths, trees)
+        for node in definitions(tree)
         if everywhere.get(node.name, 0) == sum(n == node.name for n in _mentions(node))
     ]
+
+
+def test_every_private_definition_is_named_elsewhere():
+    # a helper whose last caller went away is named only in its own body
+    dead = _named_nowhere_else(SOURCES, _private_definitions)
     assert not dead, f"private definitions nothing else names: {dead}"
+
+
+def test_every_private_test_helper_is_named_elsewhere():
+    # a reference oracle whose subject went away, or a helper whose last
+    # test did, is named only in its own body
+    dead = _named_nowhere_else(TESTS, _private_test_helpers)
+    assert not dead, f"private test helpers no test names: {dead}"
