@@ -33,6 +33,7 @@ from .energy import build_singular_part
 from .geometry import Box, Disk, Polygon, domain_from_json
 from .grid import Grid
 from .inequalities import (
+    C2_TAIL_RTOL,
     FAMILY_NAMES,
     c2_constant,
     chain_audit,
@@ -366,8 +367,9 @@ def _cmd_constants(args) -> bool:
             f"(threshold {series.threshold_c1:.6g})"
         )
     else:
+        relation = "=" if series.tail_bound <= C2_TAIL_RTOL * series.value else "<="
         print(
-            f"series constant = {series.value:.12e} at c1 = {c1:.6g} "
+            f"series constant {relation} {series.value:.12e} at c1 = {c1:.6g} "
             f"(tail bound {series.tail_bound:.3e}, {series.terms_used} terms)"
         )
     print(f"report: {path}")

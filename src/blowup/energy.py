@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Annulus, Disk, Domain, SmoothingProfile, default_profile
+from .geometry import Annulus, Disk, SmoothingProfile, default_profile
 from .grid import Grid, ScalarField, laplacian_of_distance
 
 __all__ = [
@@ -57,7 +57,7 @@ def _guard_exponent(values: np.ndarray, grid: Grid, context: str) -> None:
         return
     i = int(np.argmax(np.abs(values)))
     if 2.0 * abs(values[i]) > _EXP_CAP:
-        x, y = grid.points[i]
+        x, y = grid.points_at(i)
         raise ExponentOverflowError(
             f"{context}: value {values[i]:.6g} at node {i} ({x:.4f}, {y:.4f}) "
             "overflows the exponential; the iteration has diverged"
@@ -70,11 +70,11 @@ class SingularPart:
 
     weight = 1/d^2 equals 4 e^{2v} algebraically; r is the residual of v
     as an approximate solution; delta_d stores the Laplacian of d for the
-    gradient-norm bound of the remainder.
+    gradient-norm bound of the remainder.  v is computed from d when asked
+    for.
     """
 
     d: ScalarField
-    v: ScalarField
     weight: ScalarField
     r: ScalarField
     delta_d: ScalarField
@@ -84,6 +84,10 @@ class SingularPart:
     @property
     def grid(self) -> Grid:
         return self.d.grid
+
+    @property
+    def v(self) -> ScalarField:
+        return ScalarField(self.grid, -np.log(2.0 * self.d.values))
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,19 +115,21 @@ class EnergyBreakdown:
         return self.dirichlet_term + self.nonlinear_term + self.linear_term
 
 
-def _boundary_curvature(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    """Curvature of the boundary at its point nearest to each node, signed
-    positive where the domain is locally convex.  Polygonal boundaries are
-    flat along edges (corners carry no area), so they report zero."""
+def _boundary_curvature(grid: Grid) -> np.ndarray:
+    """Curvature of the boundary at its point nearest to each interior node,
+    signed positive where the domain is locally convex.  Polygonal
+    boundaries are flat along edges (corners carry no area), so they report
+    zero."""
+    domain = grid.domain
     if isinstance(domain, Disk):
-        return np.full(len(pts), 1.0 / domain.radius)
+        return np.full(grid.n_interior, 1.0 / domain.radius)
     if isinstance(domain, Annulus):
-        rho = np.linalg.norm(pts - domain.center, axis=-1)
+        rho = np.linalg.norm(grid.points - domain.center, axis=-1)
         mid = 0.5 * (domain.inner_radius + domain.outer_radius)
         return np.where(
             rho >= mid, 1.0 / domain.outer_radius, -1.0 / domain.inner_radius
         )
-    return np.zeros(len(pts))
+    return np.zeros(grid.n_interior)
 
 
 def build_singular_part(
@@ -131,8 +137,8 @@ def build_singular_part(
     profile: SmoothingProfile | None = None,
     residual_mode: str = "continuum",
 ) -> SingularPart:
-    """Assemble d, v = -ln(2d), weight = 1/d^2, and the residual r on ``grid``;
-    the profile defaults to ``default_profile(grid.domain)``.
+    """Assemble d, weight = 1/d^2 and the residual r of v = -ln(2d) on
+    ``grid``; the profile defaults to ``default_profile(grid.domain)``.
 
     residual_mode selects how r is evaluated:
 
@@ -153,14 +159,24 @@ def build_singular_part(
     curvature), so forcing ghost values to zero misstates it by
     (kappa/2) * sd(ghost).  The rim residual absorbs that known offset; on
     polygons kappa = 0 and nothing changes.
+
+    Raises ValueError when no interior node lies nearer the boundary than
+    the profile's ``transition_end``: Lap d, and with it the forcing, would
+    vanish at every node, so the grid is too coarse for the profile.
     """
     if residual_mode not in ("continuum", "lattice"):
         raise ValueError("residual_mode must be 'continuum' or 'lattice'")
     if profile is None:
         profile = default_profile(grid.domain)
     delta = grid.delta
+    nearest = float(delta.min())
+    if nearest >= profile.transition_end:
+        raise ValueError(
+            f"grid too coarse for the smoothing profile: at h = {grid.h:g} the "
+            f"smallest interior distance {nearest:.4g} is not below "
+            f"transition_end {profile.transition_end:.4g}"
+        )
     d = profile.value(delta)
-    v = -np.log(2.0 * d)
     weight = 1.0 / d**2
     dd = laplacian_of_distance(grid, profile)
     full_stencil = grid.full_stencil
@@ -168,15 +184,15 @@ def build_singular_part(
     fp = profile.slope(delta)
     r = dd / d + (1.0 - fp**2) * weight
     if residual_mode == "lattice":
+        v = -np.log(2.0 * d)
         r = np.where(full_stencil, -grid.laplacian(v) + weight, r)
     # only rim nodes have ghosts, so the correction vanishes elsewhere
-    kappa = _boundary_curvature(grid.domain, grid.points)
+    kappa = _boundary_curvature(grid)
     r = r - 0.5 * kappa * grid.ghost_signed_sum() / grid.h**2
 
     mk = lambda a: ScalarField(grid, a)
     return SingularPart(
         d=mk(d),
-        v=mk(v),
         weight=mk(weight),
         r=mk(r),
         delta_d=mk(dd),

@@ -70,9 +70,11 @@ class Grid:
     """Lattice nodes m*h covering the domain's bounding box with a margin.
 
     The margin (two rings of exterior nodes) keeps every interior node's
-    stencil inside the arrays.  Immutable once built, apart from private
-    scratch buffers (the padded pair behind ``laplacian`` and ``gradient``,
-    the multigrid levels) whose contents are valid only inside one call.
+    stencil inside the arrays.  Immutable once built, apart from the private
+    padded scratch pair behind the operators and level 0 of the V-cycle,
+    whose contents are valid only inside one call.  Per interior node it
+    keeps the flat index, delta and the full-stencil flag; ``points`` is
+    computed when asked for.
     """
 
     def __init__(self, domain: Domain, h: float):
@@ -99,7 +101,6 @@ class Grid:
         if self.n_interior == 0:
             raise ValueError("grid has no interior nodes; h too coarse for the domain")
         self.delta = self.signed_dist[self.interior_mask]
-        self.points = pts[self.interior_mask]
         # flat index of each interior node, in interior-vector order
         self._at = np.flatnonzero(self.interior_mask)
         inside = _flat(self.interior_mask)
@@ -120,7 +121,19 @@ class Grid:
         # the flat range the five-point passes write
         self._u = np.zeros((self.nx, self.ny))
         self._t = np.zeros((self.nx, self.ny))
-        self._levels: list[_Level] | None = None
+
+    @property
+    def points(self) -> np.ndarray:
+        """(n_interior, 2) coordinates of the interior nodes, built when asked
+        for (see ``points_at``)."""
+        return self.points_at(slice(None))
+
+    def points_at(self, nodes) -> np.ndarray:
+        """Coordinates of the interior nodes picked by ``nodes`` (an index,
+        slice or mask into the interior vector): (xs[i], ys[j]) for flat
+        index i*ny + j, the very values the lattice was sampled at."""
+        i, j = np.divmod(self._at[nodes], self.ny)
+        return np.stack((self.xs[i], self.ys[j]), axis=-1)
 
     # -- value layout ------------------------------------------------------
 
@@ -174,11 +187,22 @@ class Grid:
 
     def dirichlet_energy(self, values: np.ndarray) -> float:
         """Sum of squared forward differences: integral of |grad u|^2 under
-        the pairing <-Lap u, u> h^2 (summation by parts is exact)."""
-        full = self.scatter(values)
-        dx = np.diff(full, axis=0)
-        dy = np.diff(full, axis=1)
-        return float(np.sum(dx * dx) + np.sum(dy * dy))
+        the pairing <-Lap u, u> h^2 (summation by parts is exact).
+
+        Each axis's differences go into a C-contiguous view of the scratch
+        result with ``np.diff``'s shape, so they sum in ``np.diff``'s
+        pairwise order.  What lands past the flat range the five-point
+        passes write is a difference of two margin nodes, so 0, and the
+        scratch result stays zero there."""
+        full = self._scatter_scratch(values)
+        t = _flat(self._t)
+        total = 0.0
+        for hi, lo in ((full[1:], full[:-1]), (full[:, 1:], full[:, :-1])):
+            d = t[: hi.size].reshape(hi.shape)
+            np.subtract(hi, lo, out=d)
+            d *= d
+            total += np.sum(d)
+        return float(total)
 
     def gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Central-difference gradient at interior nodes, one-sided where a
@@ -234,10 +258,10 @@ class Grid:
         bilinear prolongation P) one axis at a time, corrects with the next
         level's cycle, and smooths again; the coarsest level is solved
         densely.  The map is linear, so it runs the cycle on r and scales
-        the result by h^2 rather than scaling r.  It shares this grid's
-        scratch buffers and holds until the next call.  Raises ValueError,
-        before any inverse is formed, on a domain too thin for h to coarsen
-        to DENSE_NODES nodes.
+        the result by h^2 rather than scaling r.  The map owns its levels,
+        which go with it, and level 0 works in this grid's scratch pair.
+        Raises ValueError, before any inverse is formed, on a domain too
+        thin for h to coarsen to DENSE_NODES nodes.
         """
         mass = np.asarray(mass, dtype=float)
         if mass.shape != (self.n_interior,):
@@ -259,59 +283,58 @@ class Grid:
         return apply
 
     def _hierarchy(self) -> list[_Level]:
-        """The nested lattices at spacings h, 2h, 4h, ..., built on first
-        use.  Level k + 1 keeps the nodes of level k that lie on even
-        multiples of its spacing, so its signed distances are a strided
-        slice of level k's and its interior nodes (signed distance at least
-        half its spacing) are those of Grid(domain, 2^(k+1) h).  The slice
-        can put interior nodes on its edge, so each coarse level's arrays
-        are the slice padded with one exterior ring, which keeps the ring
-        invariant of the flat layout.  Coarsening stops at COARSEST_NODES
-        interior nodes or before a level with none.  A coarsest level above
-        DENSE_NODES raises ValueError before any inverse is formed.
+        """The nested lattices at spacings h, 2h, 4h, ..., built anew on
+        each call and kept by no one else.  Level k + 1 keeps the nodes of
+        level k that lie on even multiples of its spacing, so its signed
+        distances are a strided slice of level k's and its interior nodes
+        (signed distance at least half its spacing) are those of
+        Grid(domain, 2^(k+1) h).  The slice can put interior nodes on its
+        edge, so each coarse level's arrays are the slice padded with one
+        exterior ring, which keeps the ring invariant of the flat layout.
+        Coarsening stops at COARSEST_NODES interior nodes or before a level
+        with none.  A coarsest level above DENSE_NODES raises ValueError
+        before any inverse is formed.
         """
-        if self._levels is None:
-            top = _Level(self.interior_mask, self.h, slice(None), self._u, self._t)
-            levels = [top]
-            # each node's position in the finest grid's interior vector (-1
-            # off the interior), which picks out every level's nodes
-            index = np.full((self.nx, self.ny), -1)
-            index[self.interior_mask] = np.arange(self.n_interior)
-            # the current level's unpadded strided view of the finest grid's
-            # arrays (sd and index), the lattice index of the view's first
-            # row and column, and the rings its arrays add around the view
-            sd, ci, cj, ring = self.signed_dist, self.i0, self.j0, 0
-            while levels[-1].n > COARSEST_NODES:
-                fine = levels[-1]
-                a, b = ci % 2, cj % 2
-                h = 2.0 * fine.h
-                sd, index = sd[a::2, b::2], index[a::2, b::2]
-                inner = sd >= 0.5 * h
-                if not inner.any():
-                    break
-                mask = np.pad(inner, 1)
-                # index p of the padded coarse arrays sits on index
-                # a + ring + 2(p - 1) of the fine arrays
-                fine.to_coarse = (
-                    _transfer_slices(a + ring - 2, fine.mask.shape[0], mask.shape[0]),
-                    _transfer_slices(b + ring - 2, fine.mask.shape[1], mask.shape[1]),
-                )
-                u, t = np.zeros(mask.shape), np.zeros(mask.shape)
-                levels.append(_Level(mask, h, index[inner], u, t))
-                ci, cj, ring = (ci + a) // 2, (cj + b) // 2, 1
-            if levels[-1].n > DENSE_NODES:
-                raise ValueError(
-                    f"the coarsest multigrid level has {levels[-1].n} interior "
-                    f"nodes, more than the {DENSE_NODES} a dense solve takes: "
-                    f"the domain is too thin for h = {self.h:g}"
-                )
-            # one (coarse rows, fine columns) scratch that every transfer shares
-            shapes = [(c.mask.shape[0], f.mask.shape[1]) for f, c in zip(levels, levels[1:])]
-            scratch = np.zeros(max((x * y for x, y in shapes), default=0))
-            for fine, shape in zip(levels, shapes):
-                fine.scratch = scratch[: shape[0] * shape[1]].reshape(shape)
-            self._levels = levels
-        return self._levels
+        top = _Level(self.interior_mask, self.h, slice(None), self._u, self._t)
+        levels = [top]
+        # each node's position in the finest grid's interior vector (-1
+        # off the interior), which picks out every level's nodes
+        index = np.full((self.nx, self.ny), -1)
+        index[self.interior_mask] = np.arange(self.n_interior)
+        # the current level's unpadded strided view of the finest grid's
+        # arrays (sd and index), the lattice index of the view's first
+        # row and column, and the rings its arrays add around the view
+        sd, ci, cj, ring = self.signed_dist, self.i0, self.j0, 0
+        while levels[-1].n > COARSEST_NODES:
+            fine = levels[-1]
+            a, b = ci % 2, cj % 2
+            h = 2.0 * fine.h
+            sd, index = sd[a::2, b::2], index[a::2, b::2]
+            inner = sd >= 0.5 * h
+            if not inner.any():
+                break
+            mask = np.pad(inner, 1)
+            # index p of the padded coarse arrays sits on index
+            # a + ring + 2(p - 1) of the fine arrays
+            fine.to_coarse = (
+                _transfer_slices(a + ring - 2, fine.mask.shape[0], mask.shape[0]),
+                _transfer_slices(b + ring - 2, fine.mask.shape[1], mask.shape[1]),
+            )
+            u, t = np.zeros(mask.shape), np.zeros(mask.shape)
+            levels.append(_Level(mask, h, index[inner], u, t))
+            ci, cj, ring = (ci + a) // 2, (cj + b) // 2, 1
+        if levels[-1].n > DENSE_NODES:
+            raise ValueError(
+                f"the coarsest multigrid level has {levels[-1].n} interior "
+                f"nodes, more than the {DENSE_NODES} a dense solve takes: "
+                f"the domain is too thin for h = {self.h:g}"
+            )
+        # one (coarse rows, fine columns) scratch that every transfer shares
+        shapes = [(c.mask.shape[0], f.mask.shape[1]) for f, c in zip(levels, levels[1:])]
+        scratch = np.zeros(max((x * y for x, y in shapes), default=0))
+        for fine, shape in zip(levels, shapes):
+            fine.scratch = scratch[: shape[0] * shape[1]].reshape(shape)
+        return levels
 
 
 def _transfer_slices(a: int, n_fine: int, n_coarse: int) -> tuple[slice, slice, slice]:

@@ -192,7 +192,9 @@ def a_constant(constants: DerivedConstants, n: int = 2) -> float:
 @dataclass(frozen=True)
 class C2Result:
     """Outcome of the series constant: value with a certified tail bound, or
-    a divergence flag when the coupling falls below the convergence threshold."""
+    a divergence flag when the coupling falls below the convergence threshold.
+    value is the partial sum when tail_bound is at most ``C2_TAIL_RTOL`` of
+    it, and otherwise the partial sum plus tail_bound, an upper bound."""
 
     c1: float
     diverges: bool
@@ -225,6 +227,14 @@ def c2_constant(c1: float, constants: DerivedConstants, n: int = 2) -> C2Result:
     series converges exactly when x e < 1, i.e. c1^n' > e omega_n n' A.  On
     convergence the partial sum is returned once the remaining geometric
     tail is certified below ``C2_TAIL_RTOL`` of the partial sum.
+
+    Near the threshold that takes more than ``C2_MAX_TERMS`` terms; the
+    value returned there is the partial sum plus a tail bound that holds
+    from any Q, a certified upper bound.  Robbins' q! >= sqrt(2 pi q)
+    (q/e)^q (Amer. Math. Monthly 1955) gives q^q/(q-1)! <= e^q sqrt(q) /
+    sqrt(2 pi), so with r = x e the tail from Q is at most lambda^(-n) n'
+    omega_n / sqrt(2 pi) times sum_{q >= Q} q r^q = r^Q (Q (1-r) + r) /
+    (1-r)^2.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -254,9 +264,15 @@ def c2_constant(c1: float, constants: DerivedConstants, n: int = 2) -> C2Result:
             tail = next_term / (1.0 - ratio_next)
             if tail <= C2_TAIL_RTOL * partial:
                 return C2Result(c1, False, partial, threshold, tail, used, A)
-        if used >= C2_MAX_TERMS:
-            raise RuntimeError("series tail failed to certify")
         q += 1
+        if used >= C2_MAX_TERMS:
+            r = x * math.e
+            tail = (
+                math.exp(log_coef + q * (log_x + 1.0))
+                * (q * (1.0 - r) + r)
+                / ((1.0 - r) ** 2 * math.sqrt(2.0 * math.pi))
+            )
+            return C2Result(c1, False, partial + tail, threshold, tail, used, A)
 
 
 def orlicz_boundary_integral(u: ScalarField, c1: float, n: int = 2) -> float:
@@ -525,14 +541,14 @@ def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     # the offsets from the centres at cube scale, in the centres' buffer
     offsets = np.subtract(pts[pid], centers, out=centers)
     offsets /= sides[:, None]
-    del lev, m, centers
+    del pts, lev, m, centers
     grad_w = _weight_gradient(decomp.bump, pid, offsets, sides, phi_ref, psi)
     del offsets
 
     w_part = phi_ref / psi[pid]
     del psi, phi_ref
-    recon = np.bincount(pid, weights=w_part, minlength=len(pts))
-    recon_worst = float(np.abs(recon - 1.0).max()) if len(pts) else 0.0
+    recon = np.bincount(pid, weights=w_part, minlength=grid.n_interior)
+    recon_worst = float(np.abs(recon - 1.0).max())
     del recon
 
     gw2, grad_worst = _side_scaled_gradient(grad_w, sides)
@@ -606,7 +622,7 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     lhs_total = float(np.sum(np.abs(uv) ** q / delta**n)) * h**2
 
     report = ChainReport(
-        q=q, p=float(n), cube_count=C, node_count=len(g.points), incidence_count=len(pid)
+        q=q, p=float(n), cube_count=C, node_count=g.n_interior, incidence_count=len(pid)
     )
 
     def gsum(x):

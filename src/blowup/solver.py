@@ -140,7 +140,8 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
     holds the recurrence's |r| / |b| after each iteration, those after the
     restart included, so its length is the iteration count and its last
     entry belongs to the returned x.
-    ``apply_op`` must return a new array: ``_pcg`` overwrites it in place.
+    ``apply_op`` and ``apply_prec`` must return new arrays: ``_pcg`` overwrites
+    them in place.
     Deterministic: plain numpy reductions, no randomness.
     """
     x = np.zeros_like(b)
@@ -150,13 +151,13 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
         return x, residuals, 0.0
 
     def true_residual():
-        r = b - apply_op(x)
+        r = apply_op(x)
+        np.subtract(b, r, out=r)
         return r, math.sqrt(float(np.dot(r, r))) / bnorm
 
     r = b.copy()
-    z = apply_prec(r)
-    p = z.copy()
-    rz = float(np.dot(r, z))
+    p = apply_prec(r)
+    rz = float(np.dot(r, p))
     restarted = False
     for _ in range(maxiter):
         Ap = apply_op(p)
@@ -175,14 +176,15 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
             if true_relres <= rtol or restarted:
                 return x, residuals, true_relres
             r, restarted = r_true, True
-            z = apply_prec(r)
-            p = z.copy()
-            rz = float(np.dot(r, z))
+            p = apply_prec(r)
+            rz = float(np.dot(r, p))
             continue
         z = apply_prec(r)
         rz_new = float(np.dot(r, z))
         p *= rz_new / rz
         p += z
+        # no second z is alive while the next preconditioner runs
+        del z
         rz = rz_new
     return x, residuals, true_residual()[1]
 
@@ -208,6 +210,16 @@ def solve(
     relative residual of a linear solve can stall near eps / h^2 and a
     smaller tolerance cannot be met; and, also before any work, when the
     initial guess does not hold one entry per interior node.
+
+    Memory.  Besides the grid and the singular part (d, weight, r and
+    delta_d per interior node), the Newton loop holds per interior node: w;
+    in each step the right-hand side -G and the Hessian's mass; in CG x, r
+    and p, one product or preconditioned residual at a time (a Hessian
+    product briefly two) and the step's V-cycle levels, which go when its
+    CG ends (1/diag and f per padded node at spacing h, about a quarter of
+    that per coarser level); in the line search s and the candidate.
+    Nothing derivable is kept: v and the node coordinates are computed when
+    asked for.
     """
     t_start = time.perf_counter()
     grid = sp.grid
@@ -264,14 +276,18 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
         if gnorm <= config.gradient_tol:
             return w, history, steps, gnorm, True
 
+        # g becomes the right-hand side -G in place (negation is exact); the
+        # Hessian and its mass go after CG, the V-cycle levels with CG
+        np.negative(g, out=g)
         apply_h, mass = hessian_operator(wf, sp)
         s, cg_residuals, true_relres = _pcg(
             apply_h,
             grid.vcycle_preconditioner(mass),
-            -g,
+            g,
             config.linear_rtol,
             maxiter_lin,
         )
+        del apply_h, mass
         step = {
             "iteration": it,
             "grad_norm": gnorm,
@@ -283,14 +299,15 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
             "linear_converged": bool(true_relres <= config.linear_rtol),
         }
 
-        # directional derivative of the energy along s at w
-        slope = 2.0 * float(np.dot(g, s)) * h * h
+        # directional derivative of the energy along s at w, 2 <G, s> h^2
+        slope = -2.0 * float(np.dot(g, s)) * h * h
         if slope >= 0.0:
             # fall back to steepest descent if the inexact solve lost
             # the descent property (does not happen for SPD solves, kept
             # as a safety net)
-            s = -g
-            slope = 2.0 * float(np.dot(g, s)) * h * h
+            s = g
+            slope = -2.0 * float(np.dot(g, s)) * h * h
+        del g
         accepted = _line_search(w, s, current.total, slope, sp)
         if accepted is None:
             raise LineSearchError(

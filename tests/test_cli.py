@@ -189,6 +189,17 @@ def test_understated_hardy_constant_exits_2(tmp_path):
     assert payload["corollary4"]["pass"] is False
 
 
+def test_grid_too_coarse_for_the_profile_exits_1(tmp_path, capsys):
+    # the annulus at h = 1/4 once solved and then failed the gradient-energy
+    # bound (rhs 0) with exit 2; now the singular part refuses the grid
+    annulus = '{"shape": "annulus", "inner_radius": 0.5, "outer_radius": 1.0}'
+    rc = main(["solve", "--domain", annulus, "--h", "1/4", "--report", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ValueError: grid too coarse for the smoothing profile: at h = 0.25" in err
+    assert not (tmp_path / "solve_report.json").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -713,6 +724,18 @@ def test_constants_default_coupling_converges(tmp_path):
     payload = _load(tmp_path / "constants_report.json")
     assert payload["series"]["diverges"] is False
     assert payload["series"]["c1"] == 2.0 * payload["series"]["threshold_c1"]
+
+
+def test_constants_just_above_the_threshold_report_an_upper_bound(tmp_path, capsys):
+    # 119231789 is about 1e-7 above the threshold 1.19232e8: the sum needs
+    # more terms than the cap, so the value is partial sum plus tail bound
+    rc = main(["constants", "--c1", "119231789", "--report", str(tmp_path)])
+    assert rc == 0
+    series = _load(tmp_path / "constants_report.json")["series"]
+    assert series["diverges"] is False
+    assert series["terms_used"] == 100_000
+    assert series["tail_bound"] <= series["value"]
+    assert "series constant <= " in capsys.readouterr().out
 
 
 def test_constants_growth_table(tmp_path):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from conftest import singular_part
 
-from blowup.geometry import Disk, SmoothingProfile, default_profile
+from blowup.geometry import Annulus, Box, Disk, SmoothingProfile, default_profile
 from blowup.grid import Grid, ScalarField, laplacian_of_distance
 import blowup.energy as en
 
 DISK = Disk((0.0, 0.0), 1.0)
+ANNULUS = Annulus((0.0, 0.0), 0.5, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,28 @@ def test_singular_part_takes_the_given_profile(disk_grid, disk_sp):
     assert not np.array_equal(sp.d.values, disk_sp.d.values)
 
 
+def test_grid_too_coarse_for_the_profile_is_refused():
+    # the 0.5/1.0 annulus at h = 1/4: every interior node has delta >=
+    # 0.2071, beyond transition_end 0.1875 (t0 = 0.0625), where Lap d = 0
+    g = Grid(ANNULUS, 1 / 4)
+    assert default_profile(ANNULUS).transition_end == 0.1875
+    with pytest.raises(
+        ValueError,
+        match=r"too coarse.*h = 0\.25 .*distance 0\.2071 .*transition_end 0\.1875",
+    ):
+        en.build_singular_part(g)
+    # one node short of transition_end is enough: the 4 x 0.03 strip at
+    # h = 0.01 (delta 0.01 against 0.01125) keeps its singular part
+    strip = Grid(Box((0.0, 0.0), (4.0, 0.03)), 0.01)
+    assert float(strip.delta.min()) < default_profile(strip.domain).transition_end
+    en.build_singular_part(strip)
+
+
+def test_v_is_computed_from_d(disk_sp):
+    assert np.array_equal(disk_sp.v.values, -np.log(2.0 * disk_sp.d.values))
+    assert disk_sp.v.grid is disk_sp.grid
+
+
 def test_residual_mode_rejected(disk_grid):
     with pytest.raises(ValueError):
         en.build_singular_part(disk_grid, residual_mode="spectral")
@@ -175,7 +198,8 @@ def test_nonlinear_integrand_pointwise_bound(disk_grid, disk_sp):
 
 def test_energy_overflow_names_node(disk_grid, disk_sp):
     bad = ScalarField(disk_grid, np.full(disk_grid.n_interior, 200.0))
-    with pytest.raises(en.ExponentOverflowError, match="node"):
+    x, y = disk_grid.points[0]
+    with pytest.raises(en.ExponentOverflowError, match=rf"node 0 \({x:.4f}, {y:.4f}\)"):
         en.energy(bad, disk_sp)
     with pytest.raises(en.ExponentOverflowError):
         en.energy_gradient(bad, disk_sp)

@@ -238,9 +238,10 @@ def _transfer_pairs(a, n_fine, n_coarse):
 def _reference_cycle(g, mass, r):
     """One V-cycle on r with a stored diagonal, damped-Jacobi sweeps that
     divide by it, and nine clipped strided passes per transfer, on buffers
-    of its own.  The hierarchy supplies masks, nodes and the coarsest
-    inverse, so g.vcycle_preconditioner(mass) must have run."""
+    of its own.  A hierarchy of its own supplies masks, nodes and the
+    coarsest inverse."""
     levels = g._hierarchy()
+    levels[-1].factor(4.0 + levels[-1].h ** 2 * mass[levels[-1].nodes])
     state = []
     for level in levels:
         diag = np.full(level.mask.shape, 4.0)
@@ -409,6 +410,21 @@ def test_ghost_signed_sum_matches_neighbor_loop():
 
 
 @pytest.mark.parametrize(
+    "domain", [DISK, L_SHAPE, OFFSET_BOX], ids=["disk", "lshape", "offset-box"]
+)
+def test_points_are_the_lattice_coordinates(domain):
+    # built from the flat indices, bit for bit the nodes the grid sampled
+    g = Grid(domain, 1 / 64)
+    lattice = np.stack(np.meshgrid(g.xs, g.ys, indexing="ij"), axis=-1)
+    want = lattice[g.interior_mask]
+    assert np.array_equal(g.points, want)
+    k = g.n_interior // 3
+    assert np.array_equal(g.points_at(k), want[k])
+    near = g.delta < 0.1
+    assert np.array_equal(g.points_at(near), want[near])
+
+
+@pytest.mark.parametrize(
     "domain",
     [DISK, SQUARE, L_SHAPE, ANNULUS, OFFSET_BOX],
     ids=["disk", "square", "lshape", "annulus", "offset-box"],
@@ -528,11 +544,11 @@ def test_vcycle_allocates_little_beyond_its_result():
 
 
 def test_grid_and_singular_part_heap_on_the_disk_at_1_256():
-    # traced from before the grid: what the grid keeps (measured 12.87 MiB:
+    # traced from before the grid: what the grid keeps (measured 9.74 MiB:
     # the signed distances, the interior mask, its flat indices, the
-    # interior points and distances, the stencil sets and the scratch pair)
-    # and the peak while build_singular_part runs on it (measured 30.48
-    # MiB); each gate is the measured value plus about 5%
+    # interior distances, the stencil sets and the scratch pair) and the
+    # peak while build_singular_part runs on it (measured 28.52 MiB); each
+    # gate is the measured value plus about 5%
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -543,8 +559,54 @@ def test_grid_and_singular_part_heap_on_the_disk_at_1_256():
     finally:
         tracemalloc.stop()
     mib = 2**20
-    assert kept <= 13.5 * mib, kept / mib
-    assert peak <= 32.0 * mib, peak / mib
+    assert kept <= 10.25 * mib, kept / mib
+    assert peak <= 30.0 * mib, peak / mib
+
+
+def _reference_dirichlet_energy(g, values):
+    """The np.diff form: squared differences of a fresh scattered array."""
+    full = g.scatter(values)
+    dx = np.diff(full, axis=0)
+    dy = np.diff(full, axis=1)
+    return float(np.sum(dx * dx) + np.sum(dy * dy))
+
+
+@pytest.mark.parametrize(
+    "domain", [DISK, L_SHAPE, OFFSET_BOX], ids=["disk", "lshape", "offset-box"]
+)
+def test_dirichlet_energy_bit_identical_to_reference(domain):
+    g = Grid(domain, 1 / 64)
+    rng = np.random.default_rng(6)
+    mass = 2.0 / g.delta**2
+    r = rng.standard_normal(g.n_interior)
+    cycled = g.vcycle_preconditioner(mass)(r)
+    for _ in range(3):
+        v = rng.standard_normal(g.n_interior)
+        assert g.dirichlet_energy(v) == _reference_dirichlet_energy(g, v)
+    # it leaves the scratch result zero past the five-point passes' range,
+    # as the V-cycle needs it
+    t = _flat(g._t)
+    assert not t[: g.ny + 1].any() and not t[t.size - g.ny - 1 :].any()
+    assert np.array_equal(g.vcycle_preconditioner(mass)(r), cycled)
+
+
+def test_dirichlet_energy_allocates_no_grid_array():
+    # one call at 1/256 after a first one: no padded array (2.1 MB) nor
+    # interior vector (1.6 MB), only numpy's iteration buffers for the
+    # strided differences, up to two of getbufsize() doubles
+    g = Grid(DISK, 1 / 256)
+    v = np.random.default_rng(7).standard_normal(g.n_interior)
+    g.dirichlet_energy(v)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g.dirichlet_energy(v)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = 2 * np.getbufsize() * 8 + 8 * 1024
+    assert v.nbytes > bound
+    assert peak <= bound, peak
 
 
 def test_dense_level_refused_on_a_thin_strip(monkeypatch):

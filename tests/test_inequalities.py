@@ -246,6 +246,37 @@ def test_series_constant_decreasing_in_coupling(constants):
     assert v2 > v4 > v8 > 0.0
 
 
+def test_series_constant_never_raises_above_the_threshold(constants):
+    # c1 = threshold (1 + 10^-k): from about k = 4 on the sum needs more
+    # than C2_MAX_TERMS terms, and the result is a certified upper bound
+    thr = ineq.c2_constant(1.0, constants).threshold_c1
+    values = []
+    for k in range(1, 13):
+        res = ineq.c2_constant(thr * (1.0 + 10.0**-k), constants)
+        assert not res.diverges
+        assert math.isfinite(res.value)
+        assert 0.0 < res.tail_bound <= res.value
+        values.append(res.value)
+    # the sum grows as c1 falls towards the threshold, and so do the bounds
+    assert values == sorted(values)
+    assert res.terms_used == ineq.C2_MAX_TERMS
+    assert res.tail_bound > ineq.C2_TAIL_RTOL * res.value
+
+
+def test_series_tail_bound_from_the_cap_is_an_upper_bound(constants, monkeypatch):
+    # 10^-3 above the threshold the sum certifies in 14,738 terms; capped at
+    # 1000, the partial sum falls short of it and the partial sum plus
+    # Robbins' tail bound does not
+    c1 = ineq.c2_constant(1.0, constants).threshold_c1 * 1.001
+    exact = ineq.c2_constant(c1, constants)
+    assert exact.terms_used == 14738
+    assert exact.tail_bound <= ineq.C2_TAIL_RTOL * exact.value
+    monkeypatch.setattr(ineq, "C2_MAX_TERMS", 1000)
+    capped = ineq.c2_constant(c1, constants)
+    assert capped.terms_used == 1000
+    assert capped.value - capped.tail_bound < exact.value <= capped.value
+
+
 @pytest.mark.parametrize("n", [1, 0])
 def test_series_constants_reject_dimension_below_2(constants, n):
     # n' = n / (n - 1) has no value at n = 1
