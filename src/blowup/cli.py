@@ -329,7 +329,7 @@ def _cmd_constants(args) -> bool:
         raise UsageError("--q must be at least --N")
     params = _build(WhitneyParams, eta=args.eta, eta_prime=args.eta_prime, dim=args.N)
     constants = derive_constants(params)
-    sig = sigma_q(constants, args.q, n=args.N)
+    sig = sigma_q(constants, args.q)
     if args.c1 is not None:
         if args.c1 <= 0:
             raise UsageError("--c1 must be positive")
@@ -337,9 +337,9 @@ def _cmd_constants(args) -> bool:
     else:
         # default coupling: twice the convergence threshold, so the series
         # converges with a comfortable margin
-        probe = c2_constant(1.0, constants, n=args.N)
+        probe = c2_constant(1.0, constants)
         c1 = 2.0 * probe.threshold_c1
-    series = c2_constant(c1, constants, n=args.N)
+    series = c2_constant(c1, constants)
 
     outdir = _output_dir(args)
     payload = {
@@ -357,7 +357,7 @@ def _cmd_constants(args) -> bool:
     growth_path = os.path.join(outdir, "sigma_growth.csv")
     with open(growth_path, "w") as fh:
         fh.write("q,sigma_q,normalized\n")
-        for row in sigma_growth_scan(constants, range(3, 61), n=args.N):
+        for row in sigma_growth_scan(constants, range(3, 61)):
             fh.write(f"{row['q']:g},{row['sigma_q']!r},{row['normalized']!r}\n")
 
     print(f"sigma_q(q={args.q:g}, p={args.N:g}, dim={args.N}) = {sig:.12e}")

@@ -25,6 +25,7 @@ discrete energy, not approximations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +70,15 @@ class SingularPart:
     """Singular profile v = -ln(2d) and derived fields on one grid.
 
     weight = 1/d^2 equals 4 e^{2v} algebraically; r is the residual of v
-    as an approximate solution; delta_d stores the Laplacian of d for the
-    gradient-norm bound of the remainder.  v is computed from d when asked
-    for.
+    as an approximate solution; l2_delta_d is the discrete L2 norm of the
+    Laplacian of d, for the gradient-norm bound of the remainder.  v is
+    computed from d when asked for.
     """
 
     d: ScalarField
     weight: ScalarField
     r: ScalarField
-    delta_d: ScalarField
+    l2_delta_d: float
     full_stencil_nodes: int
     residual_mode: str = "continuum"
 
@@ -98,9 +99,7 @@ class SingularPart:
             "boundary_layer": "curvature",
             "max_abs_r": float(np.max(np.abs(self.r.values))),
             "max_r_times_d": float(np.max(np.abs(self.r.values * self.d.values))),
-            "l2_delta_d": float(
-                np.sqrt(np.sum(self.delta_d.values**2) * self.grid.h**2)
-            ),
+            "l2_delta_d": self.l2_delta_d,
         }
 
 
@@ -195,7 +194,7 @@ def build_singular_part(
         d=mk(d),
         weight=mk(weight),
         r=mk(r),
-        delta_d=mk(dd),
+        l2_delta_d=math.sqrt(float(np.sum(dd**2)) * grid.h**2),
         full_stencil_nodes=int(np.count_nonzero(full_stencil)),
         residual_mode=residual_mode,
     )

@@ -114,37 +114,30 @@ def phi_n(t, n: int = 2):
 # ---------------------------------------------------------------------------
 
 
-def weighted_lhs(u: ScalarField, q: float, n: int = 2) -> float:
-    """(integral of |u|^q / delta^n)^(1/q) by midpoint quadrature."""
+def weighted_lhs(u: ScalarField, q: float) -> float:
+    """(integral of |u|^q / delta^2)^(1/q) by midpoint quadrature."""
     if q < 1:
         raise ValueError("q must be at least 1")
     g = u.grid
-    total = np.sum(np.abs(u.values) ** q / g.delta**n) * g.h**2
+    total = np.sum(np.abs(u.values) ** q / g.delta**2) * g.h**2
     return float(total ** (1.0 / q))
 
 
-def weighted_rhs(u: ScalarField, p: float, n: int = 2) -> float:
-    """(integral of |grad u|^p delta^(p-n) + |u|^p / delta^n)^(1/p).
-
-    For p = n = 2 the gradient weight is 1 and this is the combined norm
-    (integral of |grad u|^2 + u^2 / delta^2)^(1/2).  Quadrature over
-    interior nodes only; nodes inside the Dirichlet rim carry value zero by
-    construction and are excluded.
+def weighted_rhs(u: ScalarField) -> float:
+    """The combined norm (integral of |grad u|^2 + u^2 / delta^2)^(1/2),
+    the form (integral of |grad u|^p delta^(p-n) + |u|^p / delta^n)^(1/p)
+    at p = n = 2, the grid's dimension and the only exponent the constants
+    are certified for.  Quadrature over interior nodes only; nodes inside
+    the Dirichlet rim carry value zero by construction and are excluded.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    return _weighted_rhs(u, *u.grid.gradient(u.values), p, n)
+    return _weighted_rhs(u, *u.grid.gradient(u.values))
 
 
-def _weighted_rhs(u: ScalarField, gx, gy, p: float, n: int) -> float:
+def _weighted_rhs(u: ScalarField, gx, gy) -> float:
     """``weighted_rhs`` of u given its gradient (gx, gy) from ``Grid.gradient``."""
     g = u.grid
-    gmag = np.hypot(gx, gy)
-    total = (
-        np.sum(gmag**p * g.delta ** (p - n) + np.abs(u.values) ** p / g.delta**n)
-        * g.h**2
-    )
-    return float(total ** (1.0 / p))
+    total = np.sum(np.hypot(gx, gy) ** 2 + u.values**2 / g.delta**2) * g.h**2
+    return float(total**0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +145,7 @@ def _weighted_rhs(u: ScalarField, gx, gy, p: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sobolev_bound(q: float, n: int = 2) -> float:
+def sobolev_bound(q: float, n: int) -> float:
     """Growth bound (omega_n q)^(1 - 1/n + 1/q) for the embedding constant
     of W^{1,n} into L^q on the reference cube, valid for q >= n."""
     if q < n:
@@ -160,13 +153,14 @@ def sobolev_bound(q: float, n: int = 2) -> float:
     return (unit_ball_volume(n) * q) ** (1.0 - 1.0 / n + 1.0 / q)
 
 
-def sigma_q(constants: DerivedConstants, q: float, n: int = 2) -> float:
+def sigma_q(constants: DerivedConstants, q: float) -> float:
     """Embedding constant 2 P S_q lambda^(-n/q) [1 + P c3^n mu^n]^(1/n).
 
     This is the general form 2 P S_q lambda^(-n/q) [mu^(n-p) + P c3^p
-    mu^n]^(1/p) at p = n, the only exponent with a certified growth bound
-    for S_q.
+    mu^n]^(1/p) at p = n = ``constants.dim``, the only exponent with a
+    certified growth bound for S_q.
     """
+    n = constants.dim
     if q < n:
         raise ValueError("q must be at least n")
     lam = constants.delta_side_min
@@ -178,8 +172,9 @@ def sigma_q(constants: DerivedConstants, q: float, n: int = 2) -> float:
     return 2.0 * P * s * lam ** (-n / q) * bracket ** (1.0 / n)
 
 
-def a_constant(constants: DerivedConstants, n: int = 2) -> float:
-    """Aggregate constant {2P [1 + P (c3 mu)^n]^(1/n)}^(n/(n-1))."""
+def a_constant(constants: DerivedConstants) -> float:
+    """Aggregate constant {2P [1 + P (c3 mu)^n]^(1/n)}^(n/(n-1)), n = dim."""
+    n = constants.dim
     if n < 2:
         raise ValueError("dimension must be at least 2")
     P = constants.overlap_bound
@@ -220,8 +215,9 @@ C2_TAIL_RTOL = 1e-12
 C2_MAX_TERMS = 100_000
 
 
-def c2_constant(c1: float, constants: DerivedConstants, n: int = 2) -> C2Result:
-    """Series sum_{q >= n-1} lambda^(-n) n' omega_n (n' omega_n A / c1^n')^q q^q/(q-1)!.
+def c2_constant(c1: float, constants: DerivedConstants) -> C2Result:
+    """Series sum_{q >= n-1} lambda^(-n) n' omega_n (n' omega_n A / c1^n')^q q^q/(q-1)!,
+    n = ``constants.dim``.
 
     The term ratio is x (1 + 1/q)^(q+1), strictly decreasing to x e, so the
     series converges exactly when x e < 1, i.e. c1^n' > e omega_n n' A.  On
@@ -236,13 +232,14 @@ def c2_constant(c1: float, constants: DerivedConstants, n: int = 2) -> C2Result:
     omega_n / sqrt(2 pi) times sum_{q >= Q} q r^q = r^Q (Q (1-r) + r) /
     (1-r)^2.
     """
+    n = constants.dim
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if c1 <= 0:
         raise ValueError("c1 must be positive")
     nprime = n / (n - 1.0)
     omega = unit_ball_volume(n)
-    A = a_constant(constants, n)
+    A = a_constant(constants)
     lam = constants.delta_side_min
     threshold = (math.e * omega * nprime * A) ** (1.0 / nprime)
     x = nprime * omega * A / c1**nprime
@@ -275,11 +272,11 @@ def c2_constant(c1: float, constants: DerivedConstants, n: int = 2) -> C2Result:
             return C2Result(c1, False, partial + tail, threshold, tail, used, A)
 
 
-def orlicz_boundary_integral(u: ScalarField, c1: float, n: int = 2) -> float:
-    """Quadrature of phi_n(u / c1) / delta^n over interior nodes."""
+def orlicz_boundary_integral(u: ScalarField, c1: float) -> float:
+    """Quadrature of phi_2(u / c1) / delta^2 over interior nodes."""
     g = u.grid
-    vals = phi_n(u.values / c1, n)
-    return float(np.sum(vals / g.delta**n) * g.h**2)
+    vals = phi_n(u.values / c1, 2)
+    return float(np.sum(vals / g.delta**2) * g.h**2)
 
 
 def hardy_quotient(u: ScalarField) -> float:
@@ -486,9 +483,9 @@ class _Partition:
     Next to the incidence map it holds every per-incidence factor of the
     audit's cube sums that does not depend on u, each a contiguous 1-D
     array: the weight and its square, the exact gradient of the weight one
-    axis per row and its squared length, the node's delta^n and delta^2,
-    and the squared side.  Arrays are read-only because one record serves
-    every audit on the same grid.
+    axis per row and its squared length, the node's delta^2 (delta^n on the
+    planar grid) and the squared side.  Arrays are read-only because one
+    record serves every audit on the same grid.
 
     Every scatter-add here and in the audit is ``np.bincount`` with
     weights, which adds each cube's (or node's) terms in input order into a
@@ -503,7 +500,6 @@ class _Partition:
     w2: np.ndarray  # w_part^2
     grad_w: np.ndarray  # (n, incidences) exact gradient of the weight
     gw2: np.ndarray  # |grad_w|^2
-    delta_n: np.ndarray  # delta^n at the node
     delta2: np.ndarray  # delta^2 at the node
     side2: np.ndarray  # squared cube side
     cube_count: int
@@ -521,7 +517,6 @@ def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     same partition each time.
     """
     pts = grid.points
-    n = decomp.params.dim
     # temporaries are dropped once used: the end of this build is the heap
     # peak of an audit run
     pid, lev, m, phi_ref, psi = decomp.partition_values(pts)
@@ -554,7 +549,7 @@ def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     gw2, grad_worst = _side_scaled_gradient(grad_w, sides)
 
     dn = grid.delta[pid]
-    arrays = (pid, gci, s_cube, w_part, w_part**2, grad_w, gw2, dn**n, dn**2, sides**2)
+    arrays = (pid, gci, s_cube, w_part, w_part**2, grad_w, gw2, dn**2, sides**2)
     for a in arrays:
         a.flags.writeable = False
     return _Partition(*arrays, C, recon_worst, grad_worst)
@@ -657,7 +652,7 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     up = uv[pid]
     v = up * part.w_part
     vq = np.abs(v) ** q
-    L = gsum(vq / part.delta_n)
+    L = gsum(vq / part.delta2)
     Iq = gsum(vq)
     del vq
     vmass_scaled = gsum(v**2 / part.side2)
@@ -805,8 +800,8 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
 
     # closure against the single-constant form
     final = math.exp(log_assembled / q)
-    rhs_m = _weighted_rhs(u, gx, gy, n, n)
-    sig = sigma_q(cst, q, n)
+    rhs_m = _weighted_rhs(u, gx, gy)
+    sig = sigma_q(cst, q)
     report.steps.append(
         ChainStep(
             "dominated_by_sigma_bound",
@@ -825,13 +820,16 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
 # ---------------------------------------------------------------------------
 
 
-def embedding_report(u: ScalarField, constants: DerivedConstants, qs, n: int = 2):
-    """Per-q comparison rows for the weighted embedding inequality."""
+def embedding_report(u: ScalarField, constants: DerivedConstants, qs):
+    """Per-q comparison rows for the weighted embedding inequality.  The
+    grid is planar, so ``constants`` must be 2-D (ValueError otherwise)."""
+    if constants.dim != 2:
+        raise ValueError(f"the grid is planar, but the constants are {constants.dim}-D")
     rows = []
-    rhs = weighted_rhs(u, n, n)
+    rhs = weighted_rhs(u)
     for q in qs:
-        lhs = weighted_lhs(u, q, n)
-        sig = sigma_q(constants, q, n)
+        lhs = weighted_lhs(u, q)
+        sig = sigma_q(constants, q)
         bound = sig * rhs
         rows.append(
             {
@@ -846,11 +844,11 @@ def embedding_report(u: ScalarField, constants: DerivedConstants, qs, n: int = 2
     return rows
 
 
-def sigma_growth_scan(constants: DerivedConstants, qs, n: int = 2):
+def sigma_growth_scan(constants: DerivedConstants, qs):
     """Rows (q, sigma_q, sigma_q / q^(1/2 + 1/q)) for the growth check."""
     rows = []
     for q in qs:
-        sig = sigma_q(constants, q, n)
+        sig = sigma_q(constants, q)
         rows.append(
             {
                 "q": float(q),

@@ -211,8 +211,8 @@ def solve(
     smaller tolerance cannot be met; and, also before any work, when the
     initial guess does not hold one entry per interior node.
 
-    Memory.  Besides the grid and the singular part (d, weight, r and
-    delta_d per interior node), the Newton loop holds per interior node: w;
+    Memory.  Besides the grid and the singular part (d, weight and r per
+    interior node), the Newton loop holds per interior node: w;
     in each step the right-hand side -G and the Hessian's mass; in CG x, r
     and p, one product or preconditioned residual at a time (a Hessian
     product briefly two) and the step's V-cycle levels, which go when its
@@ -448,7 +448,7 @@ def corollary4_check(report: SolveReport, H: float) -> dict:
     """Gradient-norm bound for the remainder: |grad w|_2 <= 2 H |Lap d|_2."""
     g = report.w.grid
     lhs = math.sqrt(g.dirichlet_energy(report.w.values))
-    rhs = 2.0 * H * math.sqrt(float(np.sum(report.singular_part.delta_d.values**2)) * g.h**2)
+    rhs = 2.0 * H * report.singular_part.l2_delta_d
     out = {
         "lhs": lhs,
         "rhs": rhs,

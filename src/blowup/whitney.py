@@ -266,11 +266,11 @@ class WhitneyDecomposition:
     """Selected dyadic cubes with constants, one key table per level, and
     queries.
 
-    Immutable after construction.  ``levels`` maps level -> (count, dim)
-    integer index array, sorted for determinism; the same cubes are stacked
-    level-major once, and every membership question goes through
-    ``cube_ids``.  The partition bump and the constants follow from
-    ``params``.
+    Immutable after construction.  The cubes are stacked level-major once;
+    ``levels`` maps level -> a read-only view of its (count, dim) index
+    rows, sorted for determinism, keys in the order given, and every
+    membership question goes through ``cube_ids``.  The partition bump and
+    the constants follow from ``params``.
     """
 
     def __init__(
@@ -284,7 +284,6 @@ class WhitneyDecomposition:
         self.params = params
         self.bump = BumpFunction(params.eta_prime)
         self.constants = derive_constants(params)
-        self.levels = levels
         self.truncated = truncated
         order = sorted(levels)
         self._ks = np.concatenate(
@@ -304,6 +303,8 @@ class WhitneyDecomposition:
         self._radix = np.cumprod([1] + self._extent[:-1].tolist()).astype(np.int64)
         counts = [len(levels.get(k, ())) for k in range(order[0], order[-1] + 1)]
         self._level_starts = np.cumsum([0] + counts).tolist()
+        at = self._level_starts
+        self.levels = {k: self._ms[at[k - self._k0] : at[k - self._k0 + 1]] for k in levels}
         keys, _ = self._index_keys(self._ms)
         self._keys = np.concatenate(
             [np.sort(keys[a:b]) for a, b in zip(self._level_starts, self._level_starts[1:])]
@@ -474,12 +475,7 @@ class WhitneyDecomposition:
         partition weights are phi_ref / psi[pid].
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._partition_values(points, self.domain.distance(points))
-
-    def _partition_values(self, points: np.ndarray, delta: np.ndarray):
-        """``partition_values`` at the (n, dim) array ``points``, whose
-        boundary distances ``delta`` the caller already has."""
-        pid, lev, m = self._support_hits(points, delta)
+        pid, lev, m = self._support_hits(points, self.domain.distance(points))
 
         def bump_at(pid, lev, m):
             sides, centers = _cube_geometry(lev, m)
@@ -741,9 +737,9 @@ class PropertyReport:
 
 def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
     """The points farther than epsilon_cut from the boundary among the first
-    ``count`` of uniform points in the bounding box that fall in the domain,
-    with their boundary distances; ValueError when there are none, since the
-    decomposition then guarantees nothing to check.
+    ``count`` of uniform points in the bounding box that fall in the domain;
+    ValueError when there are none, since the decomposition then guarantees
+    nothing to check.
 
     The box points come in batches of ``max(count, 4096)``, and a batch is
     drawn whole, so the random stream moves as if every point were used.
@@ -754,7 +750,7 @@ def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
     """
     domain, cut = decomp.domain, decomp.constants.epsilon_cut
     lo, hi = domain.bounding_box()
-    pts, dist = np.empty((count, domain.dim)), np.empty(count)
+    pts = np.empty((count, domain.dim))
     have = tried = kept = 0
     while have < count:
         batch = chunk = None  # free the last batch before drawing the next
@@ -772,7 +768,6 @@ def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
             inside = np.flatnonzero(sd > 0.0)[:need]
             keep = inside[sd[inside] > cut]
             pts[kept : kept + len(keep)] = chunk[keep]
-            dist[kept : kept + len(keep)] = sd[keep]
             kept += len(keep)
             have += len(inside)
             tried += len(chunk)
@@ -782,7 +777,7 @@ def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
             f"no sample lies beyond epsilon_cut={cut:.3e}: the decomposition is "
             f"too shallow for the domain at k_max={decomp.params.k_max}; raise k_max"
         )
-    return pts[:kept], dist[:kept]
+    return pts[:kept]
 
 
 GRADIENT_POINTS = 1500
@@ -907,7 +902,7 @@ def _support_window_check(decomp: WhitneyDecomposition, rng) -> PropertyCheck:
 
 def _coverage_check(decomp: WhitneyDecomposition, count: int, rng) -> PropertyCheck:
     """Coverage of the comfortably-interior region."""
-    pts, _ = _sample_beyond_cut(decomp, count, rng)
+    pts = _sample_beyond_cut(decomp, count, rng)
     misses = int(np.count_nonzero(~decomp.covers(pts)))
     return PropertyCheck(
         "coverage_beyond_cut",
@@ -920,11 +915,10 @@ def _coverage_check(decomp: WhitneyDecomposition, count: int, rng) -> PropertyCh
 def _partition_checks(decomp: WhitneyDecomposition, count: int, rng, report) -> None:
     """Overlap bound, partition sums and the gradient bound on a fresh
     sample; appends their checks to ``report`` and sets its empirical
-    maxima.  The sample's distances are those the partition uses: inside the
-    domain the signed distance is the distance, bit for bit."""
+    maxima."""
     cst = decomp.constants
-    pts, delta = _sample_beyond_cut(decomp, count, rng)
-    pid, lev, m, phi, psi = decomp._partition_values(pts, delta)
+    pts = _sample_beyond_cut(decomp, count, rng)
+    pid, lev, m, phi, psi = decomp.partition_values(pts)
     counts = np.bincount(pid, minlength=len(pts))
     report.empirical_overlap_max = int(counts.max())
     report.checks.append(
@@ -945,8 +939,7 @@ def _partition_checks(decomp: WhitneyDecomposition, count: int, rng, report) -> 
         )
     )
     w = phi / psi[pid]
-    weight_sum = np.zeros(len(pts))
-    np.add.at(weight_sum, pid, w)
+    weight_sum = np.bincount(pid, weights=w, minlength=len(pts))
     report.checks.append(
         PropertyCheck(
             "partition_sum",
@@ -957,8 +950,7 @@ def _partition_checks(decomp: WhitneyDecomposition, count: int, rng, report) -> 
     )
     # powers of partition weights: sum w^q <= 1 and (sum w)^q <= P^q sum w^q
     q = 3.0
-    wq = np.zeros(len(pts))
-    np.add.at(wq, pid, w**q)
+    wq = np.bincount(pid, weights=w**q, minlength=len(pts))
     pow_ok = bool(
         np.all(wq <= 1.0 + 1e-12)
         and np.all(weight_sum**q <= cst.overlap_bound**q * wq * (1 + 1e-9))

@@ -667,8 +667,8 @@ def test_constants_match_direct_evaluation(tmp_path):
     payload = _load(tmp_path / "constants_report.json")
     params = WhitneyParams(eta=2.0, eta_prime=1.05)
     constants = derive_constants(params)
-    assert payload["sigma_q"] == sigma_q(constants, 4.0, n=2)
-    direct = c2_constant(3.0, constants, n=2)
+    assert payload["sigma_q"] == sigma_q(constants, 4.0)
+    direct = c2_constant(3.0, constants)
     assert payload["series"]["diverges"] == direct.diverges
     if not direct.diverges:
         assert payload["series"]["value"] == direct.value
@@ -681,7 +681,7 @@ def test_constants_in_three_dimensions(tmp_path):
     constants = derive_constants(WhitneyParams(dim=3))
     assert payload["constants"]["overlap_bound"] == 48
     assert payload["constants"] == asdict(constants)
-    assert payload["sigma_q"] == sigma_q(constants, 4.0, n=3)
+    assert payload["sigma_q"] == sigma_q(constants, 4.0)
 
 
 @pytest.mark.parametrize("dim", ["1", "0"])
@@ -748,7 +748,7 @@ def test_constants_growth_table(tmp_path):
     params = WhitneyParams(eta=2.0, eta_prime=1.05)
     constants = derive_constants(params)
     assert float(q) == 3.0
-    assert float(sig) == sigma_q(constants, 3.0, n=2)
+    assert float(sig) == sigma_q(constants, 3.0)
     normalized = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b < a for a, b in zip(normalized, normalized[1:]))
 

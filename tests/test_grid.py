@@ -546,21 +546,25 @@ def test_vcycle_allocates_little_beyond_its_result():
 def test_grid_and_singular_part_heap_on_the_disk_at_1_256():
     # traced from before the grid: what the grid keeps (measured 9.74 MiB:
     # the signed distances, the interior mask, its flat indices, the
-    # interior distances, the stencil sets and the scratch pair) and the
-    # peak while build_singular_part runs on it (measured 28.52 MiB); each
+    # interior distances, the stencil sets and the scratch pair), the peak
+    # while build_singular_part runs on it (measured 28.52 MiB) and what
+    # the grid and the singular part keep (measured 14.44 MiB: d, weight
+    # and r per interior node; 16.00 MiB while Lap d was kept too); each
     # gate is the measured value plus about 5%
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         g = Grid(DISK, 1 / 256)
         kept = tracemalloc.get_traced_memory()[0] - before
-        build_singular_part(g)
+        sp = build_singular_part(g)
         peak = tracemalloc.get_traced_memory()[1] - before
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     mib = 2**20
     assert kept <= 10.25 * mib, kept / mib
     assert peak <= 30.0 * mib, peak / mib
+    assert held <= 15.15 * mib, held / mib
 
 
 def _reference_dirichlet_energy(g, values):

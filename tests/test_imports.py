@@ -97,3 +97,38 @@ def test_every_private_test_helper_is_named_elsewhere():
     # test did, is named only in its own body
     dead = _named_nowhere_else(TESTS, _private_test_helpers)
     assert not dead, f"private test helpers no test names: {dead}"
+
+
+def _is_abstract(node):
+    return any(
+        getattr(d, "id", None) == "abstractmethod" or getattr(d, "attr", None) == "abstractmethod"
+        for d in node.decorator_list
+    )
+
+
+def _unread_parameters(tree):
+    """"line function(parameter)" of each parameter of a function or method
+    of ``tree`` that its body never reads.  Abstract methods have no body to
+    read them, and ``self`` is the instance, not a setting: an override
+    takes it whether or not it reads it."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_abstract(node):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for p in params:
+            if p.arg not in read and p.arg != "self":
+                yield f"{node.lineno} {node.name}({p.arg})"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_parameter_is_read(path):
+    # a parameter nothing reads is a setting that does nothing
+    unread = list(_unread_parameters(ast.parse(path.read_text())))
+    assert not unread, f"{path.name} has parameters it never reads: {unread}"

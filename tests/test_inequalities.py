@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from blowup.geometry import Annulus, Box, Disk, Polygon, SmoothingProfile, deepest_point
 from blowup.grid import Grid, ScalarField
-from blowup.whitney import BumpFunction, WhitneyParams, decompose
+from blowup.whitney import BumpFunction, WhitneyParams, decompose, derive_constants
 from blowup import inequalities as ineq
 
 UNIT_DISK = Disk((0.0, 0.0), 1.0)
@@ -101,16 +101,9 @@ def sine_field(square_grid):
 
 
 def test_m_norm_homogeneous(sine_field):
-    base = ineq.weighted_rhs(sine_field, 2)
-    doubled = ineq.weighted_rhs(
-        ScalarField(sine_field.grid, 2.0 * sine_field.values), 2
-    )
+    base = ineq.weighted_rhs(sine_field)
+    doubled = ineq.weighted_rhs(ScalarField(sine_field.grid, 2.0 * sine_field.values))
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
-
-
-def test_m_norm_rejects_bad_exponent(sine_field):
-    with pytest.raises(ValueError):
-        ineq.weighted_rhs(sine_field, 0.5)
 
 
 def test_gradient_energy_of_sine_mode(sine_field):
@@ -277,13 +270,24 @@ def test_series_tail_bound_from_the_cap_is_an_upper_bound(constants, monkeypatch
     assert capped.value - capped.tail_bound < exact.value <= capped.value
 
 
-@pytest.mark.parametrize("n", [1, 0])
-def test_series_constants_reject_dimension_below_2(constants, n):
-    # n' = n / (n - 1) has no value at n = 1
+def test_series_constants_reject_dimension_below_2():
+    # n' = n / (n - 1) has no value at n = 1; WhitneyParams refuses n = 0
+    constants = derive_constants(WhitneyParams(dim=1))
     with pytest.raises(ValueError, match="dimension"):
-        ineq.a_constant(constants, n=n)
+        ineq.a_constant(constants)
     with pytest.raises(ValueError, match="dimension"):
-        ineq.c2_constant(3.0, constants, n=n)
+        ineq.c2_constant(3.0, constants)
+
+
+def test_constants_carry_the_dimension(sine_field):
+    # the values `constants --N 3` reports; a dimension passed next to the
+    # constants could disagree with theirs
+    constants = derive_constants(WhitneyParams(dim=3))
+    assert ineq.sigma_q(constants, 4.0) == 56344613727.75909
+    assert ineq.c2_constant(1.0, constants).threshold_c1 == 4660960424.640298
+    # a grid is planar
+    with pytest.raises(ValueError, match="planar"):
+        ineq.embedding_report(sine_field, constants, [4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +878,8 @@ def _reference_chain_audit(u, decomp, bump=None, q=4.0):
 
     # closure against the single-constant form
     final = math.exp(log_assembled / q)
-    rhs_m = ineq.weighted_rhs(u, n, n)
-    sig = ineq.sigma_q(cst, q, n)
+    rhs_m = ineq.weighted_rhs(u)
+    sig = ineq.sigma_q(cst, q)
     report.steps.append(
         ineq.ChainStep(
             "dominated_by_sigma_bound",

@@ -313,7 +313,7 @@ def test_intermediate_forcing_bound(disk64):
     # on seeded random Dirichlet fields
     grid, sp, _ = disk64
     H = 2.0
-    K = 2.0 * H * math.sqrt(float(np.sum(sp.delta_d.values**2)) * grid.h**2)
+    K = 2.0 * H * sp.l2_delta_d
     rng = np.random.default_rng(5)
     for _ in range(20):
         phi = rng.standard_normal(grid.n_interior) * np.minimum(grid.delta, 0.3)
