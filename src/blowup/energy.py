@@ -41,12 +41,15 @@ __all__ = [
     "energy",
     "energy_gradient",
     "hessian_operator",
+    "energy_difference",
     "energy_gap",
 ]
 
 # 2|phi| beyond this overflows exp comfortably before float range ends;
 # the minimizer is O(d), so hitting the cap means divergence, not scale
 _EXP_CAP = 350.0
+# entries per block of the Hessian product's mass term
+_BLOCK = 1 << 14
 
 
 class ExponentOverflowError(OverflowError):
@@ -246,13 +249,41 @@ def hessian_operator(phi: ScalarField, sp: SingularPart):
     g = _same_grid(phi, sp)
     _guard_exponent(phi.values, g, "hessian_operator")
     mass = 2.0 * sp.weight.values * np.exp(2.0 * phi.values)
+    block = np.empty(min(_BLOCK, len(mass)))
 
     def matvec(psi):
-        # equals -lap + mass psi bit for bit; lap is a fresh array
+        # mass psi - lap into lap (a fresh array) a block at a time, so no
+        # second interior vector is alive; elementwise, so bit for bit the
+        # whole-vector expression
         lap = g.laplacian(psi)
-        return np.subtract(mass * psi, lap, out=lap)
+        n = len(lap)
+        for i in range(0, n, _BLOCK):
+            j = min(i + _BLOCK, n)
+            prod = np.multiply(mass[i:j], psi[i:j], out=block[: j - i])
+            np.subtract(prod, lap[i:j], out=lap[i:j])
+        return lap
 
     return matvec, mass
+
+
+def energy_difference(psi: ScalarField, mass: np.ndarray, slope: float) -> float:
+    """energy(w + psi) - energy(w) by its exact expansion around w,
+
+        slope + |grad psi|^2 + sum (mass / 2) (e^{2 psi} - 1 - 2 psi) h^2,
+
+    with mass = 2 weight e^{2w} the Hessian's mass at w (see
+    ``hessian_operator``) and slope = 2 <G(w), psi> h^2.  Each term is small
+    when psi is, so a difference far below the rounding of the energy
+    itself keeps its relative accuracy.  Raises ExponentOverflowError when
+    psi overflows the exponential.
+    """
+    g = psi.grid
+    _guard_exponent(psi.values, g, "energy_difference")
+    two_psi = 2.0 * psi.values
+    excess = np.expm1(two_psi)
+    excess -= two_psi
+    excess *= mass
+    return slope + g.dirichlet_energy(psi.values) + 0.5 * float(np.sum(excess)) * g.h**2
 
 
 def energy_gap(
@@ -261,19 +292,15 @@ def energy_gap(
     """Both sides of the expansion of the energy around w.
 
     lhs = energy(w + phi) - energy(w); rhs = quadrature of the manifestly
-    nonnegative form  |grad phi|^2 + weight e^{2w} (e^{2 phi} - 1 - 2 phi).
-    They differ by exactly 2 <phi, G(w)> h^2, so at a converged w the two
-    evaluations agree to the solver tolerance.
+    nonnegative form  |grad phi|^2 + weight e^{2w} (e^{2 phi} - 1 - 2 phi),
+    ``energy_difference`` without its slope term.  They differ by exactly
+    2 <phi, G(w)> h^2, so at a converged w the two evaluations agree to the
+    solver tolerance.
     """
     g = _same_grid(phi, sp)
     if w.grid is not g:
         raise ValueError("fields live on different grids")
     shifted = ScalarField(g, w.values + phi.values)
     lhs = energy(shifted, sp).total - energy(w, sp).total
-    two_phi = 2.0 * phi.values
-    rhs = g.dirichlet_energy(phi.values) + float(
-        np.sum(
-            sp.weight.values * np.exp(2.0 * w.values) * (np.expm1(two_phi) - two_phi)
-        )
-    ) * g.h**2
-    return lhs, rhs
+    _, mass = hessian_operator(w, sp)
+    return lhs, energy_difference(phi, mass, 0.0)

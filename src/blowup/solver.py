@@ -3,10 +3,20 @@
 Solves for the bounded remainder w from the zero initial guess, then
 reconstructs the blow-up field u = v + w.  The energy is smooth and convex
 with a positive definite Hessian, so Newton steps with an Armijo
-backtracking line search converge globally; each step's linear system is
-solved matrix-free by CG preconditioned by one geometric-multigrid V-cycle
-(``Grid.vcycle_preconditioner``), which keeps the iteration count per step
-bounded as h shrinks and the whole pipeline deterministic.
+backtracking line search converge globally; the line search tests the
+energy difference by its exact expansion (``energy_difference``), which
+stays accurate where a difference of two energies is lost to rounding.
+Each step's linear system is solved matrix-free by CG preconditioned by one
+geometric-multigrid V-cycle (``Grid.vcycle_preconditioner``), which keeps
+the iteration count per step bounded as h shrinks and the whole pipeline
+deterministic.  The CG solve is inexact: each step stops at its own
+relative residual, the forcing term of Eisenstat and Walker (*Choosing the
+forcing terms in an inexact Newton method*, SIAM J. Sci. Comput. 1996),
+
+    cg_rtol_k = max(linear_rtol, min(FORCING_MAX, FORCING_GAMMA (g_k / g_{k-1})^2)),
+
+with g_k step k's gradient norm and the first step at FORCING_MAX, so far
+from the minimizer a step is only as accurate as its Newton model.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from .energy import (
     ExponentOverflowError,
     SingularPart,
     energy,
+    energy_difference,
     energy_gap,
     energy_gradient,
     hessian_operator,
@@ -54,6 +65,11 @@ class LineSearchError(RuntimeError):
 # Armijo sufficient-decrease constant and line-search step shrink factor
 ARMIJO_C = 1e-4
 BACKTRACK_RATIO = 0.5
+# forcing terms of the inexact Newton steps (module docstring): the largest
+# CG tolerance, the first step's, and the factor on the squared ratio of
+# successive gradient norms
+FORCING_MAX = 0.1
+FORCING_GAMMA = 0.9
 # smallest accepted linear_rtol: below it the CG recurrence residual keeps
 # shrinking after the true residual has stalled at rounding level (so a step
 # reads as converged when it is not), and it can underflow to zero
@@ -65,9 +81,11 @@ class SolverConfig:
     """Newton iteration knobs.
 
     gradient_tol is on the mesh-independent residual norm |G| * h (discrete
-    L2); linear_rtol is the relative residual at which each step's
-    conjugate-gradient solve stops, at least ``MIN_LINEAR_RTOL`` here and,
-    in ``solve``, at least the grid's floor eps / h^2.  Both are finite.
+    L2); linear_rtol is the floor of the relative residuals at which the
+    steps' conjugate-gradient solves stop (each step's own target is its
+    forcing term, see the module docstring), at least ``MIN_LINEAR_RTOL``
+    here and, in ``solve``, at least the grid's floor eps / h^2.  Both are
+    finite.
     """
 
     gradient_tol: float = 1e-8
@@ -89,8 +107,8 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """Outcome of ``solve``.  ``converged`` is the Newton gradient test alone;
-    ``linear_converged`` says whether every step's linear solve met
-    ``linear_rtol``.  ``singular_part`` is the one the solve minimized on;
+    ``linear_converged`` says whether every step's linear solve met its own
+    target ``cg_rtol``.  ``singular_part`` is the one the solve minimized on;
     the checks below read it from here, and ``to_json_dict`` leaves it out."""
 
     w: ScalarField
@@ -214,10 +232,10 @@ def solve(
     Memory.  Besides the grid and the singular part (d, weight and r per
     interior node), the Newton loop holds per interior node: w;
     in each step the right-hand side -G and the Hessian's mass; in CG x, r
-    and p, one product or preconditioned residual at a time (a Hessian
-    product briefly two) and the step's V-cycle levels, which go when its
-    CG ends (1/diag and f per padded node at spacing h, about a quarter of
-    that per coarser level); in the line search s and the candidate.
+    and p, one product or preconditioned residual at a time and the step's
+    V-cycle levels, which go when its CG ends (1/diag and f per padded node
+    at spacing h, about a quarter of that per coarser level); in the line
+    search s, the trial step t s and the candidate.
     Nothing derivable is kept: v and the node coordinates are computed when
     asked for.
     """
@@ -253,8 +271,8 @@ def solve(
 def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
     """Newton from ``initial_guess`` (zero when None) on the grid of ``sp``:
     (w, energy history, steps, last gradient norm, converged).  A step
-    record adds the step scale, CG residuals and new energy to the six keys
-    it shares with ``LineSearchError.diagnostics``."""
+    record adds the step scale, CG residuals and new energy to the seven
+    keys it shares with ``LineSearchError.diagnostics``."""
     grid = sp.grid
     h = grid.h
     n = grid.n_interior
@@ -272,31 +290,30 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
     for it in range(1, config.max_iterations + 1):
         wf = ScalarField(grid, w)
         g = energy_gradient(wf, sp).values
-        gnorm = _grad_norm(g, h)
+        gprev, gnorm = gnorm, _grad_norm(g, h)
         if gnorm <= config.gradient_tol:
             return w, history, steps, gnorm, True
+        forcing = FORCING_MAX if it == 1 else FORCING_GAMMA * (gnorm / gprev) ** 2
+        # float(): a numpy linear_rtol would leave numpy scalars in the record
+        cg_rtol = float(max(config.linear_rtol, min(FORCING_MAX, forcing)))
 
         # g becomes the right-hand side -G in place (negation is exact); the
-        # Hessian and its mass go after CG, the V-cycle levels with CG
+        # mass stays for the line search, the V-cycle levels go with CG
         np.negative(g, out=g)
         apply_h, mass = hessian_operator(wf, sp)
         s, cg_residuals, true_relres = _pcg(
-            apply_h,
-            grid.vcycle_preconditioner(mass),
-            g,
-            config.linear_rtol,
-            maxiter_lin,
+            apply_h, grid.vcycle_preconditioner(mass), g, cg_rtol, maxiter_lin
         )
-        del apply_h, mass
+        del apply_h
         step = {
             "iteration": it,
             "grad_norm": gnorm,
             # g = 0 would have passed the gradient test, so CG ran at least once
             "cg_iterations": len(cg_residuals),
+            "cg_rtol": cg_rtol,
             "cg_relres": cg_residuals[-1],
             "cg_true_relres": true_relres,
-            # bool(): JSON refuses the numpy bool of a numpy linear_rtol
-            "linear_converged": bool(true_relres <= config.linear_rtol),
+            "linear_converged": true_relres <= cg_rtol,
         }
 
         # directional derivative of the energy along s at w, 2 <G, s> h^2
@@ -308,7 +325,8 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
             s = g
             slope = -2.0 * float(np.dot(g, s)) * h * h
         del g
-        accepted = _line_search(w, s, current.total, slope, sp)
+        accepted = _line_search(w, s, slope, mass, sp)
+        del mass
         if accepted is None:
             raise LineSearchError(
                 "no energy decrease found along the Newton direction",
@@ -327,20 +345,23 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
     return w, history, steps, gnorm, False
 
 
-def _line_search(w: np.ndarray, s: np.ndarray, e0: float, slope: float, sp: SingularPart):
+def _line_search(
+    w: np.ndarray, s: np.ndarray, slope: float, mass: np.ndarray, sp: SingularPart
+):
     """(field, energy, t) at the first t = 1, 1/2, ... >= 1e-14 whose w + t s
-    does not overflow and has energy at most e0 + ARMIJO_C t slope, with e0
-    the energy at w and slope its derivative along s; else None."""
+    does not overflow and decreases the energy by at least -ARMIJO_C t
+    slope, with slope the energy's derivative along s at w and mass the
+    Hessian's mass there; else None.  The decrease is ``energy_difference``,
+    which resolves it below the rounding of the energy itself."""
     t = 1.0
     while t >= 1e-14:
+        step = ScalarField(sp.grid, t * s)
         try:
-            cand = ScalarField(sp.grid, w + t * s)
-            e_cand = energy(cand, sp)
+            if energy_difference(step, mass, t * slope) <= ARMIJO_C * t * slope:
+                cand = ScalarField(sp.grid, w + step.values)
+                return cand, energy(cand, sp), t
         except ExponentOverflowError:
-            t *= BACKTRACK_RATIO
-            continue
-        if e_cand.total <= e0 + ARMIJO_C * t * slope:
-            return cand, e_cand, t
+            pass
         t *= BACKTRACK_RATIO
     return None
 

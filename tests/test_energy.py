@@ -261,6 +261,21 @@ def test_hessian_symmetric_and_positive(disk_grid, disk_sp):
         assert float(np.sum(Ha.values * a.values)) > 0.0
 
 
+@pytest.mark.parametrize("h", [1 / 16, 1 / 128], ids=["one-block", "blocks"])
+def test_hessian_product_bit_identical_to_the_whole_vector_form(h):
+    # at 1/128 the product runs over several full blocks and a partial one
+    sp = singular_part(DISK, h)
+    grid = sp.grid
+    phi = _smooth_field(grid, 8)
+    apply_h, mass = en.hessian_operator(phi, sp)
+    if h == 1 / 128:
+        assert grid.n_interior > 2 * en._BLOCK and grid.n_interior % en._BLOCK
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        psi = rng.standard_normal(grid.n_interior)
+        assert np.array_equal(apply_h(psi), mass * psi - grid.laplacian(psi))
+
+
 def test_hessian_is_gradient_derivative(disk_grid, disk_sp):
     eps = 1e-6
     phi = _smooth_field(disk_grid, 4)
@@ -316,6 +331,48 @@ def test_gap_identity_exact(disk_grid, disk_sp):
         ) * h2
         assert lhs - rhs == pytest.approx(cross, abs=1e-11 * (1 + abs(lhs)))
         assert rhs >= 0.0
+
+
+def test_energy_difference_is_the_difference_of_energies(disk_grid, disk_sp):
+    h2 = disk_grid.h**2
+    for seed in range(3):
+        w = _smooth_field(disk_grid, seed + 70)
+        _, mass = en.hessian_operator(w, disk_sp)
+        G = en.energy_gradient(w, disk_sp).values
+        for amp in (1.0, 0.1, 0.01):
+            psi = ScalarField(disk_grid, amp * _smooth_field(disk_grid, seed).values)
+            slope = 2.0 * float(np.sum(G * psi.values)) * h2
+            shifted = ScalarField(disk_grid, w.values + psi.values)
+            direct = en.energy(shifted, disk_sp).total - en.energy(w, disk_sp).total
+            got = en.energy_difference(psi, mass, slope)
+            assert got == pytest.approx(direct, abs=1e-11 * (1 + abs(direct)))
+
+
+def test_energy_difference_refuses_an_overflowing_step(disk_grid, disk_sp):
+    _, mass = en.hessian_operator(ScalarField.zeros(disk_grid), disk_sp)
+    psi = ScalarField(disk_grid, np.full(disk_grid.n_interior, 200.0))
+    with pytest.raises(en.ExponentOverflowError, match="energy_difference"):
+        en.energy_difference(psi, mass, 0.0)
+
+
+def _reference_gap_rhs(phi, w, sp):
+    """The expansion form as energy_gap computed it before it shared
+    energy_difference."""
+    two_phi = 2.0 * phi.values
+    g = phi.grid
+    return g.dirichlet_energy(phi.values) + float(
+        np.sum(
+            sp.weight.values * np.exp(2.0 * w.values) * (np.expm1(two_phi) - two_phi)
+        )
+    ) * g.h**2
+
+
+def test_gap_rhs_bit_identical_to_its_reference(disk_grid, disk_sp):
+    for seed in range(3):
+        phi = _smooth_field(disk_grid, seed)
+        w = _smooth_field(disk_grid, seed + 50)
+        _, rhs = en.energy_gap(phi, w, disk_sp)
+        assert rhs == _reference_gap_rhs(phi, w, disk_sp)
 
 
 def test_energy_convex_along_segments(disk_grid, disk_sp):
