@@ -39,7 +39,7 @@ print(f"\noverlap over {inside.sum()} interior samples: max {counts.max()}, "
       f"mean {counts.mean():.2f}  (bound {c.overlap_bound})")
 
 point = np.array([0.3, 0.7])
-_, _, _, phi, psi = decomp.partition_values(point)
+_, _, _, _, phi, psi = decomp.partition_values(point)
 weights = phi[phi > 0.0] / psi[0]
 print(f"partition weights at {point}: {len(weights)} active cubes, "
       f"sum = {weights.sum():.15f}")

@@ -25,7 +25,6 @@ import numpy as np
 from .geometry import Box, Domain, SmoothingProfile, deepest_point
 from .grid import Grid, ScalarField
 from .whitney import DerivedConstants, WhitneyDecomposition
-from .whitney import _cube_geometry, _side_scaled_gradient, _weight_gradient
 
 __all__ = [
     "SeriesOverflowError",
@@ -510,34 +509,27 @@ class _Partition:
 @functools.lru_cache(maxsize=1)
 def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     """Partition weights of ``decomp`` at the interior nodes of ``grid``,
-    with their exact gradients (``whitney._weight_gradient``).
+    with their exact gradients (``WhitneyDecomposition.partition_gradient``).
 
     Kept for the last (grid, decomposition): both are immutable and hash by
     identity, and an audit of several functions on one grid asks for the
     same partition each time.
     """
-    pts = grid.points
     # temporaries are dropped once used: the end of this build is the heap
     # peak of an audit run
-    pid, lev, m, phi_ref, psi = decomp.partition_values(pts)
+    pid, gid, sides, offsets, phi_ref, psi = decomp.partition_values(grid.points)
     # number the cubes met in id order: the rank of each id among those
     # present, which is np.unique's inverse without its sort (nor the
     # numpy.ma import its first call in a process costs)
-    gid = decomp.cube_ids(lev, m)
     rank = np.zeros(decomp.cube_count, dtype=np.int64)
     rank[gid] = 1
     np.cumsum(rank, out=rank)
     gci = rank[gid] - 1
     C = int(rank[-1])
     del gid, rank
-    sides, centers = _cube_geometry(lev, m)
     s_cube = np.zeros(C)
     s_cube[gci] = sides
-    # the offsets from the centres at cube scale, in the centres' buffer
-    offsets = np.subtract(pts[pid], centers, out=centers)
-    offsets /= sides[:, None]
-    del pts, lev, m, centers
-    grad_w = _weight_gradient(decomp.bump, pid, offsets, sides, phi_ref, psi)
+    grad_w, gw2, grad_worst = decomp.partition_gradient(pid, sides, offsets, phi_ref, psi)
     del offsets
 
     w_part = phi_ref / psi[pid]
@@ -545,8 +537,6 @@ def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     recon = np.bincount(pid, weights=w_part, minlength=grid.n_interior)
     recon_worst = float(np.abs(recon - 1.0).max())
     del recon
-
-    gw2, grad_worst = _side_scaled_gradient(grad_w, sides)
 
     dn = grid.delta[pid]
     arrays = (pid, gci, s_cube, w_part, w_part**2, grad_w, gw2, dn**2, sides**2)

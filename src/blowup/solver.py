@@ -394,7 +394,6 @@ def oracle_errors(u: ScalarField, disk: Disk, region_depth: float = 0.05) -> dic
     diff = u.values[sel] - exact[sel]
     return {
         "region_depth": region_depth,
-        "excluded_layer_width": region_depth,
         "nodes_compared": int(np.count_nonzero(sel)),
         "sup_error": float(np.max(np.abs(diff))) if diff.size else math.nan,
         "l2_error": float(math.sqrt(np.sum(diff**2) * g.h**2)),

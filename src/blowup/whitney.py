@@ -224,31 +224,6 @@ class BumpFunction:
         return 2.0 / self.width
 
 
-def _weight_gradient(bump: BumpFunction, pid, offsets, sides, phi, psi) -> np.ndarray:
-    """Exact gradient, one axis per row, of each normalized weight phi /
-    psi[pid] of ``partition_values``, by the quotient rule; per incidence,
-    ``offsets`` is the point's offset from the cube's center over the cube's
-    side ``sides``, where the bump's gradient is ``bump.gradient(offsets) /
-    sides`` and psi's is the sum of those over the point's incidences."""
-    gref = bump.gradient(offsets)
-    psi = psi[pid]
-    psi2 = psi**2
-    grad_w = np.empty((offsets.shape[1], len(pid)))
-    for i in range(len(grad_w)):
-        gi = gref[:, i] / sides
-        grad_psi = np.bincount(pid, weights=gi)
-        grad_w[i] = (gi * psi - phi * grad_psi[pid]) / psi2
-    return grad_w
-
-
-def _side_scaled_gradient(grad_w: np.ndarray, sides) -> tuple[np.ndarray, float]:
-    """The squared length of each weight gradient of ``_weight_gradient``
-    and the largest side * length, the quantity the derived gradient bound
-    caps (0 without incidences)."""
-    gw2 = np.sum(grad_w**2, axis=0)
-    return gw2, float((sides * np.sqrt(gw2)).max()) if len(sides) else 0.0
-
-
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -406,8 +381,10 @@ class WhitneyDecomposition:
         """All (point, cube) incidences of the eta_prime supports, given the
         boundary distance ``delta`` of each point.
 
-        Returns (point_idx, level, m) arrays concatenated over levels; within
-        a level, in ``_near``'s order: by offset combination, then by point.
+        Returns (point_idx, cube id, side, offset) arrays concatenated over
+        levels, the offset being the point's offset from the cube's center
+        over the cube's side; within a level, in ``_near``'s order: by
+        offset combination, then by point.
 
         A point x is asked only at the levels whose side s has
         delta_side_min * s <= delta(x) <= delta_side_max * s, widened by a
@@ -422,28 +399,25 @@ class WhitneyDecomposition:
         etp = self.params.eta_prime
         lam = self.constants.delta_side_min * (1.0 - 1e-9)
         mu = self.constants.delta_side_max * (1.0 + 1e-9)
-        pid_all, lev_all, m_all = [], [], []
+        hits = []
         for k in self.levels:
             s = 2.0 ** (-k)
             rows = np.flatnonzero((delta >= lam * s) & (delta <= mu * s))
-            sub, mq = self._near(k, points[rows], etp * s / 2.0)
-            pid_all.append(rows[sub])
-            lev_all.append(np.full(len(sub), k, dtype=np.int64))
-            m_all.append(mq)
-        return (
-            np.concatenate(pid_all),
-            np.concatenate(lev_all),
-            np.concatenate(m_all, axis=0),
-        )
+            sub, off, ids = self._near(k, points[rows], etp * s / 2.0)
+            hits.append((rows[sub], ids, off))
+        pid, gid, offsets = (np.concatenate(a) for a in zip(*hits))
+        sides = np.repeat([2.0 ** (-k) for k in self.levels], [len(h[1]) for h in hits])
+        return pid, gid, sides, offsets
 
     def _near(self, k: int, points: np.ndarray, half: float):
-        """(row, m) of every selected level-k cube m whose center lies within
-        ``half * (1 + 1e-12)`` of a row of ``points`` in the max norm,
-        ordered by offset combination, then by row.  Per axis, a row's
-        candidates are floor(2 half / s) + 2 indices from its lowest, s the
-        side; each (axis, offset) test is made once, a combination's
-        candidates are the AND of its axes' tests, and one ``cube_ids`` call
-        keeps the selected ones."""
+        """(row, offset, id) of every selected level-k cube whose center lies
+        within ``half * (1 + 1e-12)`` of a row of ``points`` in the max norm,
+        ordered by offset combination, then by row: offset is the row's
+        offset from the cube's center over the side s, and id is the cube's
+        global id.  Per axis, a row's candidates are floor(2 half / s) + 2
+        indices from its lowest; each (axis, offset) test is made once, a
+        combination's candidates are the AND of its axes' tests, and one
+        ``cube_ids`` call keeps the selected ones."""
         n = points.shape[1]
         s = 2.0 ** (-k)
         reach = int(math.floor(2.0 * half / s)) + 2
@@ -460,30 +434,57 @@ class WhitneyDecomposition:
         ]
         sub = np.concatenate(near)
         mq = base[sub] + np.repeat(combos, [len(c) for c in near], axis=0)
-        hit = self.cube_ids(k, mq) >= 0
-        return sub[hit], mq[hit]
+        ids = self.cube_ids(k, mq)
+        hit = ids >= 0
+        sub = sub[hit]
+        return sub, (points[sub] - (mq[hit] + 0.5) * s) / s, ids[hit]
 
     def overlap_counts(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        pid, _, _ = self._support_hits(points, self.domain.distance(points))
+        pid = self._support_hits(points, self.domain.distance(points))[0]
         return np.bincount(pid, minlength=len(points)).astype(np.int64)
 
     def partition_values(self, points: np.ndarray):
-        """(pid, level, m, phi_ref, psi) for all support incidences.
+        """(pid, gid, sides, offsets, phi, psi) for all support incidences.
 
-        psi is per point: the sum of reference bump values there; normalized
-        partition weights are phi_ref / psi[pid].
+        Per incidence: the point's row, the cube's global id (that of
+        ``cube_ids``), the cube's side, the point's offset from the cube's
+        center over that side, and phi, the reference bump there.  psi is
+        per point: the sum of its bump values.  The normalized partition
+        weights are phi / psi[pid]; ``partition_gradient`` gives their exact
+        gradients.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        pid, lev, m = self._support_hits(points, self.domain.distance(points))
-
-        def bump_at(pid, lev, m):
-            sides, centers = _cube_geometry(lev, m)
-            return self.bump.value((points[pid] - centers) / sides[:, None])
-
-        phi = _by_rows(bump_at, pid, lev, m, dtype=float)
+        pid, gid, sides, offsets = self._support_hits(points, self.domain.distance(points))
+        phi = _by_rows(self.bump.value, offsets, dtype=float)
         psi = np.bincount(pid, weights=phi, minlength=len(points))
-        return pid, lev, m, phi, psi
+        return pid, gid, sides, offsets, phi, psi
+
+    def partition_gradient(self, pid, sides, offsets, phi, psi):
+        """(grad_w, |grad_w|^2, largest side * |grad_w|) of the normalized
+        weights phi / psi[pid] of the incidences (pid, sides, offsets, phi)
+        of ``partition_values``, exact by the quotient rule; grad_w holds
+        one axis per row.  At an incidence the bump's gradient is
+        ``bump.gradient(offsets) / sides``, and psi's is the sum of those
+        over the point's incidences.  The last value is the quantity the
+        derived gradient bound caps (0 without incidences)."""
+        # the bump's gradient in blocks of _CHUNK rows, so its temporaries
+        # stay block-sized, and each row of grad_w formed in place, so one
+        # axis's temporaries are alive at a time
+        gref = np.empty_like(offsets)
+        for start in range(0, len(gref), _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            gref[rows] = self.bump.gradient(offsets[rows])
+        gref /= sides[:, None]
+        psi = psi[pid]
+        grad_w = np.empty(gref.shape[::-1])
+        gw2 = np.zeros(len(pid))
+        for row, gi in zip(grad_w, gref.T):
+            np.multiply(gi, psi, out=row)
+            row -= phi * np.bincount(pid, weights=gi)[pid]
+            row /= psi**2
+            gw2 += row**2
+        return grad_w, gw2, float((sides * np.sqrt(gw2)).max()) if len(sides) else 0.0
 
     # -- serialization -----------------------------------------------------
 
@@ -741,29 +742,31 @@ def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
     ValueError when there are none, since the decomposition then guarantees
     nothing to check.
 
-    The box points come in batches of ``max(count, 4096)``, and a batch is
-    drawn whole, so the random stream moves as if every point were used.
-    Distances are taken in order, in chunks of at most ``_CHUNK`` rows
-    sized from the share of points inside seen so far, and stop once
-    ``count`` points inside are found.  Only the rows returned are kept from
-    a chunk, and a batch is dropped before the next is drawn.
+    The box points come in batches of ``max(count, 4096)``, each drawn in
+    blocks of at most ``_CHUNK`` rows into one buffer.  Blocks are sized
+    from the share of points inside seen so far, and distances are taken
+    block by block until ``count`` points inside are found.  The rest of
+    the batch is then drawn and dropped: a batch's draws in blocks are its
+    draws whole, bit for bit, so the random stream moves as if every point
+    were used.  Only the rows returned are kept from a block.
     """
     domain, cut = decomp.domain, decomp.constants.epsilon_cut
     lo, hi = domain.bounding_box()
+    batch = max(count, 4096)
+    block = np.empty((min(batch, _CHUNK), domain.dim))
     pts = np.empty((count, domain.dim))
     have = tried = kept = 0
     while have < count:
-        batch = chunk = None  # free the last batch before drawing the next
-        batch = rng.random((max(count, 4096), domain.dim))
-        batch *= hi - lo
-        batch += lo
-        start = 0
-        while have < count and start < len(batch):
+        left = batch  # rows of this batch not drawn yet
+        while have < count and left:
             need = count - have
             # 5% above the rows the yield so far predicts, so that another
-            # chunk is seldom needed; no fewer than need, as the yield is <= 1
+            # block is seldom needed; no fewer than need, as the yield is <= 1
             step = math.ceil(need * tried / have * 1.05) if have else need
-            chunk = batch[start : start + min(step, _CHUNK)]
+            chunk = block[: min(step, _CHUNK, left)]
+            rng.random(out=chunk)
+            chunk *= hi - lo
+            chunk += lo
             sd = domain.signed_distance(chunk)
             inside = np.flatnonzero(sd > 0.0)[:need]
             keep = inside[sd[inside] > cut]
@@ -771,7 +774,9 @@ def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
             kept += len(keep)
             have += len(inside)
             tried += len(chunk)
-            start += len(chunk)
+            left -= len(chunk)
+        for start in range(0, left, _CHUNK):
+            rng.random(out=block[: min(_CHUNK, left - start)])
     if kept == 0:
         raise ValueError(
             f"no sample lies beyond epsilon_cut={cut:.3e}: the decomposition is "
@@ -918,7 +923,7 @@ def _partition_checks(decomp: WhitneyDecomposition, count: int, rng, report) -> 
     maxima."""
     cst = decomp.constants
     pts = _sample_beyond_cut(decomp, count, rng)
-    pid, lev, m, phi, psi = decomp.partition_values(pts)
+    pid, _, sides, offsets, phi, psi = decomp.partition_values(pts)
     counts = np.bincount(pid, minlength=len(pts))
     report.empirical_overlap_max = int(counts.max())
     report.checks.append(
@@ -960,11 +965,9 @@ def _partition_checks(decomp: WhitneyDecomposition, count: int, rng, report) -> 
     # exact gradient bound for normalized partition functions; the first
     # points' incidences, in the order a query of those points alone gives
     head = pid < GRADIENT_POINTS
-    pid, lev, m, phi = pid[head], lev[head], m[head], phi[head]
-    sides, centers = _cube_geometry(lev, m)
-    offsets = (pts[pid] - centers) / sides[:, None]
-    grad = _weight_gradient(decomp.bump, pid, offsets, sides, phi, psi)
-    grad_max = _side_scaled_gradient(grad, sides)[1]
+    grad_max = decomp.partition_gradient(
+        pid[head], sides[head], offsets[head], phi[head], psi
+    )[2]
     report.empirical_grad_max = grad_max
     report.checks.append(
         PropertyCheck(
@@ -1066,15 +1069,15 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
             for start in range(0, len(decomp.levels[kf]), block):
                 mf = decomp.levels[kf][start : start + block]
                 _, cf = _cube_geometry(kf, mf)
-                rows, mc = decomp._near(kc, cf, 0.5 * etp * (sc + sf))
+                rows, off, _ = decomp._near(kc, cf, 0.5 * etp * (sc + sf))
                 if gap == 0:
-                    keep = _fold(np.logical_or, mc != mf[rows])  # skip self pairs
-                    rows, mc = rows[keep], mc[keep]
+                    # a fine cube's own offset is 0, another's is at least 1
+                    keep = _fold(np.logical_or, off != 0.0)  # skip self pairs
+                    rows, off = rows[keep], off[keep]
                 if len(rows) == 0:
                     continue
                 found_pair = True
-                _, cc = _cube_geometry(kc, mc)
-                dist = np.sqrt(np.sum((cc - cf[rows]) ** 2, axis=-1))
+                dist = sc * np.sqrt(np.sum(off**2, axis=-1))
                 if np.any(dist > cst.center_window * sf * (1.0 + 1e-9)):
                     centers_ok = False
             if found_pair:

@@ -10,6 +10,7 @@ given (``corollary4``, ``verification``), so a test reads such a field of a
 shared report only right after running the check itself.
 """
 
+import numpy as np
 import pytest
 
 from blowup.energy import build_singular_part
@@ -32,6 +33,16 @@ def singular_part(domain, h, residual_mode="continuum"):
 def solved(domain, h, config=None, residual_mode="continuum"):
     """``solve`` from zero on ``singular_part(domain, h, residual_mode)``."""
     return solve(singular_part(domain, h, residual_mode), config)
+
+
+def cube_levels_and_indices(decomp, gid):
+    """(level, index) of the cubes of ``decomp`` with global ids ``gid``:
+    ids follow the key order of ``cube_ids``, not the stacked order of
+    ``arrays``."""
+    ks, ms, _, _ = decomp.arrays()
+    row = np.empty(decomp.cube_count, dtype=np.int64)
+    row[decomp.cube_ids(ks, ms)] = np.arange(decomp.cube_count)
+    return ks[row[gid]], ms[row[gid]]
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,12 @@ fixtures: module-scoped here, session-scoped in ``conftest`` where another
 module needs the same solve.
 """
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,21 +292,63 @@ def test_8_grid_convergence_and_monotonicity(disk_solves, shape_solves, capsys):
     assert monotone
 
 
+# the solves from zero whose Newton and CG counters are pinned: the conftest
+# domain, 1/h, and the CG iterations of each of the 4 Newton steps
+COUNTER_PINS = {
+    "disk 1/256": ("UNIT_DISK", 256, [1, 3, 6, 8]),
+    "disk 1/128": ("UNIT_DISK", 128, [1, 3, 6, 8]),
+    "square 1/64": ("UNIT_SQUARE", 64, [1, 1, 3, 5]),
+    "lshape 1/64": ("L_SHAPE", 64, [1, 1, 3, 5]),
+}
+
+
+def _counters(report):
+    return report.iterations, [s["cg_iterations"] for s in report.steps]
+
+
 def test_9_newton_and_cg_counters(disk_solves, shape_solves, capsys):
     # the solves above, pinned: a change to the preconditioner's rounding
     # must not move the Newton steps or the CG iterations of any step
-    expected = {
-        "disk 1/256": (disk_solves["fine"], [1, 3, 6, 8]),
-        "disk 1/128": (disk_solves["coarse"], [1, 3, 6, 8]),
-        "square 1/64": (shape_solves["square"], [1, 1, 3, 5]),
-        "lshape 1/64": (shape_solves["lshape"], [1, 1, 3, 5]),
+    reports = {
+        "disk 1/256": disk_solves["fine"],
+        "disk 1/128": disk_solves["coarse"],
+        "square 1/64": shape_solves["square"],
+        "lshape 1/64": shape_solves["lshape"],
     }
-    got = {
-        name: (report.iterations, [s["cg_iterations"] for s in report.steps])
-        for name, (report, _) in expected.items()
-    }
-    passed = all(got[name] == (4, cg) for name, (_, cg) in expected.items())
+    got = {name: _counters(report) for name, report in reports.items()}
+    passed = all(got[name] == (4, cg) for name, (_, _, cg) in COUNTER_PINS.items())
     detail = "; ".join(f"{name} {n} Newton, CG {cg}" for name, (n, cg) in got.items())
     _report_line(capsys, "9 (solver counters)", passed, detail)
-    for name, (_, cg) in expected.items():
+    for name, (_, _, cg) in COUNTER_PINS.items():
         assert got[name] == (4, cg), name
+
+
+_ONE_THREAD_COUNTERS = """
+import json, sys
+import conftest
+from test_acceptance import COUNTER_PINS, _counters
+got = {
+    name: _counters(conftest.solved(getattr(conftest, domain), 1.0 / n))
+    for name, (domain, n, _) in COUNTER_PINS.items()
+}
+print(json.dumps(got))
+"""
+
+
+def test_9_counters_hold_with_one_blas_thread():
+    # the coarsest V-cycle level's dense inverse goes through OpenBLAS, whose
+    # bits depend on its thread count, and the benchmark runs with one
+    # thread: the pins must hold there too, in a process started with it
+    tests = pathlib.Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_THREAD_COUNTERS], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {name: [4, cg] for name, (_, _, cg) in COUNTER_PINS.items()}

@@ -32,6 +32,28 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+# geometry's block helpers are shared on purpose: the Whitney point
+# queries walk their points in the same blocks of _CHUNK rows, with the same
+# fold over a short last axis, as the polygon queries
+SHARED_PRIVATE = {("geometry", "_CHUNK"), ("geometry", "_by_rows"), ("geometry", "_fold")}
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a private name is its module's own business: a sibling that needs it
+    # asks for a public method or function instead
+    imported = [
+        f"{path.name}:{node.lineno} {module}.{a.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("blowup."))
+        for module in [(node.module or "").removeprefix("blowup.")]
+        for a in node.names
+        if a.name.startswith("_") and (module, a.name) not in SHARED_PRIVATE
+    ]
+    assert not imported, f"private names imported from a sibling: {imported}"
+
+
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import cube_levels_and_indices
 
 from blowup.geometry import Annulus, Box, Disk, Polygon, SmoothingProfile, deepest_point
 from blowup.grid import Grid, ScalarField
@@ -637,8 +638,8 @@ def _reference_grid_partition(grid, decomp, bump):
     ``np.add.at`` scatters and cube numbers from ``np.unique``."""
     pts = grid.points
     n = decomp.params.dim
-    pid, lev, m, phi_ref, psi = decomp.partition_values(pts)
-    gid = decomp.cube_ids(lev, m)
+    pid, gid, _, _, phi_ref, psi = decomp.partition_values(pts)
+    lev, m = cube_levels_and_indices(decomp, gid)
     _, gci = np.unique(gid, return_inverse=True)
     C = int(gci.max()) + 1 if len(gci) else 0
     sides = 2.0 ** (-lev.astype(float))

@@ -173,7 +173,7 @@ def test_disk_oracle_sup_error(disk128):
     assert rep.oracle is not None
     assert rep.oracle["sup_error"] < 5e-3
     assert rep.oracle["l2_error"] < rep.oracle["sup_error"] * 10
-    assert rep.oracle["excluded_layer_width"] == 0.05
+    assert rep.oracle["region_depth"] == 0.05
 
 
 def test_oracle_error_shrinks_under_refinement(disk64, disk128):

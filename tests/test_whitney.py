@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import cube_levels_and_indices
 
 from blowup.geometry import _CHUNK, Annulus, Box, Disk, Polygon, _fold, domain_from_json
 from blowup.grid import Grid
@@ -27,7 +28,6 @@ from blowup.whitney import (
     _nested_pairs,
     _sample_beyond_cut,
     _smoothstep,
-    _weight_gradient,
     decompose,
     derive_constants,
     verify_properties,
@@ -650,7 +650,7 @@ def test_partition_sums_to_one(disk_decomp):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1, 1, size=(20_000, 2))
     pts = pts[1.0 - np.linalg.norm(pts, axis=1) > disk_decomp.constants.epsilon_cut]
-    pid, lev, m, phi, psi = disk_decomp.partition_values(pts)
+    pid, _, _, _, phi, psi = disk_decomp.partition_values(pts)
     assert np.all(psi >= 1.0 - 1e-12)
     # psi adds each point's bumps in incidence order, as np.add.at does
     want = np.zeros(len(pts))
@@ -663,7 +663,8 @@ def test_partition_sums_to_one(disk_decomp):
 
 def test_partition_single_point_api(disk_decomp):
     point = np.array([0.31, -0.12])
-    pid, lev, m, phi, psi = disk_decomp.partition_values(point)
+    pid, gid, _, _, phi, psi = disk_decomp.partition_values(point)
+    lev, m = cube_levels_and_indices(disk_decomp, gid)
     assert np.all(pid == 0)
     active = phi > 0.0
     assert active.any()
@@ -739,7 +740,8 @@ def _support_probe_points(decomp, rng):
 def test_support_hits_match_brute_force_max_norm(domain):
     decomp = decompose(domain, WhitneyParams(k_max=6))
     pts = _support_probe_points(decomp, np.random.default_rng(8))
-    pid, lev, m, phi, psi = decomp.partition_values(pts)
+    pid, gid, _, _, phi, psi = decomp.partition_values(pts)
+    lev, m = cube_levels_and_indices(decomp, gid)
     # same incidences, in the same order, as the per-combination loop
     ref = _reference_support_hits(decomp, pts)
     for got, want in zip((pid, lev, m), ref):
@@ -825,7 +827,8 @@ def _support_cases_points(case):
 def test_support_hits_match_every_level_reference(case):
     decomp, pts = _support_cases_points(case)
     assert not decomp.domain.contains(pts).all()
-    pid, lev, m, phi, psi = decomp.partition_values(pts)
+    pid, gid, _, _, phi, psi = decomp.partition_values(pts)
+    lev, m = cube_levels_and_indices(decomp, gid)
     ref = _reference_support_hits(decomp, pts)
     for got, want in zip((pid, lev, m), ref):
         assert np.array_equal(got, want)
@@ -837,6 +840,21 @@ def test_support_hits_match_every_level_reference(case):
     psi_ref = np.zeros(len(pts))
     np.add.at(psi_ref, ref_pid, decomp.bump.value(offsets))
     assert np.array_equal(psi, psi_ref)
+
+
+@pytest.mark.parametrize("case", sorted(_SUPPORT_CASES))
+def test_partition_values_hand_out_each_incidence_geometry(case):
+    # per incidence: the id cube_ids gives, the cube's side, and the point's
+    # offset from the center at cube scale, bit for bit as the cube geometry
+    # gives them; phi is the bump at that offset
+    decomp, pts = _support_cases_points(case)
+    pid, gid, sides, offsets, phi, psi = decomp.partition_values(pts)
+    lev, m = cube_levels_and_indices(decomp, gid)
+    assert np.array_equal(decomp.cube_ids(lev, m), gid)
+    want_sides, centers = _cube_geometry(lev, m)
+    assert np.array_equal(sides, want_sides)
+    assert np.array_equal(offsets, (pts[pid] - centers) / want_sides[:, None])
+    assert np.array_equal(phi, decomp.bump.value(offsets))
 
 
 def test_support_hits_ask_each_point_at_few_levels(monkeypatch):
@@ -919,6 +937,24 @@ def test_sample_beyond_cut_takes_distances_only_until_count_inside(monkeypatch):
     assert max(calls) <= _CHUNK
 
 
+def test_sample_beyond_cut_heap_peak():
+    decomp = decompose(L_SHAPE, WhitneyParams(k_max=8))
+    _sample_beyond_cut(decomp, 1000, np.random.default_rng(1))  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pts = _sample_beyond_cut(decomp, 200_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pts) > 190_000
+    # measured 5.95 MB (seeds 0, 3 and 11): the 3.2 MB of returned rows,
+    # one block of _CHUNK box points and one block's distance temporaries;
+    # the bound is that plus 5%.  Whole batches of box points put it at
+    # 8.63 MB.
+    assert peak <= 6_250_000, peak
+
+
 def test_verify_properties_disk(disk_decomp):
     report = verify_properties(disk_decomp, sample_count=6000, coverage_samples=6000)
     names = {c.name for c in report.checks}
@@ -952,11 +988,13 @@ def test_verify_properties_heap_peak_on_the_lshape():
     finally:
         tracemalloc.stop()
     assert report.all_passed
-    # measured 9.39 MB (8.63-9.39 MB over seeds 0, 3 and 11); the bound is
-    # that plus about 5%.  The coverage sample's distances, kept until the
-    # sampler returned, put it at 10.98 MB; whole-array polygon queries and
-    # coverage, with every check's arrays alive to the end, at 22.9-23.7 MB.
-    assert peak <= 9_850_000, peak
+    # measured 6.70 MB in a fresh process (seeds 0, 3 and 11), 5.95 MB after
+    # an earlier sample; the bound is the larger plus about 5%.  The
+    # coverage sample set it at 9.38 MB while it drew whole batches of box
+    # points, at 10.98 MB while it kept their distances until it returned;
+    # whole-array polygon queries and coverage, with every check's arrays
+    # alive to the end, at 22.9-23.7 MB.
+    assert peak <= 7_050_000, peak
 
 
 def test_cube_checks_hold_a_block_of_boxes_not_every_cube():
@@ -1174,7 +1212,7 @@ def _central_difference_gradient(decomp, points, pid, lev, m):
         for sign in (1.0, -1.0):
             q = points[pid]
             q[:, axis] += sign * tau
-            _, _, _, _, psi = decomp.partition_values(q)
+            *_, psi = decomp.partition_values(q)
             w.append(decomp.bump.value((q - centers) / sides[:, None]) / psi)
         grad[axis] = (w[0] - w[1]) / (2.0 * tau)
     return grad
@@ -1184,10 +1222,9 @@ def _central_difference_gradient(decomp, points, pid, lev, m):
 def test_exact_weight_gradient_matches_central_differences(case):
     decomp = _NEIGHBOR_SCAN_CASES[case]()
     pts = _sample_beyond_cut(decomp, 1500, np.random.default_rng(0))
-    pid, lev, m, phi, psi = decomp.partition_values(pts)
-    sides, centers = _cube_geometry(lev, m)
-    offsets = (pts[pid] - centers) / sides[:, None]
-    exact = _weight_gradient(decomp.bump, pid, offsets, sides, phi, psi)
+    pid, gid, sides, offsets, phi, psi = decomp.partition_values(pts)
+    lev, m = cube_levels_and_indices(decomp, gid)
+    exact = decomp.partition_gradient(pid, sides, offsets, phi, psi)[0]
     fd = _central_difference_gradient(decomp, pts, pid, lev, m)
     scaled = sides * np.sqrt(np.sum(exact**2, axis=0))
     gap = sides * np.sqrt(np.sum((exact - fd) ** 2, axis=0))
