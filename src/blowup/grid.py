@@ -34,7 +34,11 @@ elsewhere, so a damped-Jacobi sweep is five flat passes for
 (f + neighbor sum) / diag and three for the damped update, and every value
 it leaves off the interior is 0 without a mask.  The transfers are
 separable: one axis at a time, three strided passes each, through one
-scratch array that all levels share.
+scratch array that all levels share.  A preconditioner need only
+approximate the inverse, so every level above the coarsest, and the
+transfer scratch, hold VCYCLE_DTYPE (float32), which halves the bytes
+each pass moves; the coarsest level's dense solve stays in float64.  The
+operators above, and the CG that the V-cycle preconditions, are float64.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ __all__ = ["Grid", "ScalarField", "laplacian_of_distance"]
 # damping factor, and the node count at or below which a level is solved
 # densely instead of coarsened further
 SMOOTHING_SWEEPS = 2
+# the floating type of the levels that smooth (all but the coarsest) and of
+# the transfer scratch
+VCYCLE_DTYPE = np.float32
 JACOBI_DAMPING = 0.8
 COARSEST_NODES = 400
 # the largest dense level accepted: its inverse takes 128 MiB and O(n^3) work
@@ -71,17 +78,17 @@ class Grid:
 
     The margin (two rings of exterior nodes) keeps every interior node's
     stencil inside the arrays.  Immutable once built, apart from the private
-    padded scratch pair behind the operators and level 0 of the V-cycle,
-    whose contents are valid only inside one call.  Per interior node it
-    keeps the flat index, delta and the full-stencil flag; ``points`` is
-    computed when asked for.
+    float64 padded scratch pair behind the operators, whose contents are
+    valid only inside one call; a V-cycle reads its float32 correction back
+    through the scratch result.  Per interior node it keeps the flat index,
+    delta and the full-stencil flag; ``points`` is computed when asked for.
     """
 
     def __init__(self, domain: Domain, h: float):
         if domain.dim != 2:
             raise ValueError("grids are two-dimensional")
-        if h <= 0:
-            raise ValueError("h must be positive")
+        if not 0.0 < h < np.inf:
+            raise ValueError("h must be positive and finite")
         self.domain = domain
         self.h = float(h)
         lo, hi = domain.bounding_box()
@@ -115,10 +122,9 @@ class Grid:
             up = np.flatnonzero(high & ~low)
             down = np.flatnonzero(low & ~high)
             self._one_sided.append((step, up, self._at[up], down, self._at[down]))
-        # padded scratch pair: operand and result of the stencil, and level
-        # 0's correction and scratch in the V-cycle; the operand is zero
-        # outside the interior between calls, and the result is zero past
-        # the flat range the five-point passes write
+        # padded scratch pair: operand and result of the stencil; the
+        # operand is zero outside the interior between calls, and the
+        # result is zero past the flat range the five-point passes write
         self._u = np.zeros((self.nx, self.ny))
         self._t = np.zeros((self.nx, self.ny))
 
@@ -248,7 +254,8 @@ class Grid:
     def vcycle_preconditioner(self, mass: np.ndarray):
         """Preconditioner for A = -Lap_h + diag(mass), mass > 0 per interior
         node: the map r -> (one V-cycle applied to r), a symmetric positive
-        definite approximation of A^{-1} r.
+        definite approximation of A^{-1} r, symmetric up to float32
+        rounding.
 
         Level k has spacing s = 2^k h; its operator is the five-point
         stencil at that spacing plus the mass sampled at its nodes, times
@@ -258,8 +265,12 @@ class Grid:
         bilinear prolongation P) one axis at a time, corrects with the next
         level's cycle, and smooths again; the coarsest level is solved
         densely.  The map is linear, so it runs the cycle on r and scales
-        the result by h^2 rather than scaling r.  The map owns its levels,
-        which go with it, and level 0 works in this grid's scratch pair.
+        the result by h^2 rather than scaling r.  Every level but the
+        coarsest runs in VCYCLE_DTYPE: r is rounded to it on entry, and the
+        correction is widened to float64, through this grid's scratch
+        result, before the scaling; the coarsest level's dense solve is
+        float64, so a grid of one level is solved exactly.  The map owns
+        its levels, which go with it.
         Raises ValueError, before any inverse is formed, on a domain too
         thin for h to coarsen to DENSE_NODES nodes.
         """
@@ -276,7 +287,10 @@ class Grid:
             top = levels[0]
             top.f[top.mask] = r
             _cycle(levels, 0)
-            out = top.u[top.mask]
+            # top.u is zero off the interior, so the scratch result stays
+            # zero past the five-point passes' range
+            np.copyto(self._t, top.u)
+            out = self._t[self.interior_mask]
             out *= self.h * self.h
             return out
 
@@ -293,9 +307,11 @@ class Grid:
         exterior ring, which keeps the ring invariant of the flat layout.
         Coarsening stops at COARSEST_NODES interior nodes or before a level
         with none.  A coarsest level above DENSE_NODES raises ValueError
-        before any inverse is formed.
+        before any inverse is formed.  The levels that smooth hold their
+        buffers and the transfer scratch in VCYCLE_DTYPE, the coarsest its
+        f and u in float64.
         """
-        top = _Level(self.interior_mask, self.h, slice(None), self._u, self._t)
+        top = _Level(self.interior_mask, self.h, slice(None))
         levels = [top]
         # each node's position in the finest grid's interior vector (-1
         # off the interior), which picks out every level's nodes
@@ -320,8 +336,7 @@ class Grid:
                 _transfer_slices(a + ring - 2, fine.mask.shape[0], mask.shape[0]),
                 _transfer_slices(b + ring - 2, fine.mask.shape[1], mask.shape[1]),
             )
-            u, t = np.zeros(mask.shape), np.zeros(mask.shape)
-            levels.append(_Level(mask, h, index[inner], u, t))
+            levels.append(_Level(mask, h, index[inner]))
             ci, cj, ring = (ci + a) // 2, (cj + b) // 2, 1
         if levels[-1].n > DENSE_NODES:
             raise ValueError(
@@ -329,9 +344,15 @@ class Grid:
                 f"nodes, more than the {DENSE_NODES} a dense solve takes: "
                 f"the domain is too thin for h = {self.h:g}"
             )
+        *smoothing, coarsest = levels
+        for level in smoothing:
+            level.inv_diag, level.f, level.u, level.t = np.zeros(
+                (4, *level.mask.shape), VCYCLE_DTYPE
+            )
+        coarsest.f, coarsest.u = np.zeros((2, *coarsest.mask.shape))
         # one (coarse rows, fine columns) scratch that every transfer shares
         shapes = [(c.mask.shape[0], f.mask.shape[1]) for f, c in zip(levels, levels[1:])]
-        scratch = np.zeros(max((x * y for x, y in shapes), default=0))
+        scratch = np.zeros(max((x * y for x, y in shapes), default=0), VCYCLE_DTYPE)
         for fine, shape in zip(levels, shapes):
             fine.scratch = scratch[: shape[0] * shape[1]].reshape(shape)
         return levels
@@ -384,19 +405,21 @@ class _Level:
 
     The buffers hold the level's equation multiplied by h^2, whose diagonal
     is diag = 4 + h^2 mass.  inv_diag holds 1 / diag at interior nodes and
-    0 elsewhere (the coarsest level hands diag to factor instead), f the
-    right-hand side, u the correction (zero off the interior), t scratch,
-    which the sweep, the residual and the prolongation leave zero off the
-    interior.  Restriction reads t off the interior too, so no pass may
-    leave it nonzero outside the flat range the sweep rewrites.  nodes
-    picks the level's interior nodes out of the finest grid's interior
-    vector.  The outer ring of mask is exterior (the flat layout's ring
-    invariant).  to_coarse holds the per-axis transfer slices to the next
-    level and scratch the shared (next level's rows, this level's columns)
-    buffer they pass through.
+    0 elsewhere, f the right-hand side, u the correction (zero off the
+    interior), t scratch, which the sweep, the residual and the
+    prolongation leave zero off the interior; all four are VCYCLE_DTYPE.
+    Restriction reads t off the interior too, so no pass may leave it
+    nonzero outside the flat range the sweep rewrites.  The coarsest level
+    has only f and u, in float64, and hands diag to factor instead;
+    ``Grid._hierarchy`` allocates the buffers once it knows which level is
+    the coarsest.  nodes picks the level's interior nodes out of the
+    finest grid's interior vector.  The outer ring of mask is exterior (the
+    flat layout's ring invariant).  to_coarse holds the per-axis transfer
+    slices to the next level and scratch the shared (next level's rows,
+    this level's columns) buffer they pass through.
     """
 
-    def __init__(self, mask, h, nodes, u, t):
+    def __init__(self, mask, h, nodes):
         assert not (mask[[0, -1]].any() or mask[:, [0, -1]].any()), (
             "interior node on the level's outer ring"
         )
@@ -404,10 +427,7 @@ class _Level:
         self.h = h
         self.nodes = nodes
         self.n = int(np.count_nonzero(mask))
-        self.inv_diag = np.zeros(mask.shape)
-        self.f = np.zeros(mask.shape)
-        self.u = u
-        self.t = t
+        self.inv_diag = self.f = self.u = self.t = None
         self.to_coarse = None
         self.scratch = None
         self.inverse = None

@@ -9,9 +9,12 @@ stays accurate where a difference of two energies is lost to rounding.
 Each step's linear system is solved matrix-free by CG preconditioned by one
 geometric-multigrid V-cycle (``Grid.vcycle_preconditioner``), which keeps
 the iteration count per step bounded as h shrinks and the whole pipeline
-deterministic.  The CG solve is inexact: each step stops at its own
-relative residual, the forcing term of Eisenstat and Walker (*Choosing the
-forcing terms in an inexact Newton method*, SIAM J. Sci. Comput. 1996),
+deterministic.  The V-cycle smooths in float32 and solves its coarsest
+level in float64; CG, the Hessian product and the energies are float64,
+and CG stops on float64 residuals.  The CG solve is inexact: each step
+stops at its own relative residual, the forcing term of Eisenstat and
+Walker (*Choosing the forcing terms in an inexact Newton method*, SIAM J.
+Sci. Comput. 1996),
 
     cg_rtol_k = max(linear_rtol, min(FORCING_MAX, FORCING_GAMMA (g_k / g_{k-1})^2)),
 
@@ -85,7 +88,7 @@ class SolverConfig:
     steps' conjugate-gradient solves stop (each step's own target is its
     forcing term, see the module docstring), at least ``MIN_LINEAR_RTOL``
     here and, in ``solve``, at least the grid's floor eps / h^2.  Both are
-    finite.
+    finite.  max_iterations is an integer (not a bool), at least 1.
     """
 
     gradient_tol: float = 1e-8
@@ -99,6 +102,12 @@ class SolverConfig:
             raise ValueError(
                 f"linear_rtol must be finite and at least {MIN_LINEAR_RTOL:g}, "
                 f"got {self.linear_rtol!r}"
+            )
+        if isinstance(self.max_iterations, bool) or not isinstance(
+            self.max_iterations, (int, np.integer)
+        ):
+            raise ValueError(
+                f"max_iterations must be an integer, got {self.max_iterations!r}"
             )
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
@@ -233,9 +242,10 @@ def solve(
     interior node), the Newton loop holds per interior node: w;
     in each step the right-hand side -G and the Hessian's mass; in CG x, r
     and p, one product or preconditioned residual at a time and the step's
-    V-cycle levels, which go when its CG ends (1/diag and f per padded node
-    at spacing h, about a quarter of that per coarser level); in the line
-    search s, the trial step t s and the candidate.
+    V-cycle levels, which go when its CG ends (1/diag, f, u and t in float32
+    per padded node at spacing h, the bytes of two float64 arrays, and about
+    a quarter of that per coarser level); in the line search s, the trial
+    step t s and the candidate.
     Nothing derivable is kept: v and the node coordinates are computed when
     asked for.
     """

@@ -264,6 +264,30 @@ def test_solve_disk_report_passes_checks(tmp_path):
     assert payload["liouville_residual"]["residual_mode"] == "continuum"
 
 
+# the keys the README's solve_report.json schema lists
+SOLVE_REPORT_KEYS = [
+    "generated_at", "domain", "h", "nodes", "converged", "iterations",
+    "final_grad_norm", "runtime_seconds", "linear_converged", "energy_history",
+    "final_energy", "steps", "corollary4", "hardy", "oracle",
+    "liouville_residual", "singular_part", "verification",
+]
+HARDY_KEYS = ["value", "empirical_max", "method", "witness"]
+SINGULAR_PART_KEYS = [
+    "h", "nodes", "residual_mode", "boundary_layer", "full_stencil_nodes",
+    "l2_delta_d", "max_abs_r", "max_r_times_d",
+]
+
+
+def test_solve_report_has_exactly_the_documented_keys(tmp_path):
+    rc = main(["solve", "--domain", "disk", "--h", "1/16", "--report", str(tmp_path)])
+    assert rc == 0
+    payload = _load(tmp_path / "solve_report.json")
+    assert set(payload) == set(SOLVE_REPORT_KEYS)
+    assert set(payload["hardy"]) == set(HARDY_KEYS)
+    assert set(payload["singular_part"]) == set(SINGULAR_PART_KEYS)
+    assert payload["verification"] is None
+
+
 def test_unconverged_linear_solves_exit_2(tmp_path, monkeypatch, capsys):
     # CG capped at 2 iterations: Newton still meets its gradient test, but
     # from the third step on no linear solve meets its own cg_rtol

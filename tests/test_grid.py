@@ -1,6 +1,7 @@
 """Grid, masked fields, five-point operators, smoothed-distance Laplacian."""
 
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import singular_part
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blowup.grid
 from blowup.energy import build_singular_part
 from blowup.geometry import (
     Annulus,
@@ -45,6 +47,13 @@ RING_BOX = Box(
 DOMAINS = [DISK, SQUARE, L_SHAPE, ANNULUS, OFFSET_BOX]
 DOMAIN_IDS = ["disk", "square", "lshape", "annulus", "offset-box"]
 SPACINGS = [1 / 8, 1 / 50, 1 / 64, 1 / 250]
+
+
+@pytest.fixture
+def float64_vcycle(monkeypatch):
+    """Every V-cycle level in float64, for the checks of exact arithmetic:
+    symmetry to rounding and agreement with the reference cycle."""
+    monkeypatch.setattr(blowup.grid, "VCYCLE_DTYPE", np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -193,25 +202,28 @@ PAD = 4  # zeros around the fine arrays: every coarse node's fine neighbors fit
 
 def _reference_restrict(level, coarse):
     # full weighting at every coarse node of a zero-padded copy of t, with
-    # temporaries: rows, then columns
+    # temporaries: rows, then columns, in t's dtype until the sum of the
+    # outer columns lands in coarse.f's (float64 on the coarsest level)
     ax, ay = _offsets(level, coarse)
     nx, ny = coarse.f.shape
     t = np.pad(level.t, PAD)
     rows = [t[PAD + ax + d : PAD + ax + d + 2 * nx : 2] for d in (-1, 0, 1)]
     r = 0.5 * (rows[0] + rows[2]) + rows[1]
     cols = [r[:, PAD + ay + d : PAD + ay + d + 2 * ny : 2] for d in (-1, 0, 1)]
-    coarse.f[...] = 0.5 * (cols[0] + cols[2]) + cols[1]
+    outer = (cols[0] + cols[2]).astype(coarse.f.dtype)
+    coarse.f[...] = 0.5 * outer + cols[1]
 
 
 def _reference_prolong(level, coarse):
     # linear interpolation of every coarse node along each axis into a
-    # zero-padded fine array: columns, then rows
+    # zero-padded fine array: columns, then rows, each sum in the dtype of
+    # what it spreads and each spread in the fine level's dtype
     ax, ay = _offsets(level, coarse)
 
     def spread(e, a, n):
-        out = np.zeros((n + 2 * PAD,) + e.shape[1:])
+        out = np.zeros((n + 2 * PAD,) + e.shape[1:], level.t.dtype)
         out[PAD + a : PAD + a + 2 * len(e) : 2] = e
-        zero = np.zeros((1,) + e.shape[1:])
+        zero = np.zeros((1,) + e.shape[1:], e.dtype)
         padded = np.concatenate([zero, e, zero])
         out[PAD + a - 1 : PAD + a + 2 * len(e) : 2] = 0.5 * (padded[:-1] + padded[1:])
         return out[PAD : PAD + n]
@@ -477,7 +489,7 @@ def test_transfer_pairs_are_bilinear_interpolation(a, n_fine):
 @pytest.mark.parametrize(
     "domain", [DISK, L_SHAPE, OFFSET_BOX], ids=["disk", "lshape", "offset-box"]
 )
-def test_vcycle_symmetric_positive_definite(domain):
+def test_vcycle_symmetric_positive_definite(domain, float64_vcycle):
     g = Grid(domain, 1 / 64)
     precondition = g.vcycle_preconditioner(2.0 / g.delta**2)
     rng = np.random.default_rng(8)
@@ -510,7 +522,7 @@ def test_vcycle_bit_identical_to_reference_residual(domain, h, monkeypatch):
     "domain, h",
     _domains_and_spacings() + [pytest.param(RING_BOX, 0.01, id="ring-box-0.01")],
 )
-def test_vcycle_matches_reference_cycle(domain, h):
+def test_vcycle_matches_reference_cycle(domain, h, float64_vcycle):
     # the stored 1/diag and the separable transfers round differently from
     # the stored diag and the nine-pass transfers, and only that far
     g = Grid(domain, h)
@@ -520,6 +532,62 @@ def test_vcycle_matches_reference_cycle(domain, h):
     got = precondition(r)
     want = _reference_cycle(g, mass, r)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+SHIPPED_CASES = [
+    pytest.param(domain, h, id=f"{name}-1/{round(1 / h)}")
+    for domain, name in ((DISK, "disk"), (L_SHAPE, "lshape"), (OFFSET_BOX, "offset-box"))
+    for h in (1 / 64, 1 / 256)
+]
+
+
+def test_vcycle_levels_smooth_in_float32_and_solve_the_coarsest_in_float64():
+    g = Grid(DISK, 1 / 64)
+    *smoothing, coarsest = g._hierarchy()
+    assert smoothing
+    for level in smoothing:
+        for a in (level.inv_diag, level.f, level.u, level.t, level.scratch):
+            assert a.dtype == np.float32
+    assert coarsest.f.dtype == coarsest.u.dtype == np.float64
+    out = g.vcycle_preconditioner(np.ones(g.n_interior))(np.ones(g.n_interior))
+    assert out.dtype == np.float64
+    # a grid of one level is all coarsest: float64 throughout
+    (only,) = Grid(DISK, 1 / 8)._hierarchy()
+    assert only.f.dtype == only.u.dtype == np.float64
+
+
+@pytest.mark.parametrize("domain, h", SHIPPED_CASES)
+def test_vcycle_in_float32_is_nearly_symmetric(domain, h):
+    # |<Mx, y> - <x, My>| / (|Mx| |y|): at most 3.3e-9 measured here (the
+    # L-shape at 1/64), gated at 1e-8, three times that
+    g = Grid(domain, h)
+    precondition = g.vcycle_preconditioner(2.0 / g.delta**2)
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        x = rng.standard_normal(g.n_interior)
+        y = rng.standard_normal(g.n_interior)
+        mx, my = precondition(x), precondition(y)
+        gap = abs(np.dot(mx, y) - np.dot(x, my))
+        assert gap <= 1e-8 * np.linalg.norm(mx) * np.linalg.norm(y)
+        assert np.dot(mx, x) > 0.0
+
+
+@pytest.mark.parametrize("domain, h", SHIPPED_CASES)
+def test_vcycle_in_float32_stays_near_the_float64_cycle(domain, h, monkeypatch):
+    # |M32 r - M64 r| / |M64 r|: at most 3.0e-7 (2.5 float32 eps) measured
+    # here (the offset box at 1/256) and 4.5e-7 over 20 vectors per case,
+    # gated at 8 float32 eps (9.5e-7), three and two times those
+    g = Grid(domain, h)
+    mass = 2.0 / g.delta**2
+    single = g.vcycle_preconditioner(mass)
+    monkeypatch.setattr(blowup.grid, "VCYCLE_DTYPE", np.float64)
+    double = g.vcycle_preconditioner(mass)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        r = rng.standard_normal(g.n_interior)
+        want = double(r)
+        gap = np.linalg.norm(single(r) - want)
+        assert gap <= 8 * np.finfo(np.float32).eps * np.linalg.norm(want)
 
 
 def test_vcycle_allocates_little_beyond_its_result():
@@ -676,7 +744,10 @@ def test_hierarchy_keeps_the_ring_invariant(disk, corner, side, aspect, cells):
         coarse = Grid(domain, 2**k * h)
         assert level.n == coarse.n_interior
         assert np.array_equal(g.points[level.nodes], coarse.points)
-    precondition = g.vcycle_preconditioner(2.0 / g.delta**2)
+    # symmetry to rounding holds in exact arithmetic, so in float64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blowup.grid, "VCYCLE_DTYPE", np.float64)
+        precondition = g.vcycle_preconditioner(2.0 / g.delta**2)
     rng = np.random.default_rng(9)
     for _ in range(3):
         a = rng.standard_normal(g.n_interior)
@@ -767,6 +838,16 @@ def test_lap_distance_analytic_refused_for_polygon():
     g = Grid(poly, 1.0 / 32)
     with pytest.raises(ValueError):
         laplacian_of_distance(g, default_profile(poly), method="analytic")
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+def test_grid_rejects_a_spacing_that_is_not_positive_and_finite(h):
+    # NaN used to fail converting to an integer, and inf to warn twice
+    # and then find no interior node
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            Grid(DISK, h)
 
 
 def test_grid_rejects_too_coarse():

@@ -91,6 +91,18 @@ def test_initial_guess_shape_rejected_before_any_work(monkeypatch, extra):
         solve(sp, initial_guess=np.zeros(shape))
 
 
+@pytest.mark.parametrize("value", [1.5, 4.0, "4", True, False, None])
+def test_config_rejects_a_max_iterations_that_is_not_an_integer(value):
+    # 1.5 used to fail inside the Newton loop's range, after the set-up,
+    # and True ran one step
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SolverConfig(max_iterations=value)
+
+
+def test_config_takes_a_numpy_integer_max_iterations():
+    assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("gradient_tol", math.inf), ("gradient_tol", math.nan), ("linear_rtol", math.inf)],
@@ -386,10 +398,11 @@ def test_pcg_deterministic_and_accurate():
 
 def test_solve_heap_on_the_disk_at_1_256(monkeypatch):
     # traced from after the singular part: the peak while solve runs
-    # (measured 21.40 MiB, in CG: the V-cycle levels, about 9 MiB, and
-    # eight interior vectors) and what it keeps (measured 3.138 MiB: w
-    # and u, 3.130 MiB, and the report); each gate is the measured value
-    # plus about 5%.  No V-cycle level outlives the solve.
+    # (measured 19.50 MiB, in CG: the V-cycle levels, 6.84 MiB with all
+    # but the coarsest in float32 (8.75 in float64), and eight interior
+    # vectors) and what it keeps (measured 3.138 MiB: w and u, 3.130 MiB,
+    # and the report); each gate is the measured value plus about 5%.  No
+    # V-cycle level outlives the solve.
     sp = singular_part(DISK, 1 / 256)
     made = []
     build = Grid._hierarchy
@@ -410,7 +423,7 @@ def test_solve_heap_on_the_disk_at_1_256(monkeypatch):
     assert rep.iterations == 4
     assert made and all(level() is None for level in made)
     mib = 2**20
-    assert peak <= 22.5 * mib, peak / mib
+    assert peak <= 20.5 * mib, peak / mib
     assert kept <= 3.3 * mib, kept / mib
 
 
