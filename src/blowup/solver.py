@@ -58,7 +58,8 @@ __all__ = [
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking found no decrease down to the minimal step."""
+    """Backtracking found no decrease down to the minimal step, or CG none
+    to search along (``cg_iterations`` 0: a non-finite residual)."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -163,10 +164,13 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
     The recurrence residual drifts below the true one at rounding level, so
     a stop is confirmed on |b - A x| / |b| (one more operator application);
     when that falls short of rtol the iteration restarts, once, from the
-    true residual.  Returns (x, residuals, true_relative_residual): residuals
-    holds the recurrence's |r| / |b| after each iteration, those after the
-    restart included, so its length is the iteration count and its last
-    entry belongs to the returned x.
+    true residual.  It stops early, too, once r . z (z the preconditioned
+    residual) is not finite, as when the float32 V-cycle overflows; it
+    then returns the iterate reached, x = 0 before the first iteration.
+    Returns (x, residuals, true_relative_residual): residuals holds the
+    recurrence's |r| / |b| after each iteration, those after the restart
+    included, so its length is the iteration count (0 when r . z was never
+    finite) and its last entry belongs to the returned x.
     ``apply_op`` and ``apply_prec`` must return new arrays: ``_pcg`` overwrites
     them in place.
     Deterministic: plain numpy reductions, no randomness.
@@ -187,6 +191,8 @@ def _pcg(apply_op, apply_prec, b, rtol, maxiter):
     rz = float(np.dot(r, p))
     restarted = False
     for _ in range(maxiter):
+        if not math.isfinite(rz):
+            break
         Ap = apply_op(p)
         alpha = rz / float(np.dot(p, Ap))
         # r -= alpha Ap and x += alpha p, through Ap's buffer; Ap is then
@@ -318,13 +324,17 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
         step = {
             "iteration": it,
             "grad_norm": gnorm,
-            # g = 0 would have passed the gradient test, so CG ran at least once
             "cg_iterations": len(cg_residuals),
             "cg_rtol": cg_rtol,
-            "cg_relres": cg_residuals[-1],
+            "cg_relres": cg_residuals[-1] if cg_residuals else math.nan,
             "cg_true_relres": true_relres,
             "linear_converged": true_relres <= cg_rtol,
         }
+        if not cg_residuals:  # g != 0 here, so r . z was not finite
+            raise LineSearchError(
+                "CG found no Newton direction: its preconditioned residual is non-finite",
+                {**step, "energy": current.total},
+            )
 
         # directional derivative of the energy along s at w, 2 <G, s> h^2
         slope = -2.0 * float(np.dot(g, s)) * h * h

@@ -243,9 +243,10 @@ class WhitneyDecomposition:
 
     Immutable after construction.  The cubes are stacked level-major once;
     ``levels`` maps level -> a read-only view of its (count, dim) index
-    rows, sorted for determinism, keys in the order given, and every
-    membership question goes through ``cube_ids``.  The partition bump and
-    the constants follow from ``params``.
+    rows in lexicographic order (rows given out of order are sorted once),
+    keys in the order given, and every membership question goes through
+    ``cube_ids``, whose ids index ``arrays()``.  The partition bump and the
+    constants follow from ``params``.
     """
 
     def __init__(
@@ -265,25 +266,24 @@ class WhitneyDecomposition:
             [np.full(len(levels[k]), k, dtype=np.int64) for k in order]
         )
         self._ms = np.concatenate([levels[k] for k in order], axis=0)
-        self._ks.flags.writeable = self._ms.flags.writeable = False
         self.cube_count = len(self._ks)
         # one int64 key per cube: the index in mixed radix over the global
-        # index range, axis 0 varying fastest.  The sorted keys of level
-        # k0 + i are _keys[_level_starts[i]:_level_starts[i + 1]].
+        # index range, axis 0 most significant, so keys sort as rows do.  The
+        # sorted keys of level k0 + i are _keys[_level_starts[i]:_level_starts[i + 1]].
         self._k0 = order[0]
         self._lo = self._ms.min(axis=0)
         self._extent = (self._ms.max(axis=0) + 1 - self._lo).astype(np.uint64)
         if math.prod(int(e) for e in self._extent) >= 2**63:
             raise ValueError("cube keys do not fit in 63 bits")
-        self._radix = np.cumprod([1] + self._extent[:-1].tolist()).astype(np.int64)
         counts = [len(levels.get(k, ())) for k in range(order[0], order[-1] + 1)]
-        self._level_starts = np.cumsum([0] + counts).tolist()
-        at = self._level_starts
+        self._level_starts = at = np.cumsum([0] + counts).tolist()
+        self._keys, _ = self._index_keys(self._ms)
+        for a, b in zip(at, at[1:]):
+            if np.any(self._keys[a + 1 : b] < self._keys[a : b - 1]):
+                rows = a + np.argsort(self._keys[a:b], kind="stable")
+                self._ms[a:b], self._keys[a:b] = self._ms[rows], self._keys[rows]
+        self._ks.flags.writeable = self._ms.flags.writeable = False
         self.levels = {k: self._ms[at[k - self._k0] : at[k - self._k0 + 1]] for k in levels}
-        keys, _ = self._index_keys(self._ms)
-        self._keys = np.concatenate(
-            [np.sort(keys[a:b]) for a, b in zip(self._level_starts, self._level_starts[1:])]
-        )
 
     # -- iteration ---------------------------------------------------------
 
@@ -295,9 +295,9 @@ class WhitneyDecomposition:
 
     def _index_keys(self, m: np.ndarray):
         """(key, in range) of each row of the index array m: its mixed-radix
-        key over the global index range, built column by column, and True
-        where the row lies in that range.  Only the keys of rows in range
-        mean anything."""
+        key over the global index range, axis 0 most significant, built
+        column by column (Horner's rule), and True where the row lies in
+        that range.  Only the keys of rows in range mean anything."""
         keys = m[:, 0] - self._lo[0]
         # a negative offset reads as a huge unsigned one, so one comparison
         # checks both ends of the range
@@ -305,7 +305,7 @@ class WhitneyDecomposition:
         for i in range(1, m.shape[1]):
             rel = m[:, i] - self._lo[i]
             ok &= rel.view(np.uint64) < self._extent[i]
-            rel *= self._radix[i]
+            keys *= int(self._extent[i])
             keys += rel
         return keys, ok
 
@@ -315,9 +315,10 @@ class WhitneyDecomposition:
         per-row levels are answered one level of the decomposition's range
         at a time (rows at other levels stay -1).
 
-        Ids run level-major, then over the index with axis 0 varying fastest.
-        A query searches its level's keys alone, a table several times
-        shorter than all the keys.
+        Ids run level-major, then in the lexicographic order of the index:
+        a cube's id is its row in ``arrays()``.  A query searches its
+        level's keys alone, a table several times shorter than all the
+        keys.
         """
         m = np.asarray(m, dtype=np.int64)
         out = np.full(len(m), -1, dtype=np.int64)
@@ -1030,7 +1031,8 @@ def _nested_pairs(decomp: WhitneyDecomposition) -> int:
 
 
 def _neighbor_side_ratios(decomp: WhitneyDecomposition):
-    """Examine every pair of cubes whose eta_prime supports meet.
+    """Check every pair of cubes whose eta_prime supports meet, scanning
+    the pairs that the bounds below leave open.
 
     The supports of a coarse cube and a fine one meet when their centers
     lie within eta_prime (s_c + s_f) / 2 in the max norm, so the coarse
@@ -1045,6 +1047,18 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
     defaults).  The scan goes one level past that, so a pair that broke the
     argument would show as worst_gap > level_window.
 
+    No pair at gap 0 to int(level_window) can fail the center check: its
+    centers lie at most sqrt(n) eta_prime (s_c + s_f) / 2 = sqrt(n)
+    eta_prime (2**gap + 1) s_f / 2 apart, within center_window s_f = (1 +
+    side_ratio_bound) eta_prime sqrt(n) s_f / 2 as 2**gap <=
+    side_ratio_bound (at gap 0, 8.8 times within at the defaults).  So a
+    same-level pair, with side ratio 1 and gap 0, the values the scan
+    starts from, cannot move the result and is not scanned: the scan
+    covers gaps 1 to int(level_window) + 1.  At gaps up to
+    int(level_window) only whether a pair exists can move it, so the scan
+    of a level pair stops at the first block that finds one; the gap one
+    past the window is scanned whole.
+
     Returns (worst side ratio found, worst level gap found, True when every
     center offset obeyed the center_window constant).
     """
@@ -1055,14 +1069,14 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
     worst_gap = 0
     centers_ok = True
     gap_max = int(cst.level_window) + 1
-    # fine cubes per query: each brings about 9 candidates (gap 0, 2-D), so
-    # a query's temporaries stay near those of 2 * _CHUNK rows
+    # fine cubes per query: each brings at most 4 candidates (2-D, default
+    # eta_prime), so a query's temporaries stay below those of 2 * _CHUNK rows
     block = _CHUNK // 4
     for kc in ks:  # coarse level
         sc = 2.0 ** (-kc)
-        for kf in ks:  # fine or equal level
+        for kf in ks:  # finer level
             gap = kf - kc
-            if gap < 0 or gap > gap_max:
+            if gap < 1 or gap > gap_max:
                 continue
             sf = 2.0 ** (-kf)
             found_pair = False
@@ -1070,16 +1084,14 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
                 mf = decomp.levels[kf][start : start + block]
                 _, cf = _cube_geometry(kf, mf)
                 rows, off, _ = decomp._near(kc, cf, 0.5 * etp * (sc + sf))
-                if gap == 0:
-                    # a fine cube's own offset is 0, another's is at least 1
-                    keep = _fold(np.logical_or, off != 0.0)  # skip self pairs
-                    rows, off = rows[keep], off[keep]
                 if len(rows) == 0:
                     continue
                 found_pair = True
                 dist = sc * np.sqrt(np.sum(off**2, axis=-1))
                 if np.any(dist > cst.center_window * sf * (1.0 + 1e-9)):
                     centers_ok = False
+                if gap <= cst.level_window:
+                    break
             if found_pair:
                 worst_ratio = max(worst_ratio, sc / sf)
                 worst_gap = max(worst_gap, gap)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import cube_levels_and_indices
 
 from blowup.geometry import Annulus, Box, Disk, Polygon, SmoothingProfile, deepest_point
 from blowup.grid import Grid, ScalarField
@@ -639,7 +638,8 @@ def _reference_grid_partition(grid, decomp, bump):
     pts = grid.points
     n = decomp.params.dim
     pid, gid, _, _, phi_ref, psi = decomp.partition_values(pts)
-    lev, m = cube_levels_and_indices(decomp, gid)
+    ks, ms, _, _ = decomp.arrays()
+    lev, m = ks[gid], ms[gid]
     _, gci = np.unique(gid, return_inverse=True)
     C = int(gci.max()) + 1 if len(gci) else 0
     sides = 2.0 ** (-lev.astype(float))

@@ -163,6 +163,17 @@ def test_every_step_reported(disk64):
         assert 0.0 < s["step_scale"] <= 1.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_cg_residual_fails_the_step_at_once():
+    # at w = 40 the right-hand side overflows the float32 V-cycle, so r . z
+    # is not finite before CG's first iteration
+    sp = singular_part(DISK, 1 / 64)
+    with pytest.raises(LineSearchError, match="non-finite") as info:
+        solve(sp, initial_guess=np.full(sp.grid.n_interior, 40.0))
+    assert info.value.diagnostics["iteration"] == 1
+    assert info.value.diagnostics["cg_iterations"] == 0
+
+
 def test_not_converged_within_one_iteration():
     rep = solved(DISK, 1 / 32, SolverConfig(max_iterations=1))
     assert not rep.converged

@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import cube_levels_and_indices
 
 from blowup.geometry import _CHUNK, Annulus, Box, Disk, Polygon, _fold, domain_from_json
 from blowup.grid import Grid
@@ -471,12 +470,18 @@ def test_covers_allocates_a_block_not_the_points():
     assert peak <= bound, peak
 
 
-def test_cube_ids_permute_in_level_then_axis0_fastest_order(disk_decomp):
+def test_cube_ids_are_the_rows_of_arrays(disk_decomp):
     ks, ms, _, _ = disk_decomp.arrays()
-    ids = disk_decomp.cube_ids(ks, ms)
-    assert np.array_equal(np.sort(ids), np.arange(disk_decomp.cube_count))
-    # level is the most significant key, then the last axis, ..., then axis 0
-    assert np.array_equal(np.argsort(ids), np.lexsort((*ms.T, ks)))
+    assert np.array_equal(disk_decomp.cube_ids(ks, ms), np.arange(disk_decomp.cube_count))
+    # the rows run level-major, then lexicographically: axis 0 most
+    # significant, the last axis fastest
+    assert np.array_equal(np.lexsort((*ms.T[::-1], ks)), np.arange(disk_decomp.cube_count))
+    # rows given out of order are sorted into that order
+    rng = np.random.default_rng(5)
+    shuffled = {k: rows[rng.permutation(len(rows))] for k, rows in disk_decomp.levels.items()}
+    again = WhitneyDecomposition(disk_decomp.domain, disk_decomp.params, shuffled, {})
+    assert np.array_equal(again.arrays()[1], ms)
+    assert np.array_equal(again.cube_ids(ks, ms), np.arange(disk_decomp.cube_count))
 
 
 def test_cube_ids_minus_one_for_non_members(disk_decomp):
@@ -492,14 +497,15 @@ def test_cube_ids_minus_one_for_non_members(disk_decomp):
 
 def _reference_cube_ids(decomp, lev, m):
     """One search of the whole key table: the level is the most significant
-    digit of a mixed-radix key over the global index range, axis 0 varying
-    fastest."""
+    digit of a mixed-radix key over the global index range, then axis 0,
+    ..., the last axis varying fastest."""
     ks, ms, _, _ = decomp.arrays()
     lo, hi = ms.min(axis=0), ms.max(axis=0) + 1
-    radix = np.cumprod([1, *(hi - lo).tolist(), int(ks.max() - ks.min() + 1)])
+    # place values of the last axis, ..., axis 0, then the level
+    place = np.cumprod([1, *(hi - lo)[::-1].tolist()])
 
     def key(lev, m):
-        return (m - lo) @ radix[:-2] + (np.asarray(lev) - ks.min()) * radix[-2]
+        return (m - lo) @ place[-2::-1] + (np.asarray(lev) - ks.min()) * place[-1]
 
     table = np.sort(key(ks, ms))
     m = np.asarray(m, dtype=np.int64).reshape(-1, ms.shape[1])
@@ -664,7 +670,8 @@ def test_partition_sums_to_one(disk_decomp):
 def test_partition_single_point_api(disk_decomp):
     point = np.array([0.31, -0.12])
     pid, gid, _, _, phi, psi = disk_decomp.partition_values(point)
-    lev, m = cube_levels_and_indices(disk_decomp, gid)
+    ks, ms, _, _ = disk_decomp.arrays()
+    lev, m = ks[gid], ms[gid]
     assert np.all(pid == 0)
     active = phi > 0.0
     assert active.any()
@@ -741,7 +748,8 @@ def test_support_hits_match_brute_force_max_norm(domain):
     decomp = decompose(domain, WhitneyParams(k_max=6))
     pts = _support_probe_points(decomp, np.random.default_rng(8))
     pid, gid, _, _, phi, psi = decomp.partition_values(pts)
-    lev, m = cube_levels_and_indices(decomp, gid)
+    ks, ms, _, _ = decomp.arrays()
+    lev, m = ks[gid], ms[gid]
     # same incidences, in the same order, as the per-combination loop
     ref = _reference_support_hits(decomp, pts)
     for got, want in zip((pid, lev, m), ref):
@@ -828,7 +836,8 @@ def test_support_hits_match_every_level_reference(case):
     decomp, pts = _support_cases_points(case)
     assert not decomp.domain.contains(pts).all()
     pid, gid, _, _, phi, psi = decomp.partition_values(pts)
-    lev, m = cube_levels_and_indices(decomp, gid)
+    ks, ms, _, _ = decomp.arrays()
+    lev, m = ks[gid], ms[gid]
     ref = _reference_support_hits(decomp, pts)
     for got, want in zip((pid, lev, m), ref):
         assert np.array_equal(got, want)
@@ -849,7 +858,8 @@ def test_partition_values_hand_out_each_incidence_geometry(case):
     # gives them; phi is the bump at that offset
     decomp, pts = _support_cases_points(case)
     pid, gid, sides, offsets, phi, psi = decomp.partition_values(pts)
-    lev, m = cube_levels_and_indices(decomp, gid)
+    ks, ms, _, _ = decomp.arrays()
+    lev, m = ks[gid], ms[gid]
     assert np.array_equal(decomp.cube_ids(lev, m), gid)
     want_sides, centers = _cube_geometry(lev, m)
     assert np.array_equal(sides, want_sides)
@@ -1201,6 +1211,58 @@ def test_neighbor_scan_matches_gap_8_reference(case):
     assert centers_ok and 1 <= worst_gap <= decomp.constants.level_window
 
 
+def test_neighbor_scan_asks_no_same_level_pair():
+    # measured on the L-shape at k_max 10: the scan sends 143,176 rows to
+    # cube_ids, 32,336 of them selected (289,372 and 81,218 when it also
+    # scanned gap 0), and every _near query reaches less far than a
+    # same-level one, eta_prime times the side
+    decomp = _NEIGHBOR_SCAN_CASES["lshape-10"]()
+    etp = decomp.params.eta_prime
+    asked, selected, reach = [], [], []
+    cube_ids, near = decomp.cube_ids, decomp._near
+
+    def counting_cube_ids(lev, m):
+        ids = cube_ids(lev, m)
+        asked.append(len(ids))
+        selected.append(int(np.count_nonzero(ids >= 0)))
+        return ids
+
+    def recording_near(k, points, half):
+        reach.append(half / (etp * 2.0 ** (-k)))
+        return near(k, points, half)
+
+    decomp.cube_ids, decomp._near = counting_cube_ids, recording_near
+    assert _neighbor_side_ratios(decomp) == (2.0, 1, True)
+    assert (sum(asked), sum(selected)) == (143_176, 32_336)
+    assert reach and max(reach) < 1.0
+
+
+def test_neighbor_scan_stops_a_level_pair_within_the_window_at_its_first_pair():
+    # on the L-shape at k_max 12 the two finest levels take several blocks
+    # each; at gap 1, inside the window, a level pair's scan stops at the
+    # first block with a pair, while gaps 2 to 5, which hold none, and the
+    # gap one past the window are scanned whole
+    decomp = decompose(L_SHAPE, WhitneyParams(k_max=12))
+    etp = decomp.params.eta_prime
+    queried = {}  # level gap -> fine cubes sent to _near
+    near = decomp._near
+
+    def recording_near(k, points, half):
+        gap = round(-math.log2(2.0 * half / (etp * 2.0 ** (-k)) - 1.0))
+        queried[gap] = queried.get(gap, 0) + len(points)
+        return near(k, points, half)
+
+    decomp._near = recording_near
+    assert _neighbor_side_ratios(decomp) == (2.0, 1, True)
+    whole = {
+        gap: sum(len(rows) for k, rows in decomp.levels.items() if k - gap in decomp.levels)
+        for gap in queried
+    }
+    assert sorted(queried) == [1, 2, 3, 4, 5]
+    assert queried[1] < whole[1]
+    assert all(queried[gap] == whole[gap] for gap in (2, 3, 4, 5))
+
+
 def _central_difference_gradient(decomp, points, pid, lev, m):
     """The gradient of each normalized weight by central differences of
     ``partition_values`` at tau = 1e-6 * side, one axis at a time."""
@@ -1223,7 +1285,8 @@ def test_exact_weight_gradient_matches_central_differences(case):
     decomp = _NEIGHBOR_SCAN_CASES[case]()
     pts = _sample_beyond_cut(decomp, 1500, np.random.default_rng(0))
     pid, gid, sides, offsets, phi, psi = decomp.partition_values(pts)
-    lev, m = cube_levels_and_indices(decomp, gid)
+    ks, ms, _, _ = decomp.arrays()
+    lev, m = ks[gid], ms[gid]
     exact = decomp.partition_gradient(pid, sides, offsets, phi, psi)[0]
     fd = _central_difference_gradient(decomp, pts, pid, lev, m)
     scaled = sides * np.sqrt(np.sum(exact**2, axis=0))
