@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Annulus, Disk, SmoothingProfile, default_profile
+from .geometry import Annulus, Disk, SmoothingProfile, default_profile, distance_to
 from .grid import Grid, ScalarField, laplacian_of_distance
 
 __all__ = [
@@ -126,7 +126,7 @@ def _boundary_curvature(grid: Grid) -> np.ndarray:
     if isinstance(domain, Disk):
         return np.full(grid.n_interior, 1.0 / domain.radius)
     if isinstance(domain, Annulus):
-        rho = np.linalg.norm(grid.points - domain.center, axis=-1)
+        rho = distance_to(grid.points, domain.center)
         mid = 0.5 * (domain.inner_radius + domain.outer_radius)
         return np.where(
             rho >= mid, 1.0 / domain.outer_radius, -1.0 / domain.inner_radius

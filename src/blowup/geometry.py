@@ -28,6 +28,7 @@ __all__ = [
     "SmoothingProfile",
     "default_profile",
     "deepest_point",
+    "distance_to",
     "domain_from_json",
 ]
 
@@ -59,6 +60,32 @@ def _fold(op, mask):
     for i in range(1, mask.shape[-1]):
         op(out, mask[..., i], out=out)
     return out
+
+
+def distance_to(p, center=None, squared=False):
+    """|p - center| over the last axis of the points p (|p| when center is
+    None), or its square when ``squared``; a scalar for a single point.
+
+    Bit for bit ``np.linalg.norm(p - center, axis=-1)``, and its square
+    ``np.sum((p - center) ** 2, axis=-1)``: the squares are summed one
+    column at a time, first to last, which is the order numpy's reduction
+    takes over an axis of fewer than 8 entries (over a longer axis the two
+    agree to rounding).  For the coordinate axis of a lattice this is
+    several times faster than the reduction (see ``_fold``)."""
+    p = np.asarray(p, dtype=float)
+    dim = p.shape[-1]
+    if center is None:
+        center = np.zeros(dim)
+    # 0.0 + the first square is that square, bit for bit
+    out = np.zeros(p.shape[:-1])
+    col = np.empty_like(out)
+    for i in range(dim):
+        np.subtract(p[..., i], center[i], out=col)
+        col *= col
+        out += col
+    if not squared:
+        np.sqrt(out, out=out)
+    return out[()]
 
 
 # rows per block of the polygon queries and of the Whitney point queries:
@@ -104,8 +131,8 @@ def _radial_range(center, lo, hi):
     """(nearest, farthest) distance from center over each closed box [lo, hi]."""
     below = lo - center
     above = center - hi
-    near = np.linalg.norm(np.maximum(np.maximum(below, above), 0.0), axis=-1)
-    far = np.linalg.norm(np.maximum(np.abs(below), np.abs(above)), axis=-1)
+    near = distance_to(np.maximum(np.maximum(below, above), 0.0))
+    far = distance_to(np.maximum(np.abs(below), np.abs(above)))
     return near, far
 
 
@@ -181,12 +208,12 @@ class Disk(Domain):
 
     def signed_distance(self, p):
         p = _points(p, self.dim)
-        return self.radius - np.linalg.norm(p - self.center, axis=-1)
+        return self.radius - distance_to(p, self.center)
 
     def distance_laplacian(self, p):
         """Laplacian of the boundary distance, -(dim - 1) / rho."""
         p = _points(p, self.dim)
-        rho = np.linalg.norm(p - self.center, axis=-1)
+        rho = distance_to(p, self.center)
         return -(self.dim - 1) / np.maximum(rho, 1e-300)
 
     def bounding_box(self):
@@ -226,14 +253,14 @@ class Annulus(Domain):
 
     def signed_distance(self, p):
         p = _points(p, self.dim)
-        rho = np.linalg.norm(p - self.center, axis=-1)
+        rho = distance_to(p, self.center)
         return np.minimum(rho - self.inner_radius, self.outer_radius - rho)
 
     def distance_laplacian(self, p):
         """Laplacian of the boundary distance, that of the inner wall's
         branch on the medial sphere."""
         p = _points(p, self.dim)
-        rho = np.linalg.norm(p - self.center, axis=-1)
+        rho = distance_to(p, self.center)
         rho = np.maximum(rho, 1e-300)
         inner = (rho - self.inner_radius) <= (self.outer_radius - rho)
         return np.where(inner, (self.dim - 1) / rho, -(self.dim - 1) / rho)
@@ -282,8 +309,8 @@ class Box(Domain):
     def signed_distance(self, p):
         p = _points(p, self.dim)
         gap = np.minimum(p - self.corner_min, self.corner_max - p)
-        inside_gap = np.min(gap, axis=-1)
-        outside = np.linalg.norm(np.maximum(-gap, 0.0), axis=-1)
+        inside_gap = _fold(np.minimum, gap)
+        outside = distance_to(np.maximum(-gap, 0.0))
         return np.where(inside_gap > 0, inside_gap, -outside)
 
     def bounding_box(self):

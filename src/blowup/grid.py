@@ -49,7 +49,7 @@ import numpy as np
 
 from .geometry import Annulus, Disk, Domain, SmoothingProfile
 
-__all__ = ["Grid", "ScalarField", "laplacian_of_distance"]
+__all__ = ["Grid", "ScalarField", "VCycle", "laplacian_of_distance"]
 
 # V-cycle: damped-Jacobi sweeps before and after each coarse correction, the
 # damping factor, and the node count at or below which a level is solved
@@ -251,57 +251,22 @@ class Grid:
 
     # -- multigrid ---------------------------------------------------------
 
-    def vcycle_preconditioner(self, mass: np.ndarray):
+    def vcycle_preconditioner(self, mass: np.ndarray) -> VCycle:
         """Preconditioner for A = -Lap_h + diag(mass), mass > 0 per interior
-        node: the map r -> (one V-cycle applied to r), a symmetric positive
-        definite approximation of A^{-1} r, symmetric up to float32
-        rounding.
-
-        Level k has spacing s = 2^k h; its operator is the five-point
-        stencil at that spacing plus the mass sampled at its nodes, times
-        s^2, so its diagonal is diag = 4 + s^2 mass.  Each level below the
-        coarsest stores 1 / diag and runs SMOOTHING_SWEEPS damped-Jacobi
-        sweeps, restricts the residual by full weighting (P^T / 4 for
-        bilinear prolongation P) one axis at a time, corrects with the next
-        level's cycle, and smooths again; the coarsest level is solved
-        densely.  The map is linear, so it runs the cycle on r and scales
-        the result by h^2 rather than scaling r.  Every level but the
-        coarsest runs in VCYCLE_DTYPE: r is rounded to it on entry, and the
-        correction is widened to float64, through this grid's scratch
-        result, before the scaling; the coarsest level's dense solve is
-        float64, so a grid of one level is solved exactly.  The map owns
-        its levels, which go with it.
+        node: a ``VCycle`` on this grid's levels, targeted at ``mass``.
         Raises ValueError, before any inverse is formed, on a domain too
         thin for h to coarsen to DENSE_NODES nodes.
         """
-        mass = np.asarray(mass, dtype=float)
-        if mass.shape != (self.n_interior,):
-            raise ValueError("mass must have one entry per interior node")
-        levels = self._hierarchy()
-        for level in levels[:-1]:
-            level.inv_diag[level.mask] = 1.0 / (4.0 + level.h**2 * mass[level.nodes])
-        coarsest = levels[-1]
-        coarsest.factor(4.0 + coarsest.h**2 * mass[coarsest.nodes])
-
-        def apply(r: np.ndarray) -> np.ndarray:
-            top = levels[0]
-            top.f[top.mask] = r
-            _cycle(levels, 0)
-            # top.u is zero off the interior, so the scratch result stays
-            # zero past the five-point passes' range
-            np.copyto(self._t, top.u)
-            out = self._t[self.interior_mask]
-            out *= self.h * self.h
-            return out
-
-        return apply
+        precondition = VCycle(self, self._hierarchy())
+        precondition.retarget(mass)
+        return precondition
 
     def _hierarchy(self) -> list[_Level]:
         """The nested lattices at spacings h, 2h, 4h, ..., built anew on
-        each call and kept by no one else.  Level k + 1 keeps the nodes of
-        level k that lie on even multiples of its spacing, so its signed
-        distances are a strided slice of level k's and its interior nodes
-        (signed distance at least half its spacing) are those of
+        each call for the ``VCycle`` that owns them.  Level k + 1 keeps the
+        nodes of level k that lie on even multiples of its spacing, so its
+        signed distances are a strided slice of level k's and its interior
+        nodes (signed distance at least half its spacing) are those of
         Grid(domain, 2^(k+1) h).  The slice can put interior nodes on its
         edge, so each coarse level's arrays are the slice padded with one
         exterior ring, which keeps the ring invariant of the flat layout.
@@ -345,17 +310,68 @@ class Grid:
                 f"the domain is too thin for h = {self.h:g}"
             )
         *smoothing, coarsest = levels
-        for level in smoothing:
-            level.inv_diag, level.f, level.u, level.t = np.zeros(
-                (4, *level.mask.shape), VCYCLE_DTYPE
-            )
         coarsest.f, coarsest.u = np.zeros((2, *coarsest.mask.shape))
-        # one (coarse rows, fine columns) scratch that every transfer shares
+        # the four buffers of each smoothing level and one (coarse rows,
+        # fine columns) scratch that every transfer shares are views of one
+        # allocation, which lives as long as the levels and is released
+        # whole with them
         shapes = [(c.mask.shape[0], f.mask.shape[1]) for f, c in zip(levels, levels[1:])]
-        scratch = np.zeros(max((x * y for x, y in shapes), default=0), VCYCLE_DTYPE)
+        sizes = [4 * level.mask.size for level in smoothing]
+        block = np.zeros(sum(sizes) + max((x * y for x, y in shapes), default=0), VCYCLE_DTYPE)
+        *parts, scratch = np.split(block, np.cumsum(sizes, dtype=int))
+        for level, part in zip(smoothing, parts):
+            level.inv_diag, level.f, level.u, level.t = part.reshape(4, *level.mask.shape)
         for fine, shape in zip(levels, shapes):
             fine.scratch = scratch[: shape[0] * shape[1]].reshape(shape)
         return levels
+
+
+class VCycle:
+    """The map r -> (one V-cycle applied to r), a symmetric positive
+    definite approximation of A^{-1} r for A = -Lap_h + diag(mass), symmetric
+    up to float32 rounding; ``retarget`` moves it to another mass on the
+    same levels.
+
+    Level k has spacing s = 2^k h; its operator is the five-point stencil at
+    that spacing plus the mass sampled at its nodes, times s^2, so its
+    diagonal is diag = 4 + s^2 mass.  Each level below the coarsest stores
+    1 / diag and runs SMOOTHING_SWEEPS damped-Jacobi sweeps, restricts the
+    residual by full weighting (P^T / 4 for bilinear prolongation P) one
+    axis at a time, corrects with the next level's cycle, and smooths again;
+    the coarsest level is solved densely.  The map is linear, so it runs the
+    cycle on r and scales the result by h^2 rather than scaling r.  Every
+    level but the coarsest runs in VCYCLE_DTYPE: r is rounded to it on
+    entry, and the correction is widened to float64, through the grid's
+    scratch result, before the scaling; the coarsest level's dense solve is
+    float64, so a grid of one level is solved exactly.  The map owns its
+    levels, which go with it.
+    """
+
+    def __init__(self, grid: Grid, levels: list[_Level]):
+        self.grid = grid
+        self.levels = levels
+
+    def retarget(self, mass: np.ndarray) -> None:
+        """Aim the cycle at A = -Lap_h + diag(mass): only each smoothing
+        level's 1 / diag and the coarsest level's inverse change."""
+        mass = np.asarray(mass, dtype=float)
+        if mass.shape != (self.grid.n_interior,):
+            raise ValueError("mass must have one entry per interior node")
+        *smoothing, coarsest = self.levels
+        for level in smoothing:
+            level.inv_diag[level.mask] = 1.0 / (4.0 + level.h**2 * mass[level.nodes])
+        coarsest.factor(4.0 + coarsest.h**2 * mass[coarsest.nodes])
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        g, top = self.grid, self.levels[0]
+        top.f[top.mask] = r
+        _cycle(self.levels, 0)
+        # top.u is zero off the interior, so the scratch result stays zero
+        # past the five-point passes' range
+        np.copyto(g._t, top.u)
+        out = g._t[g.interior_mask]
+        out *= g.h * g.h
+        return out
 
 
 def _transfer_slices(a: int, n_fine: int, n_coarse: int) -> tuple[slice, slice, slice]:

@@ -16,10 +16,16 @@ stops at its own relative residual, the forcing term of Eisenstat and
 Walker (*Choosing the forcing terms in an inexact Newton method*, SIAM J.
 Sci. Comput. 1996),
 
-    cg_rtol_k = max(linear_rtol, min(FORCING_MAX, FORCING_GAMMA (g_k / g_{k-1})^2)),
+    cg_rtol_k = max(linear_rtol, min(FORCING_MAX, max(eta_k, FORCING_SAFEGUARD tol / g_k))),
+    eta_k = FORCING_GAMMA (g_k / g_{k-1})^2,
 
-with g_k step k's gradient norm and the first step at FORCING_MAX, so far
-from the minimizer a step is only as accurate as its Newton model.
+with g_k step k's gradient norm, tol the Newton tolerance gradient_tol and
+eta_1 = FORCING_MAX, so far from the minimizer a step is only as accurate
+as its Newton model.  The second bound is a safeguard in the manner of
+Kelley (*Iterative Methods for Linear and Nonlinear Equations*, SIAM 1995,
+section 6.3) for the last step: CG's residual is the linearized next
+gradient, so no step solves below the relative residual that brings that
+gradient to FORCING_SAFEGUARD tol.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .energy import (
     energy_gradient,
     hessian_operator,
 )
-from .geometry import Disk
+from .geometry import Disk, distance_to
 from .grid import Grid, ScalarField
 
 __all__ = [
@@ -74,6 +80,9 @@ BACKTRACK_RATIO = 0.5
 # successive gradient norms
 FORCING_MAX = 0.1
 FORCING_GAMMA = 0.9
+# the share of gradient_tol that a step's linearized next gradient aims for:
+# the safeguard that stops the last step's CG at the tolerance asked for
+FORCING_SAFEGUARD = 0.5
 # smallest accepted linear_rtol: below it the CG recurrence residual keeps
 # shrinking after the true residual has stalled at rounding level (so a step
 # reads as converged when it is not), and it can underflow to zero
@@ -245,13 +254,14 @@ def solve(
     initial guess does not hold one entry per interior node.
 
     Memory.  Besides the grid and the singular part (d, weight and r per
-    interior node), the Newton loop holds per interior node: w;
-    in each step the right-hand side -G and the Hessian's mass; in CG x, r
-    and p, one product or preconditioned residual at a time and the step's
-    V-cycle levels, which go when its CG ends (1/diag, f, u and t in float32
-    per padded node at spacing h, the bytes of two float64 arrays, and about
-    a quarter of that per coarser level); in the line search s, the trial
-    step t s and the candidate.
+    interior node), the Newton loop holds per interior node: w and the
+    V-cycle levels, built at the first step, retargeted at each later one
+    and gone when ``solve`` returns (1/diag, f, u and t in float32 per
+    padded node at spacing h, the bytes of two float64 arrays, and about a
+    quarter of that per coarser level); in each step the right-hand side
+    -G and the Hessian's mass; in CG x, r and p and one product or
+    preconditioned residual at a time; in the line search s, the trial step
+    t s and the candidate.
     Nothing derivable is kept: v and the node coordinates are computed when
     asked for.
     """
@@ -302,6 +312,9 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
     history = [current.total]
     steps: list[dict] = []
     gnorm = math.inf
+    # the V-cycle's levels, built at the first step and retargeted at each
+    # later one; they go when the Newton loop returns
+    precondition = None
 
     for it in range(1, config.max_iterations + 1):
         wf = ScalarField(grid, w)
@@ -310,16 +323,19 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
         if gnorm <= config.gradient_tol:
             return w, history, steps, gnorm, True
         forcing = FORCING_MAX if it == 1 else FORCING_GAMMA * (gnorm / gprev) ** 2
+        forcing = max(forcing, FORCING_SAFEGUARD * config.gradient_tol / gnorm)
         # float(): a numpy linear_rtol would leave numpy scalars in the record
         cg_rtol = float(max(config.linear_rtol, min(FORCING_MAX, forcing)))
 
         # g becomes the right-hand side -G in place (negation is exact); the
-        # mass stays for the line search, the V-cycle levels go with CG
+        # mass stays for the line search
         np.negative(g, out=g)
         apply_h, mass = hessian_operator(wf, sp)
-        s, cg_residuals, true_relres = _pcg(
-            apply_h, grid.vcycle_preconditioner(mass), g, cg_rtol, maxiter_lin
-        )
+        if precondition is None:
+            precondition = grid.vcycle_preconditioner(mass)
+        else:
+            precondition.retarget(mass)
+        s, cg_residuals, true_relres = _pcg(apply_h, precondition, g, cg_rtol, maxiter_lin)
         del apply_h
         step = {
             "iteration": it,
@@ -398,8 +414,7 @@ def disk_exact_solution(disk: Disk):
     R = disk.radius
 
     def u_star(pts):
-        pts = np.asarray(pts, dtype=float)
-        rho2 = np.sum((pts - c) ** 2, axis=-1)
+        rho2 = distance_to(pts, c, squared=True)
         return -np.log((R**2 - rho2) / R)
 
     return u_star

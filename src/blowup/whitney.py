@@ -814,13 +814,11 @@ def verify_properties(
     report.checks.append(_support_window_check(decomp, rng))
     # neighbor side ratios over all pairs with overlapping supports
     cst = decomp.constants
-    worst_ratio, worst_gap, centers_ok = _neighbor_side_ratios(decomp)
+    worst_ratio, worst_gap = _neighbor_side_ratios(decomp)
     report.checks.append(
         PropertyCheck(
             "neighbor_side_ratio",
-            worst_ratio < cst.side_ratio_bound
-            and worst_gap <= cst.level_window
-            and centers_ok,
+            worst_ratio < cst.side_ratio_bound and worst_gap <= cst.level_window,
             worst=worst_ratio,
             detail=(
                 f"ratio bound {cst.side_ratio_bound:.4g}, worst level gap "
@@ -1047,27 +1045,23 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
     defaults).  The scan goes one level past that, so a pair that broke the
     argument would show as worst_gap > level_window.
 
-    No pair at gap 0 to int(level_window) can fail the center check: its
-    centers lie at most sqrt(n) eta_prime (s_c + s_f) / 2 = sqrt(n)
-    eta_prime (2**gap + 1) s_f / 2 apart, within center_window s_f = (1 +
-    side_ratio_bound) eta_prime sqrt(n) s_f / 2 as 2**gap <=
-    side_ratio_bound (at gap 0, 8.8 times within at the defaults).  So a
+    Only whether a pair exists at a level gap can move the result: a
     same-level pair, with side ratio 1 and gap 0, the values the scan
-    starts from, cannot move the result and is not scanned: the scan
-    covers gaps 1 to int(level_window) + 1.  At gaps up to
-    int(level_window) only whether a pair exists can move it, so the scan
-    of a level pair stops at the first block that finds one; the gap one
-    past the window is scanned whole.
+    starts from, cannot move it and is not scanned, so the scan covers gaps
+    1 to int(level_window) + 1, and the scan of a level pair stops at the
+    first block that finds one.  (Centers are not checked: a pair at a gap
+    up to int(level_window) has its centers at most sqrt(n) eta_prime
+    (2**gap + 1) s_f / 2 apart, within center_window s_f = (1 +
+    side_ratio_bound) eta_prime sqrt(n) s_f / 2 as 2**gap <=
+    side_ratio_bound, and a pair at a larger gap already fails.)
 
-    Returns (worst side ratio found, worst level gap found, True when every
-    center offset obeyed the center_window constant).
+    Returns (worst side ratio found, worst level gap found).
     """
     etp = decomp.params.eta_prime
     cst = decomp.constants
     ks = sorted(decomp.levels)
     worst_ratio = 1.0
     worst_gap = 0
-    centers_ok = True
     gap_max = int(cst.level_window) + 1
     # fine cubes per query: each brings at most 4 candidates (2-D, default
     # eta_prime), so a query's temporaries stay below those of 2 * _CHUNK rows
@@ -1079,20 +1073,12 @@ def _neighbor_side_ratios(decomp: WhitneyDecomposition):
             if gap < 1 or gap > gap_max:
                 continue
             sf = 2.0 ** (-kf)
-            found_pair = False
             for start in range(0, len(decomp.levels[kf]), block):
                 mf = decomp.levels[kf][start : start + block]
                 _, cf = _cube_geometry(kf, mf)
-                rows, off, _ = decomp._near(kc, cf, 0.5 * etp * (sc + sf))
-                if len(rows) == 0:
-                    continue
-                found_pair = True
-                dist = sc * np.sqrt(np.sum(off**2, axis=-1))
-                if np.any(dist > cst.center_window * sf * (1.0 + 1e-9)):
-                    centers_ok = False
-                if gap <= cst.level_window:
+                rows, _, _ = decomp._near(kc, cf, 0.5 * etp * (sc + sf))
+                if len(rows):
+                    worst_ratio = max(worst_ratio, sc / sf)
+                    worst_gap = max(worst_gap, gap)
                     break
-            if found_pair:
-                worst_ratio = max(worst_ratio, sc / sf)
-                worst_gap = max(worst_gap, gap)
-    return worst_ratio, worst_gap, centers_ok
+    return worst_ratio, worst_gap

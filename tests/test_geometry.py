@@ -16,7 +16,9 @@ from blowup.geometry import (
     SmoothingProfile,
     _box_corners,
     _CHUNK,
+    _radial_range,
     default_profile,
+    distance_to,
     domain_from_json,
 )
 
@@ -122,6 +124,97 @@ def test_distance_laplacian_annulus_branches():
     outer_side = np.array([0.9, 0.0])
     assert RING.distance_laplacian(inner_side) == pytest.approx(1.0 / 0.6)
     assert RING.distance_laplacian(outer_side) == pytest.approx(-1.0 / 0.9)
+
+
+# ---------------------------------------------------------------------------
+# distance_to against numpy's reductions
+# ---------------------------------------------------------------------------
+
+
+def _lattice(dim, n):
+    """A lattice of n points per axis over [-1.3, 1.3]^dim, (n, ..., n, dim)
+    as the grid samples its signed distances."""
+    axes = [np.linspace(-1.3, 1.3, n)] * dim
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _point_sets(dim):
+    rng = np.random.default_rng(dim)
+    return [
+        _lattice(dim, {2: 517, 3: 41}.get(dim, 4)),
+        rng.standard_normal((1000, dim)) * 10.0 ** rng.uniform(-8, 8, (1000, 1)),
+        rng.standard_normal(dim),  # one point
+        np.empty((0, dim)),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
+def test_distance_to_is_numpy_norm_bit_for_bit(dim):
+    center = np.linspace(-0.3, 0.4, dim)
+    for p in _point_sets(dim):
+        for c in (center, None):
+            d = p if c is None else p - c
+            want = np.linalg.norm(d, axis=-1)
+            got = distance_to(p, c)
+            assert np.shape(got) == want.shape and np.array_equal(got, want)
+            assert np.isscalar(got) == np.isscalar(want)
+            squared = distance_to(p, c, squared=True)
+            assert np.array_equal(squared, np.sum(d**2, axis=-1))
+
+
+def _norm_signed_distance(dom, p):
+    """The signed distances of disks, annuli and boxes through numpy's
+    reductions."""
+    if isinstance(dom, Disk):
+        return dom.radius - np.linalg.norm(p - dom.center, axis=-1)
+    if isinstance(dom, Annulus):
+        rho = np.linalg.norm(p - dom.center, axis=-1)
+        return np.minimum(rho - dom.inner_radius, dom.outer_radius - rho)
+    gap = np.minimum(p - dom.corner_min, dom.corner_max - p)
+    outside = np.linalg.norm(np.maximum(-gap, 0.0), axis=-1)
+    return np.where(np.min(gap, axis=-1) > 0, np.min(gap, axis=-1), -outside)
+
+
+def _norm_distance_laplacian(dom, p):
+    rho = np.maximum(np.linalg.norm(p - dom.center, axis=-1), 1e-300)
+    if isinstance(dom, Disk):
+        return -(dom.dim - 1) / rho
+    inner = (rho - dom.inner_radius) <= (dom.outer_radius - rho)
+    return np.where(inner, (dom.dim - 1) / rho, -(dom.dim - 1) / rho)
+
+
+CLOSED_FORM_DOMAINS = {
+    "disk": UNIT_DISK,
+    "annulus": RING,
+    "square": UNIT_SQUARE,
+    "disk3": Disk((0.1, -0.2, 0.3), 0.9),
+    "annulus3": Annulus((0.0, 0.2, 0.0), 0.3, 1.1),
+    "box3": Box((0.0, -0.5, 0.0), (1.0, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_DOMAINS))
+def test_closed_form_distances_match_numpy_norm_reference(name):
+    dom = CLOSED_FORM_DOMAINS[name]
+    for p in _point_sets(dom.dim):
+        want = _norm_signed_distance(dom, p)
+        assert np.array_equal(dom.signed_distance(p), want)
+        if not isinstance(dom, Box):
+            want = _norm_distance_laplacian(dom, p)
+            assert np.array_equal(dom.distance_laplacian(p), want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_radial_range_matches_numpy_norm_reference(dim):
+    rng = np.random.default_rng(dim)
+    center = rng.standard_normal(dim)
+    lo = rng.uniform(-2.0, 2.0, (5000, dim))
+    hi = lo + 10.0 ** rng.uniform(-4, 0, (5000, 1))
+    below, above = lo - center, center - hi
+    near = np.linalg.norm(np.maximum(np.maximum(below, above), 0.0), axis=-1)
+    far = np.linalg.norm(np.maximum(np.abs(below), np.abs(above)), axis=-1)
+    got = _radial_range(center, lo, hi)
+    assert np.array_equal(got[0], near) and np.array_equal(got[1], far)
 
 
 # ---------------------------------------------------------------------------

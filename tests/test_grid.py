@@ -518,6 +518,24 @@ def test_vcycle_bit_identical_to_reference_residual(domain, h, monkeypatch):
     assert np.array_equal(g.vcycle_preconditioner(mass)(r), flat)
 
 
+@pytest.mark.parametrize("domain, h", _domains_and_spacings())
+def test_retargeted_vcycle_is_a_fresh_one_bit_for_bit(domain, h):
+    # a solve builds its levels once and retargets them at each Newton
+    # step's mass: after cycles at one mass the kept levels must cycle at
+    # another exactly as levels built for it
+    g = Grid(domain, h)
+    rng = np.random.default_rng(6)
+    first, second = (m / g.delta**2 for m in (2.0, rng.uniform(1.0, 3.0, g.n_interior)))
+    r = rng.standard_normal(g.n_interior)
+    kept = g.vcycle_preconditioner(first)
+    kept(r), kept(-r)
+    kept.retarget(second)
+    want = g.vcycle_preconditioner(second)(r)
+    assert np.array_equal(kept(r), want)
+    with pytest.raises(ValueError, match="one entry per interior node"):
+        kept.retarget(second[1:])
+
+
 @pytest.mark.parametrize(
     "domain, h",
     _domains_and_spacings() + [pytest.param(RING_BOX, 0.01, id="ring-box-0.01")],

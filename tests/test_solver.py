@@ -412,14 +412,16 @@ def test_solve_heap_on_the_disk_at_1_256(monkeypatch):
     # (measured 19.50 MiB, in CG: the V-cycle levels, 6.84 MiB with all
     # but the coarsest in float32 (8.75 in float64), and eight interior
     # vectors) and what it keeps (measured 3.138 MiB: w and u, 3.130 MiB,
-    # and the report); each gate is the measured value plus about 5%.  No
-    # V-cycle level outlives the solve.
+    # and the report); each gate is the measured value plus about 5%.  The
+    # V-cycle levels are built once, at the first of the 4 Newton steps,
+    # and none outlives the solve.
     sp = singular_part(DISK, 1 / 256)
-    made = []
+    made, builds = [], []
     build = Grid._hierarchy
 
     def recorded(grid):
         levels = build(grid)
+        builds.append(len(levels))
         made.extend(weakref.ref(level) for level in levels)
         return levels
 
@@ -432,6 +434,7 @@ def test_solve_heap_on_the_disk_at_1_256(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.iterations == 4
+    assert len(builds) == 1
     assert made and all(level() is None for level in made)
     mib = 2**20
     assert peak <= 20.5 * mib, peak / mib
@@ -489,14 +492,17 @@ def test_inexact_newton_takes_only_full_steps(domain, h):
     assert [s["step_scale"] for s in rep.steps] == [1.0] * 5
 
 
-def test_line_search_sees_changes_below_the_energy_rounding(disk64):
-    # at the converged disk solve the Newton step s lowers the energy by
-    # about 1.8e-29, thirteen orders below the rounding of the energy
-    # (5e-16).  The exact expansion still reads the quadratic model's
-    # values: slope / 2 along s, so the full step passes the Armijo test,
-    # and -3 slope / 2 along 3 s, a rise, so that step is cut to 3 s / 2.
-    # A difference of two rounded energies sees neither and accepts 3 s.
-    grid, sp, rep = disk64
+def test_line_search_sees_changes_below_the_energy_rounding():
+    # at the disk solved far below rounding (gradient_tol 1e-12) the Newton
+    # step s lowers the energy by about 1.8e-29, thirteen orders below the
+    # rounding of the energy (5e-16).  The exact expansion still reads the
+    # quadratic model's values: slope / 2 along s, so the full step passes
+    # the Armijo test, and -3 slope / 2 along 3 s, a rise, so that step is
+    # cut to 3 s / 2.  A difference of two rounded energies sees neither
+    # and accepts 3 s.
+    rep = solved(DISK, 1 / 64, SolverConfig(gradient_tol=1e-12))
+    sp = rep.singular_part
+    grid = sp.grid
     w = rep.w.values
     G = energy_gradient(rep.w, sp).values
     apply_h, mass = hessian_operator(rep.w, sp)
@@ -538,21 +544,55 @@ def test_linear_converged_false_when_cg_stops_at_its_cap(monkeypatch):
     assert not rep.linear_converged
 
 
+def _forcing_terms(config, norms):
+    """The module docstring's CG targets for steps of these gradient norms:
+    the first step at FORCING_MAX, then FORCING_GAMMA times the squared
+    ratio of successive gradient norms, raised to FORCING_SAFEGUARD
+    gradient_tol / the step's norm, capped at FORCING_MAX and floored at
+    linear_rtol."""
+    forcing = [solver_module.FORCING_MAX] + [
+        solver_module.FORCING_GAMMA * (b / a) ** 2 for a, b in zip(norms, norms[1:])
+    ]
+    return [
+        max(
+            config.linear_rtol,
+            min(
+                solver_module.FORCING_MAX,
+                max(f, solver_module.FORCING_SAFEGUARD * config.gradient_tol / g),
+            ),
+        )
+        for f, g in zip(forcing, norms)
+    ]
+
+
 def test_cg_rtol_follows_the_forcing_terms():
-    # the first step at FORCING_MAX, then FORCING_GAMMA times the squared
-    # ratio of successive gradient norms, capped at FORCING_MAX and floored
-    # at linear_rtol; a floor of 1e-4 binds from the third step on
+    # a floor of 1e-4 binds at the third step and the safeguard at the
+    # fourth, the last
     config = SolverConfig(linear_rtol=1e-4)
     rep = solved(DISK, 1 / 64, config)
     assert rep.converged
     got = [s["cg_rtol"] for s in rep.steps]
     norms = [s["grad_norm"] for s in rep.steps]
-    forcing = [solver_module.FORCING_MAX] + [
-        solver_module.FORCING_GAMMA * (b / a) ** 2 for a, b in zip(norms, norms[1:])
-    ]
-    assert got == [max(config.linear_rtol, min(solver_module.FORCING_MAX, f)) for f in forcing]
+    assert got == _forcing_terms(config, norms)
     assert got[0] == 0.1 > got[1] > got[2] == 1e-4
-    assert got.count(1e-4) == len(got) - 2
+    assert got[3:] == [0.5 * config.gradient_tol / norms[3]]
+
+
+def test_the_last_step_solves_only_to_the_newton_tolerance(disk64):
+    # at 1/64 the last step's squared-ratio term is 6.5e-11; the safeguard
+    # lifts its CG target to 0.5 gradient_tol / grad_norm = 6.5e-3, which
+    # takes 3 CG iterations instead of 7 (with linear_rtol 1e-8) and still
+    # ends the solve in 4 Newton steps, below the tolerance
+    _, _, rep = disk64
+    config = SolverConfig()
+    last = rep.steps[-1]
+    assert last["cg_rtol"] == 0.5 * config.gradient_tol / last["grad_norm"]
+    assert [s["cg_rtol"] for s in rep.steps] == _forcing_terms(
+        config, [s["grad_norm"] for s in rep.steps]
+    )
+    assert rep.converged and rep.iterations == 4
+    assert last["cg_iterations"] == 3
+    assert rep.final_grad_norm <= config.gradient_tol
 
 
 @pytest.mark.parametrize("rtol", [1e-320, 1e-30, 0.0, float("nan")])

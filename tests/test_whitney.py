@@ -273,6 +273,16 @@ def test_bump_kernels_match_full_evaluation_reference(eta_prime):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "domain, count",
+    [(UNIT_DISK, 260_892), (Box((0.0, 0.0), (1.0, 1.0)), 130_900), (L_SHAPE, 261_956)],
+    ids=["disk", "square", "lshape"],
+)
+def test_cube_counts_at_k_max_14(domain, count):
+    # the counts of the acceptance runs, which the exact cube predicates fix
+    assert decompose(domain, WhitneyParams(k_max=14)).cube_count == count
+
+
 @pytest.fixture(scope="module")
 def disk_decomp():
     return decompose(UNIT_DISK, WhitneyParams(k_max=9))
@@ -1147,10 +1157,9 @@ def _reference_neighbor_side_ratios(decomp):
     """The neighbour scan over level gaps up to 8, with every fine cube
     sent to ``cube_ids``."""
     etp = decomp.params.eta_prime
-    cst = decomp.constants
     ks = sorted(decomp.levels)
     n = decomp.params.dim
-    worst_ratio, worst_gap, centers_ok = 1.0, 0, True
+    worst_ratio, worst_gap = 1.0, 0
     for kc in ks:
         sc = 2.0 ** (-kc)
         for kf in ks:
@@ -1177,13 +1186,10 @@ def _reference_neighbor_side_ratios(decomp):
                 touch = np.all(np.abs(cc - cf[hit]) <= reach * (1.0 + 1e-12), axis=-1)
                 if np.any(touch):
                     found_pair = True
-                    dist = np.sqrt(np.sum((cc - cf[hit]) ** 2, axis=-1))[touch]
-                    if np.any(dist > cst.center_window * sf * (1.0 + 1e-9)):
-                        centers_ok = False
             if found_pair:
                 worst_ratio = max(worst_ratio, sc / sf)
                 worst_gap = max(worst_gap, gap)
-    return worst_ratio, worst_gap, centers_ok
+    return worst_ratio, worst_gap
 
 
 _NEIGHBOR_SCAN_CASES = {
@@ -1207,8 +1213,8 @@ def test_neighbor_scan_matches_gap_8_reference(case):
     decomp = _NEIGHBOR_SCAN_CASES[case]()
     got = _neighbor_side_ratios(decomp)
     assert got == _reference_neighbor_side_ratios(decomp)
-    worst_ratio, worst_gap, centers_ok = got
-    assert centers_ok and 1 <= worst_gap <= decomp.constants.level_window
+    worst_ratio, worst_gap = got
+    assert 1 <= worst_gap <= decomp.constants.level_window
 
 
 def test_neighbor_scan_asks_no_same_level_pair():
@@ -1232,7 +1238,7 @@ def test_neighbor_scan_asks_no_same_level_pair():
         return near(k, points, half)
 
     decomp.cube_ids, decomp._near = counting_cube_ids, recording_near
-    assert _neighbor_side_ratios(decomp) == (2.0, 1, True)
+    assert _neighbor_side_ratios(decomp) == (2.0, 1)
     assert (sum(asked), sum(selected)) == (143_176, 32_336)
     assert reach and max(reach) < 1.0
 
@@ -1240,8 +1246,8 @@ def test_neighbor_scan_asks_no_same_level_pair():
 def test_neighbor_scan_stops_a_level_pair_within_the_window_at_its_first_pair():
     # on the L-shape at k_max 12 the two finest levels take several blocks
     # each; at gap 1, inside the window, a level pair's scan stops at the
-    # first block with a pair, while gaps 2 to 5, which hold none, and the
-    # gap one past the window are scanned whole
+    # first block with a pair, while gaps 2 to 5 (5 is one past the
+    # window), which hold none, are scanned whole
     decomp = decompose(L_SHAPE, WhitneyParams(k_max=12))
     etp = decomp.params.eta_prime
     queried = {}  # level gap -> fine cubes sent to _near
@@ -1253,7 +1259,7 @@ def test_neighbor_scan_stops_a_level_pair_within_the_window_at_its_first_pair():
         return near(k, points, half)
 
     decomp._near = recording_near
-    assert _neighbor_side_ratios(decomp) == (2.0, 1, True)
+    assert _neighbor_side_ratios(decomp) == (2.0, 1)
     whole = {
         gap: sum(len(rows) for k, rows in decomp.levels.items() if k - gap in decomp.levels)
         for gap in queried
@@ -1317,6 +1323,6 @@ def test_neighbor_scan_reports_a_pair_one_level_past_the_window():
     gap = int(d.constants.level_window) + 1
     levels = {2: np.array([[1, 1]]), 2 + gap: np.array([[2 ** (gap + 1), 40]])}
     pair = WhitneyDecomposition(d.domain, d.params, levels, {})
-    worst_ratio, worst_gap, _ = _neighbor_side_ratios(pair)
+    worst_ratio, worst_gap = _neighbor_side_ratios(pair)
     assert (worst_ratio, worst_gap) == (2.0**gap, gap)
     assert worst_gap > d.constants.level_window
