@@ -94,25 +94,31 @@ def distance_to(p, center=None, squared=False):
 _CHUNK = 2**15
 
 
-def _blocks(flat, n_rows, n_masks=0):
-    """Walk the (n, 2) array ``flat`` in blocks of at most ``_CHUNK`` rows.
+def _blocks(columns, n_rows, n_masks=0):
+    """Walk the equal-length 1-D float arrays ``columns`` in blocks of at
+    most ``_CHUNK`` rows.
 
-    Yields (rows, x, y, scratch, masks) per block: the block's slice of
-    ``flat``, its two coordinates copied into contiguous rows, and
-    ``n_rows`` float and ``n_masks`` bool scratch rows of the block's
-    length.  Every block reuses the same buffers.
+    Yields (rows, cols, scratch, masks) per block: the block's slice, its
+    entries of each column copied into a contiguous row, and ``n_rows``
+    float and ``n_masks`` bool scratch rows of the block's length.  Every
+    block reuses the same buffers.  Raises ``ValueError`` on an entry that
+    is not finite, so the queries that walk their points here see finite
+    coordinates only.
     """
-    n = len(flat)
+    n = len(columns[0])
     size = min(n, _CHUNK)
-    floats = np.empty((2 + n_rows, size))
+    floats = np.empty((len(columns) + n_rows, size))
     masks = np.empty((n_masks, size), dtype=bool)
     for start in range(0, n, _CHUNK):
         rows = slice(start, min(start + _CHUNK, n))
         width = rows.stop - start
-        x, y, *scratch = floats[:, :width]
-        np.copyto(x, flat[rows, 0])
-        np.copyto(y, flat[rows, 1])
-        yield rows, x, y, scratch, list(masks[:, :width])
+        cols = list(floats[: len(columns), :width])
+        for row, column in zip(cols, columns):
+            np.copyto(row, column[rows])
+            # a NaN comes out of min and max as NaN, which fails the test
+            if not -np.inf < row.min() <= row.max() < np.inf:
+                raise ValueError("polygon query coordinates must be finite")
+        yield rows, cols, list(floats[len(columns) :, :width]), list(masks[:, :width])
 
 
 def _by_rows(test, *arrays, dtype=bool):
@@ -345,8 +351,16 @@ class Polygon(Domain):
     """Open simple polygon in the plane.
 
     Vertices may be given in either orientation; they are stored
-    counterclockwise.  Construction rejects self-intersecting vertex lists
-    and vertices that are not finite.
+    counterclockwise.  Construction rejects vertices that are not finite or
+    whose differences overflow, and vertex lists whose edges cross, touch or
+    overlap anywhere but at the shared vertex of neighbours.
+
+    The queries read their points and boxes in blocks of coordinate columns
+    and raise ``ValueError`` on a coordinate that is not finite.  For finite
+    coordinates, the terms of an axis-parallel edge that carry its zero
+    component as a factor are exact zeros, so the edge skips them and every
+    answer keeps the full formulas' bits; slanted edges take the full
+    formulas.
     """
 
     dim = 2
@@ -365,19 +379,27 @@ class Polygon(Domain):
         self.vertices = v
         self._a = v
         self._b = np.roll(v, -1, axis=0)
-        if np.any(np.sum((self._b - self._a) ** 2, axis=-1) == 0.0):
+        with np.errstate(over="ignore"):
+            edges = self._b - self._a
+        # the box predicates' slab test needs finite edge vectors
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("polygon edges must be finite: vertices too far apart")
+        if np.any(np.sum(edges**2, axis=-1) == 0.0):
             raise ValueError("polygon has a zero-length edge")
         self._check_simple()
 
     def _check_simple(self):
-        a, b = self._a, self._b
+        """Raise unless no two edges share a point other than the vertex
+        of neighbours.  Only pairs of non-neighbours are tested: an edge
+        that folds back along its neighbour puts a vertex on a third edge
+        (a folded triangle has zero area and is refused before this)."""
+        a, b = self._a.tolist(), self._b.tolist()
         n = len(a)
         for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue  # shared endpoint
-                if _segments_cross(a[i], b[i], a[j], b[j]):
-                    raise ValueError("polygon is self-intersecting")
+            # the last edge neighbours edge 0
+            for j in range(i + 2, n - (i == 0)):
+                if _segments_meet(a[i], b[i], a[j], b[j]):
+                    raise ValueError(f"polygon is not simple: edges {i} and {j} meet")
 
     def _edge_projections(self, x, y, t, d, d2):
         """Per edge, in order: fills ``t`` with the clamped projection
@@ -388,37 +410,49 @@ class Polygon(Domain):
         Each pass is one in-place ufunc, and the passes keep the operand
         order of t = clip(((x - ax) abx + (y - ay) aby) / ab2, 0, 1),
         dx = x - (ax + t abx), dy = y - (ay + t aby) and d2 = dx dx + dy dy,
-        so every value is the formula's, bit for bit.
+        so every value is the formula's, bit for bit.  An edge with abx or
+        aby zero skips the products with that zero: for finite points they
+        are ±0, and adding ±0 to a number leaves it as it is, so t can
+        differ only in the sign of a zero, and dx and dy only in the sign of
+        a zero, which their squares erase.
         """
         edges = zip(self._a.tolist(), self._b.tolist())
         for i, ((ax, ay), (bx, by)) in enumerate(edges):
             abx, aby = bx - ax, by - ay
             ab2 = abx * abx + aby * aby
-            np.subtract(x, ax, out=t)
-            t *= abx
-            np.subtract(y, ay, out=d)
-            d *= aby
-            t += d
+            if abx == 0.0:
+                np.subtract(y, ay, out=t)
+                t *= aby
+            else:
+                np.subtract(x, ax, out=t)
+                t *= abx
+                if aby != 0.0:
+                    np.subtract(y, ay, out=d)
+                    d *= aby
+                    t += d
             t /= ab2
             np.clip(t, 0.0, 1.0, out=t)
-            np.multiply(t, abx, out=d)
-            d += ax
-            np.subtract(x, d, out=d)
-            np.multiply(d, d, out=d2)
-            np.multiply(t, aby, out=d)
-            d += ay
-            np.subtract(y, d, out=d)
-            d *= d
-            d2 += d
+            dx = _gap(x, t, ax, abx, d)
+            np.multiply(dx, dx, out=d2)
+            dy = _gap(y, t, ay, aby, d)
+            dy *= dy
+            d2 += dy
             yield i
 
     def distance(self, p):
+        return self._distances(p, signed=False)
+
+    def signed_distance(self, p):
+        return self._distances(p, signed=True)
+
+    def _distances(self, p, signed):
         # sqrt is monotone and correctly rounded, so the root of the least
         # squared distance is the least distance, bit for bit
         p = _points(p, 2)
         flat = p.reshape(-1, 2)
         out = np.empty(len(flat))
-        for rows, x, y, (t, d, d2), _ in _blocks(flat, 3):
+        columns = (flat[:, 0], flat[:, 1])
+        for rows, (x, y), (t, d, d2), masks in _blocks(columns, 3, 3 if signed else 0):
             best = out[rows]
             for edge in self._edge_projections(x, y, t, d, d2):
                 if edge == 0:
@@ -426,34 +460,44 @@ class Polygon(Domain):
                 else:
                     np.minimum(best, d2, out=best)
             np.sqrt(best, out=best)
+            if signed:
+                inside, crosses, left = masks
+                self._even_odd_inside(y, (x,), (inside,), t, crosses, left)
+                np.negative(best, out=best, where=np.logical_not(inside, out=crosses))
         return out.reshape(p.shape[:-1])
 
-    def signed_distance(self, p):
-        d = self.distance(p)
-        return np.negative(d, out=d, where=~self._even_odd_inside(p))
+    def _even_odd_inside(self, y, xs, insides, x_int, crosses, left):
+        """Fills each row of ``insides`` with the even-odd bit of the points
+        (x, y), x the matching row of ``xs``: whether the ray from the point
+        toward +x crosses the boundary an odd number of times.  One y row's
+        crossings and intercepts serve every x row; ``x_int``, ``crosses``
+        and ``left`` are scratch.
 
-    def _even_odd_inside(self, p):
-        p = _points(p, 2)
-        flat = p.reshape(-1, 2)
-        inside = np.zeros(len(flat), dtype=bool)
-        for rows, x, y, (x_int,), (crosses, left) in _blocks(flat, 1, 2):
-            block = inside[rows]
-            for (ax, ay), (bx, by) in zip(self._a.tolist(), self._b.tolist()):
-                if ay == by:
-                    continue  # a horizontal edge never crosses the ray
-                # crosses = (ay > y) != (by > y); x_int = ax + (y - ay) *
-                # (bx - ax) / (by - ay); inside ^= crosses & (x < x_int)
-                np.less(y, ay, out=crosses)
-                np.less(y, by, out=left)
-                np.not_equal(crosses, left, out=crosses)
+        Per edge, crosses = (ay > y) != (by > y), x_int = ax + (y - ay) *
+        (bx - ax) / (by - ay) and inside ^= crosses & (x < x_int).  A
+        horizontal edge never crosses the ray.  A vertical edge's x_int is
+        ax + (±0) for finite y, a number equal to ax, so x is compared with
+        ax.
+        """
+        for inside in insides:
+            inside.fill(False)
+        for (ax, ay), (bx, by) in zip(self._a.tolist(), self._b.tolist()):
+            if ay == by:
+                continue
+            np.less(y, ay, out=crosses)
+            np.less(y, by, out=left)
+            np.not_equal(crosses, left, out=crosses)
+            bound = ax
+            if bx != ax:
                 np.subtract(y, ay, out=x_int)
                 x_int *= bx - ax
                 x_int /= by - ay
                 x_int += ax
-                np.less(x, x_int, out=left)
-                crosses &= left
-                block ^= crosses
-        return inside.reshape(p.shape[:-1])
+                bound = x_int
+            for x, inside in zip(xs, insides):
+                np.less(x, bound, out=left)
+                left &= crosses
+                inside ^= left
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -471,79 +515,118 @@ class Polygon(Domain):
         return deepest_point(self, self._INRADIUS_SAMPLES)[1]
 
     def is_convex(self):
+        # each turn's cross product against the product of its two edges'
+        # lengths, a test that does not depend on the polygon's scale
         e = self._b - self._a
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        return bool(np.all(cross >= -1e-14))
+        length = np.hypot(e[:, 0], e[:, 1])
+        e_next = np.roll(e, -1, axis=0)
+        cross = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+        return bool(np.all(cross >= -1e-14 * length * np.roll(length, -1)))
 
-    def _edges_overlap_box(self, lo, hi):
-        """True per box where some polygon edge meets the closed box.
+    def _edges_overlap_box(self, x0, x1, y0, y1, t0, t1, t, meets, in_slab, out):
+        """Fills ``out`` with True where some polygon edge meets the closed
+        box [x0, x1] x [y0, y1]; ``t0``, ``t1``, ``t``, ``meets`` and
+        ``in_slab`` are scratch.
 
         Slab test, one pass per edge: the edge's parameter interval [0, 1]
         is clipped to each axis' slab [lo, hi].  An edge parallel to an axis
         misses every box whose slab on that axis does not hold it.
         """
-        # one contiguous row per axis
-        lo_cols, hi_cols = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-        n_box = lo.shape[0]
-        out = np.zeros(n_box, dtype=bool)
-        t0 = np.empty(n_box)
-        t1 = np.empty(n_box)
+        out.fill(False)
+        slabs = ((x0, x1), (y0, y1))
         for a, b in zip(self._a.tolist(), self._b.tolist()):
-            t0.fill(0.0)
-            t1.fill(1.0)
-            in_slab = None
-            for ax in range(2):
-                pa, da = a[ax], b[ax] - a[ax]
+            # t0 = max(0, near-face parameters), t1 = min(1, far-face ones)
+            t0_from, t1_from = 0.0, 1.0
+            parallel = None
+            for (lo, hi), pa, pb in zip(slabs, a, b):
+                da = pb - pa
                 if da == 0.0:
-                    in_slab = (pa >= lo_cols[ax]) & (pa <= hi_cols[ax])
+                    parallel = lo, hi, pa
                     continue
                 # lo < hi, so the nearer face's parameter is the smaller one
-                near, far = lo_cols[ax], hi_cols[ax]
-                if da < 0.0:
-                    near, far = far, near
-                np.maximum(t0, (near - pa) / da, out=t0)
-                np.minimum(t1, (far - pa) / da, out=t1)
-            meets = t0 <= t1
-            if in_slab is not None:
+                near, far = (lo, hi) if da > 0.0 else (hi, lo)
+                np.subtract(near, pa, out=t)
+                t /= da
+                np.maximum(t0_from, t, out=t0)
+                np.subtract(far, pa, out=t)
+                t /= da
+                np.minimum(t1_from, t, out=t1)
+                t0_from, t1_from = t0, t1
+            np.less_equal(t0, t1, out=meets)
+            if parallel is not None:
+                lo, hi, pa = parallel
+                np.less_equal(lo, pa, out=in_slab)
+                meets &= in_slab
+                np.greater_equal(hi, pa, out=in_slab)
                 meets &= in_slab
             out |= meets
-        return out
 
     # Box corners need only the even-odd bit, not ``contains``: the two
     # differ only at a corner on an edge, and that edge meets the closed box,
     # so ``_edges_overlap_box`` decides the answer either way.
 
-    def cube_contained(self, lo, hi):
-        return _by_rows(self._contained, *_corners(lo, hi, 2))
+    def _box_blocks(self, lo, hi):
+        """Walk the boxes [lo, hi] in blocks of at most ``_CHUNK`` rows.
 
-    def _contained(self, lo, hi):
-        corners = _box_corners(lo, hi)  # (n, 4, 2)
-        all_in = _fold(np.logical_and, self._even_odd_inside(corners))
-        return all_in & ~self._edges_overlap_box(lo, hi)
+        Yields (rows, corners, overlap) per block: the even-odd bits of the
+        corners (x0, y0), (x1, y0), (x0, y1) and (x1, y1), and where some
+        edge meets the closed box.  Each y value's crossings and intercepts
+        serve the two corners on it.  Every block reuses the same rows.
+        """
+        columns = (lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
+        for rows, (x0, x1, y0, y1), (t0, t1, t), masks in _blocks(columns, 3, 7):
+            corners, (overlap, m0, m1) = masks[:4], masks[4:]
+            for y, pair in ((y0, corners[:2]), (y1, corners[2:])):
+                self._even_odd_inside(y, (x0, x1), pair, t0, m0, m1)
+            self._edges_overlap_box(x0, x1, y0, y1, t0, t1, t, m0, m1, overlap)
+            yield rows, corners, overlap
+
+    def cube_contained(self, lo, hi):
+        """True where every corner of the closed box is inside and no edge
+        meets the box."""
+        lo, hi = _corners(lo, hi, 2)
+        out = np.empty(len(lo), dtype=bool)
+        for rows, corners, overlap in self._box_blocks(lo, hi):
+            block = out[rows]
+            np.logical_not(overlap, out=block)
+            for corner in corners:
+                block &= corner
+        return out
 
     def cube_intersects(self, lo, hi):
-        return _by_rows(self._intersects, *_corners(lo, hi, 2))
+        """True where a corner of the closed box is inside or an edge meets
+        the box.
 
-    def _intersects(self, lo, hi):
-        corners = _box_corners(lo, hi)
-        any_corner_in = _fold(np.logical_or, self._even_odd_inside(corners))
-        v = self.vertices
-        strictly_in = (v[None, :, :] > lo[:, None, :]) & (v[None, :, :] < hi[:, None, :])
-        vert_in = _fold(np.logical_or, _fold(np.logical_and, strictly_in))
-        return any_corner_in | vert_in | self._edges_overlap_box(lo, hi)
+        A vertex strictly inside the box needs no test of its own, as the
+        slab test finds the edge that starts at it: on an axis where the
+        edge moves, the near face's parameter (face - pa) / da is <= 0 and
+        the far face's is >= 0, since face - pa is not zero and has the
+        sign that makes them so, and da is finite and not zero; so the
+        clipped interval holds t = 0.  On an axis where the edge does not
+        move, pa lies in the slab.
+        """
+        lo, hi = _corners(lo, hi, 2)
+        out = np.empty(len(lo), dtype=bool)
+        for rows, corners, overlap in self._box_blocks(lo, hi):
+            block = out[rows]
+            np.copyto(block, overlap)
+            for corner in corners:
+                block |= corner
+        return out
 
     def to_json_dict(self):
         return {"shape": "polygon", "vertices": self.vertices.tolist()}
 
 
-def _box_corners(lo, hi):
-    n = lo.shape[0]
-    out = np.empty((n, 4, 2))
-    out[:, 0] = lo
-    out[:, 1, 0], out[:, 1, 1] = hi[:, 0], lo[:, 1]
-    out[:, 2] = hi
-    out[:, 3, 0], out[:, 3, 1] = lo[:, 0], hi[:, 1]
-    return out
+def _gap(c, t, ac, abc, out):
+    """c - (ac + t abc) into ``out``: the gap along one axis from the
+    points' coordinates c to their projections on an edge from ac with
+    component abc; c - ac when abc is zero."""
+    if abc == 0.0:
+        return np.subtract(c, ac, out=out)
+    np.multiply(t, abc, out=out)
+    out += ac
+    return np.subtract(c, out, out=out)
 
 
 def deepest_point(domain: Domain, samples: int):
@@ -558,13 +641,25 @@ def deepest_point(domain: Domain, samples: int):
     return pts[i], float(sd[i])
 
 
-def _segments_cross(p, q, r, s):
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _orient(a, b, c):
+    """Twice the signed area of the triangle abc: positive when it turns
+    counterclockwise, zero when the points are collinear."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    o1, o2 = orient(p, q, r), orient(p, q, s)
-    o3, o4 = orient(r, s, p), orient(r, s, q)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+
+def _segments_meet(p, q, r, s):
+    """True when the closed segments pq and rs share a point: they cross,
+    or an endpoint of one lies on the other."""
+    o1, o2 = _orient(p, q, r), _orient(p, q, s)
+    o3, o4 = _orient(r, s, p), _orient(r, s, q)
+    if (o1 < 0.0 < o2 or o2 < 0.0 < o1) and (o3 < 0.0 < o4 or o4 < 0.0 < o3):
+        return True
+    # an endpoint collinear with the other segment and within its box
+    touching = ((o1, p, q, r), (o2, p, q, s), (o3, r, s, p), (o4, r, s, q))
+    return any(
+        o == 0.0 and all(min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for k in (0, 1))
+        for o, a, b, c in touching
+    )
 
 
 # ---------------------------------------------------------------------------

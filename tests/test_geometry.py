@@ -14,7 +14,6 @@ from blowup.geometry import (
     Disk,
     Polygon,
     SmoothingProfile,
-    _box_corners,
     _CHUNK,
     _radial_range,
     default_profile,
@@ -299,6 +298,25 @@ def test_notched_polygon_rejects_corners_only_test():
 
 # two reflex corners, and slanted edges whose projection parameters round
 HEXAGON = Polygon([(0, 0), (2, 0.5), (4, 0), (3, 2), (2, 1.2), (1, 2)])
+# horizontal edges, vertical edges running up and down, and slanted edges
+# in one polygon, with vertices that are not dyadic
+MIXED = Polygon(
+    [(0.1, 0.0), (2.3, 0.0), (2.3, 0.7), (1.7, 1.3), (1.7, 0.9), (0.9, 0.9), (0.9, 1.9),
+     (0.1, 1.9), (0.0, 1.0)]
+)
+REFERENCE_POLYGONS = [L_SHAPE, HEXAGON, MIXED]
+REFERENCE_IDS = ["lshape", "hexagon", "mixed"]
+
+
+def _box_corners(lo, hi):
+    """The corners of the boxes [lo, hi] as an (n, 4, 2) array."""
+    n = lo.shape[0]
+    out = np.empty((n, 4, 2))
+    out[:, 0] = lo
+    out[:, 1, 0], out[:, 1, 1] = hi[:, 0], lo[:, 1]
+    out[:, 2] = hi
+    out[:, 3, 0], out[:, 3, 1] = lo[:, 0], hi[:, 1]
+    return out
 
 
 def _reference_edge_distances(poly, p):
@@ -383,7 +401,7 @@ def _special_points(poly):
     return np.concatenate([poly.vertices, on_edges, lattice])
 
 
-@pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])
+@pytest.mark.parametrize("poly", REFERENCE_POLYGONS, ids=REFERENCE_IDS)
 def test_polygon_distance_bit_identical_to_reference(poly):
     rng = np.random.default_rng(11)
     lo, hi = poly.bounding_box()
@@ -395,7 +413,7 @@ def test_polygon_distance_bit_identical_to_reference(poly):
         )
 
 
-@pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])
+@pytest.mark.parametrize("poly", REFERENCE_POLYGONS, ids=REFERENCE_IDS)
 def test_polygon_cube_predicates_bit_identical_to_reference(poly):
     lo_r, hi_r = _random_cubes(poly, n=4000, seed=5)
     # dyadic boxes put corners exactly on edges, vertices and reflex corners
@@ -404,6 +422,12 @@ def test_polygon_cube_predicates_bit_identical_to_reference(poly):
         i, j = np.meshgrid(np.arange(-1, 4 / s + 1), np.arange(-1, 2 / s + 1), indexing="ij")
         m = np.stack([i.ravel(), j.ravel()], axis=-1)
         boxes.append((m * s, (m + 1) * s))
+    # corners on the vertices, and faces along the axis-parallel edges (the
+    # hexagon has none)
+    for touching in (_boxes_on_vertices, _boxes_on_axis_parallel_edges):
+        lo, hi = touching(poly, (0.1, 0.25, 1.0))
+        if len(lo):
+            boxes.append((lo, hi))
     for lo, hi in boxes:
         assert np.array_equal(
             poly.cube_contained(lo, hi), _reference_cube_contained(poly, lo, hi)
@@ -569,7 +593,9 @@ SLAB_TEST_CASES = _slab_test_cases()
 )
 def test_slab_pass_per_edge_matches_broadcast_reference(poly, random_boxes, touching_boxes):
     def overlap_matching_reference(lo, hi):
-        overlap = poly._edges_overlap_box(lo, hi)
+        overlap = np.concatenate(
+            [block.copy() for _, _, block in poly._box_blocks(lo, hi)]
+        )
         assert np.array_equal(overlap, _reference_edges_overlap_box(poly, lo, hi))
         assert np.array_equal(
             poly.cube_contained(lo, hi), _reference_cube_contained(poly, lo, hi)
@@ -644,7 +670,7 @@ def _points_across_blocks(poly, count, seed):
 
 
 @pytest.mark.parametrize("count", BLOCK_COUNTS)
-@pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])
+@pytest.mark.parametrize("poly", REFERENCE_POLYGONS, ids=REFERENCE_IDS)
 def test_polygon_block_kernels_match_whole_array_reference(poly, count):
     pts = _points_across_blocks(poly, count, seed=count)
     wide = np.zeros((count, 3))
@@ -657,12 +683,14 @@ def test_polygon_block_kernels_match_whole_array_reference(poly, count):
     for name, p in shapes.items():
         dist = _reference_polygon_distance(poly, p)
         inside = _reference_even_odd_inside(poly, p)
+        signed = poly.signed_distance(p)
         assert _same_bits(poly.distance(p), dist), name
-        assert _same_bits(poly._even_odd_inside(p), inside), name
-        assert _same_bits(poly.signed_distance(p), np.where(inside, dist, -dist)), name
+        # the sign bit is the even-odd bit, at a zero distance too
+        assert _same_bits(~np.signbit(signed), inside), name
+        assert _same_bits(signed, np.where(inside, dist, -dist)), name
 
 
-@pytest.mark.parametrize("poly", [L_SHAPE, HEXAGON], ids=["lshape", "hexagon"])
+@pytest.mark.parametrize("poly", REFERENCE_POLYGONS, ids=REFERENCE_IDS)
 def test_polygon_cube_predicates_in_blocks_match_reference(poly):
     rng = np.random.default_rng(29)
     count = _CHUNK + 7  # a full block and a partial one
@@ -703,6 +731,20 @@ def test_polygon_distance_allocates_its_result_and_a_few_block_rows():
     bound = out.nbytes + 6 * 8 * _CHUNK + 64 * 1024
     assert bound < out.nbytes + pts.nbytes / 8
     assert peak <= bound, peak
+
+
+def test_polygon_cube_predicates_allocate_their_result_and_block_rows():
+    rng = np.random.default_rng(3)
+    lo = rng.random((200_000, 2)) * 2.4 - 0.2
+    hi = lo + rng.uniform(0.001, 0.3, size=lo.shape)
+    # measured: 2,270,989 bytes for cube_contained and 2,270,373 for
+    # cube_intersects: the result, the (n, 2) mask of the corner check, and
+    # seven float and seven bool rows of one block.  The (n, 4, 2) corner
+    # array and the (n, vertices, 2) vertex test they replaced peaked at
+    # 4,266,688 and 4,725,504 bytes.  Gate: the measured peak plus 5%.
+    for predicate in (L_SHAPE.cube_contained, L_SHAPE.cube_intersects):
+        _, peak = _heap_peak(predicate, lo, hi)
+        assert peak <= 1.05 * 2_270_989, (predicate.__name__, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -801,11 +843,63 @@ def test_polygon_rejects_non_finite_vertices(bad):
     spec = json.dumps({"shape": "polygon", "vertices": [[0, 0], [1, 0], [1, bad]]})
     with pytest.raises(ValueError, match="finite"):
         domain_from_json(spec)
+    # finite vertices whose difference overflows to infinity
+    with pytest.raises(ValueError, match="finite"):
+        Polygon([(-1e308, 0), (1e308, 0), (0, 1e-300)])
 
 
 def test_polygon_rejects_self_intersection():
     with pytest.raises(ValueError):
         Polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
+
+
+NOT_SIMPLE = {
+    "pinched_vertex": [(0, 0), (2, 0), (2, 2), (1, 0), (0, 2)],
+    "collinear_overlap": [(0, 0), (3, 0), (3, 1), (2, 0), (1, 0), (1, 1), (0, 1)],
+    "figure_8": [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)],
+    "folded_spike": [(0, 0), (2, 0), (2, 1), (3, 1), (2, 1), (0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", NOT_SIMPLE)
+def test_polygon_rejects_edges_that_touch_or_overlap(name):
+    with pytest.raises(ValueError, match="not simple"):
+        Polygon(NOT_SIMPLE[name])
+    with pytest.raises(ValueError, match="not simple"):
+        Polygon(NOT_SIMPLE[name][::-1])
+
+
+CONVEXITY = {
+    "lshape": ([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], False),
+    "hexagon": ([(0, 0), (2, 0.5), (4, 0), (3, 2), (2, 1.2), (1, 2)], False),
+    "square": ([(0, 0), (1, 0), (1, 1), (0, 1)], True),
+    "triangle": ([(0, 0), (3, 1), (1, 2.5)], True),
+    "square_with_midpoint": ([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)], True),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-7, 1e-3, 1.0, 1e3, 1e8])
+def test_polygon_convexity_does_not_depend_on_scale(scale):
+    for name, (vertices, convex) in CONVEXITY.items():
+        assert Polygon(np.array(vertices, dtype=float) * scale).is_convex() is convex, name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_polygon_queries_reject_non_finite_coordinates(bad):
+    # the bad row sits in the second block
+    pts = np.full((_CHUNK + 5, 2), 0.5)
+    pts[-1, 1] = bad
+    for query in (L_SHAPE.distance, L_SHAPE.signed_distance, L_SHAPE.contains):
+        with pytest.raises(ValueError, match="finite"):
+            query(pts)
+        with pytest.raises(ValueError, match="finite"):
+            query(pts[-1])
+    # placed where the corner-order check lets it through
+    lo, hi = np.zeros_like(pts), np.ones_like(pts)
+    (hi if bad > 0 else lo)[-1, 0] = bad
+    for predicate in (L_SHAPE.cube_contained, L_SHAPE.cube_intersects):
+        with pytest.raises(ValueError, match="finite"):
+            predicate(lo, hi)
 
 
 def test_polygon_orientation_normalized():
