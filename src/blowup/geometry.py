@@ -6,6 +6,7 @@ negative outside, zero on the boundary; ``distance`` is its absolute value.
 Point-valued operations accept arrays of shape (..., dim) and vectorize over
 the leading axes.  Cube tests take arrays of lower/upper corners and answer
 exactly (no sampling), which is what the dyadic decomposition relies on.
+Both raise ``ValueError`` on a coordinate that is not finite.
 
 All objects here are immutable after construction and safe to share across
 threads.
@@ -33,10 +34,19 @@ __all__ = [
 ]
 
 
+def _finite(a: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``a`` is finite: one min
+    and one max over the array, no mask of its size."""
+    # a NaN comes out of min and max as NaN, which fails the test
+    if a.size and not -np.inf < a.min() <= a.max() < np.inf:
+        raise ValueError(f"{what} must be finite")
+
+
 def _points(p, dim: int) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.ndim == 0 or a.shape[-1] != dim:
         raise ValueError(f"expected points with last axis {dim}, got shape {a.shape}")
+    _finite(a, "query coordinates")
     return a
 
 
@@ -45,6 +55,8 @@ def _corners(lo, hi, dim: int):
     hi = np.atleast_2d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape or lo.shape[-1] != dim:
         raise ValueError("cube corner arrays must share shape (n, dim)")
+    _finite(lo, "cube corners")
+    _finite(hi, "cube corners")
     if np.any(hi <= lo):
         raise ValueError("cube upper corners must exceed lower corners")
     return lo, hi
@@ -101,9 +113,7 @@ def _blocks(columns, n_rows, n_masks=0):
     Yields (rows, cols, scratch, masks) per block: the block's slice, its
     entries of each column copied into a contiguous row, and ``n_rows``
     float and ``n_masks`` bool scratch rows of the block's length.  Every
-    block reuses the same buffers.  Raises ``ValueError`` on an entry that
-    is not finite, so the queries that walk their points here see finite
-    coordinates only.
+    block reuses the same buffers.
     """
     n = len(columns[0])
     size = min(n, _CHUNK)
@@ -115,9 +125,6 @@ def _blocks(columns, n_rows, n_masks=0):
         cols = list(floats[: len(columns), :width])
         for row, column in zip(cols, columns):
             np.copyto(row, column[rows])
-            # a NaN comes out of min and max as NaN, which fails the test
-            if not -np.inf < row.min() <= row.max() < np.inf:
-                raise ValueError("polygon query coordinates must be finite")
         yield rows, cols, list(floats[len(columns) :, :width]), list(masks[:, :width])
 
 
@@ -392,14 +399,37 @@ class Polygon(Domain):
         """Raise unless no two edges share a point other than the vertex
         of neighbours.  Only pairs of non-neighbours are tested: an edge
         that folds back along its neighbour puts a vertex on a third edge
-        (a folded triangle has zero area and is refused before this)."""
-        a, b = self._a.tolist(), self._b.tolist()
+        (a folded triangle has zero area and is refused before this).
+
+        The pairs (i, j), j >= i + 2, are walked in blocks of rows i of
+        about 4 ``_CHUNK`` pairs, and ``_segments_meet`` tests the pairs whose
+        closed bounding boxes overlap, as those of edges that share a point
+        do.  The error names the first pair in (i, j) order that meets.
+        Skipping the other pairs drops only the crossings that rounded
+        orientations can report for nearly collinear edges whose boxes are
+        apart, which a test of every pair took as meeting.
+        """
+        a, b = self._a, self._b
         n = len(a)
-        for i in range(n):
-            # the last edge neighbours edge 0
-            for j in range(i + 2, n - (i == 0)):
-                if _segments_meet(a[i], b[i], a[j], b[j]):
-                    raise ValueError(f"polygon is not simple: edges {i} and {j} meet")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        rows = max(1, 4 * _CHUNK // n)
+        for start in range(0, n - 2, rows):
+            i = np.arange(start, min(start + rows, n - 2))[:, None]
+            j = np.arange(start + 2, n)
+            near = j >= i + 2
+            if start == 0:
+                near[0, -1] = False  # the last edge neighbours edge 0
+            for k in (0, 1):
+                near &= lo[j, k] <= hi[i, k]
+                near &= lo[i, k] <= hi[j, k]
+            ii, jj = np.nonzero(near)  # in (i, j) order
+            ei, ej = i[ii, 0], j[jj]
+            meet = _segments_meet(a[ei].T, b[ei].T, a[ej].T, b[ej].T)
+            if meet.any():
+                first = np.argmax(meet)
+                raise ValueError(
+                    f"polygon is not simple: edges {ei[first]} and {ej[first]} meet"
+                )
 
     def _edge_projections(self, x, y, t, d, d2):
         """Per edge, in order: fills ``t`` with the clamped projection
@@ -648,18 +678,21 @@ def _orient(a, b, c):
 
 
 def _segments_meet(p, q, r, s):
-    """True when the closed segments pq and rs share a point: they cross,
-    or an endpoint of one lies on the other."""
+    """True where the closed segments pq and rs share a point: they cross,
+    or an endpoint of one lies on the other.  Each point is a pair of
+    coordinate rows, one segment per column."""
     o1, o2 = _orient(p, q, r), _orient(p, q, s)
     o3, o4 = _orient(r, s, p), _orient(r, s, q)
-    if (o1 < 0.0 < o2 or o2 < 0.0 < o1) and (o3 < 0.0 < o4 or o4 < 0.0 < o3):
-        return True
+    meet = ((o1 < 0.0) & (0.0 < o2)) | ((o2 < 0.0) & (0.0 < o1))
+    meet &= ((o3 < 0.0) & (0.0 < o4)) | ((o4 < 0.0) & (0.0 < o3))
     # an endpoint collinear with the other segment and within its box
-    touching = ((o1, p, q, r), (o2, p, q, s), (o3, r, s, p), (o4, r, s, q))
-    return any(
-        o == 0.0 and all(min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for k in (0, 1))
-        for o, a, b, c in touching
-    )
+    for o, a, b, c in ((o1, p, q, r), (o2, p, q, s), (o3, r, s, p), (o4, r, s, q)):
+        touch = o == 0.0
+        for k in (0, 1):
+            touch &= np.minimum(a[k], b[k]) <= c[k]
+            touch &= c[k] <= np.maximum(a[k], b[k])
+        meet |= touch
+    return meet
 
 
 # ---------------------------------------------------------------------------

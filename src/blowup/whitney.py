@@ -27,6 +27,10 @@ import numpy as np
 
 from .geometry import _CHUNK, Domain, _by_rows, _fold
 
+# cells of the bit table that ``covers`` builds per call (one byte each):
+# the finest level whose cells over the cubes' range number at most this
+_COVER_CELLS = 2**20
+
 __all__ = [
     "WhitneyParams",
     "DerivedConstants",
@@ -346,11 +350,114 @@ class WhitneyDecomposition:
     # -- point queries -----------------------------------------------------
 
     def covers(self, points: np.ndarray) -> np.ndarray:
-        """True where some selected (undilated, closed) cube holds the point."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _by_rows(self._covers, points)
+        """True where some selected (undilated, closed) cube holds the point.
 
-    def _covers(self, points: np.ndarray) -> np.ndarray:
+        A bool table over the cells of one level L, built per call by
+        ``_cover_table``, marks the cells that lie in a selected cube of
+        level <= L.  Each block of points is looked up in it, and only the
+        points whose cell is not marked go through the per-level search
+        ``_covers``.
+
+        A marked cell means covered: for a point x the scaling x 2**L is
+        exact (a power of two), and its half-open cell is c = floor(x
+        2**L).  The table marks c when some selected cube (k, m) with k <=
+        L holds it, that is m = floor(c / 2**(L - k)) = floor(x 2**k), as
+        the floor of a floor over an integer is the floor of the quotient.
+        That is the index ``_covers`` takes for x at level k, where it finds
+        that cube.  Every other point (in an unmarked cell, outside the
+        table, or not finite) is answered by ``_covers`` itself, so each
+        answer is the per-level search's.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        marks = self._cover_table()
+        if marks is None:
+            return _by_rows(self._covers, points)
+        return _by_rows(lambda block: self._covers_marked(block, *marks), points)
+
+    def _cover_table(self):
+        """(L, origin, table), or None when the coarsest level's table alone
+        would exceed ``_COVER_CELLS`` cells: ``table`` marks each level-L
+        cell, numbered from ``origin``, that lies in a selected cube of
+        level <= L.
+
+        The table spans the cubes of levels <= L, widened to whole cells of
+        the coarsest level k0, so a level-k cube is a block of 2**(L - k)
+        cells per axis, aligned to that block size: one strided assignment
+        per level marks them, on a view of the table with each axis split
+        into (blocks, cells per block).  The span grows and each level's
+        cells halve, so the table at least doubles per axis from one level
+        to the next, and L is the last level before it exceeds the cap.
+        """
+        k0, n = self._k0, self._ms.shape[1]
+        span = top = None
+        for k, m in sorted(self.levels.items()):
+            if not len(m):
+                continue
+            # the level's cubes, in level-k0 cells: floor and ceiling shifts
+            lo, hi = m.min(axis=0) >> (k - k0), -(-(m.max(axis=0) + 1) >> (k - k0))
+            if span is not None:
+                lo, hi = np.minimum(span[0], lo), np.maximum(span[1], hi)
+            if math.prod((hi - lo).tolist()) << (n * (k - k0)) > _COVER_CELLS:
+                break
+            span, top = (lo, hi), k
+        if span is None:
+            return None
+        table = np.zeros(tuple(((span[1] - span[0]) << (top - k0)).tolist()), dtype=bool)
+        for k, m in self.levels.items():
+            if k <= top and len(m):
+                block = 1 << (top - k)
+                view = table.reshape([e for size in table.shape for e in (size // block, block)])
+                rel = m - (span[0] << (k - k0))
+                view[tuple(i for col in rel.T for i in (col, slice(None)))] = True
+        return top, span[0] << (top - k0), table
+
+    def _covers_marked(self, points, top, origin, table):
+        """``_covers`` of the block ``points``, given the level-``top`` table
+        of ``_cover_table`` and its origin.
+
+        A point in a marked cell is covered (see ``covers``).  A point in
+        the table's span whose cell is not marked lies in no selected cube
+        of level k <= top unless it is on the level-k lattice along some
+        axis: off that lattice the only closed level-k cube that holds it is
+        the one of index floor(x 2**k), whose cells hold the point's, and no
+        selected cube of level <= top holds an unmarked cell.  A point on
+        the level-k lattice is on the level-top one, so the points off the
+        level-top lattice are asked at the finer levels alone.  The rest
+        (outside the span, on that lattice, or not finite) take the whole
+        search.
+        """
+        inside = np.ones(len(points), dtype=bool)
+        cell = np.zeros(len(points))
+        col = np.empty(len(points))
+        test = np.empty(len(points), dtype=bool)
+        for i, size in enumerate(table.shape):
+            np.multiply(points[:, i], 2.0**top, out=col)
+            np.floor(col, out=col)
+            col -= origin[i]
+            # NaN fails both comparisons
+            inside &= np.greater_equal(col, 0.0, out=test)
+            inside &= np.less(col, size, out=test)
+            # every row gets a cell in the table, NaN too (fmax drops it)
+            np.fmax(col, 0.0, out=col)
+            np.fmin(col, size - 1, out=col)
+            cell *= size
+            cell += col
+        out = table.take(cell.astype(np.intp))
+        out &= inside
+        unmarked = np.flatnonzero(inside ^ out)
+        scaled = points[unmarked] * 2.0**top
+        lattice = _fold(np.logical_or, scaled == np.floor(scaled))
+        finer = unmarked[~lattice]
+        out[finer] = self._covers(points[finer], finer_than=top)
+        rest = np.concatenate([np.flatnonzero(~inside), unmarked[lattice]])
+        out[rest] = self._covers(points[rest])
+        return out
+
+    def _covers(self, points: np.ndarray, finer_than=None) -> np.ndarray:
+        """Per level (only those above ``finer_than`` when given), whether a
+        selected cube of that level holds each point: its floor index, then
+        the lower neighbours along the axes where it lies on the level's
+        lattice; a point found at one level is not asked at the next."""
         n = points.shape[1]
         out = np.zeros(len(points), dtype=bool)
         # a point exactly on a shared face or corner also belongs to the lower
@@ -361,6 +468,10 @@ class WhitneyDecomposition:
         ).reshape(-1, n)[1:]
         todo = np.arange(len(points))
         for k in self.levels:
+            if not len(todo):
+                break
+            if finer_than is not None and k <= finer_than:
+                continue
             scaled = points[todo]
             scaled /= 2.0 ** (-k)
             base = np.floor(scaled)
@@ -371,7 +482,7 @@ class WhitneyDecomposition:
             # only a point on the lattice along some axis qualifies for a
             # nonzero shift
             edge = np.flatnonzero(~hit & _fold(np.logical_or, on_lattice))
-            for sh in shifts:
+            for sh in shifts if len(edge) else ():
                 ask = edge[~hit[edge] & _fold(np.logical_and, on_lattice[edge] | (sh == 0))]
                 hit[ask] = self.cube_ids(k, base[ask] + sh) >= 0
             out[todo[hit]] = True

@@ -1,6 +1,7 @@
 """Geometry layer: distances, cube predicates, smoothing profile."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -900,6 +901,139 @@ def test_polygon_queries_reject_non_finite_coordinates(bad):
     for predicate in (L_SHAPE.cube_contained, L_SHAPE.cube_intersects):
         with pytest.raises(ValueError, match="finite"):
             predicate(lo, hi)
+
+
+CLOSED_FORM = {
+    "disk": UNIT_DISK,
+    "annulus": RING,
+    "square": UNIT_SQUARE,
+    "ball3": Disk(center=(0.0, 0.0, 0.0), radius=1.0),
+    "shell3": Annulus(center=(0.0, 0.0, 0.0)),
+    "box3": Box((0.0, 0.0, 0.0), (1.0, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+def test_closed_form_queries_reject_non_finite_coordinates(name, bad):
+    # Disk() answered -inf at (inf, 0) and a Box NaN at (nan, 0.5)
+    dom = CLOSED_FORM[name]
+    pts = np.full((5, dom.dim), 0.25)
+    pts[-1, 0] = bad
+    queries = [dom.signed_distance, dom.distance, dom.contains]
+    queries += [getattr(dom, "distance_laplacian")] if hasattr(dom, "distance_laplacian") else []
+    for query in queries:
+        with pytest.raises(ValueError, match="finite"):
+            query(pts)
+        with pytest.raises(ValueError, match="finite"):
+            query(pts[-1])
+        assert query(np.empty((0, dom.dim))).shape == (0,)
+    # placed where the corner-order check lets it through: a NaN lower
+    # corner made Box.cube_intersects answer False, a false negative
+    lo, hi = np.zeros_like(pts), np.ones_like(pts)
+    (hi if bad > 0 else lo)[-1, 0] = bad
+    for predicate in (dom.cube_contained, dom.cube_intersects):
+        with pytest.raises(ValueError, match="finite"):
+            predicate(lo, hi)
+        assert predicate(lo[:-1], hi[:-1]).shape == (4,)
+
+
+def _reference_segments_meet(p, q, r, s):
+    """The closed segments pq and rs share a point, one pair at a time in
+    Python floats."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    o1, o2 = orient(p, q, r), orient(p, q, s)
+    o3, o4 = orient(r, s, p), orient(r, s, q)
+    if (o1 < 0.0 < o2 or o2 < 0.0 < o1) and (o3 < 0.0 < o4 or o4 < 0.0 < o3):
+        return True
+    touching = ((o1, p, q, r), (o2, p, q, s), (o3, r, s, p), (o4, r, s, q))
+    return any(
+        o == 0.0 and all(min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for k in (0, 1))
+        for o, a, b, c in touching
+    )
+
+
+def _reference_first_meeting_pair(a, b):
+    """(i, j) of the first pair of non-neighbouring edges a[i]b[i], a[j]b[j]
+    that meet, every pair tested in a Python loop; None when none does."""
+    a, b = a.tolist(), b.tolist()
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            if _reference_segments_meet(a[i], b[i], a[j], b[j]):
+                return i, j
+    return None
+
+
+def _first_meeting_pair(vertices):
+    """The pair ``Polygon._check_simple`` names for the edges of
+    ``vertices`` taken as given, or None when it accepts them."""
+    poly = object.__new__(Polygon)
+    poly._a = np.asarray(vertices, dtype=float)
+    poly._b = np.roll(poly._a, -1, axis=0)
+    try:
+        poly._check_simple()
+    except ValueError as exc:
+        found = re.fullmatch(r"polygon is not simple: edges (\d+) and (\d+) meet", str(exc))
+        return int(found[1]), int(found[2])
+    return None
+
+
+def _star(rng, n):
+    """A simple polygon: n vertices at increasing angles and random radii."""
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    r = rng.uniform(0.5, 1.5, n)
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+
+
+def _simplicity_cases():
+    rng = np.random.default_rng(34)
+    cases = {f"grid_{i}": rng.integers(0, 5, (rng.integers(4, 13), 2)) for i in range(300)}
+    cases.update({f"random_{i}": rng.random((rng.integers(4, 31), 2)) for i in range(100)})
+    cases.update({f"star_{i}": _star(rng, rng.integers(3, 120)) for i in range(40)})
+    for i in range(40):
+        # a star with a spike folded back on itself after a vertex: out along
+        # x by w, back by w / 2, then on, so the spike's first edge holds the
+        # start of its third, exactly
+        v = _star(rng, rng.integers(5, 40)).tolist()
+        k = rng.integers(len(v))
+        (ax, ay), w = v[k], rng.uniform(-0.3, 0.3)
+        cases[f"folded_{i}"] = v[: k + 1] + [[ax + w, ay], [ax + w / 2, ay]] + v[k + 1 :]
+    cases["subdivided_square"] = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2), (1, 2), (0, 2), (0, 1)]
+    cases["subdivided_diagonal"] = [(0, 0), (4, 0), (4, 4), (3, 3), (2, 2), (1, 1)]
+    for name, v in NOT_SIMPLE.items():
+        cases[name], cases[name + "_reversed"] = v, v[::-1]
+    return cases
+
+
+def test_check_simple_matches_pairwise_loop():
+    cases = _simplicity_cases()
+    found = {}
+    for name, v in cases.items():
+        v = np.asarray(v, dtype=float)
+        found[name] = _first_meeting_pair(v)
+        assert found[name] == _reference_first_meeting_pair(v, np.roll(v, -1, axis=0)), name
+    simple = {name for name in cases if name.startswith(("star", "subdivided"))}
+    assert all(found[name] is None for name in simple)
+    folded = {n for n in cases if n.startswith("folded") or n.removesuffix("_reversed") in NOT_SIMPLE}
+    assert all(found[name] is not None for name in folded)
+    grid = [found[name] is None for name in cases if name.startswith("grid")]
+    assert 10 < sum(grid) < len(grid) - 10
+
+
+def test_check_simple_skips_edges_whose_boxes_are_apart():
+    # a triangle whose slanted side runs through 198 rounded points: the
+    # pairwise loop's rounded orientations call two of its edges, whose
+    # bounding boxes are far apart, crossing; the box test never asks
+    t = np.linspace(0.0, 1.0, 200)
+    side = np.stack([t * 3.3, t * 3.3 * 0.7], axis=1)
+    poly = Polygon(np.concatenate([side, [(3.3, 0.0)]]))
+    i, j = _reference_first_meeting_pair(poly._a, poly._b)
+    lo, hi = np.minimum(poly._a, poly._b), np.maximum(poly._a, poly._b)
+    assert np.any((hi[i] < lo[j]) | (hi[j] < lo[i]))
 
 
 def test_polygon_orientation_normalized():

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blowup import whitney
 from blowup.geometry import _CHUNK, Annulus, Box, Disk, Polygon, _fold, domain_from_json
 from blowup.grid import Grid
 from blowup.svg import decomposition_to_svg
@@ -478,6 +479,133 @@ def test_covers_allocates_a_block_not_the_points():
     bound = out.nbytes + 80 * _CHUNK
     assert bound < 2 * pts.nbytes / 3
     assert peak <= bound, peak
+
+
+def _table_edge_points(decomp, rng):
+    """Points where the bit table of ``covers`` is most easily wrong: on
+    the level-L lattice, on the upper faces and corners of the selected
+    cubes of levels <= L (which only the per-level search finds), the
+    float neighbours of all of these, and points below and past the
+    table's span."""
+    top, origin, table = decomp._cover_table()
+    n = decomp.params.dim
+    s = 2.0**-top
+    shape = np.array(table.shape)
+    lattice = origin + rng.integers(0, shape + 1, size=(4000, n))
+    pts = [lattice * s]
+    corners = np.stack(np.meshgrid(*[np.array([0.0, 0.5, 1.0])] * n, indexing="ij"), axis=-1)
+    corners = corners.reshape(-1, n)
+    for k, m in decomp.levels.items():
+        if k <= top:
+            sub = m[rng.integers(len(m), size=min(len(m), 200))]
+            for off in corners[np.any(corners == 1.0, axis=1)]:
+                pts.append((sub + off) * 2.0**-k)
+    # below, at and past each end of the span along each axis
+    for i in range(n):
+        for cell in (-3, -1, 0, shape[i] - 1, shape[i], shape[i] + 2):
+            edge = lattice[:200].copy()
+            edge[:, i] = origin[i] + cell
+            pts += [edge * s, (edge + 0.5) * s]
+    pts = np.concatenate(pts)
+    # one float step along each axis and along both diagonals
+    steps = np.concatenate([np.eye(n), np.ones((1, n))])
+    return np.concatenate([pts] + [np.nextafter(pts, pts + d) for d in (*steps, *-steps)])
+
+
+_TABLE_CASES = {
+    "lshape": (lambda: decompose(L_SHAPE, WhitneyParams(k_max=8)), 8),
+    "hexagon": (lambda: decompose(HEXAGON, WhitneyParams(k_max=7)), 7),
+    "box3": (
+        lambda: decompose(
+            Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), WhitneyParams(eta=3.0, dim=3, k_max=7)
+        ),
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_covers_table_edges_match_reference(case):
+    build, top = _TABLE_CASES[case]
+    decomp = build()
+    assert decomp._cover_table()[0] == top
+    pts = _table_edge_points(decomp, np.random.default_rng(9))
+    got = decomp.covers(pts)
+    assert np.array_equal(got, _reference_covers(decomp, pts))
+    assert got.any() and not got.all()
+
+
+@pytest.mark.parametrize("cap", [1, 8, 4**5, 2**20])
+def test_covers_matches_reference_at_any_table_cap(monkeypatch, cap):
+    # at cap 1 and 8 the coarsest level alone exceeds the cap, so there is
+    # no table and every point takes the per-level search
+    monkeypatch.setattr(whitney, "_COVER_CELLS", cap)
+    decomp = decompose(L_SHAPE, WhitneyParams(k_max=8))
+    marks = decomp._cover_table()
+    assert (marks is None) == (cap < 16)
+    if marks is not None:
+        assert marks[2].size <= cap
+    rng = np.random.default_rng(cap)
+    with monkeypatch.context() as m:
+        m.setattr(whitney, "_COVER_CELLS", 2**20)
+        pts = _table_edge_points(decomp, rng)
+    pts = np.concatenate([pts, rng.random((20_000, 2)) * 2.5 - 0.25])
+    assert np.array_equal(decomp.covers(pts), _reference_covers(decomp, pts))
+
+
+def test_covers_without_a_table_when_the_coarsest_level_is_too_wide():
+    # two level-0 cubes 2000 cells apart: 2001**2 cells exceed the cap
+    levels = {0: np.array([[0, 0], [2000, 2000]]), 3: np.array([[9, 9], [10, 9]])}
+    decomp = WhitneyDecomposition(L_SHAPE, WhitneyParams(), levels, {})
+    assert decomp._cover_table() is None
+    inside = [[0.5, 0.5], [1.0, 1.0], [1.0, 0.0], [2000.0, 2001.0], [2000.5, 2000.5],
+              [1.25, 1.125], [1.375, 1.25]]
+    outside = [[1.5, 1.25], [3.0, 3.0], [-1e-300, 0.0], [1.0, np.nextafter(1.0, 2.0)]]
+    pts = np.array(inside + outside)
+    got = decomp.covers(pts)
+    assert np.array_equal(got, _reference_covers(decomp, pts))
+    assert got.tolist() == [True] * len(inside) + [False] * len(outside)
+
+
+def test_covers_outside_a_table_marked_to_its_edges():
+    # cubes [0, 1]^2, [1, 2] x [0, 1] and [0, 0.5] x [1, 1.5] mark cells on
+    # two edges of the level-1 table over [0, 2]^2, so a point past an edge
+    # that took the nearest cell, or wrapped into the next row, would read
+    # a marked cell
+    levels = {0: np.array([[0, 0], [1, 0]]), 1: np.array([[0, 2]])}
+    decomp = WhitneyDecomposition(L_SHAPE, WhitneyParams(), levels, {})
+    top, origin, table = decomp._cover_table()
+    assert (top, origin.tolist(), table.shape) == (1, [0, 0], (4, 4))
+    marked = [[1, 1, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0]]
+    assert table.tolist() == np.array(marked, dtype=bool).tolist()
+    inside = [[0.0, 0.0], [2.0, 1.0], [0.5, 1.5], [0.25, 1.0], [1.5, 0.5]]
+    tiny = np.nextafter(0.0, 1.0)
+    outside = [[-0.25, 0.5], [2.25, 0.5], [1.5, -0.25], [0.25, 2.25], [-tiny, 0.5],
+               [0.5, 2.0], [1.0, 1.75], [2.0, 1.25], [0.25, -1e3], [4.0, -0.5]]
+    pts = np.array(inside + outside)
+    got = decomp.covers(pts)
+    assert np.array_equal(got, _reference_covers(decomp, pts))
+    assert got.tolist() == [True] * len(inside) + [False] * len(outside)
+
+
+def test_covers_sends_few_rows_to_cube_ids(monkeypatch):
+    # the L-shape at k_max 14 takes its table at level 9; of a 200k sample
+    # beyond epsilon_cut, 1386 rows reach cube_ids (0.0069 a point), where
+    # the per-level search alone sent 441486 (2.21 a point).  The bound,
+    # 0.01 a point, leaves 44% over the measured count.
+    decomp = decompose(L_SHAPE, WhitneyParams(k_max=14))
+    assert decomp._cover_table()[0] == 9
+    pts = _sample_beyond_cut(decomp, 200_000, np.random.default_rng(7))
+    rows = []
+    cube_ids = decomp.cube_ids
+
+    def counted(lev, m):
+        rows.append(len(m))
+        return cube_ids(lev, m)
+
+    monkeypatch.setattr(decomp, "cube_ids", counted)
+    assert decomp.covers(pts).all()
+    assert sum(rows) <= 0.01 * len(pts), sum(rows)
 
 
 def test_cube_ids_are_the_rows_of_arrays(disk_decomp):
