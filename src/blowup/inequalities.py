@@ -115,8 +115,8 @@ def phi_n(t, n: int = 2):
 
 def weighted_lhs(u: ScalarField, q: float) -> float:
     """(integral of |u|^q / delta^2)^(1/q) by midpoint quadrature."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    if not 1 <= q < math.inf:
+        raise ValueError("q must be finite and at least 1")
     g = u.grid
     total = np.sum(np.abs(u.values) ** q / g.delta**2) * g.h**2
     return float(total ** (1.0 / q))
@@ -147,8 +147,8 @@ def _weighted_rhs(u: ScalarField, gx, gy) -> float:
 def sobolev_bound(q: float, n: int) -> float:
     """Growth bound (omega_n q)^(1 - 1/n + 1/q) for the embedding constant
     of W^{1,n} into L^q on the reference cube, valid for q >= n."""
-    if q < n:
-        raise ValueError("bound requires q >= n")
+    if not n <= q < math.inf:
+        raise ValueError("bound requires finite q >= n")
     return (unit_ball_volume(n) * q) ** (1.0 - 1.0 / n + 1.0 / q)
 
 
@@ -160,8 +160,8 @@ def sigma_q(constants: DerivedConstants, q: float) -> float:
     certified growth bound for S_q.
     """
     n = constants.dim
-    if q < n:
-        raise ValueError("q must be at least n")
+    if not n <= q < math.inf:
+        raise ValueError("q must be finite and at least n")
     lam = constants.delta_side_min
     mu = constants.delta_side_max
     c3 = constants.grad_bound
@@ -234,8 +234,8 @@ def c2_constant(c1: float, constants: DerivedConstants) -> C2Result:
     n = constants.dim
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
+    if not 0 < c1 < math.inf:
+        raise ValueError("c1 must be positive and finite")
     nprime = n / (n - 1.0)
     omega = unit_ball_volume(n)
     A = a_constant(constants)
@@ -580,8 +580,8 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     the full chain.
     """
     n = decomp.params.dim
-    if q < n:
-        raise ValueError("q must be at least n")
+    if not n <= q < math.inf:
+        raise ValueError("q must be finite and at least n")
     g = u.grid
     if decomp.domain.to_json_dict() != g.domain.to_json_dict():
         raise ValueError("the decomposition and the grid are built on different domains")

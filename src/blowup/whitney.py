@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import _CHUNK, Domain, _by_rows, _fold
+from .geometry import _CHUNK, Domain, _by_rows, _finite, _fold
 
 # cells of the bit table that ``covers`` builds per call (one byte each):
 # the finest level whose cells over the cubes' range number at most this
@@ -55,7 +55,8 @@ class WhitneyParams:
 
     ``eta`` dilates a cube for the containment test; ``eta_prime`` dilates it
     for the bump support.  Validity needs eta / sqrt(dim) > eta_prime > 1:
-    supports then stay inside the domain with room to spare.
+    supports then stay inside the domain with room to spare.  ``dim`` and
+    ``k_max`` are integers (not bools).
     """
 
     eta: float = 2.0
@@ -64,6 +65,10 @@ class WhitneyParams:
     k_max: int = 14
 
     def __post_init__(self):
+        for name in ("dim", "k_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         root_n = math.sqrt(self.dim)
@@ -247,7 +252,7 @@ class WhitneyDecomposition:
 
     Immutable after construction.  The cubes are stacked level-major once;
     ``levels`` maps level -> a read-only view of its (count, dim) index
-    rows in lexicographic order (rows given out of order are sorted once),
+    rows in lexicographic order (each level's rows are sorted once, by key),
     keys in the order given, and every membership question goes through
     ``cube_ids``, whose ids index ``arrays()``.  The partition bump and the
     constants follow from ``params``.
@@ -275,17 +280,19 @@ class WhitneyDecomposition:
         # index range, axis 0 most significant, so keys sort as rows do.  The
         # sorted keys of level k0 + i are _keys[_level_starts[i]:_level_starts[i + 1]].
         self._k0 = order[0]
-        self._lo = self._ms.min(axis=0)
-        self._extent = (self._ms.max(axis=0) + 1 - self._lo).astype(np.uint64)
+        self._lo, hi = self._ms.min(axis=0), self._ms.max(axis=0)
+        self._extent = (hi + 1 - self._lo).astype(np.uint64)
         if math.prod(int(e) for e in self._extent) >= 2**63:
             raise ValueError("cube keys do not fit in 63 bits")
+        # so that m and m + 1 are floats, and m * side exact (see _covers)
+        if max(-int(self._lo.min()), int(hi.max())) >= 2**51:
+            raise ValueError("cube indices must lie below 2**51 in magnitude")
         counts = [len(levels.get(k, ())) for k in range(order[0], order[-1] + 1)]
         self._level_starts = at = np.cumsum([0] + counts).tolist()
-        self._keys, _ = self._index_keys(self._ms)
+        self._keys, _ = _index_keys(self._ms, self._lo, self._extent)
         for a, b in zip(at, at[1:]):
-            if np.any(self._keys[a + 1 : b] < self._keys[a : b - 1]):
-                rows = a + np.argsort(self._keys[a:b], kind="stable")
-                self._ms[a:b], self._keys[a:b] = self._ms[rows], self._keys[rows]
+            rows = a + np.argsort(self._keys[a:b], kind="stable")
+            self._ms[a:b], self._keys[a:b] = self._ms[rows], self._keys[rows]
         self._ks.flags.writeable = self._ms.flags.writeable = False
         self.levels = {k: self._ms[at[k - self._k0] : at[k - self._k0 + 1]] for k in levels}
 
@@ -297,27 +304,9 @@ class WhitneyDecomposition:
 
     # -- membership --------------------------------------------------------
 
-    def _index_keys(self, m: np.ndarray):
-        """(key, in range) of each row of the index array m: its mixed-radix
-        key over the global index range, axis 0 most significant, built
-        column by column (Horner's rule), and True where the row lies in
-        that range.  Only the keys of rows in range mean anything."""
-        keys = m[:, 0] - self._lo[0]
-        # a negative offset reads as a huge unsigned one, so one comparison
-        # checks both ends of the range
-        ok = keys.view(np.uint64) < self._extent[0]
-        for i in range(1, m.shape[1]):
-            rel = m[:, i] - self._lo[i]
-            ok &= rel.view(np.uint64) < self._extent[i]
-            keys *= int(self._extent[i])
-            keys += rel
-        return keys, ok
-
-    def cube_ids(self, lev, m: np.ndarray) -> np.ndarray:
-        """Global id of each queried cube (level lev, index m), or -1 where
-        that cube is not selected.  ``lev`` is one level or one per row of m;
-        per-row levels are answered one level of the decomposition's range
-        at a time (rows at other levels stay -1).
+    def cube_ids(self, k: int, m: np.ndarray) -> np.ndarray:
+        """Global id of each queried cube (level k, index m), or -1 where
+        that cube is not selected.
 
         Ids run level-major, then in the lexicographic order of the index:
         a cube's id is its row in ``arrays()``.  A query searches its
@@ -326,20 +315,14 @@ class WhitneyDecomposition:
         """
         m = np.asarray(m, dtype=np.int64)
         out = np.full(len(m), -1, dtype=np.int64)
-        if np.ndim(lev):
-            lev = np.asarray(lev)
-            for k in range(self._k0, self._k0 + len(self._level_starts) - 1):
-                rows = np.flatnonzero(lev == k)
-                out[rows] = self.cube_ids(k, m[rows])
-            return out
-        i = int(lev) - self._k0
+        i = int(k) - self._k0
         if not 0 <= i < len(self._level_starts) - 1:
             return out
         start, stop = self._level_starts[i], self._level_starts[i + 1]
         if start == stop:
             return out
         table = self._keys[start:stop]
-        keys, ok = self._index_keys(m)
+        keys, ok = _index_keys(m, self._lo, self._extent)
         pos = np.searchsorted(table, keys)
         # pos is at most len(table), and clipping makes that the last key
         ok &= table.take(pos, mode="clip") == keys
@@ -350,7 +333,8 @@ class WhitneyDecomposition:
     # -- point queries -----------------------------------------------------
 
     def covers(self, points: np.ndarray) -> np.ndarray:
-        """True where some selected (undilated, closed) cube holds the point.
+        """True where some selected (undilated, closed) cube holds the point;
+        ValueError on a non-finite coordinate.
 
         A bool table over the cells of one level L, built per call by
         ``_cover_table``, marks the cells that lie in a selected cube of
@@ -363,12 +347,13 @@ class WhitneyDecomposition:
         2**L).  The table marks c when some selected cube (k, m) with k <=
         L holds it, that is m = floor(c / 2**(L - k)) = floor(x 2**k), as
         the floor of a floor over an integer is the floor of the quotient.
-        That is the index ``_covers`` takes for x at level k, where it finds
-        that cube.  Every other point (in an unmarked cell, outside the
-        table, or not finite) is answered by ``_covers`` itself, so each
+        Then m 2**-k <= x < (m + 1) 2**-k, so the closed cube (k, m) holds
+        x and ``_covers`` finds it.  Every other point (in an unmarked cell
+        or outside the table) is answered by ``_covers`` itself, so each
         answer is the per-level search's.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        _finite(points, "query coordinates")
         marks = self._cover_table()
         if marks is None:
             return _by_rows(self._covers, points)
@@ -423,23 +408,22 @@ class WhitneyDecomposition:
         selected cube of level <= top holds an unmarked cell.  A point on
         the level-k lattice is on the level-top one, so the points off the
         level-top lattice are asked at the finer levels alone.  The rest
-        (outside the span, on that lattice, or not finite) take the whole
-        search.
+        (outside the span or on that lattice) take the whole search.
         """
         inside = np.ones(len(points), dtype=bool)
         cell = np.zeros(len(points))
         col = np.empty(len(points))
         test = np.empty(len(points), dtype=bool)
         for i, size in enumerate(table.shape):
-            np.multiply(points[:, i], 2.0**top, out=col)
+            with np.errstate(over="ignore"):  # an infinity lies outside the span
+                np.multiply(points[:, i], 2.0**top, out=col)
             np.floor(col, out=col)
             col -= origin[i]
-            # NaN fails both comparisons
             inside &= np.greater_equal(col, 0.0, out=test)
             inside &= np.less(col, size, out=test)
-            # every row gets a cell in the table, NaN too (fmax drops it)
-            np.fmax(col, 0.0, out=col)
-            np.fmin(col, size - 1, out=col)
+            # every row gets a cell in the table
+            np.maximum(col, 0.0, out=col)
+            np.minimum(col, size - 1, out=col)
             cell *= size
             cell += col
         out = table.take(cell.astype(np.intp))
@@ -455,38 +439,35 @@ class WhitneyDecomposition:
 
     def _covers(self, points: np.ndarray, finer_than=None) -> np.ndarray:
         """Per level (only those above ``finer_than`` when given), whether a
-        selected cube of that level holds each point: its floor index, then
-        the lower neighbours along the axes where it lies on the level's
-        lattice; a point found at one level is not asked at the next."""
-        n = points.shape[1]
+        selected closed cube of that level holds each finite point; a point
+        found at one level is not asked at the next.
+
+        At level k, of side s, ``_near(k, x, s / 2)`` gives every selected
+        cube whose center c has |x - c| <= (1 + 1e-12) s / 2 on each axis.
+        That includes every cube that holds x: there |x - c| <= s / 2, and
+        the rounded difference keeps the bound, s / 2 being a float.  A hit
+        (k, m) is kept where m s <= x <= (m + 1) s on every axis, the closed
+        cube exactly: m and m + 1 lie below 2**51 in magnitude (the
+        constructor's check), so they and their products with the power of
+        two s are exact.  A cube of level k that holds x has |m| >= |x| / s
+        - 1, so x is asked at level k only where |x| < 2**52 s on every
+        axis, which keeps the integer indices of ``_near`` exact too.
+        """
         out = np.zeros(len(points), dtype=bool)
-        # a point exactly on a shared face or corner also belongs to the lower
-        # neighbors along the axes where it sits on the lattice; the first
-        # shift is zero
-        shifts = np.stack(
-            np.meshgrid(*[np.array([0, -1])] * n, indexing="ij"), axis=-1
-        ).reshape(-1, n)[1:]
         todo = np.arange(len(points))
         for k in self.levels:
             if not len(todo):
                 break
             if finer_than is not None and k <= finer_than:
                 continue
-            scaled = points[todo]
-            scaled /= 2.0 ** (-k)
-            base = np.floor(scaled)
-            on_lattice = scaled == base
-            del scaled
-            base = base.astype(np.int64)
-            hit = self.cube_ids(k, base) >= 0
-            # only a point on the lattice along some axis qualifies for a
-            # nonzero shift
-            edge = np.flatnonzero(~hit & _fold(np.logical_or, on_lattice))
-            for sh in shifts if len(edge) else ():
-                ask = edge[~hit[edge] & _fold(np.logical_and, on_lattice[edge] | (sh == 0))]
-                hit[ask] = self.cube_ids(k, base[ask] + sh) >= 0
-            out[todo[hit]] = True
-            todo = todo[~hit]
+            s = 2.0 ** (-k)
+            ask = todo[_fold(np.logical_and, np.abs(points[todo]) < 2.0**52 * s)]
+            x = points[ask]
+            rows, _, ids = self._near(k, x, s / 2.0)
+            m, x = self._ms[ids], x[rows]
+            held = _fold(np.logical_and, (m * s <= x) & (x <= (m + 1) * s))
+            out[ask[rows[held]]] = True
+            todo = todo[~out[todo]]
         return out
 
     def _support_hits(self, points: np.ndarray, delta: np.ndarray):
@@ -763,7 +744,6 @@ def decompose(domain: Domain, params: WhitneyParams) -> WhitneyDecomposition:
     active = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
     active = active.astype(np.int64)
 
-    eta = params.eta
     levels: dict[int, np.ndarray] = {}
     truncated: dict[int, int] = {}
     child_offsets = np.stack(
@@ -774,13 +754,9 @@ def decompose(domain: Domain, params: WhitneyParams) -> WhitneyDecomposition:
         if len(active) == 0:
             break
         s = 2.0 ** (-k)
-        centers = (active + 0.5) * s
-        half = 0.5 * eta * s
-        contained = domain.cube_contained(centers - half, centers + half)
-        chosen = active[contained]
-        if len(chosen) > 0:
-            order = np.lexsort(chosen.T[::-1])
-            levels[k] = chosen[order]
+        contained = _dilate_inside(domain, k, active, params.eta)
+        if contained.any():
+            levels[k] = active[contained]
         rest = active[~contained]
         if len(rest) > 0:
             keep = domain.cube_intersects(rest * s, (rest + 1) * s)
@@ -1089,20 +1065,35 @@ def _partition_checks(decomp: WhitneyDecomposition, count: int, rng, report) -> 
     )
 
 
+def _index_keys(m: np.ndarray, lo: np.ndarray, extent: np.ndarray):
+    """(key, in range) of each row of the int64 index array m: its
+    mixed-radix key over the index range [lo, lo + extent) (``extent``
+    unsigned), axis 0 most significant, so keys sort as rows do, and True
+    where the row lies in that range.  Only the keys of rows in range mean
+    anything.  The key is built column by column (Horner's rule), as numpy
+    reduces a short last axis element by element."""
+    keys = m[:, 0] - lo[0]
+    # a negative offset reads as a huge unsigned one, so one comparison
+    # checks both ends of the range
+    ok = keys.view(np.uint64) < extent[0]
+    for i in range(1, m.shape[1]):
+        rel = m[:, i] - lo[i]
+        ok &= rel.view(np.uint64) < extent[i]
+        keys *= int(extent[i])
+        keys += rel
+    return keys, ok
+
+
 def _distinct_rows(ms: np.ndarray):
-    """(first, inverse) of ``np.unique`` over the rows of the integer array
-    ``ms``, through one mixed-radix key per row over the rows' own index
-    range (``np.unique(axis=0)`` is several times slower).  The key is built
-    column by column, as numpy reduces a short last axis element by
-    element.  The keys are ranked by the stable sort ``np.unique`` uses
-    with ``return_index``, so ``first`` holds each row's first occurrence;
-    done here, the Whitney run calls no ``np.unique``, whose first call in
-    a process imports ``numpy.ma`` (about 30 ms of CPU)."""
-    keys, radix = 0, 1
-    for i in range(ms.shape[1]):
-        col = ms[:, i] - ms[:, i].min()
-        keys = keys + col * radix
-        radix *= int(col.max()) + 1
+    """(first, inverse) of ``np.unique`` over the rows of the int64 array
+    ``ms``, through ``_index_keys`` over the rows' own index range
+    (``np.unique(axis=0)`` is several times slower).  The keys are ranked
+    by the stable sort ``np.unique`` uses with ``return_index``, so
+    ``first`` holds each row's first occurrence; done here, the Whitney run
+    calls no ``np.unique``, whose first call in a process imports
+    ``numpy.ma`` (about 30 ms of CPU)."""
+    lo = ms.min(axis=0)
+    keys, _ = _index_keys(ms, lo, (ms.max(axis=0) + 1 - lo).astype(np.uint64))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     new = np.empty(len(keys), dtype=bool)

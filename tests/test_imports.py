@@ -34,8 +34,14 @@ def test_every_imported_name_is_used(path):
 
 # geometry's block helpers are shared on purpose: the Whitney point
 # queries walk their points in the same blocks of _CHUNK rows, with the same
-# fold over a short last axis, as the polygon queries
-SHARED_PRIVATE = {("geometry", "_CHUNK"), ("geometry", "_by_rows"), ("geometry", "_fold")}
+# fold over a short last axis, as the polygon queries, and refuse a
+# non-finite coordinate with the same check (_finite) as the domain queries
+SHARED_PRIVATE = {
+    ("geometry", "_CHUNK"),
+    ("geometry", "_by_rows"),
+    ("geometry", "_finite"),
+    ("geometry", "_fold"),
+}
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():

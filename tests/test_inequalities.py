@@ -152,6 +152,13 @@ def test_sigma_rejects_low_exponent(constants):
         ineq.sigma_q(constants, 1.0)
 
 
+@pytest.mark.parametrize("c1", [math.nan, math.inf])
+def test_c2_rejects_a_coupling_not_positive_and_finite(constants, c1):
+    # NaN once ran the whole series to value nan, and inf failed in math.log
+    with pytest.raises(ValueError, match="positive and finite"):
+        ineq.c2_constant(c1, constants)
+
+
 def test_sigma_closed_form(constants):
     lam = constants.delta_side_min
     mu = constants.delta_side_max
@@ -557,6 +564,21 @@ def test_chain_audit_rejects_bad_exponents(audit_setup):
     u, dec = audit_setup
     with pytest.raises(ValueError):
         ineq.chain_audit(u, dec, q=1.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_exponents_must_be_finite(audit_setup, q):
+    u, dec = audit_setup
+    calls = {
+        "sobolev_bound": lambda: ineq.sobolev_bound(q, 2),
+        "sigma_q": lambda: ineq.sigma_q(dec.constants, q),
+        "weighted_lhs": lambda: ineq.weighted_lhs(u, q),
+        "chain_audit": lambda: ineq.chain_audit(u, dec, q=q),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="finite"):
+            call()
+            pytest.fail(f"{name} accepted q={q}")
 
 
 def test_chain_audit_rejects_shallow_decomposition():

@@ -64,6 +64,16 @@ def test_params_reject_non_finite(name, value):
         WhitneyParams(**{name: value})
 
 
+@pytest.mark.parametrize("value", [10.5, 2.0, True, False, "2"])
+@pytest.mark.parametrize("name", ["dim", "k_max"])
+def test_params_reject_levels_and_dimensions_that_are_not_integers(name, value):
+    # a float once failed with a TypeError inside decompose, and k_max=True
+    # ended in a TruncationError
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        WhitneyParams(**{name: value})
+    assert getattr(WhitneyParams(**{name: np.int64(2)}), name) == 2
+
+
 def test_constants_closed_forms():
     # hand-computed for eta=2, eta_prime=1.05, dim=2
     params = WhitneyParams()
@@ -481,6 +491,23 @@ def test_covers_allocates_a_block_not_the_points():
     assert peak <= bound, peak
 
 
+def test_decompose_tests_containment_in_blocks():
+    # the L-shape at k_max 12, 65372 cubes: the eta-dilates are tested in
+    # blocks of _CHUNK cubes and each level is sorted once, by the
+    # constructor.  Measured peak 8036889 bytes (7.66 MiB); testing each
+    # level's candidates whole and sorting the selected rows in decompose
+    # too peaked at 10395043.  The bound is the measured peak and 5%.
+    decompose(L_SHAPE, WhitneyParams(k_max=6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decompose(L_SHAPE, WhitneyParams(k_max=12))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8036889 * 1.05, peak
+
+
 def _table_edge_points(decomp, rng):
     """Points where the bit table of ``covers`` is most easily wrong: on
     the level-L lattice, on the upper faces and corners of the selected
@@ -553,10 +580,12 @@ def test_covers_matches_reference_at_any_table_cap(monkeypatch, cap):
     assert np.array_equal(decomp.covers(pts), _reference_covers(decomp, pts))
 
 
+_TOO_WIDE_FOR_A_TABLE = {0: np.array([[0, 0], [2000, 2000]]), 3: np.array([[9, 9], [10, 9]])}
+
+
 def test_covers_without_a_table_when_the_coarsest_level_is_too_wide():
     # two level-0 cubes 2000 cells apart: 2001**2 cells exceed the cap
-    levels = {0: np.array([[0, 0], [2000, 2000]]), 3: np.array([[9, 9], [10, 9]])}
-    decomp = WhitneyDecomposition(L_SHAPE, WhitneyParams(), levels, {})
+    decomp = WhitneyDecomposition(L_SHAPE, WhitneyParams(), _TOO_WIDE_FOR_A_TABLE, {})
     assert decomp._cover_table() is None
     inside = [[0.5, 0.5], [1.0, 1.0], [1.0, 0.0], [2000.0, 2001.0], [2000.5, 2000.5],
               [1.25, 1.125], [1.375, 1.25]]
@@ -588,6 +617,44 @@ def test_covers_outside_a_table_marked_to_its_edges():
     assert got.tolist() == [True] * len(inside) + [False] * len(outside)
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 0.5], [math.inf, 0.0], [0.5, -math.inf]])
+def test_covers_rejects_non_finite_points(block_decomps, bad):
+    with pytest.raises(ValueError, match="finite"):
+        block_decomps["lshape"].covers(np.array([[0.5, 0.5], bad]))
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_covers_answers_false_beyond_every_cube_index(table):
+    # the largest index a cube may have, 2**51 - 1, at level 0, and the
+    # coordinates no cube index reaches, which once were cast to int64
+    top = 2**51 - 1
+    levels = {0: np.array([[top, 0]]), 3: np.array([[9, 9]])}
+    if not table:
+        levels[0] = np.concatenate([_TOO_WIDE_FOR_A_TABLE[0], levels[0]])
+    decomp = WhitneyDecomposition(L_SHAPE, WhitneyParams(), levels, {})
+    assert (decomp._cover_table() is not None) == table
+    inside = [[top + 0.5, 0.5], [top, 0.0], [top + 1.0, 1.0], [1.125, 1.25]]
+    outside = [[top + 2.0, 0.5], [2.0**52, 0.5], [0.5, -1e300], [1e300, 0.5],
+               [-1e300, -1e300], [1.7e308, 1.125], [2.0**60, 0.5], [0.5, 2.0**62]]
+    got = decomp.covers(np.array(inside + outside))
+    assert got.tolist() == [True] * len(inside) + [False] * len(outside)
+    assert np.array_equal(got[:4], _reference_covers(decomp, np.array(inside)))
+
+
+def test_covers_answers_false_past_the_float_range_of_a_fine_table(block_decomps):
+    # the table is at level 8, so 1.7e308 scales past the float range
+    decomp = block_decomps["lshape"]
+    assert decomp._cover_table()[0] == 8
+    got = decomp.covers(np.array([[1.7e308, 0.5], [0.5, -1.7e308], [0.5, 0.5]]))
+    assert got.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("index", [2**51, -(2**51)])
+def test_decomposition_refuses_indices_past_2_to_51(index):
+    with pytest.raises(ValueError, match="below 2\\*\\*51"):
+        WhitneyDecomposition(L_SHAPE, WhitneyParams(), {0: np.array([[0, index]])}, {})
+
+
 def test_covers_sends_few_rows_to_cube_ids(monkeypatch):
     # the L-shape at k_max 14 takes its table at level 9; of a 200k sample
     # beyond epsilon_cut, 1386 rows reach cube_ids (0.0069 a point), where
@@ -608,9 +675,18 @@ def test_covers_sends_few_rows_to_cube_ids(monkeypatch):
     assert sum(rows) <= 0.01 * len(pts), sum(rows)
 
 
+def _ids_per_row(decomp, lev, m):
+    """``cube_ids`` of the cubes (lev[i], m[i]), one call per level."""
+    out = np.full(len(m), -1, dtype=np.int64)
+    for k in set(lev.tolist()):
+        rows = np.flatnonzero(lev == k)
+        out[rows] = decomp.cube_ids(k, m[rows])
+    return out
+
+
 def test_cube_ids_are_the_rows_of_arrays(disk_decomp):
     ks, ms, _, _ = disk_decomp.arrays()
-    assert np.array_equal(disk_decomp.cube_ids(ks, ms), np.arange(disk_decomp.cube_count))
+    assert np.array_equal(_ids_per_row(disk_decomp, ks, ms), np.arange(disk_decomp.cube_count))
     # the rows run level-major, then lexicographically: axis 0 most
     # significant, the last axis fastest
     assert np.array_equal(np.lexsort((*ms.T[::-1], ks)), np.arange(disk_decomp.cube_count))
@@ -619,7 +695,7 @@ def test_cube_ids_are_the_rows_of_arrays(disk_decomp):
     shuffled = {k: rows[rng.permutation(len(rows))] for k, rows in disk_decomp.levels.items()}
     again = WhitneyDecomposition(disk_decomp.domain, disk_decomp.params, shuffled, {})
     assert np.array_equal(again.arrays()[1], ms)
-    assert np.array_equal(again.cube_ids(ks, ms), np.arange(disk_decomp.cube_count))
+    assert np.array_equal(_ids_per_row(again, ks, ms), np.arange(disk_decomp.cube_count))
 
 
 def test_cube_ids_minus_one_for_non_members(disk_decomp):
@@ -687,21 +763,15 @@ def test_cube_ids_per_level_match_full_table_reference(case):
         if k in decomp.levels:
             assert np.all(got[: len(own)] >= 0)
         assert decomp.cube_ids(k, np.empty((0, n), dtype=np.int64)).shape == (0,)
-    # one level per row, levels mixed and out of range
-    lev = rng.integers(int(ks.min()) - 1, int(ks.max()) + 2, len(ms))
-    queries = ms // 2 ** np.clip(ks - lev, 0, None)[:, None]
-    assert np.array_equal(
-        decomp.cube_ids(lev, queries), _reference_cube_ids(decomp, lev, queries)
-    )
-    assert np.array_equal(decomp.cube_ids(ks, ms), _reference_cube_ids(decomp, ks, ms))
 
 
 def _per_row_nested_pairs(decomp):
-    """One cube_ids call per generation with a level per row."""
-    ks, ms, _, _ = decomp.arrays()
+    """One cube_ids call per level and generation."""
+    k0 = min(decomp.levels)
     return sum(
-        int(np.count_nonzero(decomp.cube_ids(ks - j, ms // 2**j) >= 0))
-        for j in range(1, int(ks[-1] - ks[0]) + 1)
+        int(np.count_nonzero(decomp.cube_ids(k - j, ms // 2**j) >= 0))
+        for k, ms in decomp.levels.items()
+        for j in range(1, k - k0 + 1)
     )
 
 
@@ -711,7 +781,7 @@ def _hand_made(d, levels):
 
 def test_nested_pairs_match_per_row_count():
     # the count verify_properties reports as no_nesting's worst, against one
-    # cube_ids call per generation with a level per row, on a hand-made
+    # cube_ids call per level and generation, on a hand-made
     # family: (1, 1) at level 2 holds (2, 2) and (3, 3) at level 3, and
     # three of the level-5 cubes sit in both; level 4 is empty
     d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
@@ -902,8 +972,8 @@ def test_support_hits_match_brute_force_max_norm(domain):
         want_pid.append(p)
         want_cube.append(c + j)
     want_pid, want_cube = np.concatenate(want_pid), np.concatenate(want_cube)
-    row_ids = decomp.cube_ids(ks, ms)
-    assert sorted(zip(pid.tolist(), decomp.cube_ids(lev, m).tolist())) == sorted(
+    row_ids = _ids_per_row(decomp, ks, ms)
+    assert sorted(zip(pid.tolist(), _ids_per_row(decomp, lev, m).tolist())) == sorted(
         zip(want_pid.tolist(), row_ids[want_cube].tolist())
     )
     # psi is the sum of the reference bumps over those cubes
@@ -998,7 +1068,7 @@ def test_partition_values_hand_out_each_incidence_geometry(case):
     pid, gid, sides, offsets, phi, psi = decomp.partition_values(pts)
     ks, ms, _, _ = decomp.arrays()
     lev, m = ks[gid], ms[gid]
-    assert np.array_equal(decomp.cube_ids(lev, m), gid)
+    assert np.array_equal(_ids_per_row(decomp, lev, m), gid)
     want_sides, centers = _cube_geometry(lev, m)
     assert np.array_equal(sides, want_sides)
     assert np.array_equal(offsets, (pts[pid] - centers) / want_sides[:, None])
