@@ -149,10 +149,10 @@ def _output_dir(args) -> str:
 
 
 def _write_json(payload, directory: str, name: str) -> str:
-    """Write ``payload`` plus a ``generated_at`` stamp as indent-2, key-sorted
-    JSON.  ``payload`` is a dict, or an object whose ``json_chunks(extra)``
-    yields that rendering of itself with ``extra`` merged in, piece by piece
-    (the cube file, written as it is rendered)."""
+    """Write ``payload`` plus a ``generated_at`` stamp as JSON.  ``payload``
+    is a dict, written indent-2 and key-sorted, or an object whose
+    ``json_chunks(extra)`` yields its own rendering with ``extra`` merged in,
+    piece by piece (the cube file, written as it is rendered)."""
     stamp = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     path = os.path.join(directory, name)
     with open(path, "w") as fh:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -581,9 +580,15 @@ class WhitneyDecomposition:
 
     # -- serialization -----------------------------------------------------
 
-    def _header_json_dict(self) -> dict:
-        """Every field of the cube file but ``cubes``."""
-        return {
+    def json_chunks(self, extra: dict):
+        """The cube file, with ``extra`` merged into its header, in pieces.
+        The header is ``json.dumps(..., indent=2, sort_keys=True)``; its
+        ``cubes`` list holds one compact ``{"level": k, "index": [...]}``
+        line per cube, in the order of ``arrays()``, at most ``_CHUNK`` cubes
+        of one level per piece.  A cube's side is 2**-k and its center
+        (index + 0.5) * side, so neither is written."""
+        header = {
+            "format": 2,
             "domain": self.domain.to_json_dict(),
             "eta": self.params.eta,
             "eta_prime": self.params.eta_prime,
@@ -591,33 +596,18 @@ class WhitneyDecomposition:
             "cube_count": self.cube_count,
             "truncated_per_level": {str(k): int(v) for k, v in self.truncated.items()},
             "constants": asdict(self.constants),
+            **extra,
+            "cubes": [],
         }
-
-    def to_json_dict(self) -> dict:
-        """The decomposition with every cube's level, index, side and center."""
-        cubes = [_cube_record(*row) for row in zip(*(a.tolist() for a in self.arrays()))]
-        return {**self._header_json_dict(), "cubes": cubes}
-
-    def json_chunks(self, extra: dict):
-        """``json.dumps({**self.to_json_dict(), **extra}, indent=2,
-        sort_keys=True)`` in pieces, without building the cube dicts: the
-        header is rendered once, and each cube is joined from pieces cut from
-        ``_cube_record``'s layout (``repr`` of a float is what json writes
-        for it).  A piece holds at most ``_CUBES_PER_CHUNK`` cubes of one
-        level.
-
-        Each level's cubes come from ``_level_chunks``.
-        """
-        head = json.dumps(
-            {**self._header_json_dict(), **extra, "cubes": []}, indent=2, sort_keys=True
-        )
-        before, after = head.split('\n  "cubes": []')
-        layout = _cube_layout(self.params.dim)
-        yield before + '\n  "cubes": [\n'
-        sep = ""
+        before, after = json.dumps(header, indent=2, sort_keys=True).split('\n  "cubes": []')
+        yield before + '\n  "cubes": ['
+        sep = "\n"
         for k in sorted(self.levels):
-            yield from _level_chunks(k, self.levels[k], layout, sep)
-            sep = ",\n"
+            ms, record = self.levels[k], f'    {{"level": {k}, "index": ['
+            for start in range(0, len(ms), _CHUNK):
+                rows = json.dumps(ms[start : start + _CHUNK].tolist())[2:-2]
+                yield sep + record + rows.replace("], [", "]},\n" + record) + "]}"
+                sep = ",\n"
         yield "\n  ]" + after
 
 
@@ -639,84 +629,6 @@ def _dilate_inside(domain: Domain, lev, m: np.ndarray, factor: float) -> np.ndar
         return domain.cube_contained(centers - half, centers + half)
 
     return _by_rows(inside, np.broadcast_to(lev, len(m)), m)
-
-
-_CUBES_PER_CHUNK = 8192
-
-
-def _level_chunks(k: int, ms: np.ndarray, layout: list[str], sep: str):
-    """The cube-file entries of level k's index rows ``ms``, joined with
-    ",\n", at most ``_CUBES_PER_CHUNK`` cubes per string, the first string
-    led by ``sep`` and the others by ",\n"; ``layout`` is
-    ``_cube_layout``'s.
-
-    Each field renders each index value m of its own axis, from that
-    axis's lowest to its highest at this level, once: as its index or its
-    center ``(m + 0.5) * side`` (the value ``arrays()`` computes) followed
-    by the layout up to the next varying field; the level and the side are
-    folded into those pieces.  The texts thus scale with each axis's extent,
-    not with where the domain sits; axes with the same range render their
-    bare value texts once.  A cube looks its texts up by the offset of its
-    indices from the per-axis lowest.  The texts die with the generator,
-    before the next level renders its own.
-    """
-    side = 2.0 ** (-float(k))
-    lo = ms.min(axis=0)
-    hi = ms.max(axis=0)
-    fixed = (str(k), repr(side))
-    # [text before, kind, axis, text after] per index or center field;
-    # fixed text goes into the piece after it, or the last one
-    fields = []
-    pending = layout[0]
-    for kind, axis, text_after in zip(layout[1::3], layout[2::3], layout[3::3]):
-        kind = int(kind)
-        if kind < 2:
-            pending += fixed[kind] + text_after
-            continue
-        fields.append([pending, kind, int(axis), text_after])
-        pending = ""
-    fields[-1][3] += pending
-    # (text per index value of the field's axis, axis) per field
-    bare = {}
-    pieces = []
-    for pre, kind, axis, post in fields:
-        key = (kind, int(lo[axis]), int(hi[axis]))
-        if key not in bare:
-            values = np.arange(key[1], key[2] + 1)
-            if kind == 3:
-                values = (values + 0.5) * side
-            bare[key] = [repr(v) for v in values.tolist()]
-        pieces.append((np.array([pre + t + post for t in bare[key]], dtype=object), axis))
-    del values, bare  # the bare value texts; the pieces hold their own
-    for start in range(0, len(ms), _CUBES_PER_CHUNK):
-        offsets = ms[start : start + _CUBES_PER_CHUNK] - lo
-        texts, axis = pieces[0]
-        cubes = texts[offsets[:, axis]]
-        for texts, axis in pieces[1:]:
-            cubes = cubes + texts[offsets[:, axis]]
-        yield sep + ",\n".join(cubes.tolist())
-        sep = ",\n"
-
-
-def _cube_record(level, index, side, center) -> dict:
-    """One entry of the cube file's ``cubes`` list."""
-    return {"level": level, "index": index, "side": side, "center": center}
-
-
-def _cube_layout(dim: int) -> list[str]:
-    """One ``_cube_record`` as json.dumps with indent=2 lays it out inside the
-    top-level ``cubes`` list, cut at its fields: [text, kind, axis, text,
-    kind, axis, ..., text], where kind is "0" for the level, "1" the side,
-    "2" an index entry and "3" a center entry (axis "0" for level and side).
-    """
-    record = _cube_record(
-        "#0.0",
-        [f"#2.{i}" for i in range(dim)],
-        "#1.0",
-        [f"#3.{i}" for i in range(dim)],
-    )
-    text = json.dumps(record, indent=2, sort_keys=True)
-    return re.split(r'"#(\d)\.(\d+)"', "\n".join("    " + line for line in text.split("\n")))
 
 
 def decompose(domain: Domain, params: WhitneyParams) -> WhitneyDecomposition:
@@ -759,8 +671,7 @@ def decompose(domain: Domain, params: WhitneyParams) -> WhitneyDecomposition:
             levels[k] = active[contained]
         rest = active[~contained]
         if len(rest) > 0:
-            keep = domain.cube_intersects(rest * s, (rest + 1) * s)
-            rest = rest[keep]
+            rest = rest[_by_rows(lambda m: domain.cube_intersects(m * s, (m + 1) * s), rest)]
         if k == params.k_max:
             if len(rest) > 0:
                 truncated[k] = int(len(rest))

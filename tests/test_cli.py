@@ -4,6 +4,7 @@ import json
 import tracemalloc
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 import blowup.cli as cli
@@ -277,6 +278,14 @@ SINGULAR_PART_KEYS = [
     "l2_delta_d", "max_abs_r", "max_r_times_d",
 ]
 
+# the whitney_cubes.json schema of the README: its top-level keys, and the
+# keys of each entry of its cubes list
+CUBE_FILE_KEYS = [
+    "generated_at", "format", "domain", "eta", "eta_prime", "k_max", "cube_count",
+    "truncated_per_level", "constants", "cubes",
+]
+CUBE_RECORD_KEYS = ["level", "index"]
+
 
 def test_solve_report_has_exactly_the_documented_keys(tmp_path):
     rc = main(["solve", "--domain", "disk", "--h", "1/16", "--report", str(tmp_path)])
@@ -286,6 +295,17 @@ def test_solve_report_has_exactly_the_documented_keys(tmp_path):
     assert set(payload["hardy"]) == set(HARDY_KEYS)
     assert set(payload["singular_part"]) == set(SINGULAR_PART_KEYS)
     assert payload["verification"] is None
+
+
+def test_cube_file_has_exactly_the_documented_keys(tmp_path):
+    rc = main(["whitney", "--domain", "disk", "--k-max", "6", "--samples", "2000",
+               "--report", str(tmp_path)])
+    assert rc == 0
+    payload = _load(tmp_path / "whitney_cubes.json")
+    assert set(payload) == set(CUBE_FILE_KEYS)
+    assert payload["format"] == 2
+    assert payload["cubes"]
+    assert all(set(c) == set(CUBE_RECORD_KEYS) for c in payload["cubes"])
 
 
 def test_unconverged_linear_solves_exit_2(tmp_path, monkeypatch, capsys):
@@ -366,9 +386,8 @@ def test_whitney_square_reports_zero_violations(tmp_path):
     assert all(c["passed"] for c in props["checks"])
     cubes = _load(tmp_path / "whitney_cubes.json")
     assert cubes["cube_count"] == len(cubes["cubes"]) > 0
-    sides = {c["side"] for c in cubes["cubes"]}
-    assert all(s == 2.0 ** -c["level"] for c in cubes["cubes"] for s in [c["side"]])
-    assert len(sides) > 1
+    assert all(set(c) == {"level", "index"} for c in cubes["cubes"])
+    assert len({c["level"] for c in cubes["cubes"]}) > 1
 
 
 def _lshape_truncated_at_two_levels():
@@ -424,13 +443,31 @@ _CUBE_FILE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_CUBE_FILE_CASES))
-def test_cube_file_is_json_dumps_of_to_json_dict(tmp_path, case):
+def test_cube_file_rebuilds_arrays_bit_for_bit(tmp_path, case):
     decomp = _CUBE_FILE_CASES[case]()
     path = cli._write_json(decomp, str(tmp_path), "whitney_cubes.json")
     text = open(path).read()
-    ts = json.loads(text)["generated_at"]
-    want = json.dumps({**decomp.to_json_dict(), "generated_at": ts}, indent=2, sort_keys=True)
+    payload = json.loads(text)
+    assert payload["format"] == 2
+    # the header as json.dumps lays it out, and one compact record per line
+    ks, ms = (a.tolist() for a in decomp.arrays()[:2])
+    records = [f'    {{"level": {k}, "index": {json.dumps(m)}}}' for k, m in zip(ks, ms)]
+    head = json.dumps({**payload, "cubes": []}, indent=2, sort_keys=True)
+    want = head.replace('"cubes": []', '"cubes": [\n' + ",\n".join(records) + "\n  ]")
     _assert_same_text(text, want + "\n")
+    assert text.encode().count(b'"level": ') == decomp.cube_count
+    # side 2**-level and center (index + 0.5) * side, as the README gives them
+    cubes = payload["cubes"]
+    sides = [2.0 ** -c["level"] for c in cubes]
+    rebuilt = (
+        np.array([c["level"] for c in cubes], dtype=np.int64),
+        np.array([c["index"] for c in cubes], dtype=np.int64),
+        np.array(sides),
+        np.array([[(i + 0.5) * s for i in c["index"]] for c, s in zip(cubes, sides)]),
+    )
+    for got, expected in zip(rebuilt, decomp.arrays()):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
     if case == "disk":
         assert min(decomp.arrays()[1].ravel()) < 0
     if case == "translated":
@@ -473,7 +510,7 @@ def test_whitney_three_dimensional_box(tmp_path):
     assert len(props["checks"]) == 12
     cubes = _load(tmp_path / "whitney_cubes.json")
     assert cubes["cube_count"] == len(cubes["cubes"]) == 10944
-    assert all(len(c["center"]) == 3 for c in cubes["cubes"])
+    assert all(len(c["index"]) == 3 for c in cubes["cubes"])
 
 
 def test_whitney_svg_of_a_three_dimensional_domain_exits_1_before_any_work(

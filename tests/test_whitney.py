@@ -6,6 +6,7 @@ are re-verified with plain norm computations independent of the geometry
 predicates used during selection.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -1329,15 +1330,15 @@ def test_levels_are_read_only_views_of_the_stacked_cubes(disk_decomp):
 
 
 def test_json_and_svg_outputs(tmp_path, disk_decomp):
-    payload = disk_decomp.to_json_dict()
+    payload = json.loads("".join(disk_decomp.json_chunks({})))
     assert payload["cube_count"] == disk_decomp.cube_count
     assert len(payload["cubes"]) == disk_decomp.cube_count
     first = payload["cubes"][0]
-    assert set(first) == {"level", "index", "side", "center"}
+    assert set(first) == {"level", "index"}
     k = min(disk_decomp.levels)
     assert first["level"] == k
     assert first["index"] == disk_decomp.levels[k][0].tolist()
-    assert first["side"] == 2.0**-k
+    assert 2.0 ** -first["level"] == disk_decomp.arrays()[2][0] == 2.0**-k
     svg_path = tmp_path / "layout.svg"
     decomposition_to_svg(disk_decomp, svg_path)
     text = svg_path.read_text()
