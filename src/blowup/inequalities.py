@@ -45,6 +45,7 @@ __all__ = [
     "standard_family",
     "grid_family",
     "HardyEstimate",
+    "hardy_witness_max",
     "resolve_hardy_constant",
     "ChainStep",
     "ChainReport",
@@ -381,22 +382,17 @@ def grid_family(grid: Grid):
 @dataclass(frozen=True)
 class HardyEstimate:
     value: float
-    empirical_max: float
+    empirical_max: float | None
     method: str
-    witness: str
+    witness: str | None
 
 
 HARDY_SAFETY = 1.05
 
 
-def resolve_hardy_constant(grid: Grid) -> HardyEstimate:
-    """Boundary-distance Hardy constant for ``grid.domain``, from the witness
-    family on ``grid``.
-
-    Convex domains take the literature value 2.  Otherwise the constant is
-    HARDY_SAFETY times the largest quotient over the witness family, floored
-    at 2; the empirical maximum is reported either way.
-    """
+def hardy_witness_max(grid: Grid) -> tuple[float, str]:
+    """Largest Hardy quotient over the witness family on ``grid`` and the
+    member that attains it; members whose gradient vanishes are skipped."""
     best = 0.0
     witness = ""
     for name, u in grid_family(grid):
@@ -406,8 +402,20 @@ def resolve_hardy_constant(grid: Grid) -> HardyEstimate:
             continue
         if val > best:
             best, witness = val, name
+    return best, witness
+
+
+def resolve_hardy_constant(grid: Grid) -> HardyEstimate:
+    """Boundary-distance Hardy constant for ``grid.domain``.
+
+    Convex domains take the literature value 2, and no witness is
+    evaluated.  Otherwise the constant is HARDY_SAFETY times the largest
+    quotient over the witness family on ``grid`` (``hardy_witness_max``),
+    floored at 2.
+    """
     if grid.domain.is_convex():
-        return HardyEstimate(2.0, best, "convex literature value", witness)
+        return HardyEstimate(2.0, None, "convex literature value", None)
+    best, witness = hardy_witness_max(grid)
     return HardyEstimate(max(2.0, HARDY_SAFETY * best), best, "empirical with margin", witness)
 
 

@@ -46,7 +46,7 @@ from .energy import (
     energy_gradient,
     hessian_operator,
 )
-from .geometry import Disk, distance_to
+from .geometry import Annulus, Disk, distance_to
 from .grid import Grid, ScalarField
 
 __all__ = [
@@ -500,7 +500,13 @@ def verify_minimizer(report: SolveReport, trials: int = 100, seed: int = 0) -> S
 
 
 def corollary4_check(report: SolveReport, H: float) -> dict:
-    """Gradient-norm bound for the remainder: |grad w|_2 <= 2 H |Lap d|_2."""
+    """Gradient-norm bound for the remainder: |grad w|_2 <= 2 H |Lap d|_2.
+
+    ``in_hypothesis`` says whether the domain has the smooth boundary the
+    paper's corollary assumes: disks and annuli do; on boxes and polygons
+    the corners make |Lap d|_2 grow as h shrinks, and the bound speaks
+    of the grid only.
+    """
     g = report.w.grid
     lhs = math.sqrt(g.dirichlet_energy(report.w.values))
     rhs = 2.0 * H * report.singular_part.l2_delta_d
@@ -510,6 +516,7 @@ def corollary4_check(report: SolveReport, H: float) -> dict:
         "H": H,
         "margin": rhs - lhs,
         "pass": bool(lhs <= rhs),
+        "in_hypothesis": isinstance(g.domain, (Disk, Annulus)),
     }
     report.corollary4 = out
     return out

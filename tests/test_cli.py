@@ -168,14 +168,16 @@ def test_non_finite_exponent_list_exits_1(tmp_path, capsys):
     assert "every q > 2 and finite" in capsys.readouterr().err
 
 
-def test_understated_hardy_constant_exits_2(tmp_path):
+@pytest.mark.parametrize("domain", ["disk", "square"])
+def test_understated_hardy_constant_exits_2(tmp_path, capsys, domain):
     # a deliberately tiny constant makes the gradient bound fail: the report
-    # must still be written and the exit code must flag the failed check
+    # must still be written and the exit code must flag the failed check,
+    # also on the square, which lies outside the corollary's hypothesis
     rc = main(
         [
             "solve",
             "--domain",
-            "disk",
+            domain,
             "--h",
             "1/24",
             "--hardy",
@@ -188,6 +190,7 @@ def test_understated_hardy_constant_exits_2(tmp_path):
     payload = _load(tmp_path / "solve_report.json")
     assert payload["converged"] is True
     assert payload["corollary4"]["pass"] is False
+    assert "[FAIL] gradient-energy bound  (lhs " in capsys.readouterr().out
 
 
 def test_grid_too_coarse_for_the_profile_exits_1(tmp_path, capsys):
@@ -265,6 +268,47 @@ def test_solve_disk_report_passes_checks(tmp_path):
     assert payload["liouville_residual"]["residual_mode"] == "continuum"
 
 
+@pytest.mark.parametrize("domain", ["disk", "square"])
+def test_convex_solve_evaluates_no_witness(tmp_path, monkeypatch, domain):
+    def no_witness(*args, **kwargs):
+        raise AssertionError("a witness was evaluated on a convex domain")
+
+    monkeypatch.setattr("blowup.inequalities.grid_family", no_witness)
+    monkeypatch.setattr("blowup.inequalities.hardy_quotient", no_witness)
+    rc = main(["solve", "--domain", domain, "--h", "1/32", "--report", str(tmp_path)])
+    assert rc == 0
+    payload = _load(tmp_path / "solve_report.json")
+    assert payload["hardy"] == {
+        "value": 2.0, "empirical_max": None, "method": "convex literature value", "witness": None,
+    }
+
+
+ANNULUS = '{"shape": "annulus", "inner_radius": 0.5, "outer_radius": 1.0}'
+
+
+@pytest.mark.parametrize(
+    "domain, in_hypothesis",
+    [("disk", True), (ANNULUS, True), ("square", False), ("lshape", False)],
+    ids=["disk", "annulus", "square", "lshape"],
+)
+def test_gradient_energy_line_marks_domains_outside_the_hypothesis(
+    tmp_path, capsys, domain, in_hypothesis
+):
+    rc = main(["solve", "--domain", domain, "--h", "1/32", "--report", str(tmp_path)])
+    assert rc == 0
+    c4 = _load(tmp_path / "solve_report.json")["corollary4"]
+    assert c4["pass"] is True
+    assert c4["in_hypothesis"] is in_hypothesis
+    detail = f"lhs {c4['lhs']:.6g} <= rhs {c4['rhs']:.6g}, H {c4['H']:.6g}"
+    line = (
+        f"[ok  ] gradient-energy bound  ({detail})"
+        if in_hypothesis
+        else "[n/a ] gradient-energy bound "
+        f"(outside the paper's smooth-boundary hypothesis; {detail})"
+    )
+    assert line in capsys.readouterr().out.splitlines()
+
+
 # the keys the README's solve_report.json schema lists
 SOLVE_REPORT_KEYS = [
     "generated_at", "domain", "h", "nodes", "converged", "iterations",
@@ -273,6 +317,7 @@ SOLVE_REPORT_KEYS = [
     "liouville_residual", "singular_part", "verification",
 ]
 HARDY_KEYS = ["value", "empirical_max", "method", "witness"]
+COROLLARY4_KEYS = ["lhs", "rhs", "H", "margin", "pass", "in_hypothesis"]
 SINGULAR_PART_KEYS = [
     "h", "nodes", "residual_mode", "boundary_layer", "full_stencil_nodes",
     "l2_delta_d", "max_abs_r", "max_r_times_d",
@@ -293,6 +338,7 @@ def test_solve_report_has_exactly_the_documented_keys(tmp_path):
     payload = _load(tmp_path / "solve_report.json")
     assert set(payload) == set(SOLVE_REPORT_KEYS)
     assert set(payload["hardy"]) == set(HARDY_KEYS)
+    assert set(payload["corollary4"]) == set(COROLLARY4_KEYS)
     assert set(payload["singular_part"]) == set(SINGULAR_PART_KEYS)
     assert payload["verification"] is None
 

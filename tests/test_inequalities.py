@@ -321,10 +321,12 @@ def test_convex_family_quotients_below_two(domain):
 
 
 def test_resolve_hardy_convex():
-    est = ineq.resolve_hardy_constant(Grid(UNIT_DISK, 1 / 64))
-    assert est.value == 2.0
-    assert "convex" in est.method
-    assert est.empirical_max <= 2.05
+    grid = Grid(UNIT_DISK, 1 / 64)
+    best, witness = ineq.hardy_witness_max(grid)
+    assert best <= 2.05
+    assert witness
+    est = ineq.resolve_hardy_constant(grid)
+    assert est == ineq.HardyEstimate(2.0, None, "convex literature value", None)
 
 
 def test_resolve_hardy_nonconvex():
@@ -332,6 +334,25 @@ def test_resolve_hardy_nonconvex():
     assert est.value >= 2.0
     assert "empirical" in est.method
     assert est.value >= est.empirical_max
+
+
+# resolve_hardy_constant on non-convex domains at h = 1/64, as measured
+# before the witness loop became hardy_witness_max: (value, empirical_max,
+# witness), the floats as float.hex
+NONCONVEX_HARDY = {
+    "lshape": (L_SHAPE, "0x1.0000000000000p+1", "0x1.92100abcca99bp+0", "log_c0.05"),
+    "annulus": (RING, "0x1.0000000000000p+1", "0x1.80029a43fcffcp+0", "log_c0.05"),
+}
+
+
+@pytest.mark.parametrize(
+    "domain, value, empirical_max, witness", NONCONVEX_HARDY.values(), ids=list(NONCONVEX_HARDY)
+)
+def test_resolve_hardy_nonconvex_bit_for_bit(domain, value, empirical_max, witness):
+    est = ineq.resolve_hardy_constant(Grid(domain, 1 / 64))
+    assert est == ineq.HardyEstimate(
+        float.fromhex(value), float.fromhex(empirical_max), "empirical with margin", witness
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +489,11 @@ def test_resolve_hardy_matches_reference_loop(domain):
         val = _reference_hardy_quotient(u)
         if val > best:
             best, witness = val, name
-    est = ineq.resolve_hardy_constant(grid)
-    assert (est.empirical_max, est.witness) == (best, witness)
+    assert ineq.hardy_witness_max(grid) == (best, witness)
     assert witness
+    est = ineq.resolve_hardy_constant(grid)
+    reported = (None, None) if domain.is_convex() else (best, witness)
+    assert (est.empirical_max, est.witness) == reported
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ import sys
 
 import pytest
 
+from blowup.cli import parse_domain
+from blowup.grid import Grid
+from blowup.inequalities import grid_family
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 CASES = {
@@ -36,8 +40,8 @@ def _spans_module():
     return module
 
 
-@pytest.mark.parametrize("argv, metric, expected", CASES.values(), ids=list(CASES))
-def test_traced_child_reads_the_counters(tmp_path, argv, metric, expected):
+def _traced_spans(tmp_path, argv):
+    """The spans of one traced child run of the CLI arguments ``argv``."""
     env = {k: v for k, v in os.environ.items() if k != "BLOWUP_REPORT_DIR"}
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "child.py"), str(tmp_path), "trace", "--", *argv],
@@ -48,5 +52,24 @@ def test_traced_child_reads_the_counters(tmp_path, argv, metric, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "child.json").read_text())["rc"] == 0
-    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    return json.loads((tmp_path / "spans.json").read_text())["spans"]
+
+
+@pytest.mark.parametrize("argv, metric, expected", CASES.values(), ids=list(CASES))
+def test_traced_child_reads_the_counters(tmp_path, argv, metric, expected):
+    spans = _traced_spans(tmp_path, argv)
     assert _spans_module().layer_metrics(spans)[metric] == expected
+
+
+@pytest.mark.parametrize("domain", ["disk", "lshape"])
+def test_hardy_span_times_the_witnesses_only_off_convex_domains(tmp_path, domain):
+    # inequalities.hardy_s times resolve_hardy_constant: on a convex domain
+    # it evaluates no witness, elsewhere one quotient per non-vanishing one
+    spans = _traced_spans(tmp_path, ["solve", "--domain", domain, "--h", "1/16"])
+    names = [s[1] for s in spans]
+    assert names.count("inequalities.resolve_hardy_constant") == 1
+    if domain == "disk":
+        assert "inequalities.hardy_quotient" not in names
+    else:
+        witnesses = list(grid_family(Grid(parse_domain(domain), 1 / 16)))
+        assert names.count("inequalities.hardy_quotient") == len(witnesses) == 13
