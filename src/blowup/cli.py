@@ -265,12 +265,12 @@ def _cmd_whitney(args) -> bool:
         args.coverage_samples is not None and args.coverage_samples < 1
     ):
         raise UsageError("--samples and --coverage-samples must be positive")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    coverage = args.samples if args.coverage_samples is None else args.coverage_samples
     decomp = decompose(domain, params)
     report = verify_properties(
-        decomp,
-        sample_count=args.samples,
-        coverage_samples=args.coverage_samples,
-        seed=args.seed,
+        decomp, sample_count=args.samples, coverage_samples=coverage, seed=args.seed
     )
 
     outdir = _output_dir(args)
@@ -279,6 +279,7 @@ def _cmd_whitney(args) -> bool:
         "domain": domain.to_json_dict(),
         "seed": args.seed,
         "sample_count": args.samples,
+        "coverage_samples": coverage,
         **report.to_json_dict(),
     }
     prop_path = _write_json(prop_payload, outdir, "whitney_properties.json")

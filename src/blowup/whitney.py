@@ -741,41 +741,26 @@ def _sample_beyond_cut(decomp: WhitneyDecomposition, count: int, rng):
     ValueError when there are none, since the decomposition then guarantees
     nothing to check.
 
-    The box points come in batches of ``max(count, 4096)``, each drawn in
-    blocks of at most ``_CHUNK`` rows into one buffer.  Blocks are sized
-    from the share of points inside seen so far, and distances are taken
-    block by block until ``count`` points inside are found.  The rest of
-    the batch is then drawn and dropped: a batch's draws in blocks are its
-    draws whole, bit for bit, so the random stream moves as if every point
-    were used.  Only the rows returned are kept from a block.
+    The box points are drawn in blocks of ``min(count, _CHUNK)`` rows into
+    one buffer, and each block's distances are taken, until ``count`` points
+    inside are found; the stream stops at the end of that block.  Only the
+    rows returned are kept from a block.
     """
     domain, cut = decomp.domain, decomp.constants.epsilon_cut
     lo, hi = domain.bounding_box()
-    batch = max(count, 4096)
-    block = np.empty((min(batch, _CHUNK), domain.dim))
+    block = np.empty((min(count, _CHUNK), domain.dim))
     pts = np.empty((count, domain.dim))
-    have = tried = kept = 0
+    have = kept = 0
     while have < count:
-        left = batch  # rows of this batch not drawn yet
-        while have < count and left:
-            need = count - have
-            # 5% above the rows the yield so far predicts, so that another
-            # block is seldom needed; no fewer than need, as the yield is <= 1
-            step = math.ceil(need * tried / have * 1.05) if have else need
-            chunk = block[: min(step, _CHUNK, left)]
-            rng.random(out=chunk)
-            chunk *= hi - lo
-            chunk += lo
-            sd = domain.signed_distance(chunk)
-            inside = np.flatnonzero(sd > 0.0)[:need]
-            keep = inside[sd[inside] > cut]
-            pts[kept : kept + len(keep)] = chunk[keep]
-            kept += len(keep)
-            have += len(inside)
-            tried += len(chunk)
-            left -= len(chunk)
-        for start in range(0, left, _CHUNK):
-            rng.random(out=block[: min(_CHUNK, left - start)])
+        rng.random(out=block)
+        block *= hi - lo
+        block += lo
+        sd = domain.signed_distance(block)
+        inside = np.flatnonzero(sd > 0.0)[: count - have]
+        keep = inside[sd[inside] > cut]
+        pts[kept : kept + len(keep)] = block[keep]
+        kept += len(keep)
+        have += len(inside)
     if kept == 0:
         raise ValueError(
             f"no sample lies beyond epsilon_cut={cut:.3e}: the decomposition is "
@@ -795,21 +780,26 @@ def verify_properties(
 ) -> PropertyReport:
     """Exhaustive exact checks on cubes plus sampled checks on points.
 
+    Exact on every cube: those of ``_cube_checks`` and the neighbor side
+    ratios.  Sampled: coverage on the first draws from ``seed``, then the
+    overlap, partition and gradient checks.
+
     The sampled checks use points beyond ``epsilon_cut``; a ValueError naming
     it and ``k_max`` is raised when a sample holds none (a decomposition too
     shallow for the domain).  The exact gradients are checked on the first
     ``GRADIENT_POINTS`` of the partition sample.  The checks that hold large
     arrays each run in a helper of their own, so those arrays are freed
-    before the next check starts.
+    before the next check starts.  A negative ``seed`` is a ValueError.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     if coverage_samples is not None and coverage_samples < 1:
         raise ValueError("coverage_samples must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     report = PropertyReport()
     report.checks += _cube_checks(decomp)
-    report.checks.append(_support_window_check(decomp, rng))
     # neighbor side ratios over all pairs with overlapping supports
     cst = decomp.constants
     worst_ratio, worst_gap = _neighbor_side_ratios(decomp)
@@ -831,15 +821,26 @@ def verify_properties(
 
 
 def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
-    """The selection rule, supports in the domain, no nesting and the center
-    distance window, each exact on every cube."""
-    dom, params = decomp.domain, decomp.params
+    """The selection rule, no nesting and the center distance window, each
+    exact on every cube, and the two support checks that follow from them.
+
+    ``support_in_domain`` is the selection rule's dilate-in half: the
+    eta_prime-dilate lies in the eta-dilate, as eta_prime < eta / sqrt(dim).
+    ``support_distance_window``: a support point x has |x - c| <= h s, h =
+    eta_prime sqrt(dim) / 2, and delta is 1-Lipschitz, so the center ratios
+    r = delta(c) / s put every support's delta / s in [min r - h, max r +
+    h], checked against [delta_side_min, delta_side_max].  Each end is one
+    float operation, within half an ulp of the exact sum of the float r
+    and h; at the high end a center ratio of (eta + 1/2) sqrt(dim) exactly,
+    which the center window admits, may round one ulp past delta_side_max.
+    """
+    dom, params, cst = decomp.domain, decomp.params, decomp.constants
     ks, ms = decomp._ks, decomp._ms
     checks = []
 
     # selection rule; siblings share a parent, so each distinct parent is
     # tested once
-    ok = bool(np.all(_dilate_inside(dom, ks, ms, params.eta)))
+    ok = dilate_in = bool(np.all(_dilate_inside(dom, ks, ms, params.eta)))
     for k, level_ms in decomp.levels.items():
         parents = level_ms // 2
         parents = parents[_distinct_rows(parents)[0]]
@@ -851,10 +852,7 @@ def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
             detail=f"{decomp.cube_count} cubes, dilate-in and parent-out verified exactly",
         )
     )
-
-    # supports stay inside the domain
-    sup_ok = _dilate_inside(dom, ks, ms, params.eta_prime)
-    checks.append(PropertyCheck("support_in_domain", bool(np.all(sup_ok))))
+    checks.append(PropertyCheck("support_in_domain", dilate_in))
 
     # no selected cube is an ancestor of another
     nested = _nested_pairs(decomp)
@@ -876,30 +874,18 @@ def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
             detail=f"delta/side in ({lo_c:.4g}, {hi_c:.4g}]",
         )
     )
-    return checks
 
-
-def _support_window_check(decomp: WhitneyDecomposition, rng) -> PropertyCheck:
-    """Support distance bounds at four random points in each support, drawn
-    one point per cube at a time."""
-    cst, dim = decomp.constants, decomp.params.dim
-    _, _, sides, centers = decomp.arrays()
-    scale = (decomp.params.eta_prime * sides)[:, None]
-    ok, worst = True, []
-    for _ in range(4):
-        pts = rng.uniform(-0.5, 0.5, size=(decomp.cube_count, dim))
-        pts *= scale
-        pts += centers
-        ratio = decomp.domain.distance(pts)
-        ratio /= sides
-        ok &= bool(np.all(ratio >= cst.delta_side_min) and np.all(ratio <= cst.delta_side_max))
-        worst.append(ratio.min())
-    return PropertyCheck(
-        "support_distance_window",
-        ok,
-        worst=float(np.min(worst)),
-        detail=f"bounds [{cst.delta_side_min:.4g}, {cst.delta_side_max:.4g}]",
+    half = params.eta_prime * math.sqrt(params.dim) / 2.0
+    lo, hi = float(ratio_c.min()) - half, float(ratio_c.max()) + half
+    checks.append(
+        PropertyCheck(
+            "support_distance_window",
+            cst.delta_side_min <= lo and hi <= cst.delta_side_max,
+            worst=lo,
+            detail=f"[{lo:.4g}, {hi:.4g}] in [{cst.delta_side_min:.4g}, {cst.delta_side_max:.4g}]",
+        )
     )
+    return checks
 
 
 def _coverage_check(decomp: WhitneyDecomposition, count: int, rng) -> PropertyCheck:

@@ -239,7 +239,8 @@ def test_polygon_with_a_non_finite_vertex_exits_1(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--samples", "0"], ["--coverage-samples", "0"], ["--samples", "-5"]]
+    "flags",
+    [["--samples", "0"], ["--coverage-samples", "0"], ["--samples", "-5"], ["--seed", "-1"]],
 )
 def test_whitney_nonpositive_sample_counts_exit_1(tmp_path, monkeypatch, capsys, flags):
     def no_decompose(*args, **kwargs):
@@ -250,7 +251,8 @@ def test_whitney_nonpositive_sample_counts_exit_1(tmp_path, monkeypatch, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert "must be positive" in err
+    assert flags[0] in err
+    assert ("must be non-negative" if flags[0] == "--seed" else "must be positive") in err
 
 
 # -- solve ------------------------------------------------------------------
@@ -330,6 +332,13 @@ CUBE_FILE_KEYS = [
     "truncated_per_level", "constants", "cubes",
 ]
 CUBE_RECORD_KEYS = ["level", "index"]
+# the whitney_properties.json schema of the README: its top-level keys, and
+# the keys of each entry of its checks list
+PROPERTIES_KEYS = [
+    "generated_at", "domain", "seed", "sample_count", "coverage_samples", "all_passed",
+    "empirical_overlap_max", "empirical_grad_max", "checks",
+]
+CHECK_KEYS = ["name", "passed", "worst", "detail"]
 
 
 def test_solve_report_has_exactly_the_documented_keys(tmp_path):
@@ -352,6 +361,21 @@ def test_cube_file_has_exactly_the_documented_keys(tmp_path):
     assert payload["format"] == 2
     assert payload["cubes"]
     assert all(set(c) == set(CUBE_RECORD_KEYS) for c in payload["cubes"])
+
+
+@pytest.mark.parametrize("coverage", [None, 3000])
+def test_properties_file_has_exactly_the_documented_keys(tmp_path, coverage):
+    flags = [] if coverage is None else ["--coverage-samples", str(coverage)]
+    rc = main(["whitney", "--domain", "disk", "--k-max", "6", "--samples", "2000", *flags,
+               "--report", str(tmp_path)])
+    assert rc == 0
+    payload = _load(tmp_path / "whitney_properties.json")
+    assert set(payload) == set(PROPERTIES_KEYS)
+    assert len(payload["checks"]) == 12
+    assert all(set(c) == set(CHECK_KEYS) for c in payload["checks"])
+    # the coverage sample size asked, sample_count without the flag
+    assert payload["sample_count"] == 2000
+    assert payload["coverage_samples"] == (2000 if coverage is None else coverage)
 
 
 def test_unconverged_linear_solves_exit_2(tmp_path, monkeypatch, capsys):

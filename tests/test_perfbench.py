@@ -25,6 +25,13 @@ CASES = {
         "whitney.cubes",
         436,
     ),
+    # the decomposition's and the cube checks' predicate boxes: no pass over
+    # the eta_prime-dilates of the 436 cubes
+    "whitney-boxes": (
+        ["whitney", "--domain", "square", "--k-max", "6", "--samples", "2000"],
+        "geometry.cube_predicate_boxes",
+        2070,
+    ),
     "audit-chain": (
         ["audit-chain", "--domain", "square", "--h", "1/40"],
         "inequalities.chain_audits",

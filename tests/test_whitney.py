@@ -844,6 +844,86 @@ def test_selection_rule_fails_for_siblings_of_a_selectable_parent():
         assert checks["no_nesting"]
 
 
+# the supports' cases: the disk, the L-shape and the 3-D box
+_SUPPORT_CHECK_CASES = {
+    "disk": lambda: decompose(UNIT_DISK, WhitneyParams(k_max=8)),
+    "lshape": lambda: decompose(L_SHAPE, WhitneyParams(k_max=8)),
+    "box3": lambda: decompose(
+        Box((0.0, 0.0, 0.0), (1.0, 1.0, 2.0)), WhitneyParams(eta=3.0, dim=3, k_max=5)
+    ),
+}
+
+
+def _support_checks(decomp):
+    return {c.name: c for c in _cube_checks(decomp)}
+
+
+@pytest.mark.parametrize("case", sorted(_SUPPORT_CHECK_CASES))
+def test_support_in_domain_agrees_with_the_support_dilates(case):
+    # the check reads the selection rule's eta-dilates; a direct test of
+    # every eta_prime-dilate gives the same answer
+    decomp = _SUPPORT_CHECK_CASES[case]()
+    ks, ms = decomp._ks, decomp._ms
+    direct = whitney._dilate_inside(decomp.domain, ks, ms, decomp.params.eta_prime)
+    assert _support_checks(decomp)["support_in_domain"].passed is bool(direct.all()) is True
+
+
+@pytest.mark.parametrize("case", sorted(_SUPPORT_CHECK_CASES))
+def test_support_window_bounds_every_sampled_support_point(case):
+    # worst is min(center ratio) - eta_prime sqrt(n) / 2 bit for bit, and
+    # points drawn in every support (four a cube) have delta / side in the
+    # proved [worst, max(center ratio) + eta_prime sqrt(n) / 2]
+    decomp = _SUPPORT_CHECK_CASES[case]()
+    _, _, sides, centers = decomp.arrays()
+    n, cst = decomp.params.dim, decomp.constants
+    half = decomp.params.eta_prime * math.sqrt(n) / 2.0
+    ratio_c = decomp.domain.distance(centers) / sides
+    check = _support_checks(decomp)["support_distance_window"]
+    assert check.passed
+    assert check.worst == ratio_c.min() - half
+    top = ratio_c.max() + half
+    assert cst.delta_side_min <= check.worst and top <= cst.delta_side_max
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        pts = centers + rng.uniform(-0.5, 0.5, size=centers.shape) * (
+            decomp.params.eta_prime * sides
+        )[:, None]
+        ratio = decomp.domain.distance(pts) / sides
+        assert check.worst <= ratio.min() and ratio.max() <= top
+
+
+def test_cube_checks_fail_for_a_cube_outside_the_windows_or_the_domain():
+    # hand-made families from the square's: one selected cube replaced by a
+    # central grandchild, whose center ratio, near 4 times the cube's (at
+    # least 1.5), leaves the window above; or by its parent, whose
+    # eta-dilate leaves the domain, as the cube was selected
+    d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
+    k = sorted(d.levels)[0]
+    m = d.levels[k][0]
+    rest = dict(d.levels)
+    rest[k] = d.levels[k][1:]
+    deep = _support_checks(_hand_made(d, {**rest, k + 2: np.array([4 * m + 1])}))
+    assert not deep["center_distance_window"].passed
+    assert not deep["support_distance_window"].passed
+    assert deep["support_in_domain"].passed
+    assert not deep["selection_rule"].passed
+    up = _support_checks(_hand_made(d, {**rest, k - 1: np.array([m // 2])}))
+    assert not up["selection_rule"].passed
+    assert not up["support_in_domain"].passed
+    base = _support_checks(d)
+    assert all(base[name].passed for name in base)
+
+
+def test_coverage_sample_is_the_first_draw_from_the_seed(monkeypatch):
+    decomp = decompose(L_SHAPE, WhitneyParams(k_max=8))
+    asked = []
+    covers = decomp.covers
+    monkeypatch.setattr(decomp, "covers", lambda p: asked.append(p.copy()) or covers(p))
+    verify_properties(decomp, sample_count=2000, coverage_samples=5000, seed=3)
+    want = _sample_beyond_cut(decomp, 5000, np.random.default_rng(3))
+    assert len(asked) == 1 and np.array_equal(asked[0], want)
+
+
 def test_cube_keys_must_fit_in_63_bits(disk_decomp):
     far_apart = {0: np.array([[0, 0], [2**32, 2**32]], dtype=np.int64)}
     with pytest.raises(ValueError, match="63 bits"):
@@ -1099,61 +1179,62 @@ def test_support_hits_ask_each_point_at_few_levels(monkeypatch):
     assert 1 <= most <= int(decomp.constants.level_window) + 2 < len(decomp.levels)
 
 
-def _reference_sample_beyond_cut(decomp, count, rng):
-    """The sampler that took every point of every batch: whole batches of
-    max(count, 4096) box points, each one's distance taken, until ``count``
-    fall inside."""
+def _one_stream_reference(decomp, count, seed):
+    """(deep points, rows drawn): the points beyond epsilon_cut among the
+    first ``count`` inside points of one uniform stream drawn whole, and the
+    end of the block of min(count, _CHUNK) rows that holds the count-th."""
     domain, cut = decomp.domain, decomp.constants.epsilon_cut
     lo, hi = domain.bounding_box()
-    pts, dist = [], []
-    have = 0
-    while have < count:
-        batch = lo + rng.random((max(count, 4096), domain.dim)) * (hi - lo)
-        sd = domain.signed_distance(batch)
-        inside = sd > 0.0
-        pts.append(batch[inside])
-        dist.append(sd[inside])
-        have += len(dist[-1])
-    deep = np.concatenate(dist)[:count] > cut
-    return np.concatenate(pts, axis=0)[:count][deep]
+    # ten times count rows: the thin ring below keeps about 15% of its box
+    pts = lo + np.random.default_rng(seed).random((10 * count, domain.dim)) * (hi - lo)
+    sd = domain.signed_distance(pts)
+    inside = np.flatnonzero(sd > 0.0)[:count]
+    assert len(inside) == count
+    block = min(count, _CHUNK)
+    return pts[inside[sd[inside] > cut]], (inside[-1] // block + 1) * block
 
 
-# (domain, k_max, count): the L-shape keeps 3/4 of its box, so two batches;
-# the thin ring about 15%, so several; and a count below the batch floor
+# (domain, k_max, count): the L-shape keeps 3/4 of its box; the thin ring
+# about 15%, so several blocks; a count of a few blocks of _CHUNK rows
 _SAMPLER_CASES = {
     "lshape": (L_SHAPE, 8, 30_000),
     "thin-ring": (Annulus((0.0, 0.0), 0.9, 1.0), 8, 5_000),
     "lshape-small": (L_SHAPE, 8, 1_000),
+    "lshape-blocks": (L_SHAPE, 8, 100_000),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SAMPLER_CASES))
-def test_sample_beyond_cut_matches_whole_batch_reference(case):
+def test_sample_beyond_cut_matches_one_stream_reference(case):
     domain, k_max, count = _SAMPLER_CASES[case]
     decomp = decompose(domain, WhitneyParams(k_max=k_max))
     for seed in (0, 1):
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _sample_beyond_cut(decomp, count, rng_got)
-        want = _reference_sample_beyond_cut(decomp, count, rng_want)
+        rng = np.random.default_rng(seed)
+        got = _sample_beyond_cut(decomp, count, rng)
+        want, drawn = _one_stream_reference(decomp, count, seed)
         assert len(got) > 0 and np.array_equal(got, want)
-        # the stream stands where the reference left it
-        assert rng_got.random() == rng_want.random()
+        # the stream stands at the end of the block that held the count-th
+        # inside point
+        after = np.random.default_rng(seed)
+        after.random((drawn, domain.dim))
+        assert rng.random() == after.random()
 
 
-def test_sample_beyond_cut_takes_distances_only_until_count_inside(monkeypatch):
-    decomp = decompose(L_SHAPE, WhitneyParams(k_max=8))
+@pytest.mark.parametrize("case", sorted(_SAMPLER_CASES))
+def test_sample_beyond_cut_measures_distances_in_blocks_of_at_most_chunk(monkeypatch, case):
+    domain, k_max, count = _SAMPLER_CASES[case]
+    decomp = decompose(domain, WhitneyParams(k_max=k_max))
+    drawn = _one_stream_reference(decomp, count, 2)[1]
     calls = []
     signed_distance = decomp.domain.signed_distance
     monkeypatch.setattr(
         decomp.domain, "signed_distance", lambda p: calls.append(len(p)) or signed_distance(p)
     )
-    _sample_beyond_cut(decomp, 40_000, np.random.default_rng(2))
-    # two batches of 40k drawn, the first measured whole, the second in
-    # part, in chunks of at most _CHUNK points; the first chunk is sized
-    # from need (40k) and cut to _CHUNK, the second ends the first batch
-    assert calls[:2] == [_CHUNK, 40_000 - _CHUNK]
-    assert 40_000 < sum(calls) < 60_000
-    assert max(calls) <= _CHUNK
+    _sample_beyond_cut(decomp, count, np.random.default_rng(2))
+    # every block whole, min(count, _CHUNK) rows, and no block past the one
+    # that held the count-th inside point
+    assert set(calls) == {min(count, _CHUNK)}
+    assert sum(calls) == drawn
 
 
 def test_sample_beyond_cut_heap_peak():
@@ -1245,6 +1326,15 @@ def test_verify_properties_rejects_nonpositive_counts(disk_decomp, name):
     for value in (0, -5):
         with pytest.raises(ValueError, match=name):
             verify_properties(disk_decomp, **{name: value})
+
+
+def test_verify_properties_rejects_a_negative_seed_before_any_work(disk_decomp, monkeypatch):
+    def no_checks(*args):
+        raise AssertionError("a check ran before the seed was validated")
+
+    monkeypatch.setattr(whitney, "_cube_checks", no_checks)
+    with pytest.raises(ValueError, match="seed"):
+        verify_properties(disk_decomp, seed=-1)
 
 
 @pytest.mark.parametrize(
