@@ -115,12 +115,17 @@ def phi_n(t, n: int = 2):
 
 
 def weighted_lhs(u: ScalarField, q: float) -> float:
-    """(integral of |u|^q / delta^2)^(1/q) by midpoint quadrature."""
+    """(integral of |u|^q / delta^2)^(1/q) by midpoint quadrature, formed as
+    M (integral of (|u| / M)^q / delta^2)^(1/q) with M = max |u|, so the
+    powers stay at most 1 and the value is finite wherever the norm is."""
     if not 1 <= q < math.inf:
         raise ValueError("q must be finite and at least 1")
     g = u.grid
-    total = np.sum(np.abs(u.values) ** q / g.delta**2) * g.h**2
-    return float(total ** (1.0 / q))
+    top = float(np.abs(u.values).max())
+    if top == 0.0:
+        return 0.0
+    total = np.sum((np.abs(u.values) / top) ** q / g.delta**2) * g.h**2
+    return top * float(total ** (1.0 / q))
 
 
 def weighted_rhs(u: ScalarField) -> float:
@@ -242,11 +247,16 @@ def c2_constant(c1: float, constants: DerivedConstants) -> C2Result:
     A = a_constant(constants)
     lam = constants.delta_side_min
     threshold = (math.e * omega * nprime * A) ** (1.0 / nprime)
-    x = nprime * omega * A / c1**nprime
+    try:
+        x = nprime * omega * A / c1**nprime
+        log_x = math.log(x)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        # past the float range: log x from log c1, x capped at 1 (diverges)
+        log_x = math.log(nprime * omega * A) - nprime * math.log(c1)
+        x = math.exp(min(log_x, 0.0))
     if x * math.e >= 1.0:
         return C2Result(c1, True, math.inf, threshold, math.inf, 0, A)
     log_coef = -n * math.log(lam) + math.log(nprime * omega)
-    log_x = math.log(x)
     partial = 0.0
     q = n - 1
     used = 0
@@ -481,6 +491,32 @@ class ChainReport:
 _EPS = 1e-12
 
 
+def _times_power(x: float, base: float, exponent: float) -> float:
+    """x * base**exponent for x >= 0, +inf for x > 0 where the power leaves
+    the float range, which keeps a comparison against it true."""
+    try:
+        return x * base**exponent
+    except OverflowError:
+        return math.inf if x > 0.0 else 0.0
+
+
+def _offload_rescaled(part, up, q, lam, n, cubes):
+    """The support weight offload per cube of the mask ``cubes``, decided
+    again on the terms |v|^q, v = up w_part, scaled by the power of two that
+    brings the cube's largest into [1/2, 1).  Both sides are linear in the
+    same terms, so the scaling keeps the comparison, while the audit's
+    subnormal sums may flush to zero on one side alone (times h**2)."""
+    rows = np.flatnonzero(cubes[part.gci])
+    g = part.gci[rows]
+    vq = np.abs(up[rows] * part.w_part[rows]) ** q
+    top = np.zeros(len(cubes))
+    np.maximum.at(top, g, vq)
+    vq = np.ldexp(vq, -np.frexp(top)[1][g])
+    lhs = np.bincount(g, weights=vq / part.delta2[rows], minlength=len(cubes))
+    rhs = lam ** (-n) * (np.bincount(g, weights=vq, minlength=len(cubes)) / part.s_cube**n)
+    return cubes & (lhs > rhs * (1 + _EPS))
+
+
 @dataclass(frozen=True)
 class _Partition:
     """The u-independent part of ``chain_audit`` on one grid.
@@ -676,7 +712,7 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     S = sobolev_bound(q, n)
 
     # localization: |sum of <= P terms|^q <= P^q * sum of |term|^q
-    rhs = P**q * float(L.sum())
+    rhs = _times_power(float(L.sum()), P, q)
     report.steps.append(
         ChainStep(
             "localization",
@@ -690,6 +726,8 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     # distance window: delta >= lambda * side on supports
     rhs_off = lam ** (-n) * vhat_q
     bad = L > rhs_off * (1 + _EPS)
+    if np.any(bad):
+        bad = _offload_rescaled(part, up, q, lam, n, bad)
     report.steps.append(
         ChainStep(
             "support_weight_offload",
@@ -766,7 +804,7 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
 
     # power-sum collapse: sum b^r <= (sum b)^r for r = q/p >= 1
     lhs_c = float(np.sum(K2 ** (q / 2.0)))
-    rhs_c = float(K2.sum()) ** (q / 2.0)
+    rhs_c = _times_power(1.0, float(K2.sum()), q / 2.0)
     report.steps.append(
         ChainStep(
             "power_sum_collapse",

@@ -780,9 +780,10 @@ def verify_properties(
 ) -> PropertyReport:
     """Exhaustive exact checks on cubes plus sampled checks on points.
 
-    Exact on every cube: those of ``_cube_checks`` and the neighbor side
-    ratios.  Sampled: coverage on the first draws from ``seed``, then the
-    overlap, partition and gradient checks.
+    Exact on every cube: those of ``_cube_checks``, among them the neighbor
+    side ratio, bounded by the support window.  Sampled: coverage on the
+    first draws from ``seed``, then the overlap, partition and gradient
+    checks.
 
     The sampled checks use points beyond ``epsilon_cut``; a ValueError naming
     it and ``k_max`` is raised when a sample holds none (a decomposition too
@@ -800,20 +801,6 @@ def verify_properties(
     rng = np.random.default_rng(seed)
     report = PropertyReport()
     report.checks += _cube_checks(decomp)
-    # neighbor side ratios over all pairs with overlapping supports
-    cst = decomp.constants
-    worst_ratio, worst_gap = _neighbor_side_ratios(decomp)
-    report.checks.append(
-        PropertyCheck(
-            "neighbor_side_ratio",
-            worst_ratio < cst.side_ratio_bound and worst_gap <= cst.level_window,
-            worst=worst_ratio,
-            detail=(
-                f"ratio bound {cst.side_ratio_bound:.4g}, worst level gap "
-                f"{worst_gap} (window {cst.level_window:.3g})"
-            ),
-        )
-    )
     n_cov = coverage_samples if coverage_samples is not None else sample_count
     report.checks.append(_coverage_check(decomp, n_cov, rng))
     _partition_checks(decomp, sample_count, rng, report)
@@ -822,17 +809,26 @@ def verify_properties(
 
 def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
     """The selection rule, no nesting and the center distance window, each
-    exact on every cube, and the two support checks that follow from them.
+    exact on every cube, and the three checks that follow from them.
 
     ``support_in_domain`` is the selection rule's dilate-in half: the
     eta_prime-dilate lies in the eta-dilate, as eta_prime < eta / sqrt(dim).
     ``support_distance_window``: a support point x has |x - c| <= h s, h =
     eta_prime sqrt(dim) / 2, and delta is 1-Lipschitz, so the center ratios
-    r = delta(c) / s put every support's delta / s in [min r - h, max r +
-    h], checked against [delta_side_min, delta_side_max].  Each end is one
-    float operation, within half an ulp of the exact sum of the float r
-    and h; at the high end a center ratio of (eta + 1/2) sqrt(dim) exactly,
-    which the center window admits, may round one ulp past delta_side_max.
+    r = delta(c) / s put every support's delta / s in [lo, hi] = [min r -
+    h, max r + h], checked against [delta_side_min, delta_side_max].  Each
+    end is one float operation, within half an ulp of the exact sum of the
+    float r and h; at the high end a center ratio of (eta + 1/2) sqrt(dim)
+    exactly, which the center window admits, may round one ulp past
+    delta_side_max.
+
+    ``neighbor_side_ratio``: two supports of sides s_c >= s_f that meet at
+    y have lo s_c <= delta(y) <= hi s_f, so s_c / s_f <= hi / lo.  The
+    sides are powers of two, so the worst ratio is at most 2**G, G the
+    largest integer with 2**G lo <= hi; scaling by a power of two is exact,
+    so G is exact for the float lo and hi.  The check asks 2**G <
+    side_ratio_bound and G <= level_window.  For lo <= 0 no bound follows,
+    and the check fails with worst inf.
     """
     dom, params, cst = decomp.domain, decomp.params, decomp.constants
     ks, ms = decomp._ks, decomp._ms
@@ -883,6 +879,25 @@ def _cube_checks(decomp: WhitneyDecomposition) -> list[PropertyCheck]:
             cst.delta_side_min <= lo and hi <= cst.delta_side_max,
             worst=lo,
             detail=f"[{lo:.4g}, {hi:.4g}] in [{cst.delta_side_min:.4g}, {cst.delta_side_max:.4g}]",
+        )
+    )
+
+    # the largest gap with 2**gap lo <= hi, from the binary exponents
+    gap = math.inf
+    if lo > 0.0:
+        gap = math.frexp(hi)[1] - math.frexp(lo)[1]
+        if math.ldexp(lo, gap) > hi:
+            gap -= 1
+    worst = 2.0**gap
+    checks.append(
+        PropertyCheck(
+            "neighbor_side_ratio",
+            worst < cst.side_ratio_bound and gap <= cst.level_window,
+            worst=worst,
+            detail=(
+                f"ratio bound {cst.side_ratio_bound:.4g}, worst level gap "
+                f"{gap} (window {cst.level_window:.3g})"
+            ),
         )
     )
     return checks
@@ -1025,59 +1040,3 @@ def _nested_pairs(decomp: WhitneyDecomposition) -> int:
         mult = np.bincount(inverse, weights=mult).astype(np.int64)
         pairs += int(mult[decomp.cube_ids(k - 1, ms) >= 0].sum())
     return pairs
-
-
-def _neighbor_side_ratios(decomp: WhitneyDecomposition):
-    """Check every pair of cubes whose eta_prime supports meet, scanning
-    the pairs that the bounds below leave open.
-
-    The supports of a coarse cube and a fine one meet when their centers
-    lie within eta_prime (s_c + s_f) / 2 in the max norm, so the coarse
-    partners of each block of fine cubes are one ``_near`` query around
-    their centers: at most floor(2 eta_prime) + 2 indices per axis, whatever
-    the level gap.  Level gaps above
-    int(level_window) + 1 need not be scanned: distance to the boundary is
-    1-Lipschitz, so a point y in both supports has delta(y) > delta_side_min
-    * s_c from the coarse cube and delta(y) <= delta_side_max * s_f from the
-    fine one, and the side ratio s_c / s_f stays below delta_side_max /
-    delta_side_min = side_ratio_bound = 2**level_window (under 2**5 at the
-    defaults).  The scan goes one level past that, so a pair that broke the
-    argument would show as worst_gap > level_window.
-
-    Only whether a pair exists at a level gap can move the result: a
-    same-level pair, with side ratio 1 and gap 0, the values the scan
-    starts from, cannot move it and is not scanned, so the scan covers gaps
-    1 to int(level_window) + 1, and the scan of a level pair stops at the
-    first block that finds one.  (Centers are not checked: a pair at a gap
-    up to int(level_window) has its centers at most sqrt(n) eta_prime
-    (2**gap + 1) s_f / 2 apart, within center_window s_f = (1 +
-    side_ratio_bound) eta_prime sqrt(n) s_f / 2 as 2**gap <=
-    side_ratio_bound, and a pair at a larger gap already fails.)
-
-    Returns (worst side ratio found, worst level gap found).
-    """
-    etp = decomp.params.eta_prime
-    cst = decomp.constants
-    ks = sorted(decomp.levels)
-    worst_ratio = 1.0
-    worst_gap = 0
-    gap_max = int(cst.level_window) + 1
-    # fine cubes per query: each brings at most 4 candidates (2-D, default
-    # eta_prime), so a query's temporaries stay below those of 2 * _CHUNK rows
-    block = _CHUNK // 4
-    for kc in ks:  # coarse level
-        sc = 2.0 ** (-kc)
-        for kf in ks:  # finer level
-            gap = kf - kc
-            if gap < 1 or gap > gap_max:
-                continue
-            sf = 2.0 ** (-kf)
-            for start in range(0, len(decomp.levels[kf]), block):
-                mf = decomp.levels[kf][start : start + block]
-                _, cf = _cube_geometry(kf, mf)
-                rows, _, _ = decomp._near(kc, cf, 0.5 * etp * (sc + sf))
-                if len(rows):
-                    worst_ratio = max(worst_ratio, sc / sf)
-                    worst_gap = max(worst_gap, gap)
-                    break
-    return worst_ratio, worst_gap

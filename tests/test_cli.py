@@ -671,6 +671,25 @@ def test_verify_inequality_all_rows_pass(tmp_path):
     assert qs == {3.0, 4.0}
 
 
+def test_verify_inequality_passes_where_the_plain_power_overflows(tmp_path):
+    # |u|^1000 overflows on the L-shape at 1/32; max |u| factored out of the
+    # power keeps every row finite, and q = 700 ran clean before
+    argv = ["verify-inequality", "--domain", "lshape", "--h", "1/32", "--q", "1000"]
+    assert main([*argv, "--report", str(tmp_path)]) == 0
+    rows = _load(tmp_path / "inequality_report.json")["rows"]
+    assert rows and all(row["pass"] and 0.0 < row["ratio"] < 1.0 for row in rows)
+
+
+@pytest.mark.parametrize("q", ["240", "400"])
+def test_audit_chain_passes_where_the_chained_powers_overflow(tmp_path, q):
+    # P^q and the collapsed power sum pass the float range at these q, and
+    # the per-cube powers |v|^q reach subnormal values
+    argv = ["audit-chain", "--domain", "square", "--h", "1/16", "--q", q]
+    assert main([*argv, "--report", str(tmp_path)]) == 0
+    payload = _load(tmp_path / "chain_report.json")
+    assert payload["runs"] and all(run["all_passed"] for run in payload["runs"])
+
+
 def test_audit_chain_single_function_clean(tmp_path):
     rc = main(
         [

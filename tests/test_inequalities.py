@@ -159,6 +159,15 @@ def test_c2_rejects_a_coupling_not_positive_and_finite(constants, c1):
         ineq.c2_constant(c1, constants)
 
 
+@pytest.mark.parametrize("c1", [1e-300, 1e300])
+def test_c2_at_couplings_whose_power_leaves_the_float_range(constants, c1):
+    # c1**2 underflows to 0 or overflows; the series diverges below the
+    # threshold and is finite above it, here flushed to 0
+    res = ineq.c2_constant(c1, constants)
+    assert res.diverges is (c1 < res.threshold_c1)
+    assert res.value == (math.inf if res.diverges else 0.0)
+
+
 def test_sigma_closed_form(constants):
     lam = constants.delta_side_min
     mu = constants.delta_side_max

@@ -68,6 +68,15 @@ def test_traced_child_reads_the_counters(tmp_path, argv, metric, expected):
     assert _spans_module().layer_metrics(spans)[metric] == expected
 
 
+def test_whitney_run_scans_no_neighbour_pairs(tmp_path):
+    # the neighbour side ratio follows from the support window, so cube_ids
+    # answers only the nesting walk (4 spans) and the partition sample's
+    # support queries (5); a scan over level pairs took it to 19
+    spans = _traced_spans(tmp_path, CASES["whitney"][0])
+    names = [s[1] for s in spans]
+    assert names.count("whitney.WhitneyDecomposition.cube_ids") == 9
+
+
 @pytest.mark.parametrize("domain", ["disk", "lshape"])
 def test_hardy_span_times_the_witnesses_only_off_convex_domains(tmp_path, domain):
     # inequalities.hardy_s times resolve_hardy_constant: on a convex domain

@@ -25,7 +25,6 @@ from blowup.whitney import (
     _cube_checks,
     _cube_geometry,
     _distinct_rows,
-    _neighbor_side_ratios,
     _nested_pairs,
     _sample_beyond_cut,
     _smoothstep,
@@ -1438,7 +1437,7 @@ def test_json_and_svg_outputs(tmp_path, disk_decomp):
 
 
 # ---------------------------------------------------------------------------
-# neighbour scan and column folds against their plain references
+# neighbour check and column folds against their plain references
 # ---------------------------------------------------------------------------
 
 
@@ -1497,65 +1496,30 @@ _NEIGHBOR_SCAN_CASES = {
 }
 
 
+def _neighbor_check(decomp):
+    """(worst, level gap) of the ``neighbor_side_ratio`` check, the gap read
+    back from its detail."""
+    check = _support_checks(decomp)["neighbor_side_ratio"]
+    gap = check.detail.split("worst level gap ")[1].split(" ")[0]
+    return check.worst, float(gap) if gap == "inf" else int(gap)
+
+
 @pytest.mark.parametrize("case", sorted(_NEIGHBOR_SCAN_CASES))
 def test_neighbor_scan_matches_gap_8_reference(case):
+    # the bound from the support window is at least the ratio and the gap
+    # of every pair the scan finds, and is attained on the L-shape, the
+    # square and the 3-D box; on the disk hi / lo is 12.3 at k_max 8 and
+    # 14.1 at k_max 10, so the bound is (8.0, 3) against the scan's (4.0, 2)
     decomp = _NEIGHBOR_SCAN_CASES[case]()
-    got = _neighbor_side_ratios(decomp)
-    assert got == _reference_neighbor_side_ratios(decomp)
-    worst_ratio, worst_gap = got
-    assert 1 <= worst_gap <= decomp.constants.level_window
-
-
-def test_neighbor_scan_asks_no_same_level_pair():
-    # measured on the L-shape at k_max 10: the scan sends 143,176 rows to
-    # cube_ids, 32,336 of them selected (289,372 and 81,218 when it also
-    # scanned gap 0), and every _near query reaches less far than a
-    # same-level one, eta_prime times the side
-    decomp = _NEIGHBOR_SCAN_CASES["lshape-10"]()
-    etp = decomp.params.eta_prime
-    asked, selected, reach = [], [], []
-    cube_ids, near = decomp.cube_ids, decomp._near
-
-    def counting_cube_ids(lev, m):
-        ids = cube_ids(lev, m)
-        asked.append(len(ids))
-        selected.append(int(np.count_nonzero(ids >= 0)))
-        return ids
-
-    def recording_near(k, points, half):
-        reach.append(half / (etp * 2.0 ** (-k)))
-        return near(k, points, half)
-
-    decomp.cube_ids, decomp._near = counting_cube_ids, recording_near
-    assert _neighbor_side_ratios(decomp) == (2.0, 1)
-    assert (sum(asked), sum(selected)) == (143_176, 32_336)
-    assert reach and max(reach) < 1.0
-
-
-def test_neighbor_scan_stops_a_level_pair_within_the_window_at_its_first_pair():
-    # on the L-shape at k_max 12 the two finest levels take several blocks
-    # each; at gap 1, inside the window, a level pair's scan stops at the
-    # first block with a pair, while gaps 2 to 5 (5 is one past the
-    # window), which hold none, are scanned whole
-    decomp = decompose(L_SHAPE, WhitneyParams(k_max=12))
-    etp = decomp.params.eta_prime
-    queried = {}  # level gap -> fine cubes sent to _near
-    near = decomp._near
-
-    def recording_near(k, points, half):
-        gap = round(-math.log2(2.0 * half / (etp * 2.0 ** (-k)) - 1.0))
-        queried[gap] = queried.get(gap, 0) + len(points)
-        return near(k, points, half)
-
-    decomp._near = recording_near
-    assert _neighbor_side_ratios(decomp) == (2.0, 1)
-    whole = {
-        gap: sum(len(rows) for k, rows in decomp.levels.items() if k - gap in decomp.levels)
-        for gap in queried
-    }
-    assert sorted(queried) == [1, 2, 3, 4, 5]
-    assert queried[1] < whole[1]
-    assert all(queried[gap] == whole[gap] for gap in (2, 3, 4, 5))
+    worst, gap = _neighbor_check(decomp)
+    ref_worst, ref_gap = _reference_neighbor_side_ratios(decomp)
+    assert worst >= ref_worst and gap >= ref_gap
+    if not case.startswith("disk"):
+        assert (worst, gap) == (ref_worst, ref_gap) == (2.0, 1)
+    else:
+        assert (worst, gap) == (8.0, 3)
+    assert worst == 2.0**gap and 1 <= gap <= decomp.constants.level_window
+    assert _support_checks(decomp)["neighbor_side_ratio"].passed
 
 
 def _central_difference_gradient(decomp, points, pid, lev, m):
@@ -1611,7 +1575,20 @@ def test_neighbor_scan_reports_a_pair_one_level_past_the_window():
     d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
     gap = int(d.constants.level_window) + 1
     levels = {2: np.array([[1, 1]]), 2 + gap: np.array([[2 ** (gap + 1), 40]])}
-    pair = WhitneyDecomposition(d.domain, d.params, levels, {})
-    worst_ratio, worst_gap = _neighbor_side_ratios(pair)
-    assert (worst_ratio, worst_gap) == (2.0**gap, gap)
-    assert worst_gap > d.constants.level_window
+    pair = _hand_made(d, levels)
+    assert _reference_neighbor_side_ratios(pair) == (2.0**gap, gap)
+    assert _neighbor_check(pair) == (2.0**gap, gap)
+    assert gap > d.constants.level_window
+    assert not _support_checks(pair)["neighbor_side_ratio"].passed
+
+
+def test_neighbor_check_fails_without_a_positive_support_window():
+    # the corner cube (0, 0) at level 2 of the unit square has center ratio
+    # 1/2, below eta_prime sqrt(2) / 2, so the support window starts below 0
+    # and bounds no side ratio
+    d = decompose(Box((0.0, 0.0), (1.0, 1.0)), WhitneyParams(k_max=6))
+    corner = _hand_made(d, {2: np.array([[0, 0]]), 3: np.array([[3, 3]])})
+    checks = _support_checks(corner)
+    assert checks["support_distance_window"].worst <= 0.0
+    assert _neighbor_check(corner) == (math.inf, math.inf)
+    assert not checks["neighbor_side_ratio"].passed
