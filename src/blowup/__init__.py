@@ -36,7 +36,6 @@ from .inequalities import (
     c2_constant,
     chain_audit,
     hardy_quotient,
-    phi_n,
     resolve_hardy_constant,
     sigma_q,
     weighted_lhs,
@@ -81,7 +80,6 @@ __all__ = [
     "c2_constant",
     "chain_audit",
     "hardy_quotient",
-    "phi_n",
     "resolve_hardy_constant",
     "sigma_q",
     "weighted_lhs",

@@ -30,7 +30,6 @@ __all__ = [
     "SeriesOverflowError",
     "DegenerateInputError",
     "unit_ball_volume",
-    "phi_n",
     "weighted_lhs",
     "weighted_rhs",
     "sobolev_bound",
@@ -65,48 +64,6 @@ class DegenerateInputError(ValueError):
 
 def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# exponential-class integrand
-# ---------------------------------------------------------------------------
-
-
-def phi_n(t, n: int = 2):
-    """Series sum_{k >= n-1} |t|^(k n') / k! with n' = n/(n-1).
-
-    For n = 2 this equals exp(t^2) - 1.  Truncation is certified: iteration
-    continues past the largest term until the geometric tail is below 1e-16
-    of the partial sum.
-    """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    at = np.abs(t).ravel()
-    nprime = n / (n - 1.0)
-    acc = np.zeros_like(at)
-    if at.size == 0:
-        return float(acc) if scalar else acc.reshape(t.shape)
-    at_max = float(at.max())
-    if at_max > 0 and at_max**nprime > 700.0:
-        raise SeriesOverflowError(
-            f"series saturates: |t| up to {at_max:.6g} exceeds the floating range"
-        )
-    pos = at > 0
-    with np.errstate(divide="ignore"):
-        log_at = np.where(pos, np.log(np.maximum(at, 1e-300)), 0.0)
-    peak = at_max**nprime if at_max > 0 else 0.0
-    for k in range(n - 1, n + 100_000):
-        log_term = k * nprime * log_at - math.lgamma(k + 1)
-        term = np.where(pos, np.exp(log_term), 0.0)
-        acc += term
-        if (k + 1) >= 2.0 * max(peak, 1.0) and np.all(term <= 5e-17 * acc + 1e-300):
-            break
-    else:
-        raise RuntimeError("series failed to certify within 100000 terms")
-    out = acc.reshape(t.shape)
-    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +240,14 @@ def c2_constant(c1: float, constants: DerivedConstants) -> C2Result:
 
 
 def orlicz_boundary_integral(u: ScalarField, c1: float) -> float:
-    """Quadrature of phi_2(u / c1) / delta^2 over interior nodes."""
+    """Quadrature of the planar Orlicz function exp((u / c1)^2) - 1 over
+    delta^2 at the interior nodes; SeriesOverflowError where (u / c1)^2
+    passes 700, near the float range."""
     g = u.grid
-    vals = phi_n(u.values / c1, 2)
-    return float(np.sum(vals / g.delta**2) * g.h**2)
+    t2 = (u.values / c1) ** 2
+    if t2.max() > 700.0:
+        raise SeriesOverflowError(f"exp((u / c1)^2) saturates: (u / c1)^2 up to {t2.max():.6g}")
+    return float(np.sum(np.expm1(t2) / g.delta**2) * g.h**2)
 
 
 def hardy_quotient(u: ScalarField) -> float:
@@ -493,28 +454,51 @@ _EPS = 1e-12
 
 def _times_power(x: float, base: float, exponent: float) -> float:
     """x * base**exponent for x >= 0, +inf for x > 0 where the power leaves
-    the float range, which keeps a comparison against it true."""
+    the float range (``chain_audit`` then decides the step in logs)."""
     try:
         return x * base**exponent
     except OverflowError:
         return math.inf if x > 0.0 else 0.0
 
 
-def _offload_rescaled(part, up, q, lam, n, cubes):
-    """The support weight offload per cube of the mask ``cubes``, decided
-    again on the terms |v|^q, v = up w_part, scaled by the power of two that
-    brings the cube's largest into [1/2, 1).  Both sides are linear in the
-    same terms, so the scaling keeps the comparison, while the audit's
-    subnormal sums may flush to zero on one side alone (times h**2)."""
-    rows = np.flatnonzero(cubes[part.gci])
-    g = part.gci[rows]
-    vq = np.abs(up[rows] * part.w_part[rows]) ** q
-    top = np.zeros(len(cubes))
-    np.maximum.at(top, g, vq)
-    vq = np.ldexp(vq, -np.frexp(top)[1][g])
-    lhs = np.bincount(g, weights=vq / part.delta2[rows], minlength=len(cubes))
-    rhs = lam ** (-n) * (np.bincount(g, weights=vq, minlength=len(cubes)) / part.s_cube**n)
-    return cubes & (lhs > rhs * (1 + _EPS))
+def _in_range(side, live=True) -> bool:
+    """Whether the float sums of nonnegative terms in ``side`` can decide a
+    comparison: each is finite and, where ``live`` says its terms are not
+    all 0, a normal float; a sum flushed below the normal range has lost
+    its relative precision, or all of it."""
+    side = np.asarray(side)
+    return bool(np.all(np.isfinite(side) & ((side >= np.finfo(float).tiny) | ~np.asarray(live))))
+
+
+def _log_power_sum(x, q, weight) -> float:
+    """log of the sum of |x|^q * weight, x not all 0, formed as q log m +
+    log(sum of (|x| / m)^q * weight) with m = max |x|: the powers lie in
+    [0, 1] and the largest is 1, so the sum neither overflows nor flushes
+    to 0 for weights in range."""
+    ax = np.abs(x)
+    m = float(ax.max())
+    return q * math.log(m) + math.log(float(np.sum((ax / m) ** q * weight)))
+
+
+def _scaled_power_sums(x, q, groups, count, *weights):
+    """``_log_power_sum`` per group g < count: (q log m, s_1, ...), where
+    the sum of |x|^q * w_k over the entries with groups == g is
+    e^(q log m) s_k, m the group's largest |x|.  A group whose x are all 0
+    has q log m = -inf and s_k = 0."""
+    ax = np.abs(x)
+    top = np.zeros(count)
+    np.maximum.at(top, groups, ax)
+    m = top[groups]
+    powers = np.divide(ax, m, out=np.zeros_like(ax), where=m > 0) ** q
+    with np.errstate(divide="ignore"):
+        log_scale = q * np.log(top)
+    return (log_scale, *(np.bincount(groups, weights=powers * w, minlength=count) for w in weights))
+
+
+def _log_le(a: float, b: float) -> bool:
+    """a <= b for the logs of two sides, with the guard _EPS relative to the
+    size of b: a log's rounding error is absolute, a few eps times its size."""
+    return a <= b + _EPS * max(1.0, abs(b))
 
 
 @dataclass(frozen=True)
@@ -589,6 +573,7 @@ def _grid_partition(grid: Grid, decomp: WhitneyDecomposition) -> _Partition:
     return _Partition(*arrays, C, recon_worst, grad_worst)
 
 
+@np.errstate(over="ignore")
 def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) -> ChainReport:
     """Audit the localization proof of the weighted embedding numerically.
 
@@ -616,6 +601,14 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     incidences once and sums per cube with ``np.bincount``, which adds in
     input order from zero exactly as ``np.add.at`` does, so every sum is
     the same bit for bit.
+
+    At large q the powers |u|^q pass the float range, or flush below it,
+    and read inf or 0 without a warning.  A step whose side is not finite,
+    or is not a normal float while its terms are not all 0, is decided
+    again in logs, from sums with each group's (the domain's, a cube's)
+    largest |x| factored out (``_scaled_power_sums``); it then reports the
+    logs of its sides and says so in its detail.  Otherwise nothing extra
+    runs.
 
     Grids whose step divides a power of two sample every node exactly on a
     cube plateau (the matching collars between plateaus are thin), which
@@ -649,6 +642,11 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     pid, gci, C, s_cube = part.pid, part.gci, part.cube_count, part.s_cube
     W_tot = float(np.sum(uv**2 / delta**2)) * h**2
     lhs_total = float(np.sum(np.abs(uv) ** q / delta**n)) * h**2
+    in_logs = "; decided in logs, of sums with each group's largest |x| factored out"
+    if _in_range(lhs_total):
+        log_lhs, lhs_note = math.log(lhs_total), ""
+    else:
+        log_lhs, lhs_note = _log_power_sum(uv, q, delta**-n) + 2 * math.log(h), in_logs
 
     report = ChainReport(
         q=q, p=float(n), cube_count=C, node_count=g.n_interior, incidence_count=len(pid)
@@ -685,6 +683,7 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     # keeps the run's heap peak in the partition build
     up = uv[pid]
     v = up * part.w_part
+    live = np.bincount(gci, weights=np.abs(v), minlength=C) > 0  # cubes where v is not 0
     vq = np.abs(v) ** q
     L = gsum(vq / part.delta2)
     Iq = gsum(vq)
@@ -711,47 +710,74 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     c3 = cst.grad_bound
     S = sobolev_bound(q, n)
 
+    @functools.cache
+    def cube_sums():
+        """Per cube, q log of its largest |v| and the scaled sums of |v|^q
+        against 1 / delta^2 and against 1 (``_scaled_power_sums``)."""
+        return _scaled_power_sums(up * part.w_part, q, gci, C, 1.0 / part.delta2, 1.0)
+
     # localization: |sum of <= P terms|^q <= P^q * sum of |term|^q
     rhs = _times_power(float(L.sum()), P, q)
+    if _in_range((lhs_total, rhs)):
+        ok, sides, note = lhs_total <= rhs * (1 + _EPS), (lhs_total, rhs), ""
+    else:
+        log_rhs = q * math.log(P) + _log_power_sum(up * part.w_part, q, 1.0 / part.delta2)
+        log_rhs += 2 * math.log(h)
+        ok, sides, note = _log_le(log_lhs, log_rhs), (log_lhs, log_rhs), in_logs
     report.steps.append(
         ChainStep(
             "localization",
-            lhs_total <= rhs * (1 + _EPS),
-            lhs_total,
-            rhs,
-            detail="whole-domain weighted power against the localized sum",
+            ok,
+            *sides,
+            detail="whole-domain weighted power against the localized sum" + note,
         )
     )
 
     # distance window: delta >= lambda * side on supports
     rhs_off = lam ** (-n) * vhat_q
-    bad = L > rhs_off * (1 + _EPS)
-    if np.any(bad):
-        bad = _offload_rescaled(part, up, q, lam, n, bad)
+    if _in_range((L, rhs_off), live):
+        bad = L > rhs_off * (1 + _EPS)
+        sides, note = (float(L.max()), float(rhs_off.max())) if C else (0.0, 0.0), ""
+    else:
+        # each cube's sides share its factor e^(q log m) h^2, so its scaled
+        # sums compare as its sides do
+        scale, s_lhs, s_mass = cube_sums()
+        s_rhs = lam ** (-n) * (s_mass / s_cube**n)
+        bad = s_lhs > s_rhs * (1 + _EPS)
+        with np.errstate(divide="ignore"):
+            sides = tuple(np.max(scale + np.log(x)) + 2 * math.log(h) for x in (s_lhs, s_rhs))
+        note = in_logs
     report.steps.append(
         ChainStep(
             "support_weight_offload",
             not np.any(bad),
-            float(L.max()) if C else 0.0,
-            float(rhs_off.max()) if C else 0.0,
+            *sides,
             violations=int(np.count_nonzero(bad)),
-            detail="per-cube weighted power against the unweighted one",
+            detail="per-cube weighted power against the unweighted one" + note,
         )
     )
 
     # scaled Sobolev on each support
     lhs_sob = vhat_q ** (1.0 / q)
     rhs_sob = S * np.sqrt(K2)
-    bad = lhs_sob > rhs_sob * (1 + 1e-9)
+    if _in_range(vhat_q, live):
+        bad = lhs_sob > rhs_sob * (1 + 1e-9)
+        sides, note = (float((lhs_sob / np.maximum(rhs_sob, 1e-300)).max()) if C else 0.0, 1.0), ""
+    else:
+        scale, _, s_mass = cube_sums()
+        with np.errstate(divide="ignore"):
+            log_sob = (scale + np.log(s_mass) + 2 * math.log(h) - n * np.log(s_cube)) / q
+        log_ratio = log_sob - np.log(np.maximum(rhs_sob, 1e-300))
+        bad = log_ratio > math.log1p(1e-9)
+        sides, note = (float(log_ratio.max()), 0.0), in_logs
     report.steps.append(
         ChainStep(
             "scaled_sobolev",
             not np.any(bad),
-            float((lhs_sob / np.maximum(rhs_sob, 1e-300)).max()) if C else 0.0,
-            1.0,
+            *sides,
             violations=int(np.count_nonzero(bad)),
             detail="per-cube q-norm of the localized piece against the embedding "
-            "bound times its scaled gradient norm (ratio reported)",
+            "bound times its scaled gradient norm (ratio reported)" + note,
         )
     )
 
@@ -805,13 +831,17 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
     # power-sum collapse: sum b^r <= (sum b)^r for r = q/p >= 1
     lhs_c = float(np.sum(K2 ** (q / 2.0)))
     rhs_c = _times_power(1.0, float(K2.sum()), q / 2.0)
+    if _in_range((lhs_c, rhs_c), K2.any()):
+        ok, sides, note = lhs_c <= rhs_c * (1 + _EPS), (lhs_c, rhs_c), ""
+    else:
+        log_l, log_r = _log_power_sum(K2, q / 2.0, 1.0), (q / 2.0) * math.log(float(K2.sum()))
+        ok, sides, note = _log_le(log_l, log_r), (log_l, log_r), in_logs
     report.steps.append(
         ChainStep(
             "power_sum_collapse",
-            lhs_c <= rhs_c * (1 + _EPS),
-            lhs_c,
-            rhs_c,
-            detail="elementary power-sum inequality over the cube family",
+            ok,
+            *sides,
+            detail="elementary power-sum inequality over the cube family" + note,
         )
     )
 
@@ -823,14 +853,13 @@ def chain_audit(u: ScalarField, decomp: WhitneyDecomposition, q: float = 4.0) ->
         + q * math.log(S)
         + (q / 2.0) * math.log(bracket)
     )
-    log_lhs = math.log(lhs_total) if lhs_total > 0 else -math.inf
     report.steps.append(
         ChainStep(
             "assembled_bound",
             log_lhs <= log_assembled + _EPS,
             log_lhs,
             log_assembled,
-            detail="log of the weighted power against the log of the chained bound",
+            detail="log of the weighted power against the log of the chained bound" + lhs_note,
         )
     )
 

@@ -16,7 +16,7 @@ stops at its own relative residual, the forcing term of Eisenstat and
 Walker (*Choosing the forcing terms in an inexact Newton method*, SIAM J.
 Sci. Comput. 1996),
 
-    cg_rtol_k = max(linear_rtol, min(FORCING_MAX, max(eta_k, FORCING_SAFEGUARD tol / g_k))),
+    cg_rtol_k = max(floor, min(FORCING_MAX, max(eta_k, FORCING_SAFEGUARD tol / g_k))),
     eta_k = FORCING_GAMMA (g_k / g_{k-1})^2,
 
 with g_k step k's gradient norm, tol the Newton tolerance gradient_tol and
@@ -25,7 +25,10 @@ as its Newton model.  The second bound is a safeguard in the manner of
 Kelley (*Iterative Methods for Linear and Nonlinear Equations*, SIAM 1995,
 section 6.3) for the last step: CG's residual is the linearized next
 gradient, so no step solves below the relative residual that brings that
-gradient to FORCING_SAFEGUARD tol.
+gradient to FORCING_SAFEGUARD tol.  The floor is max(LINEAR_RTOL, eps / h^2):
+the condition number of -Lap_h grows like h^-2, so the true relative
+residual of a linear solve can stall near eps / h^2, which passes
+LINEAR_RTOL on grids finer than about h = 1/6700.
 """
 
 from __future__ import annotations
@@ -83,10 +86,8 @@ FORCING_GAMMA = 0.9
 # the share of gradient_tol that a step's linearized next gradient aims for:
 # the safeguard that stops the last step's CG at the tolerance asked for
 FORCING_SAFEGUARD = 0.5
-# smallest accepted linear_rtol: below it the CG recurrence residual keeps
-# shrinking after the true residual has stalled at rounding level (so a step
-# reads as converged when it is not), and it can underflow to zero
-MIN_LINEAR_RTOL = 1e-14
+# the floor of every step's CG tolerance (module docstring)
+LINEAR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,25 +95,17 @@ class SolverConfig:
     """Newton iteration knobs.
 
     gradient_tol is on the mesh-independent residual norm |G| * h (discrete
-    L2); linear_rtol is the floor of the relative residuals at which the
-    steps' conjugate-gradient solves stop (each step's own target is its
-    forcing term, see the module docstring), at least ``MIN_LINEAR_RTOL``
-    here and, in ``solve``, at least the grid's floor eps / h^2.  Both are
-    finite.  max_iterations is an integer (not a bool), at least 1.
+    L2), positive and finite.  max_iterations is an integer (not a bool), at
+    least 1.  ``linear_rtol`` reads the CG floor ``LINEAR_RTOL``, which no
+    config sets.
     """
 
     gradient_tol: float = 1e-8
     max_iterations: int = 40
-    linear_rtol: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.gradient_tol < math.inf:
             raise ValueError("tolerances must be positive and finite")
-        if not MIN_LINEAR_RTOL <= self.linear_rtol < math.inf:
-            raise ValueError(
-                f"linear_rtol must be finite and at least {MIN_LINEAR_RTOL:g}, "
-                f"got {self.linear_rtol!r}"
-            )
         if isinstance(self.max_iterations, bool) or not isinstance(
             self.max_iterations, (int, np.integer)
         ):
@@ -121,6 +114,10 @@ class SolverConfig:
             )
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+
+    @property
+    def linear_rtol(self) -> float:
+        return LINEAR_RTOL
 
 
 @dataclass
@@ -247,11 +244,8 @@ def solve(
     backtracking; by convexity the stationary point reached is the unique
     minimizer regardless of the start.
 
-    Raises ValueError, before any work, when ``config.linear_rtol`` is below
-    eps / h^2: the condition number of -Lap_h grows like h^-2, so the true
-    relative residual of a linear solve can stall near eps / h^2 and a
-    smaller tolerance cannot be met; and, also before any work, when the
-    initial guess does not hold one entry per interior node.
+    Raises ValueError, before any work, when the initial guess does not
+    hold one entry per interior node.
 
     Memory.  Besides the grid and the singular part (d, weight and r per
     interior node), the Newton loop holds per interior node: w and the
@@ -269,12 +263,6 @@ def solve(
     grid = sp.grid
     if config is None:
         config = SolverConfig()
-    floor = np.finfo(float).eps / (grid.h * grid.h)
-    if config.linear_rtol < floor:
-        raise ValueError(
-            f"linear_rtol {config.linear_rtol:g} is below the floor "
-            f"eps / h^2 = {floor:.3g} of the grid at h = {grid.h:g}"
-        )
     if initial_guess is not None and np.shape(initial_guess) != (grid.n_interior,):
         raise ValueError("initial guess must have one entry per interior node")
     w, history, steps, gnorm, converged = _newton(sp, config, initial_guess)
@@ -303,6 +291,7 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
     h = grid.h
     n = grid.n_interior
     maxiter_lin = max(200, 20 * int(math.sqrt(n)))
+    floor = max(LINEAR_RTOL, np.finfo(float).eps / (h * h))
     if initial_guess is None:
         w = np.zeros(n)
         current = EnergyBreakdown(0.0, 0.0, 0.0)
@@ -324,8 +313,8 @@ def _newton(sp: SingularPart, config: SolverConfig, initial_guess):
             return w, history, steps, gnorm, True
         forcing = FORCING_MAX if it == 1 else FORCING_GAMMA * (gnorm / gprev) ** 2
         forcing = max(forcing, FORCING_SAFEGUARD * config.gradient_tol / gnorm)
-        # float(): a numpy linear_rtol would leave numpy scalars in the record
-        cg_rtol = float(max(config.linear_rtol, min(FORCING_MAX, forcing)))
+        # float(): a numpy gradient_tol or eps would leave numpy scalars in the record
+        cg_rtol = float(max(floor, min(FORCING_MAX, forcing)))
 
         # g becomes the right-hand side -G in place (negation is exact); the
         # mass stays for the line search
@@ -420,15 +409,19 @@ def disk_exact_solution(disk: Disk):
     return u_star
 
 
-def oracle_errors(u: ScalarField, disk: Disk, region_depth: float = 0.05) -> dict:
+# the oracle compares the nodes farther than this from the boundary
+ORACLE_DEPTH = 0.05
+
+
+def oracle_errors(u: ScalarField, disk: Disk) -> dict:
     """Sup and L2 error of u against the closed-form solution on the
-    region {boundary distance > region_depth}."""
+    region {boundary distance > ORACLE_DEPTH}."""
     g = u.grid
     exact = disk_exact_solution(disk)(g.points)
-    sel = g.delta > region_depth
+    sel = g.delta > ORACLE_DEPTH
     diff = u.values[sel] - exact[sel]
     return {
-        "region_depth": region_depth,
+        "region_depth": ORACLE_DEPTH,
         "nodes_compared": int(np.count_nonzero(sel)),
         "sup_error": float(np.max(np.abs(diff))) if diff.size else math.nan,
         "l2_error": float(math.sqrt(np.sum(diff**2) * g.h**2)),

@@ -1,13 +1,19 @@
 """Every module of the package uses each name it imports."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
 import blowup
+from blowup.solver import SolverConfig
+from blowup.whitney import WhitneyParams
 
 SOURCES = sorted(pathlib.Path(blowup.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+CALLERS = [*SOURCES, *sorted(ROOT.glob("demos/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _imported_names(tree):
@@ -140,7 +146,7 @@ def _unread_parameters(tree):
     read them, and ``self`` is the instance, not a setting: an override
     takes it whether or not it reads it."""
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_abstract(node):
+        if not isinstance(node, FUNCS) or _is_abstract(node):
             continue
         a = node.args
         params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
@@ -160,3 +166,77 @@ def test_every_parameter_is_read(path):
     # a parameter nothing reads is a setting that does nothing
     unread = list(_unread_parameters(ast.parse(path.read_text())))
     assert not unread, f"{path.name} has parameters it never reads: {unread}"
+
+
+# the defaulted settings that no caller in src/, demos/ or perfbench/ sets,
+# each with the reason it stays
+KEPT_SETTINGS = {
+    "build_singular_part(profile)": "a study of the smoothing profile swaps it, "
+    "and corner-exact distances will extend what it builds",
+    "laplacian_of_distance(method)": "the analytic and finite-difference paths "
+    "are each other's test reference",
+    "solve(initial_guess)": "nested iteration starts a fine solve from a "
+    "coarse one's prolonged remainder",
+    "verify_minimizer(seed)": "the library's perturbation check draws its "
+    "shapes from it, and its tests vary it",
+}
+
+
+def _defaulted_settings():
+    """{"callee(parameter)": (callee, parameter, positional index)} of each
+    parameter with a default of a function or method of the package, the
+    index not counting self or cls, and of each field of the two config
+    classes.  ``__init__`` goes by its class's name, as its callers call
+    it; a keyword-only parameter has no index."""
+    out = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        owner = {id(f): c.name for c in classes for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, FUNCS):
+                continue
+            name = owner[id(node)] if node.name == "__init__" else node.name
+            a = node.args
+            pos = [p.arg for p in (*a.posonlyargs, *a.args) if p.arg not in ("self", "cls")]
+            for i in range(len(pos) - len(a.defaults), len(pos)):
+                out[f"{name}({pos[i]})"] = (name, pos[i], i)
+            for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    out[f"{name}({p.arg})"] = (name, p.arg, None)
+    for cls in (SolverConfig, WhitneyParams):
+        for i, f in enumerate(dataclasses.fields(cls)):
+            out[f"{cls.__name__}({f.name})"] = (cls.__name__, f.name, i)
+    return out
+
+
+def _set_by_callers():
+    """(callee, keyword) and (callee, positional index) of every argument
+    that a call in ``CALLERS`` passes; the CLI's ``_build(cls, **kwargs)``
+    calls cls."""
+    got = set()
+    for path in CALLERS:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name, args = getattr(call.func, "id", getattr(call.func, "attr", None)), call.args
+            if name == "_build":
+                name, args = args[0].id, args[1:]
+            got.update((name, k.arg) for k in call.keywords if k.arg is not None)
+            got.update((name, i) for i in range(len(args)))
+    return got
+
+
+def test_every_default_is_set_by_some_caller():
+    # a setting that only the tests change does not earn its keep: it
+    # becomes a constant, or a value the code works out from its inputs
+    got = _set_by_callers()
+    unset = {
+        key
+        for key, (name, param, index) in _defaulted_settings().items()
+        if (name, param) not in got and (name, index) not in got
+    }
+    assert unset == set(KEPT_SETTINGS), (
+        f"set by no caller and not kept: {sorted(unset - set(KEPT_SETTINGS))}; "
+        f"kept but now set: {sorted(set(KEPT_SETTINGS) - unset)}"
+    )

@@ -52,28 +52,13 @@ def constants(square_decomp):
 # ---------------------------------------------------------------------------
 
 
-def test_series_matches_exponential_closed_form():
-    t = np.linspace(-4.0, 4.0, 161)
-    got = ineq.phi_n(t, n=2)
-    want = np.expm1(t**2)
-    assert np.max(np.abs(got - want) / np.maximum(want, 1e-300)) < 1e-13
-
-
-def test_series_zero_and_shape():
-    assert ineq.phi_n(0.0) == 0.0
-    out = ineq.phi_n(np.zeros((3, 4)))
-    assert out.shape == (3, 4) and np.all(out == 0.0)
-    assert isinstance(ineq.phi_n(1.5), float)
-
-
-def test_series_three_dimensional_value():
-    # for n = 3 the series at t = 1 sums 1/k! from k = 2, i.e. e - 2
-    assert ineq.phi_n(1.0, n=3) == pytest.approx(math.e - 2.0, rel=1e-14)
-
-
-def test_series_overflow_raises():
+def test_series_overflow_raises(square_grid):
+    # (u / c1)^2 = 729 passes 700, near where exp leaves the float range;
+    # 676 stays finite
+    u = ScalarField(square_grid, np.full(square_grid.n_interior, 27.0))
     with pytest.raises(ineq.SeriesOverflowError):
-        ineq.phi_n(40.0, n=2)
+        ineq.orlicz_boundary_integral(u, 1.0)
+    assert ineq.orlicz_boundary_integral(u, 27.0 / 26.0) < math.inf
 
 
 def test_unit_ball_volumes():
@@ -590,6 +575,38 @@ def test_chain_audit_other_exponents(audit_setup, q):
     u, dec = audit_setup
     rep = ineq.chain_audit(u, dec, q=q)
     assert rep.all_passed, [s.name for s in rep.steps if not s.passed]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "domain, q",
+    [
+        (UNIT_SQUARE, 810),
+        (UNIT_SQUARE, 1000),
+        (UNIT_SQUARE, 5000),
+        (UNIT_SQUARE, 20000),
+        (UNIT_DISK, 640),
+    ],
+    ids=["square-810", "square-1000", "square-5000", "square-20000", "disk-640"],
+)
+def test_chain_audit_passes_where_the_powers_leave_the_float_range(domain, q):
+    # at h = 1/16, |u|^q / delta^2 overflows from q = 810 on the square and
+    # 640 on the disk, and by q = 5000 localized sums flush to 0 while the
+    # whole-domain one does not: each failed, or passed on 0 against 0 or
+    # inf against inf.  A step decided again in logs says so, and every
+    # side of the q-th power steps reads finite, and positive unless a log
+    dec = decompose(domain, WhitneyParams())
+    decided_in_logs = 0
+    for name, u in ineq.grid_family(Grid(domain, 1 / 16)):
+        rep = ineq.chain_audit(u, dec, q=q)
+        assert rep.all_passed, (name, [s.name for s in rep.steps if not s.passed])
+        for s in rep.steps:
+            logs = "decided in logs" in s.detail
+            decided_in_logs += logs
+            assert math.isfinite(s.lhs) and math.isfinite(s.rhs), (name, s)
+            if s.name in ("localization", "support_weight_offload", "power_sum_collapse"):
+                assert logs or (s.lhs > 0.0 and s.rhs > 0.0), (name, s)
+    assert decided_in_logs
 
 
 def test_chain_audit_rejects_bad_exponents(audit_setup):

@@ -59,18 +59,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(gradient_tol=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(linear_rtol=-1.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
 
 
-def test_config_fields_are_exactly_the_three_knobs():
-    # the forcing terms add no knob: their constants live in the module
+def test_config_fields_are_exactly_the_two_knobs():
+    # the forcing terms and the CG floor add no knob: their constants live
+    # in the module, and linear_rtol only reads the floor
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
         "gradient_tol",
         "max_iterations",
-        "linear_rtol",
     ]
+    assert SolverConfig().linear_rtol == solver_module.LINEAR_RTOL == 1e-8
 
 
 def test_initial_guess_shape_rejected():
@@ -105,7 +104,7 @@ def test_config_takes_a_numpy_integer_max_iterations():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("gradient_tol", math.inf), ("gradient_tol", math.nan), ("linear_rtol", math.inf)],
+    [("gradient_tol", math.inf), ("gradient_tol", math.nan)],
 )
 def test_config_rejects_non_finite_tolerances(field, value):
     with pytest.raises(ValueError, match="finite"):
@@ -225,10 +224,13 @@ def test_oracle_absent_off_disk():
     assert rep.oracle is None
 
 
-def test_oracle_region_helper(disk64):
+def test_oracle_region_helper(disk64, monkeypatch):
+    # a deeper region compares fewer nodes, none of them worse
     grid, _, rep = disk64
-    out = oracle_errors(rep.u, DISK, region_depth=0.3)
-    assert out["nodes_compared"] < grid.n_interior
+    monkeypatch.setattr(solver_module, "ORACLE_DEPTH", 0.3)
+    out = oracle_errors(rep.u, DISK)
+    assert out["region_depth"] == 0.3
+    assert out["nodes_compared"] < rep.oracle["nodes_compared"] < grid.n_interior
     assert out["sup_error"] <= rep.oracle["sup_error"]
 
 
@@ -272,7 +274,7 @@ def test_uniqueness_from_random_starts():
         rep = solve(sp, initial_guess=guess)
         assert rep.converged
         sols.append(rep.w.values)
-    assert np.max(np.abs(sols[0] - sols[1])) < 10 * SolverConfig().linear_rtol
+    assert np.max(np.abs(sols[0] - sols[1])) < 10 * solver_module.LINEAR_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +551,13 @@ def _forcing_terms(config, norms):
     the first step at FORCING_MAX, then FORCING_GAMMA times the squared
     ratio of successive gradient norms, raised to FORCING_SAFEGUARD
     gradient_tol / the step's norm, capped at FORCING_MAX and floored at
-    linear_rtol."""
+    LINEAR_RTOL (above eps / h^2 on these grids)."""
     forcing = [solver_module.FORCING_MAX] + [
         solver_module.FORCING_GAMMA * (b / a) ** 2 for a, b in zip(norms, norms[1:])
     ]
     return [
         max(
-            config.linear_rtol,
+            solver_module.LINEAR_RTOL,
             min(
                 solver_module.FORCING_MAX,
                 max(f, solver_module.FORCING_SAFEGUARD * config.gradient_tol / g),
@@ -565,10 +567,11 @@ def _forcing_terms(config, norms):
     ]
 
 
-def test_cg_rtol_follows_the_forcing_terms():
+def test_cg_rtol_follows_the_forcing_terms(monkeypatch):
     # a floor of 1e-4 binds at the third step and the safeguard at the
     # fourth, the last
-    config = SolverConfig(linear_rtol=1e-4)
+    monkeypatch.setattr(solver_module, "LINEAR_RTOL", 1e-4)
+    config = SolverConfig()
     rep = solved(DISK, 1 / 64, config)
     assert rep.converged
     got = [s["cg_rtol"] for s in rep.steps]
@@ -595,34 +598,20 @@ def test_the_last_step_solves_only_to_the_newton_tolerance(disk64):
     assert rep.final_grad_norm <= config.gradient_tol
 
 
-@pytest.mark.parametrize("rtol", [1e-320, 1e-30, 0.0, float("nan")])
-def test_linear_rtol_below_rounding_level_rejected(rtol):
-    # 1e-320 made the CG recurrence residual underflow (division by zero);
-    # 1e-30 read as converged while |b - Ax| / |b| had stalled near 1e-15
-    with pytest.raises(ValueError, match="linear_rtol"):
-        SolverConfig(linear_rtol=rtol)
-
-
-def test_smallest_linear_rtol_still_converges():
-    # the grid's floor eps / h^2 (5.7e-14 at 1/16) is attainable
-    sp = singular_part(DISK, 1 / 16)
-    rep = solve(sp, SolverConfig(linear_rtol=np.finfo(float).eps / sp.grid.h**2))
-    assert rep.converged
-    assert rep.steps
-    assert all(s["linear_converged"] is True for s in rep.steps)
-    json.dumps(rep.to_json_dict())  # a numpy linear_rtol leaves no numpy bool
-
-
-def test_linear_rtol_below_the_grid_floor_rejected(monkeypatch):
-    # 1e-14 passes SolverConfig but is below eps / h^2 = 9.1e-13 at 1/64;
-    # no Newton step starts
-    def unreachable(*args, **kwargs):
-        raise AssertionError("solve did work before rejecting linear_rtol")
-
-    monkeypatch.setattr(solver_module, "_newton", unreachable)
+def test_cg_floor_rises_to_the_grid_floor(monkeypatch):
+    # with the floor constant at 1e-14, below eps / h^2 = 9.09e-13 at 1/64,
+    # and the forcing terms at 0, every step aims at the floor: none aims
+    # below eps / h^2, near which the true residual stalls (7.4e-13 at the
+    # last step), and every linear solve and the solve still converge
+    monkeypatch.setattr(solver_module, "LINEAR_RTOL", 1e-14)
+    monkeypatch.setattr(solver_module, "FORCING_MAX", 0.0)
     sp = singular_part(DISK, 1 / 64)
-    with pytest.raises(ValueError, match=r"linear_rtol 1e-14 .* 9\.09e-13 .* h = 0\.015625"):
-        solve(sp, SolverConfig(linear_rtol=1e-14))
+    rep = solve(sp)
+    grid_floor = np.finfo(float).eps / sp.grid.h**2
+    assert grid_floor == pytest.approx(9.09e-13, rel=1e-3)
+    assert rep.converged and rep.linear_converged and rep.steps
+    assert all(s["cg_rtol"] == grid_floor for s in rep.steps)
+    json.dumps(rep.to_json_dict())  # a numpy eps leaves no numpy bool
 
 
 def test_linear_converged_follows_the_true_residual(monkeypatch):
